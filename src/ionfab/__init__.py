@@ -25,8 +25,8 @@ from .ising import (AdiabaticRun, AnnealSchedule, IsingInstance, SpinConfig,
                     adiabatic_evolve, anneal_classical,
                     brute_force_ground_state, boltzmann_topology, energy,
                     power_law_couplings)
-from .netsim import (PairBuffer, SimResult, SwitchConfig, buffer_take,
-                     reconfigure, run_sim, theoretical_rate_check)
+from .netsim import (NetworkSim, PairBuffer, SimResult, SwitchConfig, run_sim,
+                     theoretical_rate_check)
 from .qec import (EmbeddingReport, QecGraph, embed_on_grid, embed_on_modular,
                   hypergraph_product_graph, repetition_check_matrix,
                   steane_concat_graph, surface_code_graph)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -33,19 +32,6 @@ from .rates import rate_report
 from .scheduler import assign_qubits, schedule
 
 _STOCHASTIC_HINT = "stochastic command requires --seed (no hidden entropy)"
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("IONFAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise IonfabError(f"IONFAB_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise IonfabError(f"IONFAB_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def render_json(doc) -> str:
@@ -261,8 +247,15 @@ def _cmd_qec(args) -> tuple[int, list[str]]:
     return 0, emit_report(render_json(qec_to_doc(code)), args.out)
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
 def _load_switch_schedule(path: str) -> list[tuple[float, SwitchConfig]]:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise SchemaError("expected a list of {time_s, links} entries")
     schedule_ = []
@@ -280,7 +273,7 @@ def _load_switch_schedule(path: str) -> list[tuple[float, SwitchConfig]]:
 
 
 def _load_demand(path: str) -> list[tuple[float, tuple[str, str]]]:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise SchemaError("expected a list of {time_s, elus} entries")
     demand = []
@@ -502,7 +495,6 @@ def main(argv: list[str] | None = None) -> int:
               if isinstance(getattr(args, name, None), str)]
 
     try:
-        _threads_cap()
         if args.command == "simulate" and args.seed is None:
             raise IonfabError(_STOCHASTIC_HINT)
         if getattr(args, "ising_cmd", None) == "anneal" and args.seed is None:

@@ -33,6 +33,12 @@ equal times process in the fixed priority order RECONFIG_DONE < RELOAD_DONE
 < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST < PAIR_DELIVERED, then
 by sequence number; an attempt landing exactly on a suspension boundary
 does not fire.
+
+Neither the event order nor the draw order depends on the horizon, which
+only stops the loop. A :class:`NetworkSim` advanced in steps and then
+finished therefore equals one ``run_sim`` call to the same horizon, event
+log included, and the success times before t are the same for every
+horizon past t.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import ArchitectureSpec
 from .errors import DomainError
@@ -50,8 +56,8 @@ from .rates import link_success_probability
 Port = tuple[str, int]          # (elu id, chain position of the comm ion)
 Link = tuple[Port, Port]        # normalized: ports in sorted order
 
-EVENT_KINDS = ("ATTEMPT", "SUCCESS", "RECONFIG_DONE", "PAIR_EXPIRED",
-               "COLLISION", "RELOAD_DONE", "PAIR_REQUEST", "PAIR_DELIVERED")
+EVENT_KINDS = ("SUCCESS", "RECONFIG_DONE", "PAIR_EXPIRED", "COLLISION",
+               "RELOAD_DONE", "PAIR_REQUEST", "PAIR_DELIVERED")
 
 # Priorities for equal-time ties; the relative order of RECONFIG_DONE,
 # COLLISION, SUCCESS, and PAIR_REQUEST is a documented contract.
@@ -98,16 +104,6 @@ class SwitchConfig:
         return {p for link in self.active_links for p in link}
 
 
-def reconfigure(cfg: SwitchConfig, new_links) -> SwitchConfig:
-    """New switch configuration from a link set; raises on port conflicts."""
-    return SwitchConfig(frozenset(make_link(*l) for l in new_links))
-
-
-def changed_links(old: SwitchConfig, new: SwitchConfig) -> set[Link]:
-    """Links whose membership changed; these are charged the reconfiguration time."""
-    return set(old.active_links ^ new.active_links)
-
-
 @dataclass(frozen=True)
 class PairRecord:
     creation_time: float
@@ -143,12 +139,6 @@ class PairBuffer:
         if self.queue:
             return self.queue.popleft(), expired
         return None, expired
-
-
-def buffer_take(buffer: PairBuffer, now: float) -> PairRecord | None:
-    """Convenience wrapper over :meth:`PairBuffer.take` discarding the expiry list."""
-    record, _ = buffer.take(now)
-    return record
 
 
 @dataclass(frozen=True)
@@ -198,9 +188,7 @@ class SimResult:
     requests_served: int
     latency_mean: float
     latency_max: float
-    buffer_occupancy: dict[str, list[tuple[float, int]]] = field(default_factory=dict)
     events: tuple[SimEvent, ...] | None = None
-    success_times: dict[tuple[str, str], list[float]] | None = None
 
     def events_csv(self) -> str:
         if self.events is None:
@@ -208,21 +196,6 @@ class SimResult:
         lines = ["time_s,kind,link,elu_a,elu_b,seq"]
         lines.extend(ev.csv_row() for ev in self.events)
         return "\n".join(lines) + "\n"
-
-
-def merge_aggregates(results: list[SimResult]) -> dict:
-    """Associative merge of ensemble aggregate counters (e.g. over seeds)."""
-    out = {"runs": len(results), "attempts": 0, "successes": 0, "delivered": 0,
-           "expired": 0, "invalidated": 0, "overflow_dropped": 0, "collisions": 0}
-    for r in results:
-        out["attempts"] += sum(s.attempts for s in r.per_link.values())
-        out["successes"] += r.ledger.successes
-        out["delivered"] += r.ledger.delivered
-        out["expired"] += r.ledger.expired
-        out["invalidated"] += r.ledger.invalidated
-        out["overflow_dropped"] += r.ledger.overflow_dropped
-        out["collisions"] += r.collisions
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,116 +248,137 @@ def validate_switch_config(spec: ArchitectureSpec, cfg: SwitchConfig) -> None:
             f"config uses {len(cfg.ports)} ports, switch has {spec.switch.port_count}")
 
 
-def run_sim(
-    spec: ArchitectureSpec,
-    switch_schedule: list[tuple[float, SwitchConfig]],
-    demand: list[tuple[float, tuple[str, str]]],
-    horizon: float,
-    seed: int,
-    p_override: float | None = None,
-    store_log: bool = False,
-    collect_success_times: bool = False,
-) -> SimResult:
-    """Run the event simulation; bit-identical output for identical inputs."""
-    if not horizon > 0:
-        raise DomainError(f"horizon must be > 0, got {horizon!r}")
-    times = [t for t, _ in switch_schedule]
-    if times != sorted(times):
-        raise DomainError("switch schedule times must be sorted")
-    for _, cfg in switch_schedule:
-        validate_switch_config(spec, cfg)
-    if p_override is not None and not 0.0 <= p_override <= 1.0:
-        raise DomainError(f"p_override out of [0,1]: {p_override!r}")
+class NetworkSim:
+    """The event simulation as a resumable object.
 
-    p = p_override if p_override is not None else link_success_probability(
-        spec.collection_fraction, spec.detector_efficiency)
-    rate = spec.attempt_rate
-    lifetime = spec.pair_lifetime if spec.pair_lifetime is not None else math.inf
-    rng = random.Random(seed)
-    log1m_p = math.log1p(-p) if 0.0 < p < 1.0 else None
+    The constructor validates the inputs and queues the first collision
+    gaps, the switch schedule and the demand. ``advance(t)`` processes every
+    event with time < t; ``finish(horizon)`` advances to the horizon and
+    closes the run out into a :class:`SimResult`, after which the sim is
+    spent. The success times of each ELU pair accumulate in
+    ``success_times`` as the sim advances.
+    """
 
-    # Every link that ever appears; demanded pairs must be connectable.
-    links: dict[Link, _LinkState] = {}
-    for _, cfg in switch_schedule:
-        for link in cfg.active_links:
-            links.setdefault(link, _LinkState(link))
-    connectable = {st.pair for st in links.values()}
-    for t, pair in demand:
-        if tuple(sorted(pair)) not in connectable:
-            raise DomainError(
-                f"request for ELU pair {pair} that no scheduled link can serve")
+    def __init__(
+        self,
+        spec: ArchitectureSpec,
+        switch_schedule: list[tuple[float, SwitchConfig]],
+        demand: list[tuple[float, tuple[str, str]]],
+        seed: int,
+        p_override: float | None = None,
+        store_log: bool = False,
+    ):
+        times = [t for t, _ in switch_schedule]
+        if not all(math.isfinite(t) for t in times):
+            raise DomainError("switch schedule times must be finite")
+        if times != sorted(times):
+            raise DomainError("switch schedule times must be sorted")
+        for _, cfg in switch_schedule:
+            validate_switch_config(spec, cfg)
+        if p_override is not None and not 0.0 <= p_override <= 1.0:
+            raise DomainError(f"p_override out of [0,1]: {p_override!r}")
 
-    buffers: dict[tuple[str, str], PairBuffer] = {
-        pair: PairBuffer(pair, spec.buffer_capacity) for pair in connectable}
-    waiting: dict[tuple[str, str], deque] = {pair: deque() for pair in connectable}
-    buffer_epoch: dict[tuple[str, str], int] = {pair: 0 for pair in connectable}
-    elu_reload_until: dict[str, float] = {e.id: 0.0 for e in spec.elus}
-    elu_epoch: dict[str, int] = {e.id: 0 for e in spec.elus}
-    collision_rates = {e.id: e.collision_rate_per_ion * e.n_ions for e in spec.elus}
+        self.spec = spec
+        self.seed = seed
+        self.p = p_override if p_override is not None else link_success_probability(
+            spec.collection_fraction, spec.detector_efficiency)
+        self.rate = spec.attempt_rate
+        self.lifetime = spec.pair_lifetime if spec.pair_lifetime is not None else math.inf
+        self.rng = random.Random(seed)
+        self.log1m_p = math.log1p(-self.p) if 0.0 < self.p < 1.0 else None
 
-    log: list[SimEvent] = [] if store_log else None
-    occupancy: dict[str, list[tuple[float, int]]] = {}
-    success_times: dict[tuple[str, str], list[float]] = (
-        {pair: [] for pair in connectable} if collect_success_times else None)
-    event_seq = 0
+        # Every link that ever appears; demanded pairs must be connectable.
+        self.links: dict[Link, _LinkState] = {}
+        for _, cfg in switch_schedule:
+            for link in cfg.active_links:
+                self.links.setdefault(link, _LinkState(link))
+        connectable = {st.pair for st in self.links.values()}
+        for t, pair in demand:
+            if not math.isfinite(t):
+                raise DomainError(f"request times must be finite, got {t!r}")
+            if tuple(sorted(pair)) not in connectable:
+                raise DomainError(
+                    f"request for ELU pair {pair} that no scheduled link can serve")
 
-    counters = {"successes": 0, "delivered": 0, "expired": 0, "invalidated": 0,
-                "overflow": 0, "collisions": 0, "requests": 0}
-    latency_total = 0.0
-    latency_max = 0.0
+        self.buffers: dict[tuple[str, str], PairBuffer] = {
+            pair: PairBuffer(pair, spec.buffer_capacity) for pair in connectable}
+        self.waiting: dict[tuple[str, str], deque] = {
+            pair: deque() for pair in connectable}
+        self.buffer_epoch: dict[tuple[str, str], int] = {
+            pair: 0 for pair in connectable}
+        self.success_times: dict[tuple[str, str], list[float]] = {
+            pair: [] for pair in connectable}
+        self.elu_reload_until: dict[str, float] = {e.id: 0.0 for e in spec.elus}
+        self.elu_epoch: dict[str, int] = {e.id: 0 for e in spec.elus}
+        self.collision_rates = {
+            e.id: e.collision_rate_per_ion * e.n_ions for e in spec.elus}
 
-    heap: list = []
-    push_seq = 0
+        self.log: list[SimEvent] | None = [] if store_log else None
+        self.event_seq = 0
+        self.pair_seq = 0
+        self.counters = {"successes": 0, "delivered": 0, "expired": 0,
+                         "invalidated": 0, "overflow": 0, "collisions": 0,
+                         "requests": 0}
+        self.latency_total = 0.0
+        self.latency_max = 0.0
+        self.heap: list = []
+        self.push_seq = 0
+        self.current = SwitchConfig(frozenset())
+        self.first_sched = True
+        self.now = 0.0  # every event before this time has been processed
 
-    def push(t: float, kind: str, payload) -> None:
-        nonlocal push_seq
-        heapq.heappush(heap, (t, _PRIO[kind], push_seq, kind, payload))
-        push_seq += 1
+        # Initial collision gaps, ELUs in spec order (documented draw order).
+        for elu in spec.elus:
+            r = self.collision_rates[elu.id]
+            if r > 0:
+                u = self.rng.random()
+                self._push(-math.log(1.0 - u) / r, "COLLISION", elu.id)
+        for t, cfg in switch_schedule:
+            self._push(t, "_SCHED", cfg)
+        for t, pair in demand:
+            self._push(t, "PAIR_REQUEST", tuple(sorted(pair)))
 
-    def emit(t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
-        nonlocal event_seq
-        if log is not None:
-            log.append(SimEvent(t, kind, link, elu_a, elu_b, event_seq))
-        event_seq += 1
+    def _push(self, t: float, kind: str, payload) -> None:
+        heapq.heappush(self.heap, (t, _PRIO[kind], self.push_seq, kind, payload))
+        self.push_seq += 1
 
-    def note_occupancy(pair: tuple[str, str], t: float) -> None:
-        if store_log:
-            occupancy.setdefault("-".join(pair), []).append((t, len(buffers[pair])))
+    def _emit(self, t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
+        if self.log is not None:
+            self.log.append(SimEvent(t, kind, link, elu_a, elu_b, self.event_seq))
+        self.event_seq += 1
 
-    def sample_countdown() -> int:
-        if p <= 0.0:
+    def _sample_countdown(self) -> int:
+        if self.p <= 0.0:
             return -2  # never succeeds
-        if p >= 1.0:
+        if self.p >= 1.0:
             return 0
-        u = 1.0 - rng.random()  # in (0, 1]
-        return int(math.log(u) / log1m_p)
+        u = 1.0 - self.rng.random()  # in (0, 1]
+        return int(math.log(u) / self.log1m_p)
 
-    def schedule_success(st: _LinkState, now: float) -> None:
+    def _schedule_success(self, st: _LinkState) -> None:
         if not st.open_ or st.countdown == -2:
             return
         slot = st.consumed + st.countdown + 1
-        t = st.window_start + slot / rate
-        if t < horizon:
-            push(t, "SUCCESS", (st, st.epoch, slot))
+        self._push(st.window_start + slot / self.rate, "SUCCESS", (st, st.epoch, slot))
 
-    def open_window(st: _LinkState, now: float) -> None:
+    def _open_window(self, st: _LinkState, now: float) -> None:
         if st.open_ or not st.in_config:
             return
-        if now < st.reconfig_until or now < elu_reload_until[st.pair[0]] \
-                or now < elu_reload_until[st.pair[1]]:
+        if now < st.reconfig_until or now < self.elu_reload_until[st.pair[0]] \
+                or now < self.elu_reload_until[st.pair[1]]:
             return
         st.open_ = True
         st.window_start = now
         st.consumed = 0
         if st.countdown == -1:
-            st.countdown = sample_countdown()
+            st.countdown = self._sample_countdown()
         st.epoch += 1
-        schedule_success(st, now)
+        self._schedule_success(st)
 
-    def close_window(st: _LinkState, now: float) -> None:
+    def _close_window(self, st: _LinkState, now: float) -> None:
         if not st.open_:
             return
-        fired = _slots_before(st.window_start, rate, now)
+        fired = _slots_before(st.window_start, self.rate, now)
         failed = fired - st.consumed
         st.attempts += failed
         if st.countdown >= 0:
@@ -393,207 +387,215 @@ def run_sim(
         st.open_ = False
         st.epoch += 1  # cancels the pending success event
 
-    def deliver(pair: tuple[str, str], req_time: float, now: float) -> None:
-        nonlocal latency_total, latency_max
-        counters["delivered"] += 1
+    def _deliver(self, pair: tuple[str, str], req_time: float, now: float) -> None:
+        self.counters["delivered"] += 1
         lat = now - req_time
-        latency_total += lat
-        latency_max = max(latency_max, lat)
-        emit(now, "PAIR_DELIVERED", "", pair[0], pair[1])
+        self.latency_total += lat
+        self.latency_max = max(self.latency_max, lat)
+        self._emit(now, "PAIR_DELIVERED", "", pair[0], pair[1])
 
-    def reschedule_expiry(pair: tuple[str, str]) -> None:
-        if lifetime is math.inf:
+    def _reschedule_expiry(self, pair: tuple[str, str]) -> None:
+        if self.lifetime is math.inf:
             return
-        buffer_epoch[pair] += 1
-        q = buffers[pair].queue
+        self.buffer_epoch[pair] += 1
+        q = self.buffers[pair].queue
         if q:
-            push(q[0].expiry_time, "PAIR_EXPIRED", (pair, buffer_epoch[pair]))
+            self._push(q[0].expiry_time, "PAIR_EXPIRED", (pair, self.buffer_epoch[pair]))
 
-    # Initial collision gaps, ELUs in spec order (documented draw order).
-    for elu in spec.elus:
-        r = collision_rates[elu.id]
-        if r > 0:
-            u = rng.random()
-            push(-math.log(1.0 - u) / r, "COLLISION", elu.id)
+    def advance(self, until: float) -> None:
+        """Process every event with time < ``until``."""
+        if not 0.0 < until < math.inf:
+            raise DomainError(f"horizon must be finite and > 0, got {until!r}")
+        # Hot state in locals; the scalars stay on self.
+        heap, heappop = self.heap, heapq.heappop
+        counters, buffers, waiting = self.counters, self.buffers, self.waiting
+        success_times, lifetime = self.success_times, self.lifetime
+        emit, deliver = self._emit, self._deliver
+        reschedule_expiry = self._reschedule_expiry
+        sample_countdown = self._sample_countdown
+        schedule_success = self._schedule_success
+        while heap and heap[0][0] < until:
+            t, _prio, _ps, kind, payload = heappop(heap)
 
-    current = SwitchConfig(frozenset())
-    first_sched = True
-    for t, cfg in switch_schedule:
-        push(t, "_SCHED", cfg)
-    for t, pair in demand:
-        push(t, "PAIR_REQUEST", tuple(sorted(pair)))
+            if kind == "_SCHED":
+                # The first entry is the switch's initial state and is free;
+                # later entries charge reconfiguration_time to changed links.
+                new_cfg: SwitchConfig = payload
+                removed = self.current.active_links - new_cfg.active_links
+                added = new_cfg.active_links - self.current.active_links
+                for link in sorted(removed):
+                    st = self.links[link]
+                    self._close_window(st, t)
+                    st.in_config = False
+                for link in sorted(added):
+                    st = self.links[link]
+                    st.in_config = True
+                    if self.first_sched:
+                        self._open_window(st, t)
+                    else:
+                        st.reconfig_until = t + self.spec.switch.reconfiguration_time
+                        self._push(st.reconfig_until, "RECONFIG_DONE", (st, st.epoch + 1))
+                        st.epoch += 1
+                self.current = new_cfg
+                self.first_sched = False
 
-    pair_seq = 0
-    while heap:
-        t, _prio, _ps, kind, payload = heapq.heappop(heap)
-        if t >= horizon:
-            break
+            elif kind == "RECONFIG_DONE":
+                st, epoch = payload
+                if st.epoch != epoch or not st.in_config:
+                    continue
+                emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
+                self._open_window(st, t)
 
-        if kind == "_SCHED":
-            # The first entry is the switch's initial state and is free;
-            # later entries charge reconfiguration_time to changed links.
-            new_cfg: SwitchConfig = payload
-            removed = current.active_links - new_cfg.active_links
-            added = new_cfg.active_links - current.active_links
-            for link in sorted(removed):
-                st = links[link]
-                close_window(st, t)
-                st.in_config = False
-            for link in sorted(added):
-                st = links[link]
-                st.in_config = True
-                if first_sched:
-                    open_window(st, t)
-                else:
-                    st.reconfig_until = t + spec.switch.reconfiguration_time
-                    push(st.reconfig_until, "RECONFIG_DONE", (st, st.epoch + 1))
-                    st.epoch += 1
-            current = new_cfg
-            first_sched = False
-
-        elif kind == "RECONFIG_DONE":
-            st, epoch = payload
-            if st.epoch != epoch or not st.in_config:
-                continue
-            emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
-            open_window(st, t)
-
-        elif kind == "COLLISION":
-            elu_id = payload
-            counters["collisions"] += 1
-            emit(t, "COLLISION", "", elu_id, "")
-            for pair, buf in sorted(buffers.items()):
-                if elu_id in pair and len(buf):
-                    counters["invalidated"] += len(buf)
-                    buf.queue.clear()
-                    reschedule_expiry(pair)
-                    note_occupancy(pair, t)
-            elu = spec.elu(elu_id)
-            until = t + elu.reload_time
-            elu_reload_until[elu_id] = max(elu_reload_until[elu_id], until)
-            elu_epoch[elu_id] += 1
-            push(elu_reload_until[elu_id], "RELOAD_DONE", (elu_id, elu_epoch[elu_id]))
-            for link in sorted(links):
-                if elu_id in (link[0][0], link[1][0]):
-                    close_window(links[link], t)
-            u = rng.random()
-            push(t - math.log(1.0 - u) / collision_rates[elu_id], "COLLISION", elu_id)
-
-        elif kind == "RELOAD_DONE":
-            elu_id, epoch = payload
-            if elu_epoch[elu_id] != epoch or t < elu_reload_until[elu_id]:
-                continue
-            emit(t, "RELOAD_DONE", "", elu_id, "")
-            for link in sorted(links):
-                if elu_id in (link[0][0], link[1][0]):
-                    open_window(links[link], t)
-
-        elif kind == "SUCCESS":
-            st, epoch, slot = payload
-            if st.epoch != epoch:
-                continue
-            st.attempts += slot - st.consumed
-            st.consumed = slot
-            st.successes += 1
-            counters["successes"] += 1
-            emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
-            if success_times is not None:
-                success_times[st.pair].append(t)
-            pair = st.pair
-            record = PairRecord(t, t + lifetime, pair_seq)
-            pair_seq += 1
-            if waiting[pair]:
-                req_time = waiting[pair].popleft()
-                deliver(pair, req_time, t)
-            else:
-                buf = buffers[pair]
-                was_empty = len(buf) == 0
-                if buf.push(record):
-                    if was_empty:
+            elif kind == "COLLISION":
+                elu_id = payload
+                counters["collisions"] += 1
+                emit(t, "COLLISION", "", elu_id, "")
+                for pair, buf in sorted(buffers.items()):
+                    if elu_id in pair and len(buf):
+                        counters["invalidated"] += len(buf)
+                        buf.queue.clear()
                         reschedule_expiry(pair)
-                    note_occupancy(pair, t)
-                else:
-                    counters["overflow"] += 1
-            st.countdown = sample_countdown()
-            schedule_success(st, t)
+                reload_until = self.elu_reload_until
+                reload_until[elu_id] = max(reload_until[elu_id],
+                                           t + self.spec.elu(elu_id).reload_time)
+                self.elu_epoch[elu_id] += 1
+                self._push(reload_until[elu_id], "RELOAD_DONE",
+                           (elu_id, self.elu_epoch[elu_id]))
+                for link in sorted(self.links):
+                    if elu_id in (link[0][0], link[1][0]):
+                        self._close_window(self.links[link], t)
+                u = self.rng.random()
+                self._push(t - math.log(1.0 - u) / self.collision_rates[elu_id],
+                           "COLLISION", elu_id)
 
-        elif kind == "PAIR_EXPIRED":
-            pair, epoch = payload
-            if buffer_epoch[pair] != epoch:
-                continue
-            buf = buffers[pair]
-            record, pre_expired = buf.take(t)
-            # The scheduled head is exactly at its expiry instant, so take()
-            # classifies it into pre_expired and record is the next live pair;
-            # put the live pair back.
+            elif kind == "RELOAD_DONE":
+                elu_id, epoch = payload
+                if self.elu_epoch[elu_id] != epoch or t < self.elu_reload_until[elu_id]:
+                    continue
+                emit(t, "RELOAD_DONE", "", elu_id, "")
+                for link in sorted(self.links):
+                    if elu_id in (link[0][0], link[1][0]):
+                        self._open_window(self.links[link], t)
+
+            elif kind == "SUCCESS":
+                st, epoch, slot = payload
+                if st.epoch != epoch:
+                    continue
+                st.attempts += slot - st.consumed
+                st.consumed = slot
+                st.successes += 1
+                counters["successes"] += 1
+                emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
+                pair = st.pair
+                success_times[pair].append(t)
+                record = PairRecord(t, t + lifetime, self.pair_seq)
+                self.pair_seq += 1
+                if waiting[pair]:
+                    deliver(pair, waiting[pair].popleft(), t)
+                else:
+                    buf = buffers[pair]
+                    was_empty = len(buf) == 0
+                    if buf.push(record):
+                        if was_empty:
+                            reschedule_expiry(pair)
+                    else:
+                        counters["overflow"] += 1
+                st.countdown = sample_countdown()
+                schedule_success(st)
+
+            elif kind == "PAIR_EXPIRED":
+                pair, epoch = payload
+                if self.buffer_epoch[pair] != epoch:
+                    continue
+                buf = buffers[pair]
+                record, pre_expired = buf.take(t)
+                # The scheduled head is exactly at its expiry instant, so take()
+                # classifies it into pre_expired and record is the next live pair;
+                # put the live pair back.
+                if record is not None:
+                    buf.queue.appendleft(record)
+                for _ in pre_expired:
+                    counters["expired"] += 1
+                    emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
+                reschedule_expiry(pair)
+
+            elif kind == "PAIR_REQUEST":
+                pair = payload
+                counters["requests"] += 1
+                emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
+                record, expired = buffers[pair].take(t)
+                for _ in expired:
+                    counters["expired"] += 1
+                    emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
+                if record is not None:
+                    reschedule_expiry(pair)
+                    deliver(pair, t, t)
+                else:
+                    if expired:
+                        reschedule_expiry(pair)
+                    waiting[pair].append(t)
+        self.now = max(self.now, until)
+
+    def finish(self, horizon: float) -> SimResult:
+        """Advance to ``horizon``, then account attempts and residual pairs."""
+        self.advance(horizon)
+        if horizon < self.now:
+            raise DomainError(
+                f"horizon {horizon!r} is before the time already simulated, {self.now!r}")
+        for link in sorted(self.links):
+            self._close_window(self.links[link], horizon)
+        counters = self.counters
+        residual = 0
+        for pair, buf in sorted(self.buffers.items()):
+            record, expired = buf.take(horizon)
             if record is not None:
                 buf.queue.appendleft(record)
-            for _ in pre_expired:
-                counters["expired"] += 1
-                emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
-            reschedule_expiry(pair)
-            note_occupancy(pair, t)
-
-        elif kind == "PAIR_REQUEST":
-            pair = payload
-            counters["requests"] += 1
-            emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
-            record, expired = buffers[pair].take(t)
             for _ in expired:
                 counters["expired"] += 1
-                emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
-            if record is not None:
-                reschedule_expiry(pair)
-                note_occupancy(pair, t)
-                deliver(pair, t, t)
-            else:
-                if expired:
-                    reschedule_expiry(pair)
-                    note_occupancy(pair, t)
-                waiting[pair].append(t)
+                self._emit(horizon, "PAIR_EXPIRED", "", pair[0], pair[1])
+            residual += len(buf)
 
-    # Horizon close-out: final attempt accounting and residual pairs.
-    for link in sorted(links):
-        close_window(links[link], horizon)
-    residual = 0
-    for pair, buf in sorted(buffers.items()):
-        record, expired = buf.take(horizon)
-        if record is not None:
-            buf.queue.appendleft(record)
-        for _ in expired:
-            counters["expired"] += 1
-            emit(horizon, "PAIR_EXPIRED", "", pair[0], pair[1])
-        residual += len(buf)
+        per_link = {
+            st.label: LinkStats(st.attempts, st.successes, st.successes / horizon)
+            for _, st in sorted(self.links.items())
+        }
+        mean_rate = (sum(s.measured_rate for s in per_link.values()) / len(per_link)
+                     if per_link else 0.0)
+        served = counters["delivered"]
+        return SimResult(
+            horizon=horizon,
+            seed=self.seed,
+            per_link=per_link,
+            mean_connection_rate=mean_rate,
+            ledger=Ledger(
+                successes=counters["successes"],
+                delivered=counters["delivered"],
+                expired=counters["expired"],
+                invalidated=counters["invalidated"],
+                overflow_dropped=counters["overflow"],
+                residual=residual,
+            ),
+            collisions=counters["collisions"],
+            request_count=counters["requests"],
+            requests_served=served,
+            latency_mean=self.latency_total / served if served else 0.0,
+            latency_max=self.latency_max,
+            events=tuple(self.log) if self.log is not None else None,
+        )
 
-    per_link = {
-        st.label: LinkStats(st.attempts, st.successes, st.successes / horizon)
-        for _, st in sorted((l, s) for l, s in links.items())
-    }
-    mean_rate = (sum(s.measured_rate for s in per_link.values()) / len(per_link)
-                 if per_link else 0.0)
-    served = counters["delivered"]
-    return SimResult(
-        horizon=horizon,
-        seed=seed,
-        per_link=per_link,
-        mean_connection_rate=mean_rate,
-        ledger=Ledger(
-            successes=counters["successes"],
-            delivered=counters["delivered"],
-            expired=counters["expired"],
-            invalidated=counters["invalidated"],
-            overflow_dropped=counters["overflow"],
-            residual=residual,
-        ),
-        collisions=counters["collisions"],
-        request_count=counters["requests"],
-        requests_served=served,
-        latency_mean=latency_total / served if served else 0.0,
-        latency_max=latency_max,
-        buffer_occupancy=occupancy,
-        events=tuple(log) if log is not None else None,
-        success_times=success_times,
-    )
+
+def run_sim(
+    spec: ArchitectureSpec,
+    switch_schedule: list[tuple[float, SwitchConfig]],
+    demand: list[tuple[float, tuple[str, str]]],
+    horizon: float,
+    seed: int,
+    p_override: float | None = None,
+    store_log: bool = False,
+) -> SimResult:
+    """Run the event simulation; bit-identical output for identical inputs."""
+    sim = NetworkSim(spec, switch_schedule, demand, seed, p_override, store_log)
+    return sim.finish(horizon)
 
 
 # ---------------------------------------------------------------------------

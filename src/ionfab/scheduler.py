@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .arch import ArchitectureSpec, EluSpec
 from .circuits import TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
 from .errors import CapacityError, DomainError
-from .netsim import SwitchConfig, make_link, run_sim
+from .netsim import NetworkSim, SwitchConfig, make_link
 from .rates import elu_gate_rate, link_success_probability, slow_gate_time
 from .graph import FAST_GATE_SPEEDUP
 
@@ -198,30 +198,28 @@ class IdealPairSupply:
 class BufferedPairSupply:
     """Pair deliveries taken from a seeded photonic-network simulation.
 
-    The success stream per ELU pair is generated by the network simulator
-    over a demand-free run with one static link per needed pair (nearest
-    free communication ions) and consumed FIFO by the scheduler. The stream
-    does not model the scheduler's own buffer depletion, which is exact
-    whenever the buffer capacity is not binding. Deterministic per seed:
-    horizon extensions rerun the same seed, whose event prefix is stable.
+    One demand-free :class:`NetworkSim` with one static link per needed pair
+    (nearest free communication ions) generates the success stream per ELU
+    pair, which the scheduler consumes FIFO. The stream does not model the
+    scheduler's own buffer depletion, which is exact whenever the buffer
+    capacity is not binding. Deterministic per seed: the sim is advanced,
+    doubling its horizon, only as far as the requests reach, and a sim
+    advanced in steps yields the same success times as one long run.
     """
 
     def __init__(self, spec: ArchitectureSpec, pairs: set[tuple[str, str]],
-                 seed: int, expected_requests: int = 16):
+                 seed: int):
         self.spec = spec
-        self.seed = seed
         self.pairs = sorted(pairs)
         p = link_success_probability(spec.collection_fraction,
                                      spec.detector_efficiency)
         if p <= 0:
             raise DomainError("zero link success probability, pairs can never arrive")
         self.analytic_rate = spec.attempt_rate * p
-        self.config = self._build_config()
-        self.horizon = max(
-            2.0 * expected_requests / self.analytic_rate, 10.0 / self.analytic_rate)
-        self.streams: dict[tuple[str, str], list[float]] = {}
+        self.sim = NetworkSim(spec, [(0.0, self._build_config())], [], seed)
+        self.horizon = 10.0 / self.analytic_rate
+        self.sim.advance(self.horizon)
         self.cursor: dict[tuple[str, str], int] = {pair: 0 for pair in self.pairs}
-        self._regenerate()
 
     def _build_config(self) -> SwitchConfig:
         free: dict[str, list[int]] = {
@@ -234,18 +232,13 @@ class BufferedPairSupply:
             links.add(make_link((a, free[a].pop(0)), (b, free[b].pop(0))))
         return SwitchConfig(frozenset(links))
 
-    def _regenerate(self) -> None:
-        result = run_sim(self.spec, [(0.0, self.config)], [], self.horizon,
-                         self.seed, collect_success_times=True)
-        self.streams = {pair: result.success_times[pair] for pair in self.pairs}
-
     def request(self, pair: tuple[str, str], t: float) -> float:
         pair = tuple(sorted(pair))
         if pair not in self.cursor:
             raise DomainError(f"unplanned ELU pair {pair}")
         lifetime = self.spec.pair_lifetime
+        stream = self.sim.success_times[pair]
         for _ in range(40):
-            stream = self.streams[pair]
             while self.cursor[pair] < len(stream):
                 s = stream[self.cursor[pair]]
                 self.cursor[pair] += 1
@@ -253,7 +246,7 @@ class BufferedPairSupply:
                     continue  # pair would have expired before this request
                 return max(t, s)
             self.horizon *= 2.0
-            self._regenerate()
+            self.sim.advance(self.horizon)
         raise DomainError(f"pair supply for {pair} exhausted; rate too low?")
 
 
@@ -362,12 +355,7 @@ def schedule(
             if op.kind in TWO_QUBIT_KINDS
             and len({qmap.elu_of(q) for q in op.operands}) > 1
         }
-        remote_ops = sum(
-            1 for op in circuit.ops
-            if op.kind in TWO_QUBIT_KINDS
-            and len({qmap.elu_of(q) for q in op.operands}) > 1)
-        supply = (BufferedPairSupply(spec, needed, seed, expected_requests=max(remote_ops, 1))
-                  if needed else IdealPairSupply())
+        supply = BufferedPairSupply(spec, needed, seed) if needed else IdealPairSupply()
     else:
         raise DomainError(f"unknown pair supply mode {pair_supply_mode!r}")
 

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, run_cli
+from ionfab.cli import main
+
+ONE_LINK = '[{"time_s": 0.0, "links": [["A", 0, "B", 0]]}]'
 
 HELP_GOLDENS = {
     "main": [],
@@ -255,15 +258,57 @@ class TestScheduleFlow:
         assert doc["pairs_consumed"] > 0
 
 
-class TestThreadsEnv:
-    def test_bad_threads_value_rejected(self):
-        import os
-        import subprocess
-        import sys
+class TestGoldenOutputs:
+    """Byte-identical reports pinned across versions, not just reruns."""
 
-        env = dict(os.environ, IONFAB_THREADS="zero", COLUMNS="80")
-        r = subprocess.run([sys.executable, "-m", "ionfab", "validate",
-                            str(EXAMPLE_JSON)], env=env, text=True,
-                           capture_output=True)
-        assert r.returncode == 1
-        assert "IONFAB_THREADS" in r.stderr
+    def test_simulate_report_and_log(self, tmp_path):
+        out, log = tmp_path / "report.json", tmp_path / "events.csv"
+        code = main([
+            "simulate", str(FIXTURES_DIR / "netsim_arch.json"),
+            "--schedule", str(FIXTURES_DIR / "netsim_schedule.json"),
+            "--demand", str(FIXTURES_DIR / "netsim_demand.json"),
+            "--horizon", "0.5", "--seed", "11",
+            "--out", str(out), "--log", str(log)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "simulate_netsim_report.json").read_bytes()
+        assert log.read_bytes() == (GOLDEN_DIR / "simulate_netsim_events.csv").read_bytes()
+
+    def test_buffered_schedule_report_and_timeline(self, tmp_path):
+        out, timeline = tmp_path / "report.json", tmp_path / "timeline.csv"
+        code = main([
+            "schedule", str(FIXTURES_DIR / "netsim_arch.json"),
+            str(FIXTURES_DIR / "mixed8.iqc"),
+            "--map", f"file:{FIXTURES_DIR / 'mixed8_split_map.json'}",
+            "--pairs", "buffered", "--seed", "5",
+            "--out", str(out), "--timeline", str(timeline)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "schedule_mixed8_report.json").read_bytes()
+        assert timeline.read_bytes() == (
+            GOLDEN_DIR / "schedule_mixed8_timeline.csv").read_bytes()
+
+
+class TestBadSimulateInputs:
+    """Bad simulate inputs end in exit 1 and one diagnostic, not a hang or traceback."""
+
+    def simulate(self, tmp_path, capsys, schedule_text, horizon="0.5"):
+        sched = tmp_path / "sched.json"
+        sched.write_text(schedule_text)
+        code = main(["simulate", str(EXAMPLE_JSON), "--schedule", str(sched),
+                     "--horizon", horizon, "--seed", "1"])
+        return code, capsys.readouterr().err
+
+    def test_infinite_horizon(self, tmp_path, capsys):
+        code, err = self.simulate(tmp_path, capsys, ONE_LINK, horizon="inf")
+        assert code == 1
+        assert "ionfab: error: horizon must be finite" in err
+
+    def test_nan_schedule_time(self, tmp_path, capsys):
+        code, err = self.simulate(
+            tmp_path, capsys, '[{"time_s": NaN, "links": [["A", 0, "B", 0]]}]')
+        assert code == 1
+        assert "ionfab: error: switch schedule times must be finite" in err
+
+    def test_malformed_schedule_json(self, tmp_path, capsys):
+        code, err = self.simulate(tmp_path, capsys, ONE_LINK[:-1])
+        assert code == 1
+        assert "ionfab: error: $: invalid JSON at line 1" in err

@@ -3,12 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionfab.errors import DomainError
-from ionfab.netsim import (PairBuffer, PairRecord, SwitchConfig, buffer_take,
-                           changed_links, default_link, link_label, make_link,
-                           merge_aggregates, reconfigure, run_sim,
+from ionfab.netsim import (NetworkSim, PairBuffer, PairRecord, SwitchConfig,
+                           default_link, link_label, make_link, run_sim,
                            theoretical_rate_check)
+from ionfab.scheduler import BufferedPairSupply
 
 
 def one_link_schedule(spec):
@@ -32,15 +34,27 @@ class TestSwitchConfig:
         with pytest.raises(DomainError, match="distinct ELUs"):
             make_link(("A", 0), ("A", 19))
 
-    def test_identity_reconfiguration_changes_nothing(self):
+    def test_identity_reconfiguration_changes_nothing(self, example_spec):
         cfg = SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))}))
-        new = reconfigure(cfg, {(("A", 0), ("B", 0))})
-        assert changed_links(cfg, new) == set()
+        kwargs = dict(demand=[], horizon=2e-4, seed=3, p_override=1.0,
+                      store_log=True)
+        assert (run_sim(example_spec, [(0.0, cfg), (1e-4, cfg)], **kwargs)
+                == run_sim(example_spec, [(0.0, cfg)], **kwargs))
 
-    def test_partner_swap_suspends_two_links(self):
-        cfg = SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))}))
-        new = reconfigure(cfg, {(("A", 0), ("C", 0))})
-        assert len(changed_links(cfg, new)) == 2
+    def test_partner_swap_suspends_two_links(self, example_spec):
+        old = make_link(("A", 0), ("B", 0))
+        new = make_link(("A", 0), ("B", 1))
+        schedule = [(0.0, SwitchConfig(frozenset({old}))),
+                    (1e-4, SwitchConfig(frozenset({new})))]
+        resumed = 1e-4 + example_spec.switch.reconfiguration_time
+        r = run_sim(example_spec, schedule, [], resumed + 1e-4, seed=0,
+                    p_override=1.0, store_log=True)
+        times = {link_label(old): [], link_label(new): []}
+        for e in r.events:
+            if e.kind == "SUCCESS":
+                times[e.link].append(e.time)
+        assert times[link_label(old)] and max(times[link_label(old)]) < 1e-4
+        assert times[link_label(new)] and min(times[link_label(new)]) > resumed
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_matchings_round_trip(self, seed):
@@ -56,7 +70,7 @@ class TestSwitchConfig:
                 break
             ports.remove(partner)
             links.add((a, partner))
-        cfg = reconfigure(SwitchConfig(frozenset()), links)
+        cfg = SwitchConfig(frozenset(links))
         assert len(cfg.active_links) == len(links)
         seen = set()
         for link in cfg.active_links:
@@ -70,7 +84,7 @@ class TestPairBuffer:
         buf = PairBuffer(("A", "B"), capacity=4)
         buf.push(PairRecord(0.0, math.inf, 0))
         buf.push(PairRecord(1.0, math.inf, 1))
-        taken = buffer_take(buf, now=2.0)
+        taken, _ = buf.take(now=2.0)
         assert taken.creation_time == 0.0
 
     def test_expired_head_skipped(self):
@@ -83,13 +97,13 @@ class TestPairBuffer:
 
     def test_empty_returns_none(self):
         buf = PairBuffer(("A", "B"), capacity=4)
-        assert buffer_take(buf, now=0.0) is None
+        assert buf.take(now=0.0) == (None, [])
 
     def test_tail_drop_when_full(self):
         buf = PairBuffer(("A", "B"), capacity=1)
         assert buf.push(PairRecord(0.0, math.inf, 0))
         assert not buf.push(PairRecord(1.0, math.inf, 1))
-        assert buffer_take(buf, 2.0).seq == 0
+        assert buf.take(2.0)[0].seq == 0
 
 
 class TestRunSim:
@@ -266,12 +280,86 @@ class TestRunSim:
         with pytest.raises(DomainError, match="store_log"):
             r.events_csv()
 
-    def test_merge_aggregates(self, example_spec):
-        runs = [run_sim(example_spec, one_link_schedule(example_spec), [],
-                        1.0, seed=s) for s in range(3)]
-        merged = merge_aggregates(runs)
-        assert merged["runs"] == 3
-        assert merged["successes"] == sum(r.ledger.successes for r in runs)
+
+class TestNetworkSim:
+    """A sim advanced in steps equals one run to the same horizon."""
+
+    HORIZON = 0.5
+
+    def scenario(self, spec, collision_rate, lifetime):
+        spec = dataclasses.replace(
+            with_elu_field(spec, collision_rate_per_ion=collision_rate,
+                           reload_time=0.02),
+            pair_lifetime=lifetime)
+        a0b0, a1b1 = make_link(("A", 0), ("B", 0)), make_link(("A", 1), ("B", 1))
+        a0b1, a1b0 = make_link(("A", 0), ("B", 1)), make_link(("A", 1), ("B", 0))
+        schedule = [(0.0, SwitchConfig(frozenset({a0b0, a1b1}))),
+                    (0.1, SwitchConfig(frozenset({a0b1, a1b0}))),
+                    (0.3, SwitchConfig(frozenset({a0b0, a1b1})))]
+        demand = [(0.005 + 0.015 * k, ("A", "B")) for k in range(33)]
+        return spec, schedule, demand
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           collision_rate=st.sampled_from([0.0, 0.25, 1.0]),
+           lifetime=st.sampled_from([None, 0.002, 0.01]),
+           store_log=st.booleans(),
+           splits=st.lists(st.floats(1e-9, HORIZON), min_size=1, max_size=4))
+    def test_stepwise_advance_equals_one_run(self, example_spec, seed,
+                                             collision_rate, lifetime,
+                                             store_log, splits):
+        spec, schedule, demand = self.scenario(example_spec, collision_rate,
+                                               lifetime)
+        sim = NetworkSim(spec, schedule, demand, seed, store_log=store_log)
+        for t in sorted(splits):
+            sim.advance(t)
+        assert sim.finish(self.HORIZON) == run_sim(
+            spec, schedule, demand, self.HORIZON, seed, store_log=store_log)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           collision_rate=st.sampled_from([0.0, 0.25, 1.0]),
+           lifetime=st.sampled_from([None, 0.002, 0.01]),
+           request_times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_supply_matches_one_long_stream(self, example_spec, seed,
+                                            collision_rate, lifetime,
+                                            request_times):
+        spec, _, _ = self.scenario(example_spec, collision_rate, lifetime)
+        pair = ("A", "B")
+        supply = BufferedPairSupply(spec, {pair}, seed)
+        delivered = [supply.request(pair, t) for t in request_times]
+
+        link = SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))}))
+        sim = NetworkSim(spec, [(0.0, link)], [], seed)
+        sim.advance(2 * supply.horizon)
+        stream = sim.success_times[pair]
+        assert supply.sim.success_times[pair] == [
+            s for s in stream if s < supply.horizon]
+        expected, cursor = [], 0
+        for t in request_times:
+            while lifetime is not None and stream[cursor] + lifetime <= t:
+                cursor += 1
+            expected.append(max(t, stream[cursor]))
+            cursor += 1
+        assert delivered == expected
+
+    def test_finish_before_simulated_time_rejected(self, example_spec):
+        sim = NetworkSim(example_spec, one_link_schedule(example_spec), [], 0)
+        sim.advance(1.0)
+        with pytest.raises(DomainError, match="already simulated"):
+            sim.finish(0.5)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_horizon_rejected(self, example_spec, horizon):
+        with pytest.raises(DomainError, match="horizon must be finite and > 0"):
+            run_sim(example_spec, one_link_schedule(example_spec), [], horizon, 0)
+
+    def test_non_finite_times_rejected(self, example_spec):
+        cfg = SwitchConfig(frozenset({default_link(example_spec)}))
+        with pytest.raises(DomainError, match="schedule times must be finite"):
+            NetworkSim(example_spec, [(math.nan, cfg)], [], 0)
+        with pytest.raises(DomainError, match="request times must be finite"):
+            NetworkSim(example_spec, [(0.0, cfg)], [(math.inf, ("A", "B"))], 0)
 
 
 class TestTheoreticalRateCheck:
