@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constants import ATOMIC_MASS_KG, HBAR, TWO_PI, species_entry
-from .errors import InvalidArchitecture, SchemaError
+from .errors import DomainError, InvalidArchitecture, SchemaError
+from .jsondoc import integer, load_json, number, require_keys, string
 
 SCHEMA_ID = "ionfab-arch/1"
 
@@ -103,7 +104,7 @@ class ArchitectureSpec:
         for e in self.elus:
             if e.id == elu_id:
                 return e
-        raise KeyError(f"no ELU with id {elu_id!r}")
+        raise DomainError(f"no ELU with id {elu_id!r}")
 
     def elu_ids(self) -> list[str]:
         return [e.id for e in self.elus]
@@ -297,38 +298,6 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
 # JSON I/O
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"expected object, got {type(obj).__name__}", path)
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise SchemaError(f"unknown key(s): {', '.join(sorted(unknown))}", path)
-    missing = required - set(obj)
-    if missing:
-        raise SchemaError(f"missing required key(s): {', '.join(sorted(missing))}", path)
-
-
-def _number(obj: dict, key: str, path: str) -> float:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"expected number, got {val!r}", f"{path}.{key}")
-    return float(val)
-
-
-def _integer(obj: dict, key: str, path: str) -> int:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError(f"expected integer, got {val!r}", f"{path}.{key}")
-    return val
-
-
-def _string(obj: dict, key: str, path: str) -> str:
-    val = obj[key]
-    if not isinstance(val, str):
-        raise SchemaError(f"expected string, got {val!r}", f"{path}.{key}")
-    return val
-
-
 def _angular(obj: dict, stem: str, path: str) -> float:
     """Read ``<stem>_hz`` (times 2*pi) or ``<stem>_rad_s`` (as is); exactly one."""
     hz_key, rad_key = f"{stem}_hz", f"{stem}_rad_s"
@@ -336,47 +305,47 @@ def _angular(obj: dict, stem: str, path: str) -> float:
     if has_hz == has_rad:
         raise SchemaError(f"exactly one of {hz_key} / {rad_key} required", path)
     if has_hz:
-        return TWO_PI * _number(obj, hz_key, path)
-    return _number(obj, rad_key, path)
+        return TWO_PI * number(obj, hz_key, path)
+    return number(obj, rad_key, path)
 
 
 def _parse_species(obj: dict, path: str) -> IonSpecies:
-    _require_keys(obj, path, {"name"},
-                  {"mass_u", "mass_kg", "hyperfine_splitting_hz",
-                   "linewidth_hz", "linewidth_rad_s",
-                   "detection_time_s", "qubit_coherence_time_s"})
-    name = _string(obj, "name", path)
+    require_keys(obj, path, {"name"},
+                 {"mass_u", "mass_kg", "hyperfine_splitting_hz",
+                  "linewidth_hz", "linewidth_rad_s",
+                  "detection_time_s", "qubit_coherence_time_s"})
+    name = string(obj, "name", path)
     base = default_species(name)
     if "mass_u" in obj and "mass_kg" in obj:
         raise SchemaError("give mass_u or mass_kg, not both", path)
     mass = base.mass
     if "mass_u" in obj:
-        mass = _number(obj, "mass_u", path) * ATOMIC_MASS_KG
+        mass = number(obj, "mass_u", path) * ATOMIC_MASS_KG
     elif "mass_kg" in obj:
-        mass = _number(obj, "mass_kg", path)
+        mass = number(obj, "mass_kg", path)
     linewidth = base.linewidth
     if "linewidth_hz" in obj or "linewidth_rad_s" in obj:
         linewidth = _angular(obj, "linewidth", path)
     return IonSpecies(
         name=name,
         mass=mass,
-        hyperfine_splitting=_number(obj, "hyperfine_splitting_hz", path)
+        hyperfine_splitting=number(obj, "hyperfine_splitting_hz", path)
         if "hyperfine_splitting_hz" in obj else base.hyperfine_splitting,
         linewidth=linewidth,
-        detection_time=_number(obj, "detection_time_s", path)
+        detection_time=number(obj, "detection_time_s", path)
         if "detection_time_s" in obj else base.detection_time,
-        qubit_coherence_time=_number(obj, "qubit_coherence_time_s", path)
+        qubit_coherence_time=number(obj, "qubit_coherence_time_s", path)
         if "qubit_coherence_time_s" in obj else base.qubit_coherence_time,
     )
 
 
 def _parse_drive(obj: dict, path: str) -> DriveField:
-    _require_keys(obj, path, {"effective_wavevector_rad_m"},
-                  {"dipole_coupling", "field_amplitude",
-                   "rabi_frequency_hz", "rabi_frequency_rad_s"})
-    k = _number(obj, "effective_wavevector_rad_m", path)
-    mu = _number(obj, "dipole_coupling", path) if "dipole_coupling" in obj else None
-    e0 = _number(obj, "field_amplitude", path) if "field_amplitude" in obj else None
+    require_keys(obj, path, {"effective_wavevector_rad_m"},
+                 {"dipole_coupling", "field_amplitude",
+                  "rabi_frequency_hz", "rabi_frequency_rad_s"})
+    k = number(obj, "effective_wavevector_rad_m", path)
+    mu = number(obj, "dipole_coupling", path) if "dipole_coupling" in obj else None
+    e0 = number(obj, "field_amplitude", path) if "field_amplitude" in obj else None
     has_rabi = "rabi_frequency_hz" in obj or "rabi_frequency_rad_s" in obj
     if has_rabi:
         rabi = _angular(obj, "rabi_frequency", path)
@@ -391,7 +360,7 @@ def _parse_drive(obj: dict, path: str) -> DriveField:
 
 
 def _parse_elu(obj: dict, path: str) -> EluSpec:
-    _require_keys(
+    require_keys(
         obj, path,
         {"id", "n_ions", "comm_ion_indices", "fast_gate_distance",
          "single_qubit_gate_time_s"},
@@ -401,17 +370,17 @@ def _parse_elu(obj: dict, path: str) -> EluSpec:
     if not isinstance(idx, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in idx):
         raise SchemaError("expected list of integers", f"{path}.comm_ion_indices")
     return EluSpec(
-        id=_string(obj, "id", path),
-        n_ions=_integer(obj, "n_ions", path),
+        id=string(obj, "id", path),
+        n_ions=integer(obj, "n_ions", path),
         comm_ion_indices=tuple(idx),
-        fast_gate_distance=_integer(obj, "fast_gate_distance", path),
+        fast_gate_distance=integer(obj, "fast_gate_distance", path),
         trap_frequency=_angular(obj, "trap_frequency", path),
-        single_qubit_gate_time=_number(obj, "single_qubit_gate_time_s", path),
-        collision_rate_per_ion=_number(obj, "collision_rate_per_ion_hz", path)
+        single_qubit_gate_time=number(obj, "single_qubit_gate_time_s", path),
+        collision_rate_per_ion=number(obj, "collision_rate_per_ion_hz", path)
         if "collision_rate_per_ion_hz" in obj else 0.0,
-        reload_time=_number(obj, "reload_time_s", path)
+        reload_time=number(obj, "reload_time_s", path)
         if "reload_time_s" in obj else 0.1,
-        shuttle_cost_time=_number(obj, "shuttle_cost_time_s", path)
+        shuttle_cost_time=number(obj, "shuttle_cost_time_s", path)
         if "shuttle_cost_time_s" in obj else 0.0,
     )
 
@@ -420,8 +389,8 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
     """Parse an already-decoded ionfab-arch/1 document (strict, unknown keys rejected)."""
     if not isinstance(doc, dict):
         raise SchemaError(f"expected top-level object, got {type(doc).__name__}")
-    _require_keys(doc, "$", {"schema", "species", "drive", "elus", "switch",
-                             "link", "costs"})
+    require_keys(doc, "$", {"schema", "species", "drive", "elus", "switch",
+                            "link", "costs"})
     if doc["schema"] != SCHEMA_ID:
         raise SchemaError(f"expected schema {SCHEMA_ID!r}, got {doc['schema']!r}",
                           "$.schema")
@@ -432,39 +401,39 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
     elus = tuple(_parse_elu(e, f"$.elus[{i}]") for i, e in enumerate(doc["elus"]))
 
     sw = doc["switch"]
-    _require_keys(sw, "$.switch", {"port_count", "reconfiguration_time_s"})
-    switch = SwitchSpec(port_count=_integer(sw, "port_count", "$.switch"),
-                        reconfiguration_time=_number(sw, "reconfiguration_time_s", "$.switch"))
+    require_keys(sw, "$.switch", {"port_count", "reconfiguration_time_s"})
+    switch = SwitchSpec(port_count=integer(sw, "port_count", "$.switch"),
+                        reconfiguration_time=number(sw, "reconfiguration_time_s", "$.switch"))
 
     link = doc["link"]
-    _require_keys(link, "$.link",
-                  {"attempt_rate_hz", "collection_fraction",
-                   "detector_efficiency", "buffer_capacity"},
-                  {"pair_lifetime_s", "dual_species_comm"})
+    require_keys(link, "$.link",
+                 {"attempt_rate_hz", "collection_fraction",
+                  "detector_efficiency", "buffer_capacity"},
+                 {"pair_lifetime_s", "dual_species_comm"})
     lifetime = None
     if "pair_lifetime_s" in link and link["pair_lifetime_s"] is not None:
-        lifetime = _number(link, "pair_lifetime_s", "$.link")
+        lifetime = number(link, "pair_lifetime_s", "$.link")
     dual = link.get("dual_species_comm", False)
     if not isinstance(dual, bool):
         raise SchemaError("expected boolean", "$.link.dual_species_comm")
 
     costs = doc["costs"]
-    _require_keys(costs, "$.costs",
-                  {"two_qubit_gate_fidelity", "teleport_overhead_time_s",
-                   "classical_latency_s"})
+    require_keys(costs, "$.costs",
+                 {"two_qubit_gate_fidelity", "teleport_overhead_time_s",
+                  "classical_latency_s"})
 
     return ArchitectureSpec(
         species=species,
         drive=drive,
         elus=elus,
         switch=switch,
-        buffer_capacity=_integer(link, "buffer_capacity", "$.link"),
-        attempt_rate=_number(link, "attempt_rate_hz", "$.link"),
-        collection_fraction=_number(link, "collection_fraction", "$.link"),
-        detector_efficiency=_number(link, "detector_efficiency", "$.link"),
-        two_qubit_gate_fidelity=_number(costs, "two_qubit_gate_fidelity", "$.costs"),
-        teleport_overhead_time=_number(costs, "teleport_overhead_time_s", "$.costs"),
-        classical_latency=_number(costs, "classical_latency_s", "$.costs"),
+        buffer_capacity=integer(link, "buffer_capacity", "$.link"),
+        attempt_rate=number(link, "attempt_rate_hz", "$.link"),
+        collection_fraction=number(link, "collection_fraction", "$.link"),
+        detector_efficiency=number(link, "detector_efficiency", "$.link"),
+        two_qubit_gate_fidelity=number(costs, "two_qubit_gate_fidelity", "$.costs"),
+        teleport_overhead_time=number(costs, "teleport_overhead_time_s", "$.costs"),
+        classical_latency=number(costs, "classical_latency_s", "$.costs"),
         pair_lifetime=lifetime,
         dual_species_comm=dual,
     )
@@ -533,14 +502,7 @@ def load_architecture(path: str | Path) -> ArchitectureSpec:
     Raises SchemaError on structural problems and InvalidArchitecture when
     the parsed spec violates invariants.
     """
-    text = Path(path).read_text()
-    if not text.strip():
-        raise SchemaError("empty file")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    spec = parse_architecture(doc)
+    spec = parse_architecture(load_json(path))
     report = validate_architecture(spec)
     if not report.ok:
         raise InvalidArchitecture(report)

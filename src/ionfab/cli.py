@@ -24,7 +24,8 @@ from .graph import build_interaction_graph, graph_distance_profile, to_dot
 from .ising import (AnnealSchedule, adiabatic_evolve, anneal_classical,
                     brute_force_ground_state, instance_to_doc, load_instance,
                     power_law_couplings, save_instance)
-from .netsim import SwitchConfig, make_link, run_sim
+from .jsondoc import each, fixed_array, integer, load_json, number, require_keys, string
+from .netsim import Link, SwitchConfig, make_link, run_sim
 from .qec import (embed_on_grid, embed_on_modular, hypergraph_product_graph,
                   load_check_matrix_csv, load_qec, qec_to_doc,
                   steane_concat_graph, surface_code_graph)
@@ -247,42 +248,43 @@ def _cmd_qec(args) -> tuple[int, list[str]]:
     return 0, emit_report(render_json(qec_to_doc(code)), args.out)
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+def _switch_entry(entry: object) -> tuple[float, SwitchConfig]:
+    require_keys(entry, "$", {"time_s", "links"})
+    links = each(entry["links"], "$.links", _link)
+    return number(entry, "time_s", "$"), SwitchConfig(frozenset(links))
 
 
-def _load_switch_schedule(path: str) -> list[tuple[float, SwitchConfig]]:
-    doc = _read_json(path)
-    if not isinstance(doc, list):
-        raise SchemaError("expected a list of {time_s, links} entries")
-    schedule_ = []
-    for i, entry in enumerate(doc):
-        if set(entry) != {"time_s", "links"}:
-            raise SchemaError("expected keys time_s and links", f"$[{i}]")
-        links = set()
-        for j, row in enumerate(entry["links"]):
-            if not (isinstance(row, list) and len(row) == 4):
-                raise SchemaError("expected [elu_a, port_a, elu_b, port_b]",
-                                  f"$[{i}].links[{j}]")
-            links.add(make_link((row[0], row[1]), (row[2], row[3])))
-        schedule_.append((float(entry["time_s"]), SwitchConfig(frozenset(links))))
-    return schedule_
+def _link(row: object) -> Link:
+    fixed_array(row, 4, "[elu_a, port_a, elu_b, port_b]")
+    return make_link((string(row, 0, "$"), integer(row, 1, "$")),
+                     (string(row, 2, "$"), integer(row, 3, "$")))
 
 
-def _load_demand(path: str) -> list[tuple[float, tuple[str, str]]]:
-    doc = _read_json(path)
-    if not isinstance(doc, list):
-        raise SchemaError("expected a list of {time_s, elus} entries")
-    demand = []
-    for i, entry in enumerate(doc):
-        if set(entry) != {"time_s", "elus"}:
-            raise SchemaError("expected keys time_s and elus", f"$[{i}]")
-        a, b = entry["elus"]
-        demand.append((float(entry["time_s"]), (a, b)))
-    return demand
+def _request(entry: object) -> tuple[float, tuple[str, str]]:
+    require_keys(entry, "$", {"time_s", "elus"})
+    elus = fixed_array(entry["elus"], 2, "[elu_a, elu_b]", "$.elus")
+    return (number(entry, "time_s", "$"),
+            (string(elus, 0, "$.elus"), string(elus, 1, "$.elus")))
+
+
+def _load_qubit_map(path: str) -> dict[int, tuple[str, int]]:
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected object, got {type(doc).__name__}")
+    user_map = {}
+    for q, target in doc.items():
+        try:
+            qubit = int(q)
+        except ValueError:
+            qubit = -1
+        if qubit < 0 or str(qubit) != q:
+            raise SchemaError("expected a qubit index as key", f"$.{q}")
+        try:
+            fixed_array(target, 2, "[elu, position]")
+            user_map[qubit] = string(target, 0, "$"), integer(target, 1, "$")
+        except SchemaError as exc:
+            raise exc.under(f"$.{q}") from None
+    return user_map
 
 
 def sim_result_doc(result) -> dict:
@@ -313,8 +315,8 @@ def sim_result_doc(result) -> dict:
 
 def _cmd_simulate(args) -> tuple[int, list[str]]:
     spec = load_architecture(args.arch)
-    switch_schedule = _load_switch_schedule(args.schedule)
-    demand = _load_demand(args.demand) if args.demand else []
+    switch_schedule = each(load_json(args.schedule), "$", _switch_entry)
+    demand = each(load_json(args.demand), "$", _request) if args.demand else []
     result = run_sim(spec, switch_schedule, demand, args.horizon, args.seed,
                      p_override=args.p, store_log=args.log is not None)
     outputs = emit_report(render_json(sim_result_doc(result)), args.out)
@@ -332,9 +334,8 @@ def _cmd_schedule(args) -> tuple[int, list[str]]:
     spec = load_architecture(args.arch)
     circuit = load_circuit(args.circuit)
     if args.map.startswith("file:"):
-        raw = json.loads(Path(args.map[5:]).read_text())
-        user_map = {int(q): (elu, int(pos)) for q, (elu, pos) in raw.items()}
-        qmap = assign_qubits(circuit, spec, "user", user_map=user_map)
+        qmap = assign_qubits(circuit, spec, "user",
+                             user_map=_load_qubit_map(args.map[5:]))
     elif args.map == "greedy":
         qmap = assign_qubits(circuit, spec, "greedy_interaction_cut")
     elif args.map == "roundrobin":
@@ -493,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
               ("arch", "circuit", "instance", "code", "h1", "h2", "schedule",
                "demand")
               if isinstance(getattr(args, name, None), str)]
+    if getattr(args, "map", "").startswith("file:"):
+        inputs.append(args.map[5:])
 
     try:
         if args.command == "simulate" and args.seed is None:

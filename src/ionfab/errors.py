@@ -24,6 +24,10 @@ class SchemaError(IonfabError):
         self.path = path
         self.reason = message
 
+    def under(self, prefix: str) -> "SchemaError":
+        """This error for the same document embedded at ``prefix`` of a larger one."""
+        return SchemaError(self.reason, prefix + self.path[1:])
+
 
 class InvalidArchitecture(IonfabError):
     """A structurally well-formed architecture failed invariant validation."""

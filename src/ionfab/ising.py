@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .jsondoc import each, fixed_array, integer, load_json, number, require_keys
 
 ISING_SCHEMA_ID = "ionfab-ising/1"
 
@@ -49,6 +50,10 @@ class IsingInstance:
         for i in self.local_fields:
             if not 0 <= i < self.n_spins:
                 raise DomainError(f"bad field index {i} for n = {self.n_spins}")
+        for what, values in (("coupling", self.couplings), ("field", self.local_fields)):
+            for key, val in values.items():
+                if not math.isfinite(val):
+                    raise DomainError(f"{what} {key} must be finite, got {val!r}")
 
     def support_edges(self) -> set[tuple[int, int]]:
         return set(self.couplings)
@@ -381,42 +386,44 @@ def instance_to_doc(instance: IsingInstance) -> dict:
     }
 
 
+def _coupling_row(row: object) -> tuple[int, int, float]:
+    fixed_array(row, 3, "[i, j, J]")
+    return integer(row, 0, "$"), integer(row, 1, "$"), number(row, 2, "$")
+
+
+def _field_row(row: object) -> tuple[int, float]:
+    fixed_array(row, 2, "[i, B]")
+    return integer(row, 0, "$"), number(row, 1, "$")
+
+
 def parse_instance(doc: object) -> IsingInstance:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected top-level object")
-    unknown = set(doc) - {"schema", "n", "alpha", "j0", "couplings", "fields"}
-    if unknown:
-        raise SchemaError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    if doc.get("schema") != ISING_SCHEMA_ID:
-        raise SchemaError(f"expected schema {ISING_SCHEMA_ID!r}, got {doc.get('schema')!r}",
+    """Parse an ionfab-ising/1 document; rejects all that the schema rejects."""
+    require_keys(doc, "$", {"schema", "n", "couplings", "fields"}, {"alpha", "j0"})
+    if doc["schema"] != ISING_SCHEMA_ID:
+        raise SchemaError(f"expected schema {ISING_SCHEMA_ID!r}, got {doc['schema']!r}",
                           "$.schema")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SchemaError("expected integer", "$.n")
+    n = integer(doc, "n", "$")
+    for key in ("alpha", "j0"):
+        if doc.get(key) is not None:
+            number(doc, key, "$")
     couplings: dict[tuple[int, int], float] = {}
-    for row_i, row in enumerate(doc.get("couplings", [])):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError("expected [i, j, J]", f"$.couplings[{row_i}]")
-        i, j, val = row
+    for row_i, (i, j, val) in enumerate(each(doc["couplings"], "$.couplings",
+                                               _coupling_row)):
         key = (min(i, j), max(i, j))
         if key in couplings:
             raise SchemaError(f"duplicate coupling {key}", f"$.couplings[{row_i}]")
-        couplings[key] = float(val)
-    fields = {}
-    for row_i, row in enumerate(doc.get("fields", [])):
-        if not (isinstance(row, list) and len(row) == 2):
-            raise SchemaError("expected [i, B]", f"$.fields[{row_i}]")
-        fields[int(row[0])] = float(row[1])
+        couplings[key] = val
+    fields: dict[int, float] = {}
+    for row_i, (i, val) in enumerate(each(doc["fields"], "$.fields", _field_row)):
+        if i in fields:
+            raise SchemaError(f"duplicate field {i}", f"$.fields[{row_i}]")
+        fields[i] = val
     return IsingInstance(n_spins=n, couplings=couplings, local_fields=fields,
                          alpha=doc.get("alpha"), j0=doc.get("j0"))
 
 
 def load_instance(path: str | Path) -> IsingInstance:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_instance(doc)
+    return parse_instance(load_json(path))
 
 
 def save_instance(instance: IsingInstance, path: str | Path) -> None:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .arch import ArchitectureSpec
 from .errors import CapacityError, DomainError, SchemaError
+from .jsondoc import each, fixed_array, integer, load_json, number, require_keys, string
 
 QEC_SCHEMA_ID = "ionfab-qec/1"
 
@@ -59,6 +60,10 @@ class QecGraph:
                 raise DomainError("every check must touch at least one data node")
             if any(not 0 <= d < self.n_data for d in c.data):
                 raise DomainError("check touches data index out of range")
+        if self.data_coords is not None and (
+                len(self.data_coords) != self.n_data
+                or len(self.check_coords) != len(self.checks)):
+            raise DomainError("coords must give one cell per data node and per check")
 
     @property
     def n_checks(self) -> int:
@@ -515,31 +520,46 @@ def qec_to_doc(code: QecGraph) -> dict:
     return doc
 
 
+def _check(doc: object) -> Check:
+    require_keys(doc, "$", {"kind", "data"})
+    data = doc["data"]
+    if not (isinstance(data, list) and data
+            and all(type(d) is int and d >= 0 for d in data)):
+        raise SchemaError("expected a non-empty array of integers >= 0", "$.data")
+    return Check(string(doc, "kind", "$"), frozenset(data))
+
+
+def _coord(row: object) -> tuple[int, int]:
+    fixed_array(row, 2, "[x, y]")
+    return integer(row, 0, "$"), integer(row, 1, "$")
+
+
 def parse_qec(doc: object) -> QecGraph:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected top-level object")
-    if doc.get("schema") != QEC_SCHEMA_ID:
-        raise SchemaError(f"expected schema {QEC_SCHEMA_ID!r}, got {doc.get('schema')!r}",
+    """Parse an ionfab-qec/1 document; rejects all that the schema rejects."""
+    require_keys(doc, "$", {"schema", "family", "n_data", "checks"},
+                 {"params", "rate", "coords"})
+    if doc["schema"] != QEC_SCHEMA_ID:
+        raise SchemaError(f"expected schema {QEC_SCHEMA_ID!r}, got {doc['schema']!r}",
                           "$.schema")
-    unknown = set(doc) - {"schema", "family", "n_data", "checks", "params",
-                          "rate", "coords"}
-    if unknown:
-        raise SchemaError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    checks = []
-    for i, c in enumerate(doc.get("checks", [])):
-        if not isinstance(c, dict) or set(c) != {"kind", "data"}:
-            raise SchemaError("expected {kind, data}", f"$.checks[{i}]")
-        checks.append(Check(c["kind"], frozenset(c["data"])))
-    coords = doc.get("coords")
+    n_data = integer(doc, "n_data", "$")
+    if n_data < 1:
+        raise SchemaError(f"must be >= 1, got {n_data}", "$.n_data")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError(f"expected object, got {type(params).__name__}", "$.params")
+    if doc.get("rate") is not None:
+        number(doc, "rate", "$")
     data_coords = check_coords = None
-    if coords is not None:
-        data_coords = tuple(tuple(c) for c in coords["data"])
-        check_coords = tuple(tuple(c) for c in coords["checks"])
+    if "coords" in doc:
+        coords = doc["coords"]
+        require_keys(coords, "$.coords", {"data", "checks"})
+        data_coords = tuple(each(coords["data"], "$.coords.data", _coord))
+        check_coords = tuple(each(coords["checks"], "$.coords.checks", _coord))
     return QecGraph(
-        n_data=doc["n_data"],
-        checks=tuple(checks),
-        family=doc.get("family", "unknown"),
-        params=doc.get("params", {}),
+        n_data=n_data,
+        checks=tuple(each(doc["checks"], "$.checks", _check)),
+        family=string(doc, "family", "$"),
+        params=params,
         rate=doc.get("rate"),
         data_coords=data_coords,
         check_coords=check_coords,
@@ -547,11 +567,7 @@ def parse_qec(doc: object) -> QecGraph:
 
 
 def load_qec(path: str | Path) -> QecGraph:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_qec(doc)
+    return parse_qec(load_json(path))
 
 
 def save_qec(code: QecGraph, path: str | Path) -> None:

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ionfab.arch import example_architecture, load_architecture
 
@@ -10,6 +11,10 @@ EXAMPLE_JSON = REPO_ROOT / "docs" / "example.json"
 SCHEMAS_DIR = REPO_ROOT / "schemas"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
+
+# Every run draws the same examples; tests set their own max_examples.
+settings.register_profile("ionfab", derandomize=True, deadline=None)
+settings.load_profile("ionfab")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -106,6 +107,15 @@ class TestManifest:
         a = json.loads(run_cli(["rates", str(EXAMPLE_JSON)]).stderr.splitlines()[-1])
         b = json.loads(run_cli(["rates", str(EXAMPLE_JSON)]).stderr.splitlines()[-1])
         assert a["inputs"] == b["inputs"]
+
+    def test_map_file_is_hashed(self, capsys):
+        map_path = FIXTURES_DIR / "mixed8_split_map.json"
+        code = main(["schedule", str(FIXTURES_DIR / "netsim_arch.json"),
+                     str(FIXTURES_DIR / "mixed8.iqc"), "--map", f"file:{map_path}"])
+        assert code == 0
+        manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert manifest["inputs"][str(map_path)] == hashlib.sha256(
+            map_path.read_bytes()).hexdigest()
 
     def test_emitted_even_on_error(self, tmp_path):
         r = run_cli(["rates", str(tmp_path / "nope.json")])
@@ -312,3 +322,88 @@ class TestBadSimulateInputs:
         code, err = self.simulate(tmp_path, capsys, ONE_LINK[:-1])
         assert code == 1
         assert "ionfab: error: $: invalid JSON at line 1" in err
+
+
+SURFACE3 = ('{"schema": "ionfab-qec/1", "family": "surface", "n_data": 4, '
+            '"checks": [{"kind": "Z", "data": [0, 1, 2, 3]}]')
+ISING = '{"schema": "ionfab-ising/1", "n": 3, "couplings": %s, "fields": %s}'
+QEC_EMBED = ["qec", "embed", "--code", "{f}", "--host", "grid"]
+ISING_SOLVE = ["ising", "solve", "{f}"]
+SIMULATE = ["simulate", str(EXAMPLE_JSON), "--horizon", "0.5", "--seed", "1"]
+SCHEDULE = ["schedule", str(EXAMPLE_JSON), str(FIXTURES_DIR / "mixed8.iqc")]
+
+# name -> (argv, file text, the error line after "ionfab: error: ")
+BAD_INPUTS = {
+    "unknown_elu": (["rates", str(EXAMPLE_JSON), "--elu", "Z"], None,
+                    "no ELU with id 'Z'"),
+    "qec_without_n_data": (
+        QEC_EMBED, SURFACE3.replace('"n_data": 4, ', "") + "}",
+        "$: missing required key(s): n_data"),
+    "qec_string_n_data": (
+        QEC_EMBED, SURFACE3.replace('"n_data": 4', '"n_data": "4"') + "}",
+        "$.n_data: expected integer, got '4'"),
+    "qec_scalar_check_data": (
+        QEC_EMBED, SURFACE3.replace("[0, 1, 2, 3]", "5") + "}",
+        "$.checks[0].data: expected a non-empty array of integers >= 0"),
+    "qec_coords_without_checks": (
+        QEC_EMBED, SURFACE3 + ', "coords": {"data": [[0, 0]]}}',
+        "$.coords: missing required key(s): checks"),
+    "qec_without_family": (
+        QEC_EMBED, SURFACE3.replace('"family": "surface", ', "") + "}",
+        "$: missing required key(s): family"),
+    "ising_string_coupling_index": (
+        ISING_SOLVE, ISING % ('[["a", 1, 2]]', "[]"),
+        "$.couplings[0][0]: expected integer, got 'a'"),
+    "ising_string_coupling": (
+        ISING_SOLVE, ISING % ('[[0, 1, "x"]]', "[]"),
+        "$.couplings[0][2]: expected number, got 'x'"),
+    "ising_string_field_index": (
+        ISING_SOLVE, ISING % ("[]", '[["q", 1]]'),
+        "$.fields[0][0]: expected integer, got 'q'"),
+    "ising_duplicate_field": (
+        ISING_SOLVE, ISING % ("[]", "[[0, 1], [2, 1], [0, -1]]"),
+        "$.fields[2]: duplicate field 0"),
+    "ising_nan_coupling": (
+        ISING_SOLVE, ISING % ("[[0, 1, NaN]]", "[]"),
+        "coupling (0, 1) must be finite, got nan"),
+    "ising_without_couplings": (
+        ISING_SOLVE, '{"schema": "ionfab-ising/1", "n": 3, "fields": []}',
+        "$: missing required key(s): couplings"),
+    "schedule_of_numbers": (
+        [*SIMULATE, "--schedule", "{f}"], "[1, 2]",
+        "$[0]: expected object, got int"),
+    "demand_with_one_elu": (
+        [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
+        '[{"time_s": 0.1, "elus": ["A"]}]',
+        "$[0].elus: expected [elu_a, elu_b]"),
+    "demand_string_time": (
+        [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
+        '[{"time_s": "x", "elus": ["A", "B"]}]',
+        "$[0].time_s: expected number, got 'x'"),
+    "map_malformed_json": (
+        [*SCHEDULE, "--map", "file:{f}"], '{"0": ["A", 2]',
+        "$: invalid JSON at line 1: Expecting ',' delimiter"),
+    "map_short_target": (
+        [*SCHEDULE, "--map", "file:{f}"], '{"0": ["A"]}',
+        "$.0: expected [elu, position]"),
+    "map_non_index_key": (
+        [*SCHEDULE, "--map", "file:{f}"], '{"01": ["A", 2]}',
+        "$.01: expected a qubit index as key"),
+}
+
+
+class TestBadInputFiles:
+    """Each bad input file ends in exit 1 and one `path: message` line."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_exit_1_with_one_diagnostic(self, tmp_path, capsys, name):
+        argv, text, expected = BAD_INPUTS[name]
+        bad, one_link = tmp_path / "input.json", tmp_path / "one_link.json"
+        one_link.write_text(ONE_LINK)
+        if text is not None:
+            bad.write_text(text)
+        code = main([a.format(f=bad, one_link=one_link) for a in argv])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("ionfab: error: ")]
+        assert code == 1
+        assert errors == [f"ionfab: error: {expected}"]

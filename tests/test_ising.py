@@ -232,3 +232,25 @@ class TestInstanceIO:
         with pytest.raises(SchemaError, match="schema"):
             parse_instance({"schema": "other/9", "n": 2, "couplings": [],
                             "fields": []})
+
+    @pytest.mark.parametrize("couplings, fields", [
+        ({(0, 1): math.nan}, {}),
+        ({(0, 1): 1.0}, {1: math.inf}),
+        ({}, {0: -math.inf}),
+    ])
+    def test_rejects_non_finite_values(self, couplings, fields):
+        with pytest.raises(DomainError, match="must be finite"):
+            IsingInstance(2, couplings, fields)
+
+    @pytest.mark.parametrize("change", [
+        {"couplings": None}, {"fields": None}, {"alpha": "1"}, {"n": 2.0},
+        {"fields": [[0, 1.0], [0, 2.0]]}, {"couplings": [[0, 1]]},
+    ])
+    def test_rejects_what_the_schema_rejects(self, change):
+        from ionfab.errors import SchemaError
+        doc = {"schema": "ionfab-ising/1", "n": 2, "couplings": [[0, 1, 1.0]],
+               "fields": []}
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(SchemaError):
+            parse_instance(doc)

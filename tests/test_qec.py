@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from ionfab.errors import CapacityError, DomainError
+from ionfab.errors import CapacityError, DomainError, SchemaError
 from ionfab.qec import (Check, QecGraph, embed_on_grid, embed_on_modular,
-                        gf2_rank, hypergraph_product_graph, load_qec,
-                        repetition_check_matrix, save_qec, steane_concat_graph,
-                        surface_code_graph, swaps_for_distance)
+                        gf2_rank, hypergraph_product_graph, load_qec, parse_qec,
+                        qec_to_doc, repetition_check_matrix, save_qec,
+                        steane_concat_graph, surface_code_graph,
+                        swaps_for_distance)
 
 
 def reference_gf2_rank(m):
@@ -339,3 +340,23 @@ class TestQecIO:
         loaded = load_qec(path)
         assert loaded.checks == g.checks
         assert loaded.data_coords is None
+
+    @pytest.mark.parametrize("change", [
+        {"family": None}, {"n_data": 0}, {"params": []}, {"rate": "1"},
+        {"checks": [{"kind": "X", "data": []}]},
+        {"checks": [{"kind": "X", "data": [-1]}]},
+        {"coords": {"data": [[0, 0, 0]], "checks": []}},
+    ])
+    def test_rejects_what_the_schema_rejects(self, change):
+        doc = {"schema": "ionfab-qec/1", "family": "f", "n_data": 1,
+               "checks": [{"kind": "X", "data": [0]}]}
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(SchemaError):
+            parse_qec(doc)
+
+    def test_coords_must_cover_every_node(self):
+        doc = qec_to_doc(surface_code_graph(3))
+        doc["coords"]["data"].pop()
+        with pytest.raises(DomainError, match="one cell per data node"):
+            parse_qec(doc)

@@ -194,7 +194,7 @@ class TestRateReport:
         assert report.mean_connection_rate == golden["mean_connection_rate"]
 
     def test_unknown_elu(self, example_spec):
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError):
             rate_report(example_spec, "nope")
 
     def test_representation_invariance(self, built_spec):
