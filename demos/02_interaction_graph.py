@@ -32,6 +32,6 @@ profile = graph_distance_profile(linked, "fast+photonic")
 print(f"fast+photonic: max distance {profile.max_distance}, "
       f"{profile.unreachable_pairs} unreachable pairs")
 
-out = Path(__file__).with_name("interaction_graph.dot")
+out = Path("interaction_graph.dot")
 out.write_text(to_dot(graph, tier="fast"))
-print(f"\nDOT export of the fast tier written to {out.name}")
+print(f"\nDOT export of the fast tier written to {out} in the current directory")

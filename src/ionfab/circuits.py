@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .jsondoc import read_text
 
 
 class GateKind(enum.Enum):
@@ -194,5 +195,4 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def load_circuit(path) -> Circuit:
-    from pathlib import Path
-    return parse_circuit(Path(path).read_text())
+    return parse_circuit(read_text(path))

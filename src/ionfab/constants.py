@@ -39,6 +39,3 @@ def species_entry(name: str) -> dict:
         known = ", ".join(sorted(_SPECIES_TABLE))
         raise UnknownSpecies(f"unknown species {name!r} (known: {known})") from None
 
-
-def known_species() -> list[str]:
-    return sorted(_SPECIES_TABLE)

@@ -10,16 +10,21 @@ Three edge tiers:
   :meth:`InteractionGraph.with_photonic_links`.
 
 Graphs are immutable once built.
+
+:func:`deal_round_robin` and :func:`greedy_cut` place the nodes of a
+weighted graph on ELUs, for circuit mapping and for the modular QEC
+embedding alike; every edge cut between ELUs costs a heralded photonic pair.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .arch import ArchitectureSpec
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .rates import elu_gate_rate, mean_connection_rate, slow_gate_time
 
 # Speed ratio of proximity gates to collective-bus gates.
@@ -184,3 +189,50 @@ def to_dot(g: InteractionGraph, tier: str | None = None) -> str:
         lines.append(f'  "{a}" -- "{b}" [tier={e.tier.value}, color={colors[e.tier]}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _spare(n_nodes: int, capacity: dict[str, int]) -> dict[str, int]:
+    total = sum(capacity.values())
+    if n_nodes > total:
+        raise CapacityError(f"{n_nodes} nodes exceed {total} ELU slots")
+    return dict(capacity)
+
+
+def deal_round_robin(n_nodes: int, capacity: dict[str, int]) -> list[str]:
+    """ELU id of each node, dealt cyclically in ``capacity`` order.
+
+    ``capacity`` maps ELU id -> slots, in ELU order; a full ELU is skipped.
+    """
+    spare = _spare(n_nodes, capacity)
+    ring = itertools.cycle(capacity)
+    dealt = []
+    for _ in range(n_nodes):
+        eid = next(e for e in ring if spare[e])
+        spare[eid] -= 1
+        dealt.append(eid)
+    return dealt
+
+
+def greedy_cut(order: list[int], neighbours, capacity: dict[str, int]) -> list[str]:
+    """ELU id of each node 0..len(order)-1, placed greedily in ``order``.
+
+    ``neighbours[node]`` lists the node's ``(other, weight)`` pairs and
+    ``capacity`` maps ELU id -> slots, in ELU order. Each node goes to the
+    ELU with room that cuts the least weight to already-placed neighbours,
+    ties going to the most spare room, then to the earlier ELU.
+    """
+    spare = _spare(len(order), capacity)
+    placed: list[str | None] = [None] * len(order)
+    for node in order:
+        placed_weight = 0
+        weight_on: dict[str, int] = {}
+        for other, w in neighbours[node]:
+            eid = placed[other]
+            if eid is not None:
+                placed_weight += w
+                weight_on[eid] = weight_on.get(eid, 0) + w
+        best = min((eid for eid in capacity if spare[eid]),
+                   key=lambda eid: (placed_weight - weight_on.get(eid, 0), -spare[eid]))
+        placed[node] = best
+        spare[best] -= 1
+    return placed

@@ -1,10 +1,10 @@
 """Strict reading of the JSON documents ionfab takes as input.
 
-Every input file is decoded by :func:`load_json`, and every loader checks
-shapes with the helpers below, so a bad document ends in one
-:class:`SchemaError` whose message starts with a JSON path such as
-``$.elus[1].n_ions``. Integers must be JSON integers, and ``true`` /
-``false`` are not numbers.
+Every input file is read by :func:`read_text`, JSON files through
+:func:`load_json`, and every JSON loader checks shapes with the helpers
+below, so a bad document ends in one :class:`SchemaError` whose message
+starts with a JSON path such as ``$.elus[1].n_ions``. Integers must be
+JSON integers, and ``true`` / ``false`` are not numbers.
 
 Path strings are built only when raising: the schedule and demand loaders
 check every entry of lists that run to hundreds of entries, and building a
@@ -19,12 +19,17 @@ from pathlib import Path
 from .errors import SchemaError
 
 
-def load_json(path: str | Path) -> object:
-    """Decode a JSON file; an empty file or malformed text raises SchemaError."""
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise SchemaError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc.reason}") from exc
+
+
+def load_json(path: str | Path) -> object:
+    """Decode a JSON file; an empty file or malformed text raises SchemaError."""
+    text = read_text(path)
     if not text.strip():
         raise SchemaError("empty file")
     try:

@@ -25,7 +25,9 @@ import numpy as np
 
 from .arch import ArchitectureSpec
 from .errors import CapacityError, DomainError, SchemaError
-from .jsondoc import each, fixed_array, integer, load_json, number, require_keys, string
+from .graph import deal_round_robin, greedy_cut
+from .jsondoc import (each, fixed_array, integer, load_json, number, read_text,
+                      require_keys, string)
 
 QEC_SCHEMA_ID = "ionfab-qec/1"
 
@@ -396,13 +398,12 @@ def _partition_nodes(code: QecGraph, spec: ArchitectureSpec, partition: str,
     if code.n_nodes > total_capacity:
         raise CapacityError(
             f"code needs {code.n_nodes} ions, machine has {total_capacity}")
-    elu_ids = spec.elu_ids()
 
     if partition == "user_map":
         if user_map is None:
             raise DomainError("user_map partition requires a node -> ELU map")
         assignment = []
-        used: dict[str, int] = {eid: 0 for eid in elu_ids}
+        used = dict.fromkeys(capacities, 0)
         for node in range(code.n_nodes):
             if node not in user_map:
                 raise DomainError(f"user_map missing node {node}")
@@ -416,23 +417,10 @@ def _partition_nodes(code: QecGraph, spec: ArchitectureSpec, partition: str,
         return assignment
 
     if partition == "round_robin":
-        assignment = [""] * code.n_nodes
-        used = {eid: 0 for eid in elu_ids}
-        cursor = 0
-        for node in range(code.n_nodes):
-            for _ in range(len(elu_ids)):
-                eid = elu_ids[cursor % len(elu_ids)]
-                cursor += 1
-                if used[eid] < capacities[eid]:
-                    used[eid] += 1
-                    assignment[node] = eid
-                    break
-        return assignment
+        return deal_round_robin(code.n_nodes, capacities)
 
     if partition == "greedy_cut":
-        # BFS order over the Tanner graph keeps local neighborhoods together;
-        # each node goes to the ELU minimizing newly cut edges, with spare
-        # capacity as the tie breaker.
+        # BFS order over the Tanner graph keeps local neighborhoods together.
         adj = _tanner_adjacency(code)
         order: list[int] = []
         seen = [False] * code.n_nodes
@@ -448,23 +436,7 @@ def _partition_nodes(code: QecGraph, spec: ArchitectureSpec, partition: str,
                     if not seen[w]:
                         seen[w] = True
                         queue.append(w)
-        assignment = [""] * code.n_nodes
-        used = {eid: 0 for eid in elu_ids}
-        for node in order:
-            best_eid = None
-            best_key = None
-            for eid in elu_ids:
-                if used[eid] >= capacities[eid]:
-                    continue
-                cut = sum(1 for w in adj[node]
-                          if assignment[w] and assignment[w] != eid)
-                key = (cut, -(capacities[eid] - used[eid]))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_eid = eid
-            assignment[node] = best_eid
-            used[best_eid] += 1
-        return assignment
+        return greedy_cut(order, [[(w, 1) for w in nbrs] for nbrs in adj], capacities)
 
     raise DomainError(f"unknown partition strategy {partition!r}")
 
@@ -577,7 +549,7 @@ def save_qec(code: QecGraph, path: str | Path) -> None:
 def load_check_matrix_csv(path: str | Path) -> np.ndarray:
     """Dense 0/1 check matrix from comma-separated rows."""
     rows = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -32,11 +32,11 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import ArchitectureSpec, EluSpec
-from .circuits import TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
+from .circuits import ENTANGLING_KINDS, TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
 from .errors import CapacityError, DomainError
 from .netsim import NetworkSim, SwitchConfig, make_link
 from .rates import elu_gate_rate, link_success_probability, slow_gate_time
-from .graph import FAST_GATE_SPEEDUP
+from .graph import FAST_GATE_SPEEDUP, deal_round_robin, greedy_cut
 
 # A swap decomposes into three proximity CNOTs.
 SWAP_GATE_COUNT = 3
@@ -78,11 +78,10 @@ def crossing_count(circuit: Circuit, qmap: QubitMap) -> int:
     )
 
 
-def _fill_positions(order: list[int], elu_for: dict[int, str],
-                    spec: ArchitectureSpec) -> QubitMap:
+def _fill_positions(elu_for: list[str], spec: ArchitectureSpec) -> QubitMap:
+    """Give qubit q, in qubit order, the next memory position of ELU elu_for[q]."""
     cursors = {e.id: iter(e.memory_positions()) for e in spec.elus}
-    mapping = {q: (elu_for[q], next(cursors[elu_for[q]])) for q in order}
-    return QubitMap(mapping)
+    return QubitMap({q: (eid, next(cursors[eid])) for q, eid in enumerate(elu_for)})
 
 
 def assign_qubits(circuit: Circuit, spec: ArchitectureSpec,
@@ -106,44 +105,17 @@ def assign_qubits(circuit: Circuit, spec: ArchitectureSpec,
         qmap.validate(circuit, spec)
         return qmap
 
-    elu_ids = spec.elu_ids()
     if strategy == "round_robin":
-        elu_for: dict[int, str] = {}
-        used = {eid: 0 for eid in elu_ids}
-        cursor = 0
-        for q in range(circuit.n_qubits):
-            for _ in range(len(elu_ids)):
-                eid = elu_ids[cursor % len(elu_ids)]
-                cursor += 1
-                if used[eid] < capacity[eid]:
-                    used[eid] += 1
-                    elu_for[q] = eid
-                    break
-        return _fill_positions(sorted(elu_for), elu_for, spec)
+        return _fill_positions(deal_round_robin(circuit.n_qubits, capacity), spec)
 
     if strategy == "greedy_interaction_cut":
-        weights = circuit.interaction_weights()
-        degree = {q: 0 for q in range(circuit.n_qubits)}
-        for (a, b), w in weights.items():
-            degree[a] += w
-            degree[b] += w
-        order = sorted(degree, key=lambda q: (-degree[q], q))
-        elu_for = {}
-        used = {eid: 0 for eid in elu_ids}
-        for q in order:
-            best_eid, best_key = None, None
-            for eid in elu_ids:
-                if used[eid] >= capacity[eid]:
-                    continue
-                cut = sum(w for (a, b), w in weights.items()
-                          if (a == q and b in elu_for and elu_for[b] != eid)
-                          or (b == q and a in elu_for and elu_for[a] != eid))
-                key = (cut, -(capacity[eid] - used[eid]), elu_ids.index(eid))
-                if best_key is None or key < best_key:
-                    best_key, best_eid = key, eid
-            elu_for[q] = best_eid
-            used[best_eid] += 1
-        return _fill_positions(sorted(elu_for), elu_for, spec)
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(circuit.n_qubits)]
+        for (a, b), w in circuit.interaction_weights().items():
+            neighbours[a].append((b, w))
+            neighbours[b].append((a, w))
+        degree = [sum(w for _, w in pairs) for pairs in neighbours]
+        order = sorted(range(circuit.n_qubits), key=lambda q: (-degree[q], q))
+        return _fill_positions(greedy_cut(order, neighbours, capacity), spec)
 
     raise DomainError(f"unknown assignment strategy {strategy!r}")
 
@@ -180,8 +152,7 @@ def brute_force_best_map(circuit: Circuit,
             best_vec, best_cross = vec, cross
     if best_vec is None:
         raise CapacityError("no feasible assignment")
-    elu_for = {q: elu_ids[best_vec[q]] for q in range(circuit.n_qubits)}
-    return _fill_positions(sorted(elu_for), elu_for, spec), best_cross
+    return _fill_positions([elu_ids[e] for e in best_vec], spec), best_cross
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +338,6 @@ def schedule(
     timeline: list[TimelineEntry] = []
     pairs_consumed = 0
     swaps_inserted = 0
-    gate_factor = 1.0
     busy: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
     last_end: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
 
@@ -397,7 +367,7 @@ def schedule(
         Each swap exchanges the qubit with its chain neighbor (occupied or
         not) in three proximity gates. Returns the time after the last swap.
         """
-        nonlocal swaps_inserted, gate_factor
+        nonlocal swaps_inserted
         ctx = contexts[eid]
         q0, q1 = op.operands
         step = 1 if position_of[q1][1] > position_of[q0][1] else -1
@@ -418,7 +388,6 @@ def schedule(
                 last_end[other] = start + dur
             position_of[q0] = (eid, nxt)
             qubit_at[(eid, nxt)] = q0
-            gate_factor *= spec.two_qubit_gate_fidelity ** SWAP_GATE_COUNT
             busy[q0] += dur
             last_end[q0] = start + dur
             timeline.append(TimelineEntry(start, dur, None,
@@ -455,7 +424,6 @@ def schedule(
             eid = next(iter(elus))
             start = max(ion_free[ion] for ion in touched)
             place(start, contexts[eid].tau_slow, op, touched)
-            gate_factor *= spec.two_qubit_gate_fidelity
 
         elif len(elus) == 1:
             eid = next(iter(elus))
@@ -468,7 +436,6 @@ def schedule(
             start = ready
             duration = ctx.two_qubit_time(touched[0][1], touched[1][1])
             place(start, duration, op, touched)
-            gate_factor *= spec.two_qubit_gate_fidelity
 
         else:
             # Remote two-qubit gate: consume one pair, teleport.
@@ -488,18 +455,15 @@ def schedule(
                         + spec.classical_latency)
             place(start, duration, op, touched + [comm_a, comm_b], used_pair=True)
             pairs_consumed += 1
-            gate_factor *= spec.two_qubit_gate_fidelity
 
     makespan = max((e.end for e in timeline), default=0.0)
-    t2 = spec.species.qubit_coherence_time
     idle = {q: max(0.0, last_end[q] - busy[q]) for q in busy}
-    idle_factor = math.exp(-sum(idle.values()) / t2)
     return ScheduleResult(
         timeline=tuple(timeline),
         makespan=makespan,
         pairs_consumed=pairs_consumed,
         swaps_inserted=swaps_inserted,
-        fidelity_estimate=gate_factor * idle_factor,
+        fidelity_estimate=_fidelity(timeline, idle, spec).total,
         per_qubit_idle=idle,
         qmap=QubitMap(dict(position_of)),
         mode=pair_supply_mode,
@@ -507,20 +471,25 @@ def schedule(
     )
 
 
-def fidelity_estimate(result: ScheduleResult,
-                      spec: ArchitectureSpec) -> FidelityBreakdown:
-    """Recompute the fidelity product of a schedule with a per-term breakdown."""
+def _fidelity(timeline, per_qubit_idle: dict[int, float],
+              spec: ArchitectureSpec) -> FidelityBreakdown:
     gate_factor = 1.0
-    for entry in result.timeline:
+    for entry in timeline:
         if entry.op is None:  # inserted swap, three proximity gates
             gate_factor *= spec.two_qubit_gate_fidelity ** SWAP_GATE_COUNT
-        elif entry.op.kind in (GateKind.MS, GateKind.CNOT, GateKind.GLOBAL_MS):
+        elif entry.op.kind in ENTANGLING_KINDS:
             gate_factor *= spec.two_qubit_gate_fidelity
     t2 = spec.species.qubit_coherence_time
-    idle_factor = math.exp(-sum(result.per_qubit_idle.values()) / t2)
+    idle_factor = math.exp(-sum(per_qubit_idle.values()) / t2)
     return FidelityBreakdown(
         total=gate_factor * idle_factor,
         gate_factor=gate_factor,
         idle_factor=idle_factor,
-        per_qubit_idle=dict(result.per_qubit_idle),
+        per_qubit_idle=dict(per_qubit_idle),
     )
+
+
+def fidelity_estimate(result: ScheduleResult,
+                      spec: ArchitectureSpec) -> FidelityBreakdown:
+    """The fidelity product of a schedule with a per-term breakdown."""
+    return _fidelity(result.timeline, result.per_qubit_idle, spec)

@@ -407,3 +407,16 @@ class TestBadInputFiles:
                   if line.startswith("ionfab: error: ")]
         assert code == 1
         assert errors == [f"ionfab: error: {expected}"]
+
+    @pytest.mark.parametrize("argv, content", [
+        (["schedule", str(EXAMPLE_JSON), "{f}"], b"qubits 2\nH q0 \xff\n"),
+        (["qec", "hgp", "--h1", "{f}", "--h2", "{f}"], b"1,0\xff\n"),
+    ], ids=["iqc", "csv"])
+    def test_non_utf8_text(self, tmp_path, capsys, argv, content):
+        bad = tmp_path / "input.txt"
+        bad.write_bytes(content)
+        code = main([a.format(f=bad) for a in argv])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("ionfab: error: ")]
+        assert code == 1
+        assert errors == ["ionfab: error: $: not UTF-8 text: invalid start byte"]
