@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,6 +111,8 @@ class AnnealSchedule:
     sweeps_per_temp: int = 2
 
     def temperatures(self) -> list[float]:
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_min)):
+            raise DomainError(f"t_start and t_min must be finite: {self}")
         if self.t_start < 0 or not (0 < self.t_factor < 1) \
                 or self.sweeps_per_temp < 1:
             raise DomainError(f"malformed anneal schedule: {self}")
@@ -189,13 +192,21 @@ def energy(instance: IsingInstance, config: SpinConfig) -> float:
     return float(total)
 
 
-def _chunk_energies(instance: IsingInstance, start: int, count: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(instance.n_spins)) & 1
-    spins = 1.0 - 2.0 * bits
+def _energy_blocks(instance: IsingInstance) -> Iterator[tuple[int, np.ndarray]]:
+    """Energies of all 2^n configurations in ascending index order, yielded
+    as (first index, energies) blocks of ``_ENUM_CHUNK`` configurations."""
+    n = instance.n_spins
+    if n > BRUTE_FORCE_MAX_SPINS:
+        raise DomainError(f"n = {n} exceeds brute-force cap {BRUTE_FORCE_MAX_SPINS}")
     J = instance.coupling_matrix()
     B = instance.field_vector()
-    return 0.5 * np.einsum("ci,ci->c", spins @ J, spins) + spins @ B
+    total, chunk = 1 << n, _ENUM_CHUNK
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+        energies = 0.5 * np.einsum("ci,ci->c", spins @ J, spins) + spins @ B
+        del idx, spins  # hold one block's spins at a time, not two
+        yield start, energies
 
 
 def brute_force_ground_state(
@@ -208,51 +219,22 @@ def brute_force_ground_state(
     float equality; energies are integer-valued for integer inputs so this is
     well defined at desk scale.
     """
-    n = instance.n_spins
-    if n > BRUTE_FORCE_MAX_SPINS:
-        raise DomainError(f"n = {n} exceeds brute-force cap {BRUTE_FORCE_MAX_SPINS}")
-    total = 1 << n
     best = math.inf
     best_idx: list[int] = []
-    for start in range(0, total, _ENUM_CHUNK):
-        count = min(_ENUM_CHUNK, total - start)
-        e = _chunk_energies(instance, start, count)
-        chunk_min = float(e.min())
-        if chunk_min < best:
-            best = chunk_min
+    for start, e in _energy_blocks(instance):
+        block_min = float(e.min())
+        if block_min < best:
+            best = block_min
             best_idx = []
-        if chunk_min <= best:
-            hits = np.nonzero(e == best)[0]
-            for h in hits:
-                if len(best_idx) >= max_configs:
-                    break
-                best_idx.append(start + int(h))
-    return [SpinConfig.from_index(i, n) for i in best_idx], best
-
-
-def ground_state_indices(instance: IsingInstance) -> tuple[np.ndarray, float]:
-    """All optimal enumeration indices (uncapped) and the minimum energy."""
-    n = instance.n_spins
-    if n > BRUTE_FORCE_MAX_SPINS:
-        raise DomainError(f"n = {n} exceeds brute-force cap {BRUTE_FORCE_MAX_SPINS}")
-    energies = _chunk_energies(instance, 0, 1 << n) if n <= 18 else None
-    if energies is None:
-        parts = [_chunk_energies(instance, s, min(_ENUM_CHUNK, (1 << n) - s))
-                 for s in range(0, 1 << n, _ENUM_CHUNK)]
-        energies = np.concatenate(parts)
-    best = float(energies.min())
-    return np.nonzero(energies == best)[0], best
+        if block_min <= best:
+            hits = np.flatnonzero(e == best)[:max(0, max_configs - len(best_idx))]
+            best_idx.extend(start + int(h) for h in hits)
+    return [SpinConfig.from_index(i, instance.n_spins) for i in best_idx], best
 
 
 # ---------------------------------------------------------------------------
 # Adiabatic statevector evolution
 # ---------------------------------------------------------------------------
-
-def _diagonal_energies(instance: IsingInstance) -> np.ndarray:
-    """Ising energy of every computational basis state, basis index as in
-    :meth:`SpinConfig.from_index`."""
-    return _chunk_energies(instance, 0, 1 << instance.n_spins)
-
 
 def _apply_uniform_x_rotation(psi: np.ndarray, n: int, theta: float) -> np.ndarray:
     """exp(+i*theta*X) applied to every qubit of a dense statevector."""
@@ -285,7 +267,7 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         raise DomainError(f"steps must be >= 10, got {steps}")
 
     dim = 1 << n
-    diag = _diagonal_energies(instance)
+    diag = np.concatenate([e for _, e in _energy_blocks(instance)])
     psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     dt = total_time / steps
     trace = np.empty(steps)
@@ -298,7 +280,7 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         x_expect = _sum_x_expectation(psi, n)
         trace[k] = s * float(np.real(np.vdot(psi, diag * psi))) - (1.0 - s) * x_expect
 
-    ground_idx, _ = ground_state_indices(instance)
+    ground_idx = np.flatnonzero(diag == diag.min())
     overlap = float(np.sum(np.abs(psi[ground_idx]) ** 2))
     return AdiabaticRun(
         instance=instance,

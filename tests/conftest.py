@@ -33,12 +33,16 @@ def run_cli(args, cwd=None):
 
     cmd = [sys.executable, "-m", "ionfab", *args]
     return subprocess.run(cmd, cwd=cwd, text=True, capture_output=True,
-                          env=_cli_env())
+                          env=cli_env())
 
 
-def _cli_env():
+def cli_env():
+    """The test process's environment with this checkout's ``src`` first on
+    PYTHONPATH, so subprocesses import the ionfab under test."""
     import os
 
     env = dict(os.environ)
     env["COLUMNS"] = "80"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     return env

@@ -296,6 +296,20 @@ class TestGoldenOutputs:
         assert timeline.read_bytes() == (
             GOLDEN_DIR / "schedule_mixed8_timeline.csv").read_bytes()
 
+    # powerlaw12: alpha 1.3, zero fields, so float energies tie in Z2 pairs;
+    # degenerate11: integer couplings and fields with six ground states
+    @pytest.mark.parametrize("name", ["powerlaw12", "degenerate11"])
+    def test_ising_solve_and_adiabatic_trace(self, tmp_path, name):
+        instance = str(FIXTURES_DIR / f"ising_{name}.json")
+        solved, run, trace = (tmp_path / f for f in ("solve.json", "run.json", "trace.csv"))
+        assert main(["ising", "solve", instance, "--out", str(solved)]) == 0
+        assert main(["ising", "adiabatic", instance, "--time", "4", "--steps", "120",
+                     "--out", str(run), "--trace", str(trace)]) == 0
+        assert solved.read_bytes() == (GOLDEN_DIR / f"ising_solve_{name}.json").read_bytes()
+        assert run.read_bytes() == (GOLDEN_DIR / f"ising_adiabatic_{name}.json").read_bytes()
+        assert trace.read_bytes() == (
+            GOLDEN_DIR / f"ising_adiabatic_{name}_trace.csv").read_bytes()
+
 
 class TestBadSimulateInputs:
     """Bad simulate inputs end in exit 1 and one diagnostic, not a hang or traceback."""
@@ -322,6 +336,22 @@ class TestBadSimulateInputs:
         code, err = self.simulate(tmp_path, capsys, ONE_LINK[:-1])
         assert code == 1
         assert "ionfab: error: $: invalid JSON at line 1" in err
+
+
+class TestBadAnnealInputs:
+    """A non-finite anneal temperature ends in exit 1, not a hang or a run."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-start", "inf"), ("--t-start", "nan"), ("--t-min", "inf"),
+    ])
+    def test_non_finite_temperature(self, capsys, flag, value):
+        code = main(["ising", "anneal", str(FIXTURES_DIR / "ising_degenerate11.json"),
+                     flag, value, "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
+        assert len(errors) == 1
+        assert "t_start and t_min must be finite" in errors[0]
 
 
 SURFACE3 = ('{"schema": "ionfab-qec/1", "family": "surface", "n_data": 4, '

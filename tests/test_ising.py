@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+import ionfab.ising
 from ionfab.errors import DomainError
 from ionfab.ising import (AnnealSchedule, IsingInstance, SpinConfig,
                           adiabatic_evolve, anneal_classical,
-                          brute_force_ground_state, energy,
-                          ground_state_indices, load_instance, parse_instance,
-                          power_law_couplings, save_instance)
+                          brute_force_ground_state, energy, load_instance,
+                          parse_instance, power_law_couplings, save_instance)
 
 
 def ferromagnet(n):
@@ -26,6 +26,19 @@ def random_instance(n, seed, density=0.6):
                 couplings[(i, j)] = rng.choice([-2, -1, 1, 2]) * 1.0
     fields = {i: rng.choice([-1, 0, 0, 1]) * 1.0 for i in range(n)}
     return IsingInstance(n, couplings, fields)
+
+
+def unit_instance(n, seed, free=0):
+    """Couplings drawn from {-1, 0, 1}, no fields; spins below ``free`` are
+    left uncoupled, so each ground state comes with its 2^free neighbours."""
+    rng = random.Random(seed)
+    return IsingInstance(n, {(i, j): float(rng.choice((-1, 0, 1)))
+                             for i in range(free, n) for j in range(i + 1, n)})
+
+
+def spins_index(spins):
+    """Enumeration index of a spin tuple (bit i set where spin i is -1)."""
+    return sum(1 << i for i, s in enumerate(spins) if s == -1)
 
 
 def reference_energy(instance, spins):
@@ -113,19 +126,48 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_ground_state(ferromagnet(25))
 
-    def test_indices_agree_with_configs(self):
-        inst = random_instance(9, seed=1)
-        configs, best = brute_force_ground_state(inst, max_configs=2048)
-        idx, best2 = ground_state_indices(inst)
-        assert best == best2
-        assert {c.spins for c in configs} == {
-            SpinConfig.from_index(int(i), 9).spins for i in idx}
+
+class TestBlockBoundaries:
+    """Blocks of 16 configurations, so every n=10 enumeration spans 64 blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ionfab.ising, "_ENUM_CHUNK", 16)
+
+    def test_enumerator_reads_the_block_size(self):
+        starts = [start for start, _ in ionfab.ising._energy_blocks(unit_instance(10, 0))]
+        assert starts == list(range(0, 1024, 16))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dual_enumerator(self, seed):
+        inst = unit_instance(10, seed)
+        configs, best = brute_force_ground_state(inst, max_configs=1024)
+        ref_best, ref_set = reference_ground(inst)
+        assert best == ref_best
+        assert [c.spins for c in configs] == sorted(ref_set, key=spins_index)
+        # without fields every ground state's flip ties with it in another block
+        assert len({spins_index(c.spins) // 16 for c in configs}) >= 2
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 6, 7])
+    def test_cap_lands_mid_block(self, cap):
+        inst = unit_instance(10, seed=3, free=2)
+        configs, _ = brute_force_ground_state(inst, max_configs=cap)
+        _, ref_set = reference_ground(inst)
+        ordered = sorted(ref_set, key=spins_index)
+        assert [c.spins for c in configs] == ordered[:cap]
+        # the cap falls between two ground states of one block
+        assert spins_index(ordered[cap - 1]) // 16 == spins_index(ordered[cap]) // 16
 
 
 class TestAdiabatic:
     def test_sudden_limit(self):
         run = adiabatic_evolve(ferromagnet(6), 1e-9, 10)
         assert run.ground_overlap == pytest.approx(2 / 64, abs=1e-6)
+        inst = unit_instance(8, seed=2)  # 12 ground states
+        ground, _ = brute_force_ground_state(inst, max_configs=1 << 8)
+        assert len(ground) == 12
+        run = adiabatic_evolve(inst, 1e-9, 10)
+        assert run.ground_overlap == pytest.approx(len(ground) / (1 << 8), abs=1e-6)
 
     def test_overlap_monotone_in_total_time(self):
         overlaps = [adiabatic_evolve(ferromagnet(2), T, 2000).ground_overlap
@@ -199,6 +241,14 @@ class TestAnneal:
         a = anneal_classical(inst, self.SLOW, seed=7)
         b = anneal_classical(inst, self.SLOW, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("bounds", [
+        {"t_start": math.inf}, {"t_start": math.nan},
+        {"t_start": 1.0, "t_min": math.inf}, {"t_start": 0.0, "t_min": math.nan},
+    ])
+    def test_non_finite_temperatures(self, bounds):
+        with pytest.raises(DomainError, match="must be finite"):
+            AnnealSchedule(**bounds).temperatures()
 
     def test_malformed_schedule(self):
         with pytest.raises(DomainError):

@@ -50,6 +50,8 @@ FIXTURE_RUNS = {
     "mixed8_split_map.json": lambda p: ["schedule", ARCH,
                                         str(FIXTURES_DIR / "mixed8.iqc"),
                                         "--map", f"file:{p}"],
+    "ising_powerlaw12.json": lambda p: ["ising", "solve", p],
+    "ising_degenerate11.json": lambda p: ["ising", "solve", p],
 }
 
 EXAMPLE_RUNS = (
