@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .arch import (ArchitectureSpec, DriveField, EluSpec, IonSpecies,
                    SwitchSpec, ValidationReport, default_species,
-                   example_architecture, load_architecture, save_architecture,
-                   validate_architecture)
+                   load_architecture, save_architecture, validate_architecture)
 from .circuits import Circuit, GateKind, GateOp, parse_circuit
 from .errors import (CapacityError, DomainError, InvalidArchitecture,
                      IonfabError, ParseError, SchemaError, UnknownSpecies)
@@ -25,7 +24,7 @@ from .ising import (AdiabaticRun, AnnealSchedule, IsingInstance, SpinConfig,
                     adiabatic_evolve, anneal_classical,
                     brute_force_ground_state, boltzmann_topology, energy,
                     power_law_couplings)
-from .netsim import (NetworkSim, PairBuffer, SimResult, SwitchConfig, run_sim,
+from .netsim import (NetworkSim, SimResult, SwitchConfig, run_sim,
                      theoretical_rate_check)
 from .qec import (EmbeddingReport, QecGraph, embed_on_grid, embed_on_modular,
                   hypergraph_product_graph, repetition_check_matrix,

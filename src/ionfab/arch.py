@@ -47,15 +47,6 @@ class DriveField:
     dipole_coupling: float | None = None  # J*m/V
     field_amplitude: float | None = None  # V/m
 
-    @classmethod
-    def from_components(cls, mu: float, e0: float, k: float) -> "DriveField":
-        return cls(
-            effective_wavevector=k,
-            rabi_frequency=mu * e0 / HBAR,
-            dipole_coupling=mu,
-            field_amplitude=e0,
-        )
-
 
 @dataclass(frozen=True)
 class EluSpec:
@@ -140,47 +131,6 @@ def default_species(name: str) -> IonSpecies:
         linewidth=TWO_PI * rec["linewidth_hz"],
         detection_time=rec["detection_time_s"],
         qubit_coherence_time=rec["qubit_coherence_time_s"],
-    )
-
-
-def example_architecture() -> ArchitectureSpec:
-    """The documented two-ELU reference machine (same content as docs/example.json).
-
-    Two chains of 20 Yb171 ions with 4 communication ions at the chain ends
-    and a fast-gate distance of 4 spacings; counter-propagating 355 nm Raman
-    drive; photonic link at R = 5e5 Hz, F = 0.1, eta_D = 0.2.
-    """
-    species = default_species("Yb171")
-    drive = DriveField(
-        effective_wavevector=2.0 * TWO_PI / 355e-9,
-        rabi_frequency=TWO_PI * 1e6,
-    )
-    elus = tuple(
-        EluSpec(
-            id=name,
-            n_ions=20,
-            comm_ion_indices=(0, 1, 18, 19),
-            fast_gate_distance=4,
-            trap_frequency=TWO_PI * 5e6,
-            single_qubit_gate_time=1e-5,
-            collision_rate_per_ion=0.0,
-            reload_time=0.25,
-            shuttle_cost_time=1e-4,
-        )
-        for name in ("A", "B")
-    )
-    return ArchitectureSpec(
-        species=species,
-        drive=drive,
-        elus=elus,
-        switch=SwitchSpec(port_count=8, reconfiguration_time=1e-3),
-        buffer_capacity=64,
-        attempt_rate=5e5,
-        collection_fraction=0.1,
-        detector_efficiency=0.2,
-        two_qubit_gate_fidelity=0.999,
-        teleport_overhead_time=1e-4,
-        classical_latency=1e-6,
     )
 
 

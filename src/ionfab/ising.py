@@ -31,6 +31,7 @@ ISING_SCHEMA_ID = "ionfab-ising/1"
 BRUTE_FORCE_MAX_SPINS = 24
 ADIABATIC_MAX_SPINS = 12
 ANNEAL_MAX_SPINS = 10_000
+ANNEAL_MAX_SWEEPS = 1_000_000  # temperatures x sweeps per temperature
 _ENUM_CHUNK = 1 << 18
 
 
@@ -111,11 +112,16 @@ class AnnealSchedule:
     sweeps_per_temp: int = 2
 
     def temperatures(self) -> list[float]:
+        """The ladder; raises DomainError past ANNEAL_MAX_SWEEPS total sweeps."""
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_min)):
             raise DomainError(f"t_start and t_min must be finite: {self}")
         if self.t_start < 0 or not (0 < self.t_factor < 1) \
                 or self.sweeps_per_temp < 1:
             raise DomainError(f"malformed anneal schedule: {self}")
+        max_temps = ANNEAL_MAX_SWEEPS // self.sweeps_per_temp
+        if max_temps < 1:
+            raise DomainError(
+                f"anneal schedule exceeds {ANNEAL_MAX_SWEEPS} sweeps: {self}")
         if self.t_start == 0:
             return [0.0]
         if not self.t_min > 0:
@@ -123,6 +129,9 @@ class AnnealSchedule:
         temps = []
         t = self.t_start
         while t >= self.t_min and t > 0:
+            if len(temps) == max_temps:
+                raise DomainError(
+                    f"anneal schedule exceeds {ANNEAL_MAX_SWEEPS} sweeps: {self}")
             temps.append(t)
             t *= self.t_factor
         return temps or [self.t_min]

@@ -7,11 +7,12 @@ Active links fire entanglement attempts on a fixed clock: attempts happen at
 the spec's attempt rate and a window opens whenever a link (re)starts after
 configuration or suspension (the attempt phase resets). Each attempt
 succeeds with probability p = (F*eta_D)^2/2, or ``p_override`` when given.
-Successful pairs enter the FIFO buffer owned by the unordered ELU pair
-(newest pair dropped and counted when full), requests block until a live
-pair exists, switch reconfiguration suspends changed links, and collisions
-invalidate all buffered pairs of the struck ELU and suspend its links for
-the reload time.
+Each unordered ELU pair owns a FIFO buffer of the expiry times of its
+stored pairs. A success goes to the oldest waiting request, else into the
+buffer (dropped and counted when full); pairs expire at their expiry time,
+and a request takes the oldest live pair or blocks until a success. Switch
+reconfiguration suspends changed links, and collisions invalidate all
+buffered pairs of the struck ELU and suspend its links for the reload time.
 
 Determinism contract
 --------------------
@@ -23,6 +24,7 @@ stable across platforms and Python versions, consumed in this exact order:
    its first collision gap: dt = -log(1-u)/rate;
 2. one uniform per link activation or success, for the geometric count of
    failed attempts before the next success: k = floor(log(1-u)/log1p(-p));
+   a k that overflows to infinity (subnormal p) means "never succeeds";
 3. one uniform per collision, for the next gap of that ELU.
 
 Attempt outcomes are therefore sampled one draw per *success*, not per
@@ -55,9 +57,6 @@ from .rates import link_success_probability
 
 Port = tuple[str, int]          # (elu id, chain position of the comm ion)
 Link = tuple[Port, Port]        # normalized: ports in sorted order
-
-EVENT_KINDS = ("SUCCESS", "RECONFIG_DONE", "PAIR_EXPIRED", "COLLISION",
-               "RELOAD_DONE", "PAIR_REQUEST", "PAIR_DELIVERED")
 
 # Priorities for equal-time ties; the relative order of RECONFIG_DONE,
 # COLLISION, SUCCESS, and PAIR_REQUEST is a documented contract.
@@ -102,43 +101,6 @@ class SwitchConfig:
     @property
     def ports(self) -> set[Port]:
         return {p for link in self.active_links for p in link}
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    creation_time: float
-    expiry_time: float  # math.inf when pairs never expire
-    seq: int
-
-
-class PairBuffer:
-    """FIFO buffer of entangled pairs owned by an unordered ELU pair."""
-
-    def __init__(self, owner: tuple[str, str], capacity: int):
-        if capacity < 1:
-            raise DomainError(f"buffer capacity must be >= 1, got {capacity}")
-        self.owner = tuple(sorted(owner))
-        self.capacity = capacity
-        self.queue: deque[PairRecord] = deque()
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-    def push(self, record: PairRecord) -> bool:
-        """Enqueue; returns False (tail drop) when the buffer is full."""
-        if len(self.queue) >= self.capacity:
-            return False
-        self.queue.append(record)
-        return True
-
-    def take(self, now: float) -> tuple[PairRecord | None, list[PairRecord]]:
-        """Oldest unexpired pair (removed) and any expired heads discarded first."""
-        expired = []
-        while self.queue and self.queue[0].expiry_time <= now:
-            expired.append(self.queue.popleft())
-        if self.queue:
-            return self.queue.popleft(), expired
-        return None, expired
 
 
 @dataclass(frozen=True)
@@ -300,8 +262,12 @@ class NetworkSim:
                 raise DomainError(
                     f"request for ELU pair {pair} that no scheduled link can serve")
 
-        self.buffers: dict[tuple[str, str], PairBuffer] = {
-            pair: PairBuffer(pair, spec.buffer_capacity) for pair in connectable}
+        if connectable and spec.buffer_capacity < 1:
+            raise DomainError(
+                f"buffer capacity must be >= 1, got {spec.buffer_capacity}")
+        # Expiry times of the stored pairs, oldest first (math.inf: never).
+        self.buffers: dict[tuple[str, str], deque[float]] = {
+            pair: deque() for pair in connectable}
         self.waiting: dict[tuple[str, str], deque] = {
             pair: deque() for pair in connectable}
         self.buffer_epoch: dict[tuple[str, str], int] = {
@@ -315,7 +281,6 @@ class NetworkSim:
 
         self.log: list[SimEvent] | None = [] if store_log else None
         self.event_seq = 0
-        self.pair_seq = 0
         self.counters = {"successes": 0, "delivered": 0, "expired": 0,
                          "invalidated": 0, "overflow": 0, "collisions": 0,
                          "requests": 0}
@@ -353,7 +318,8 @@ class NetworkSim:
         if self.p >= 1.0:
             return 0
         u = 1.0 - self.rng.random()  # in (0, 1]
-        return int(math.log(u) / self.log1m_p)
+        k = math.log(u) / self.log1m_p
+        return int(k) if k < math.inf else -2
 
     def _schedule_success(self, st: _LinkState) -> None:
         if not st.open_ or st.countdown == -2:
@@ -398,9 +364,20 @@ class NetworkSim:
         if self.lifetime is math.inf:
             return
         self.buffer_epoch[pair] += 1
-        q = self.buffers[pair].queue
-        if q:
-            self._push(q[0].expiry_time, "PAIR_EXPIRED", (pair, self.buffer_epoch[pair]))
+        buf = self.buffers[pair]
+        if buf:
+            self._push(buf[0], "PAIR_EXPIRED", (pair, self.buffer_epoch[pair]))
+
+    def _drop_expired(self, pair: tuple[str, str], now: float) -> int:
+        """Pop, count and log the buffered pairs that expire by ``now``."""
+        buf = self.buffers[pair]
+        dropped = 0
+        while buf and buf[0] <= now:
+            buf.popleft()
+            self._emit(now, "PAIR_EXPIRED", "", pair[0], pair[1])
+            dropped += 1
+        self.counters["expired"] += dropped
+        return dropped
 
     def advance(self, until: float) -> None:
         """Process every event with time < ``until``."""
@@ -411,7 +388,8 @@ class NetworkSim:
         counters, buffers, waiting = self.counters, self.buffers, self.waiting
         success_times, lifetime = self.success_times, self.lifetime
         emit, deliver = self._emit, self._deliver
-        reschedule_expiry = self._reschedule_expiry
+        reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
+        capacity = self.spec.buffer_capacity
         sample_countdown = self._sample_countdown
         schedule_success = self._schedule_success
         while heap and heap[0][0] < until:
@@ -451,9 +429,9 @@ class NetworkSim:
                 counters["collisions"] += 1
                 emit(t, "COLLISION", "", elu_id, "")
                 for pair, buf in sorted(buffers.items()):
-                    if elu_id in pair and len(buf):
+                    if elu_id in pair and buf:
                         counters["invalidated"] += len(buf)
-                        buf.queue.clear()
+                        buf.clear()
                         reschedule_expiry(pair)
                 reload_until = self.elu_reload_until
                 reload_until[elu_id] = max(reload_until[elu_id],
@@ -488,18 +466,15 @@ class NetworkSim:
                 emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
                 pair = st.pair
                 success_times[pair].append(t)
-                record = PairRecord(t, t + lifetime, self.pair_seq)
-                self.pair_seq += 1
+                buf = buffers[pair]
                 if waiting[pair]:
                     deliver(pair, waiting[pair].popleft(), t)
+                elif len(buf) < capacity:
+                    buf.append(t + lifetime)
+                    if len(buf) == 1:
+                        reschedule_expiry(pair)
                 else:
-                    buf = buffers[pair]
-                    was_empty = len(buf) == 0
-                    if buf.push(record):
-                        if was_empty:
-                            reschedule_expiry(pair)
-                    else:
-                        counters["overflow"] += 1
+                    counters["overflow"] += 1
                 st.countdown = sample_countdown()
                 schedule_success(st)
 
@@ -507,31 +482,20 @@ class NetworkSim:
                 pair, epoch = payload
                 if self.buffer_epoch[pair] != epoch:
                     continue
-                buf = buffers[pair]
-                record, pre_expired = buf.take(t)
-                # The scheduled head is exactly at its expiry instant, so take()
-                # classifies it into pre_expired and record is the next live pair;
-                # put the live pair back.
-                if record is not None:
-                    buf.queue.appendleft(record)
-                for _ in pre_expired:
-                    counters["expired"] += 1
-                    emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
+                drop_expired(pair, t)
                 reschedule_expiry(pair)
 
             elif kind == "PAIR_REQUEST":
                 pair = payload
                 counters["requests"] += 1
                 emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
-                record, expired = buffers[pair].take(t)
-                for _ in expired:
-                    counters["expired"] += 1
-                    emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
-                if record is not None:
+                dropped = drop_expired(pair, t)
+                if buffers[pair]:
+                    buffers[pair].popleft()
                     reschedule_expiry(pair)
                     deliver(pair, t, t)
                 else:
-                    if expired:
+                    if dropped:
                         reschedule_expiry(pair)
                     waiting[pair].append(t)
         self.now = max(self.now, until)
@@ -546,14 +510,9 @@ class NetworkSim:
             self._close_window(self.links[link], horizon)
         counters = self.counters
         residual = 0
-        for pair, buf in sorted(self.buffers.items()):
-            record, expired = buf.take(horizon)
-            if record is not None:
-                buf.queue.appendleft(record)
-            for _ in expired:
-                counters["expired"] += 1
-                self._emit(horizon, "PAIR_EXPIRED", "", pair[0], pair[1])
-            residual += len(buf)
+        for pair in sorted(self.buffers):
+            self._drop_expired(pair, horizon)
+            residual += len(self.buffers[pair])
 
         per_link = {
             st.label: LinkStats(st.attempts, st.successes, st.successes / horizon)

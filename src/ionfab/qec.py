@@ -15,7 +15,6 @@ See :func:`swaps_for_distance`.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -540,10 +539,6 @@ def parse_qec(doc: object) -> QecGraph:
 
 def load_qec(path: str | Path) -> QecGraph:
     return parse_qec(load_json(path))
-
-
-def save_qec(code: QecGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(qec_to_doc(code), indent=2, sort_keys=True) + "\n")
 
 
 def load_check_matrix_csv(path: str | Path) -> np.ndarray:

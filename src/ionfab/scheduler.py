@@ -188,9 +188,15 @@ class BufferedPairSupply:
             raise DomainError("zero link success probability, pairs can never arrive")
         self.analytic_rate = spec.attempt_rate * p
         self.sim = NetworkSim(spec, [(0.0, self._build_config())], [], seed)
-        self.horizon = 10.0 / self.analytic_rate
-        self.sim.advance(self.horizon)
+        self._advance(10.0 / self.analytic_rate)
         self.cursor: dict[tuple[str, str], int] = {pair: 0 for pair in self.pairs}
+
+    def _advance(self, horizon: float) -> None:
+        if not math.isfinite(horizon):
+            raise DomainError(
+                f"link pair rate {self.analytic_rate!r}/s is too low to supply pairs")
+        self.horizon = horizon
+        self.sim.advance(horizon)
 
     def _build_config(self) -> SwitchConfig:
         free: dict[str, list[int]] = {
@@ -216,8 +222,7 @@ class BufferedPairSupply:
                 if lifetime is not None and s + lifetime <= t:
                     continue  # pair would have expired before this request
                 return max(t, s)
-            self.horizon *= 2.0
-            self.sim.advance(self.horizon)
+            self._advance(2.0 * self.horizon)
         raise DomainError(f"pair supply for {pair} exhausted; rate too low?")
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from ionfab.arch import example_architecture, load_architecture
+from ionfab.arch import load_architecture
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_JSON = REPO_ROOT / "docs" / "example.json"
@@ -24,7 +24,7 @@ def example_spec():
 
 @pytest.fixture(scope="session")
 def built_spec():
-    return example_architecture()
+    return load_architecture(EXAMPLE_JSON)
 
 
 def run_cli(args, cwd=None):

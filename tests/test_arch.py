@@ -113,8 +113,9 @@ class TestLoadSave:
         assert load_architecture(path) == built_spec
 
     def test_round_trip_with_lifetime_and_components(self, built_spec, tmp_path):
-        drive = DriveField.from_components(mu=1e-29, e0=1e4,
-                                           k=built_spec.drive.effective_wavevector)
+        drive = DriveField(effective_wavevector=built_spec.drive.effective_wavevector,
+                           rabi_frequency=1e-29 * 1e4 / HBAR,
+                           dipole_coupling=1e-29, field_amplitude=1e4)
         spec = dataclasses.replace(built_spec, drive=drive, pair_lifetime=0.5,
                                    dual_species_comm=True)
         path = tmp_path / "arch.json"

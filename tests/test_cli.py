@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -338,8 +339,52 @@ class TestBadSimulateInputs:
         assert "ionfab: error: $: invalid JSON at line 1" in err
 
 
+class TestSubnormalLinkProbability:
+    """A valid machine whose link probability is subnormal (F = 1e-160 gives
+    p ~ 2e-322) never yields a pair: simulate reports zero successes, and the
+    buffered schedule, which needs pairs, exits 1 naming the rate."""
+
+    @staticmethod
+    def machine(tmp_path, collection_fraction=1e-160):
+        doc = json.loads(EXAMPLE_JSON.read_text())
+        doc["link"]["collection_fraction"] = collection_fraction
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("p_flag", [[], ["--p", "1e-320"]])
+    def test_simulate_never_succeeds(self, tmp_path, capsys, p_flag):
+        sched = tmp_path / "sched.json"
+        sched.write_text(ONE_LINK)
+        out = tmp_path / "report.json"
+        machine = EXAMPLE_JSON if p_flag else self.machine(tmp_path)
+        code = main(["simulate", str(machine), "--schedule", str(sched),
+                     "--horizon", "1", "--seed", "1", "--out", str(out), *p_flag])
+        assert code == 0, capsys.readouterr().err
+        ledger = json.loads(out.read_text())["ledger"]
+        assert ledger["successes"] == 0
+        assert ledger["conserved"]
+
+    # 1e-155: the first supply horizon, 10/rate ~ 1e307, is finite, but
+    # the pairs never arrive and doubling it overflows
+    @pytest.mark.parametrize("collection_fraction", [1e-160, 1e-155])
+    def test_buffered_schedule_names_the_rate(self, tmp_path, capsys,
+                                              collection_fraction):
+        arch = self.machine(tmp_path, collection_fraction)
+        capsys.readouterr()
+        code = main(["schedule", str(arch), str(FIXTURES_DIR / "mixed8.iqc"),
+                     "--map", f"file:{FIXTURES_DIR / 'mixed8_split_map.json'}",
+                     "--pairs", "buffered", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
+        assert len(errors) == 1
+        assert "link pair rate" in errors[0] and "too low" in errors[0]
+
+
 class TestBadAnnealInputs:
-    """A non-finite anneal temperature ends in exit 1, not a hang or a run."""
+    """A non-finite or oversized anneal schedule ends in exit 1, not a hang or a run."""
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-start", "inf"), ("--t-start", "nan"), ("--t-min", "inf"),
@@ -352,6 +397,21 @@ class TestBadAnnealInputs:
         errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
         assert len(errors) == 1
         assert "t_start and t_min must be finite" in errors[0]
+
+    # about 6.2e12 temperatures; 1e12 sweeps at each of 122 temperatures
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-factor", "0.999999999999"), ("--sweeps", "1000000000000"),
+    ])
+    def test_oversized_schedule(self, capsys, flag, value):
+        start = time.perf_counter()
+        code = main(["ising", "anneal", str(FIXTURES_DIR / "ising_degenerate11.json"),
+                     flag, value, "--seed", "1"])
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
+        assert len(errors) == 1
+        assert "anneal schedule exceeds 1000000 sweeps" in errors[0]
 
 
 SURFACE3 = ('{"schema": "ionfab-qec/1", "family": "surface", "n_data": 4, '

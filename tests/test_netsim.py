@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionfab.errors import DomainError
-from ionfab.netsim import (NetworkSim, PairBuffer, PairRecord, SwitchConfig,
-                           default_link, link_label, make_link, run_sim,
-                           theoretical_rate_check)
+from ionfab.netsim import (NetworkSim, SwitchConfig, default_link, link_label,
+                           make_link, run_sim, theoretical_rate_check)
 from ionfab.scheduler import BufferedPairSupply
 
 
@@ -79,31 +78,92 @@ class TestSwitchConfig:
                 seen.add(port)
 
 
-class TestPairBuffer:
-    def test_fifo(self):
-        buf = PairBuffer(("A", "B"), capacity=4)
-        buf.push(PairRecord(0.0, math.inf, 0))
-        buf.push(PairRecord(1.0, math.inf, 1))
-        taken, _ = buf.take(now=2.0)
-        assert taken.creation_time == 0.0
+class TestPairBuffers:
+    """Buffer behaviour read from the event log of a deterministic run.
 
-    def test_expired_head_skipped(self):
-        buf = PairBuffer(("A", "B"), capacity=4)
-        buf.push(PairRecord(0.0, 1.0, 0))
-        buf.push(PairRecord(0.5, 10.0, 1))
-        record, expired = buf.take(now=2.0)
-        assert record.seq == 1
-        assert [r.seq for r in expired] == [0]
+    One link at p = 1 yields exactly one success per attempt, at k/R, and is
+    switched off after ``n_pairs`` attempts, so every time in the log is exact.
+    """
 
-    def test_empty_returns_none(self):
-        buf = PairBuffer(("A", "B"), capacity=4)
-        assert buf.take(now=0.0) == (None, [])
+    def run(self, spec, n_pairs, demand, **fields):
+        spec = dataclasses.replace(spec, **fields)
+        on = SwitchConfig(frozenset({default_link(spec)}))
+        off = SwitchConfig(frozenset())
+        schedule = [(0.0, on), ((n_pairs + 0.5) / spec.attempt_rate, off)]
+        return run_sim(spec, schedule, [(t, ("A", "B")) for t in demand],
+                       horizon=1.0, seed=0, p_override=1.0, store_log=True)
 
-    def test_tail_drop_when_full(self):
-        buf = PairBuffer(("A", "B"), capacity=1)
-        assert buf.push(PairRecord(0.0, math.inf, 0))
-        assert not buf.push(PairRecord(1.0, math.inf, 1))
-        assert buf.take(2.0)[0].seq == 0
+    @staticmethod
+    def rows(result):
+        return [(e.kind, e.time) for e in result.events]
+
+    def test_fifo_delivery_leaves_the_newest_pair(self, example_spec):
+        rate, lifetime = example_spec.attempt_rate, 1e-4
+        r = self.run(example_spec, 2, [3 / rate], pair_lifetime=lifetime)
+        assert self.rows(r) == [
+            ("SUCCESS", 1 / rate), ("SUCCESS", 2 / rate),
+            ("PAIR_REQUEST", 3 / rate), ("PAIR_DELIVERED", 3 / rate),
+            ("PAIR_EXPIRED", 2 / rate + lifetime)]
+
+    def test_expired_head_skipped_by_request(self, example_spec):
+        rate = example_spec.attempt_rate
+        lifetime = 2 / rate
+        head_expiry = 1 / rate + lifetime
+        r = self.run(example_spec, 2, [head_expiry], pair_lifetime=lifetime)
+        assert self.rows(r) == [
+            ("SUCCESS", 1 / rate), ("SUCCESS", 2 / rate),
+            ("PAIR_EXPIRED", head_expiry), ("PAIR_REQUEST", head_expiry),
+            ("PAIR_DELIVERED", head_expiry)]
+        assert (r.ledger.expired, r.ledger.delivered, r.ledger.residual) == (1, 1, 0)
+        assert r.latency_max == 0.0
+
+    def test_full_buffer_drops_the_newest_pair(self, example_spec):
+        rate, lifetime = example_spec.attempt_rate, 1e-4
+        r = self.run(example_spec, 2, [], buffer_capacity=1,
+                     pair_lifetime=lifetime)
+        assert self.rows(r) == [
+            ("SUCCESS", 1 / rate), ("SUCCESS", 2 / rate),
+            ("PAIR_EXPIRED", 1 / rate + lifetime)]
+        assert (r.ledger.overflow_dropped, r.ledger.expired) == (1, 1)
+
+    def test_request_blocks_while_buffer_empty(self, example_spec):
+        rate = example_spec.attempt_rate
+        r = self.run(example_spec, 2, [0.25 / rate, 0.5 / rate],
+                     pair_lifetime=1e-4)
+        assert self.rows(r) == [
+            ("PAIR_REQUEST", 0.25 / rate), ("PAIR_REQUEST", 0.5 / rate),
+            ("SUCCESS", 1 / rate), ("PAIR_DELIVERED", 1 / rate),
+            ("SUCCESS", 2 / rate), ("PAIR_DELIVERED", 2 / rate)]
+        assert r.latency_max == 2 / rate - 0.5 / rate
+        assert r.ledger.residual == r.ledger.expired == 0
+
+    def test_capacity_below_one_rejected(self, example_spec):
+        spec = dataclasses.replace(example_spec, buffer_capacity=0)
+        with pytest.raises(DomainError, match="buffer capacity must be >= 1"):
+            NetworkSim(spec, one_link_schedule(spec), [], seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           capacity=st.integers(1, 3),
+           lifetime=st.sampled_from([None, 2e-5, 1e-4, 1e-3]),
+           collision_rate=st.sampled_from([0.0, 2.0, 20.0]),
+           p=st.sampled_from([0.01, 0.1]),
+           demand=st.lists(st.floats(0.0, 0.01), max_size=30))
+    def test_ledger_matches_the_log(self, example_spec, seed, capacity,
+                                    lifetime, collision_rate, p, demand):
+        spec = dataclasses.replace(
+            with_elu_field(example_spec, collision_rate_per_ion=collision_rate,
+                           reload_time=1e-3),
+            buffer_capacity=capacity, pair_lifetime=lifetime)
+        schedule = [(0.0, SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))}))),
+                    (0.004, SwitchConfig(frozenset({make_link(("A", 1), ("B", 1))})))]
+        r = run_sim(spec, schedule, [(t, ("A", "B")) for t in demand], 0.01,
+                    seed, p_override=p, store_log=True)
+        kinds = [e.kind for e in r.events]
+        assert r.ledger.conserved
+        assert kinds.count("SUCCESS") == r.ledger.successes
+        assert kinds.count("PAIR_DELIVERED") == r.ledger.delivered
+        assert kinds.count("PAIR_EXPIRED") == r.ledger.expired
 
 
 class TestRunSim:

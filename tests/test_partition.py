@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR
-from ionfab.arch import example_architecture
+from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
+from ionfab.arch import load_architecture
 from ionfab.circuits import load_circuit
 from ionfab.errors import CapacityError
 from ionfab.graph import deal_round_robin, greedy_cut
@@ -29,7 +29,7 @@ PARTITIONS_GOLDEN = GOLDEN_DIR / "partitions.json"
 
 def circuit_machines():
     """Two ELUs of 3 and 5 memory ions; five ELUs of 1-3, ids out of order."""
-    base = example_architecture()
+    base = load_architecture(EXAMPLE_JSON)
     elu = base.elus[0]
 
     def machine(ids, memory):
@@ -51,7 +51,7 @@ def codes():
 
 def fitted_machine(n_nodes):
     """The fewest 20-ion ELUs E00, E01, ... that hold ``n_nodes``."""
-    base = example_architecture()
+    base = load_architecture(EXAMPLE_JSON)
     n_elus = -(-n_nodes // base.elus[0].n_ions)
     return dataclasses.replace(base, elus=tuple(
         dataclasses.replace(base.elus[0], id=f"E{k:02d}") for k in range(n_elus)))

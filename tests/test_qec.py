@@ -7,8 +7,8 @@ import pytest
 
 from ionfab.errors import CapacityError, DomainError, SchemaError
 from ionfab.qec import (Check, QecGraph, embed_on_grid, embed_on_modular,
-                        gf2_rank, hypergraph_product_graph, load_qec, parse_qec,
-                        qec_to_doc, repetition_check_matrix, save_qec,
+                        gf2_rank, hypergraph_product_graph, parse_qec,
+                        qec_to_doc, repetition_check_matrix,
                         steane_concat_graph, surface_code_graph,
                         swaps_for_distance)
 
@@ -324,20 +324,16 @@ class TestModularEmbedding:
 
 
 class TestQecIO:
-    def test_round_trip_with_coords(self, tmp_path):
+    def test_round_trip_with_coords(self):
         g = surface_code_graph(3)
-        path = tmp_path / "code.json"
-        save_qec(g, path)
-        loaded = load_qec(path)
+        loaded = parse_qec(qec_to_doc(g))
         assert loaded.n_data == g.n_data
         assert loaded.checks == g.checks
         assert loaded.data_coords == g.data_coords
 
-    def test_round_trip_without_coords(self, tmp_path):
+    def test_round_trip_without_coords(self):
         g = steane_concat_graph(1)
-        path = tmp_path / "code.json"
-        save_qec(g, path)
-        loaded = load_qec(path)
+        loaded = parse_qec(qec_to_doc(g))
         assert loaded.checks == g.checks
         assert loaded.data_coords is None
 

@@ -200,11 +200,13 @@ class TestRateReport:
     def test_representation_invariance(self, built_spec):
         omega = built_spec.drive.rabi_frequency
         e0 = 1e4
+        mu = omega * HBAR / e0
         via_components = dataclasses.replace(
             built_spec,
-            drive=DriveField.from_components(
-                mu=omega * HBAR / e0, e0=e0,
-                k=built_spec.drive.effective_wavevector))
+            drive=DriveField(
+                effective_wavevector=built_spec.drive.effective_wavevector,
+                rabi_frequency=mu * e0 / HBAR, dipole_coupling=mu,
+                field_amplitude=e0))
         direct = rate_report(built_spec, "A")
         indirect = rate_report(via_components, "A")
         assert indirect.gate_rate == pytest.approx(direct.gate_rate, rel=1e-12)

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from conftest import EXAMPLE_JSON, SCHEMAS_DIR
-from ionfab.arch import architecture_to_doc, example_architecture
+from ionfab.arch import architecture_to_doc, load_architecture
 from ionfab.cli import sim_result_doc
 from ionfab.ising import instance_to_doc, power_law_couplings
 from ionfab.netsim import SwitchConfig, default_link, run_sim
@@ -27,7 +27,7 @@ class TestArchSchema:
         validate(json.loads(EXAMPLE_JSON.read_text()), "ionfab-arch-1.schema.json")
 
     def test_generated_doc_validates(self):
-        validate(architecture_to_doc(example_architecture()),
+        validate(architecture_to_doc(load_architecture(EXAMPLE_JSON)),
                  "ionfab-arch-1.schema.json")
 
     def test_unknown_key_fails_schema(self):
