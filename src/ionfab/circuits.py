@@ -171,16 +171,16 @@ def parse_circuit(text: str) -> Circuit:
 
         operands = []
         for k, tok in enumerate(args):
-            col = _column_of(line, 1 + k)
-            if not tok.startswith("q") or not tok[1:].isdigit():
+            if not tok.startswith("q") or not tok[1:].isdecimal():
                 raise ParseError(f"expected operand like 'q0', got {tok!r}",
-                                 line_no, col)
+                                 line_no, _column_of(line, 1 + k))
             q = int(tok[1:])
             if q >= n_qubits:
                 raise ParseError(f"q{q} out of range, circuit has {n_qubits} qubits",
-                                 line_no, col)
+                                 line_no, _column_of(line, 1 + k))
             if q in operands:
-                raise ParseError(f"duplicate operand q{q}", line_no, col)
+                raise ParseError(f"duplicate operand q{q}", line_no,
+                                 _column_of(line, 1 + k))
             operands.append(q)
 
         if len(operands) < lo or (hi is not None and len(operands) > hi):

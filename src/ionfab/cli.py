@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .arch import load_architecture, validate_architecture
 from .circuits import load_circuit
-from .errors import InvalidArchitecture, IonfabError, SchemaError
+from .errors import InvalidArchitecture, IonfabError, ParseError, SchemaError
 from .graph import build_interaction_graph, graph_distance_profile, to_dot
 from .ising import (AnnealSchedule, adiabatic_evolve, anneal_classical,
                     brute_force_ground_state, instance_to_doc, load_instance,
@@ -90,13 +90,21 @@ def _manifest(subcommand: str, inputs: list[str], seed: int | None,
     print(manifest.to_json_line(), file=sys.stderr)
 
 
+def _read(load, path: str):
+    """``load(path)``; a malformed file's SchemaError or ParseError names it."""
+    try:
+        return load(path)
+    except (SchemaError, ParseError) as exc:
+        raise IonfabError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers; each returns (exit_code, output_paths)
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> tuple[int, list[str]]:
     try:
-        spec = load_architecture(args.arch)
+        spec = _read(load_architecture, args.arch)
     except InvalidArchitecture as exc:
         doc = {"ok": False,
                "violations": [{"path": v.path, "message": v.message}
@@ -110,7 +118,7 @@ def _cmd_validate(args) -> tuple[int, list[str]]:
 
 
 def _cmd_rates(args) -> tuple[int, list[str]]:
-    spec = load_architecture(args.arch)
+    spec = _read(load_architecture, args.arch)
     elu_id = args.elu or spec.elus[0].id
     report = rate_report(spec, elu_id)
     doc = {
@@ -129,7 +137,7 @@ def _cmd_rates(args) -> tuple[int, list[str]]:
 
 
 def _cmd_graph(args) -> tuple[int, list[str]]:
-    spec = load_architecture(args.arch)
+    spec = _read(load_architecture, args.arch)
     g = build_interaction_graph(spec)
     if args.format == "dot":
         text = to_dot(g, tier=args.tier)
@@ -165,7 +173,7 @@ def _cmd_ising(args) -> tuple[int, list[str]]:
             return 0, [args.out]
         return 0, emit_report(render_json(instance_to_doc(inst)), None)
 
-    inst = load_instance(args.instance)
+    inst = _read(load_instance, args.instance)
     if sub == "solve":
         configs, best = brute_force_ground_state(inst)
         doc = {"minimum_energy": best,
@@ -209,10 +217,10 @@ def _cmd_qec(args) -> tuple[int, list[str]]:
     elif sub == "steane":
         code = steane_concat_graph(args.levels)
     elif sub == "hgp":
-        code = hypergraph_product_graph(load_check_matrix_csv(args.h1),
-                                        load_check_matrix_csv(args.h2))
+        code = hypergraph_product_graph(_read(load_check_matrix_csv, args.h1),
+                                        _read(load_check_matrix_csv, args.h2))
     elif sub == "embed":
-        code = load_qec(args.code)
+        code = _read(load_qec, args.code)
         if args.host == "grid":
             if args.placement == "random" and args.seed is None:
                 raise IonfabError(_STOCHASTIC_HINT)
@@ -225,7 +233,7 @@ def _cmd_qec(args) -> tuple[int, list[str]]:
                 "per_check_route_length": list(rep.per_check_route_length),
             }
         else:
-            spec = load_architecture(args.host)
+            spec = _read(load_architecture, args.host)
             rep = embed_on_modular(code, spec, args.partition)
             doc = {
                 "host": rep.host, "pairs_per_round": rep.pairs_per_round,
@@ -314,9 +322,11 @@ def sim_result_doc(result) -> dict:
 
 
 def _cmd_simulate(args) -> tuple[int, list[str]]:
-    spec = load_architecture(args.arch)
-    switch_schedule = each(load_json(args.schedule), "$", _switch_entry)
-    demand = each(load_json(args.demand), "$", _request) if args.demand else []
+    spec = _read(load_architecture, args.arch)
+    switch_schedule = _read(lambda p: each(load_json(p), "$", _switch_entry),
+                            args.schedule)
+    demand = (_read(lambda p: each(load_json(p), "$", _request), args.demand)
+              if args.demand else [])
     result = run_sim(spec, switch_schedule, demand, args.horizon, args.seed,
                      p_override=args.p, store_log=args.log is not None)
     outputs = emit_report(render_json(sim_result_doc(result)), args.out)
@@ -331,11 +341,11 @@ def _cmd_simulate(args) -> tuple[int, list[str]]:
 
 
 def _cmd_schedule(args) -> tuple[int, list[str]]:
-    spec = load_architecture(args.arch)
-    circuit = load_circuit(args.circuit)
+    spec = _read(load_architecture, args.arch)
+    circuit = _read(load_circuit, args.circuit)
     if args.map.startswith("file:"):
         qmap = assign_qubits(circuit, spec, "user",
-                             user_map=_load_qubit_map(args.map[5:]))
+                             user_map=_read(_load_qubit_map, args.map[5:]))
     elif args.map == "greedy":
         qmap = assign_qubits(circuit, spec, "greedy_interaction_cut")
     elif args.map == "roundrobin":

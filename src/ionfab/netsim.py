@@ -235,7 +235,8 @@ class NetworkSim:
             raise DomainError("switch schedule times must be finite")
         if times != sorted(times):
             raise DomainError("switch schedule times must be sorted")
-        for _, cfg in switch_schedule:
+        configs = list(dict.fromkeys(cfg for _, cfg in switch_schedule))
+        for cfg in configs:
             validate_switch_config(spec, cfg)
         if p_override is not None and not 0.0 <= p_override <= 1.0:
             raise DomainError(f"p_override out of [0,1]: {p_override!r}")
@@ -251,9 +252,10 @@ class NetworkSim:
 
         # Every link that ever appears; demanded pairs must be connectable.
         self.links: dict[Link, _LinkState] = {}
-        for _, cfg in switch_schedule:
+        for cfg in configs:
             for link in cfg.active_links:
-                self.links.setdefault(link, _LinkState(link))
+                if link not in self.links:
+                    self.links[link] = _LinkState(link)
         connectable = {st.pair for st in self.links.values()}
         for t, pair in demand:
             if not math.isfinite(t):

@@ -240,42 +240,24 @@ def gf2_rank(m: np.ndarray) -> int:
 def hypergraph_product_graph(h1, h2) -> QecGraph:
     """Standard hypergraph-product CSS construction from two check matrices.
 
-    Data nodes: n1*n2 (sector one) followed by m1*m2 (sector two);
-    X-checks indexed (a, b) over m1 x n2, Z-checks (i, c) over n1 x m2.
-    X/Z commutation holds by construction and is re-verified before return.
+    hx = [H1 (x) I_n2 | I_m1 (x) H2^T] and hz = [I_n1 (x) H2 | H1^T (x) I_m2]
+    (Tillich & Zemor); each row is one check, X checks first. Data nodes:
+    n1*n2 (sector one) followed by m1*m2 (sector two); X-checks indexed
+    (a, b) over m1 x n2, Z-checks (i, c) over n1 x m2. X/Z commutation holds
+    by construction and is re-verified before return.
     """
     h1 = _as_binary_matrix(h1, "h1")
     h2 = _as_binary_matrix(h2, "h2")
     m1, n1 = h1.shape
     m2, n2 = h2.shape
 
-    def sector1(i: int, j: int) -> int:
-        return i * n2 + j
-
-    def sector2(a: int, c: int) -> int:
-        return n1 * n2 + a * m2 + c
-
-    checks: list[Check] = []
-    for a in range(m1):
-        row1 = np.nonzero(h1[a])[0].tolist()
-        for b in range(n2):
-            col2 = np.nonzero(h2[:, b])[0].tolist()
-            members = {sector1(i, b) for i in row1} | {sector2(a, c) for c in col2}
-            checks.append(Check("X", frozenset(members)))
-    for i in range(n1):
-        col1 = np.nonzero(h1[:, i])[0].tolist()
-        for c in range(m2):
-            row2 = np.nonzero(h2[c])[0].tolist()
-            members = {sector1(i, j) for j in row2} | {sector2(a, c) for a in col1}
-            checks.append(Check("Z", frozenset(members)))
-
+    hx = np.hstack([np.kron(h1, np.eye(n2, dtype=np.uint8)),
+                    np.kron(np.eye(m1, dtype=np.uint8), h2.T)])
+    hz = np.hstack([np.kron(np.eye(n1, dtype=np.uint8), h2),
+                    np.kron(h1.T, np.eye(m2, dtype=np.uint8))])
+    checks = [Check(kind, frozenset(np.flatnonzero(row).tolist()))
+              for kind, h in (("X", hx), ("Z", hz)) for row in h]
     n_data = n1 * n2 + m1 * m2
-    hx = np.zeros((m1 * n2, n_data), dtype=np.uint8)
-    hz = np.zeros((n1 * m2, n_data), dtype=np.uint8)
-    for row, c in enumerate(checks[: m1 * n2]):
-        hx[row, sorted(c.data)] = 1
-    for row, c in enumerate(checks[m1 * n2:]):
-        hz[row, sorted(c.data)] = 1
     k = n_data - gf2_rank(hx) - gf2_rank(hz)
 
     graph = QecGraph(

@@ -5,19 +5,27 @@ photonic interface). Scheduling processes operations in program order and
 starts each as soon as every ion it touches is free, which preserves
 program-order dependencies between operations sharing a qubit.
 
-Durations:
+Every timeline entry (gate, measurement, remote gate or inserted swap) is
+placed by one rule: it holds its ions from start to end and adds its
+duration to the busy time of the qubits it acts on. ``swaps_inserted`` and
+``pairs_consumed`` count the swap entries and the pair-using entries.
+
+Operations inside one ELU differ only in duration:
 
 * single-qubit gates: the host ELU's ``single_qubit_gate_time``;
-* two-qubit gates inside one ELU: tau_fast = tau_slow/kappa on a fast edge
-  (positions within the fast-gate distance), else tau_slow = 2*pi/R_gate(N);
+* two-qubit gates: tau_fast = tau_slow/kappa on a fast edge (positions
+  within the fast-gate distance), else tau_slow = 2*pi/R_gate(N). With
+  ``strict_proximity`` a distant pair is first brought within the fast-gate
+  distance by chain swaps of 3*tau_fast each;
 * GLOBAL_MS: tau_slow, operands confined to one ELU;
 * MEASURE: the species detection time (plus the shuttle cost when
-  ``measure_isolation`` is on and another ion of the ELU is busy);
-* remote two-qubit gates: one entangled pair (waited for in BUFFERED mode)
-  + teleport_overhead_time + the slower side's local gate-and-measure
-  sequence + classical_latency. Each side charges one local two-qubit gate
-  between the program ion and its nearest communication ion plus one
-  detection; the two sides run in parallel.
+  ``measure_isolation`` is on and another ion of the ELU is busy).
+
+A two-qubit gate across ELUs consumes one entangled pair (waited for in
+BUFFERED mode) and takes teleport_overhead_time + the slower side's local
+gate-and-measure sequence + classical_latency. Each side charges one local
+two-qubit gate between the program ion and its nearest communication ion
+plus one detection; the two sides run in parallel.
 
 The fidelity estimate is the product of ``two_qubit_gate_fidelity`` over
 entangling operations (swaps count as three) times exp(-idle/T2) per qubit,
@@ -31,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .arch import ArchitectureSpec, EluSpec
+from .arch import ArchitectureSpec
 from .circuits import ENTANGLING_KINDS, TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
 from .errors import CapacityError, DomainError
 from .netsim import NetworkSim, SwitchConfig, make_link
@@ -159,13 +167,6 @@ def brute_force_best_map(circuit: Circuit,
 # Pair supply
 # ---------------------------------------------------------------------------
 
-class IdealPairSupply:
-    """Pairs are always available: delivery at request time."""
-
-    def request(self, pair: tuple[str, str], t: float) -> float:
-        return t
-
-
 class BufferedPairSupply:
     """Pair deliveries taken from a seeded photonic-network simulation.
 
@@ -283,18 +284,6 @@ class ScheduleResult:
         return "\n".join(lines) + "\n"
 
 
-class _EluContext:
-    def __init__(self, spec: ArchitectureSpec, elu: EluSpec):
-        self.elu = elu
-        self.tau_slow = slow_gate_time(elu_gate_rate(spec, elu.id))
-        self.tau_fast = self.tau_slow / FAST_GATE_SPEEDUP
-
-    def two_qubit_time(self, pos_a: int, pos_b: int) -> float:
-        if abs(pos_a - pos_b) <= self.elu.fast_gate_distance:
-            return self.tau_fast
-        return self.tau_slow
-
-
 def schedule(
     circuit: Circuit,
     qmap: QubitMap,
@@ -315,14 +304,15 @@ def schedule(
     a pair (communication exclusivity).
     """
     qmap.validate(circuit, spec)
-    contexts = {e.id: _EluContext(spec, e) for e in spec.elus}
+    elu_spec = {e.id: e for e in spec.elus}
+    tau_slow = {e.id: slow_gate_time(elu_gate_rate(spec, e.id)) for e in spec.elus}
+    tau_fast = {eid: tau / FAST_GATE_SPEEDUP for eid, tau in tau_slow.items()}
     position_of = dict(qmap.mapping)  # mutates under strict-proximity swaps
     qubit_at: dict[tuple[str, int], int] = {
         ion: q for q, ion in position_of.items()}
 
-    if pair_supply_mode == "ideal":
-        supply = IdealPairSupply()
-    elif pair_supply_mode == "buffered":
+    supply = None  # ideal: a pair is there whenever it is asked for
+    if pair_supply_mode == "buffered":
         if seed is None:
             raise DomainError("buffered mode requires a seed")
         needed = {
@@ -331,143 +321,112 @@ def schedule(
             if op.kind in TWO_QUBIT_KINDS
             and len({qmap.elu_of(q) for q in op.operands}) > 1
         }
-        supply = BufferedPairSupply(spec, needed, seed) if needed else IdealPairSupply()
-    else:
+        if needed:
+            supply = BufferedPairSupply(spec, needed, seed)
+    elif pair_supply_mode != "ideal":
         raise DomainError(f"unknown pair supply mode {pair_supply_mode!r}")
 
-    ion_free: dict[tuple[str, int], float] = {}
-    for elu in spec.elus:
-        for pos in range(elu.n_ions):
-            ion_free[(elu.id, pos)] = 0.0
-
+    ion_free = {(e.id, pos): 0.0 for e in spec.elus for pos in range(e.n_ions)}
     timeline: list[TimelineEntry] = []
-    pairs_consumed = 0
-    swaps_inserted = 0
     busy: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
     last_end: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
 
-    def place(start: float, duration: float, op: GateOp,
-              ions: list[tuple[str, int]], used_pair: bool = False) -> None:
-        nonlocal timeline
+    def place(start: float, duration: float, op: GateOp | None,
+              ions: list[tuple[str, int]], qubits: tuple[int, ...],
+              used_pair: bool = False) -> None:
+        """Append one entry: hold ``ions`` and charge ``qubits`` until its end."""
+        end = start + duration
         for ion in ions:
-            ion_free[ion] = start + duration
-        elus = tuple(sorted({eid for eid, _ in ions}))
-        timeline.append(TimelineEntry(start, duration, op, tuple(ions), elus,
+            ion_free[ion] = end
+        timeline.append(TimelineEntry(start, duration, op, tuple(ions),
+                                      tuple(sorted({eid for eid, _ in ions})),
                                       used_pair))
-        for q in op.operands:
+        for q in qubits:
             busy[q] += duration
-            last_end[q] = start + duration
+            last_end[q] = end
+
+    def two_qubit_time(eid: str, pos_a: int, pos_b: int) -> float:
+        if abs(pos_a - pos_b) <= elu_spec[eid].fast_gate_distance:
+            return tau_fast[eid]
+        return tau_slow[eid]
 
     def elu_busy_until(eid: str) -> float:
-        n = contexts[eid].elu.n_ions
-        return max(ion_free[(eid, pos)] for pos in range(n))
+        return max(ion_free[(eid, pos)] for pos in range(elu_spec[eid].n_ions))
 
     def nearest_comm(eid: str, pos: int) -> int:
-        comm = contexts[eid].elu.comm_ion_indices
+        comm = elu_spec[eid].comm_ion_indices
         return min(comm, key=lambda c: (abs(c - pos), c))
-
-    def do_swaps(op: GateOp, eid: str, ready: float) -> float:
-        """Move operand 0 along the chain until within fast-gate distance.
-
-        Each swap exchanges the qubit with its chain neighbor (occupied or
-        not) in three proximity gates. Returns the time after the last swap.
-        """
-        nonlocal swaps_inserted
-        ctx = contexts[eid]
-        q0, q1 = op.operands
-        step = 1 if position_of[q1][1] > position_of[q0][1] else -1
-        t = ready
-        while abs(position_of[q1][1] - position_of[q0][1]) > ctx.elu.fast_gate_distance:
-            cur = position_of[q0][1]
-            nxt = cur + step
-            start = max(t, ion_free[(eid, cur)], ion_free[(eid, nxt)])
-            dur = SWAP_GATE_COUNT * ctx.tau_fast
-            ion_free[(eid, cur)] = start + dur
-            ion_free[(eid, nxt)] = start + dur
-            other = qubit_at.get((eid, nxt))
-            qubit_at.pop((eid, cur), None)
-            if other is not None:
-                position_of[other] = (eid, cur)
-                qubit_at[(eid, cur)] = other
-                busy[other] += dur
-                last_end[other] = start + dur
-            position_of[q0] = (eid, nxt)
-            qubit_at[(eid, nxt)] = q0
-            busy[q0] += dur
-            last_end[q0] = start + dur
-            timeline.append(TimelineEntry(start, dur, None,
-                                          ((eid, cur), (eid, nxt)), (eid,)))
-            t = start + dur
-            swaps_inserted += 1
-        return t
 
     for op in circuit.ops:
         touched = [position_of[q] for q in op.operands]
         elus = {eid for eid, _ in touched}
+        if op.kind is GateKind.GLOBAL_MS and len(elus) > 1:
+            raise DomainError(f"GLOBAL_MS spans ELUs {sorted(elus)} after mapping")
+        start = max(ion_free[ion] for ion in touched)
 
-        if op.kind in (GateKind.X, GateKind.H, GateKind.RZ):
-            (eid, pos) = touched[0]
-            start = ion_free[(eid, pos)]
-            place(start, contexts[eid].elu.single_qubit_gate_time, op, touched)
-
-        elif op.kind is GateKind.MEASURE:
-            (eid, pos) = touched[0]
-            start = ion_free[(eid, pos)]
-            duration = spec.species.detection_time
-            if measure_isolation:
-                others_busy = any(
-                    ion_free[(eid, p)] > start
-                    for p in range(contexts[eid].elu.n_ions) if p != pos)
-                if others_busy:
-                    duration += contexts[eid].elu.shuttle_cost_time
-            place(start, duration, op, touched)
-
-        elif op.kind is GateKind.GLOBAL_MS:
-            if len(elus) > 1:
-                raise DomainError(
-                    f"GLOBAL_MS spans ELUs {sorted(elus)} after mapping")
-            eid = next(iter(elus))
-            start = max(ion_free[ion] for ion in touched)
-            place(start, contexts[eid].tau_slow, op, touched)
-
-        elif len(elus) == 1:
-            eid = next(iter(elus))
-            ctx = contexts[eid]
-            ready = max(ion_free[ion] for ion in touched)
-            if strict_proximity and abs(touched[0][1] - touched[1][1]) > ctx.elu.fast_gate_distance:
-                ready = do_swaps(op, eid, ready)
-                touched = [position_of[q] for q in op.operands]
-                ready = max(ready, *(ion_free[ion] for ion in touched))
-            start = ready
-            duration = ctx.two_qubit_time(touched[0][1], touched[1][1])
-            place(start, duration, op, touched)
+        if len(elus) == 1:
+            (eid,) = elus
+            elu = elu_spec[eid]
+            if op.kind is GateKind.MEASURE:
+                duration = spec.species.detection_time
+                if measure_isolation and any(
+                        ion_free[(eid, p)] > start
+                        for p in range(elu.n_ions) if p != touched[0][1]):
+                    duration += elu.shuttle_cost_time
+            elif op.kind is GateKind.GLOBAL_MS:
+                duration = tau_slow[eid]
+            elif op.kind in TWO_QUBIT_KINDS:
+                if strict_proximity:
+                    # Swap operand 0 along the chain with its neighbour ion
+                    # (occupied or not) until operand 1 is within reach.
+                    q0, q1 = op.operands
+                    step = 1 if position_of[q1][1] > position_of[q0][1] else -1
+                    while abs(position_of[q1][1] - position_of[q0][1]) > elu.fast_gate_distance:
+                        cur = position_of[q0]
+                        nxt = (eid, cur[1] + step)
+                        other = qubit_at.get(nxt)
+                        swap_start = max(start, ion_free[cur], ion_free[nxt])
+                        swap_time = SWAP_GATE_COUNT * tau_fast[eid]
+                        place(swap_start, swap_time, None, [cur, nxt],
+                              (q0,) if other is None else (other, q0))
+                        start = swap_start + swap_time
+                        position_of[q0], qubit_at[nxt] = nxt, q0
+                        if other is None:
+                            del qubit_at[cur]
+                        else:
+                            position_of[other], qubit_at[cur] = cur, other
+                    touched = [position_of[q] for q in op.operands]
+                duration = two_qubit_time(eid, touched[0][1], touched[1][1])
+            else:
+                duration = elu.single_qubit_gate_time
+            place(start, duration, op, touched, op.operands)
 
         else:
             # Remote two-qubit gate: consume one pair, teleport.
             (eid_a, pos_a), (eid_b, pos_b) = touched
-            ready = max(ion_free[(eid_a, pos_a)], ion_free[(eid_b, pos_b)])
             if not comm_attempts_during_gates:
-                ready = max(ready, elu_busy_until(eid_a), elu_busy_until(eid_b))
-            delivery = supply.request(tuple(sorted((eid_a, eid_b))), ready)
+                start = max(start, elu_busy_until(eid_a), elu_busy_until(eid_b))
+            if supply is not None:
+                start = supply.request((eid_a, eid_b), start)
             comm_a = (eid_a, nearest_comm(eid_a, pos_a))
             comm_b = (eid_b, nearest_comm(eid_b, pos_b))
-            start = max(delivery, ion_free[comm_a], ion_free[comm_b])
-            side_a = (contexts[eid_a].two_qubit_time(pos_a, comm_a[1])
+            start = max(start, ion_free[comm_a], ion_free[comm_b])
+            side_a = (two_qubit_time(eid_a, pos_a, comm_a[1])
                       + spec.species.detection_time)
-            side_b = (contexts[eid_b].two_qubit_time(pos_b, comm_b[1])
+            side_b = (two_qubit_time(eid_b, pos_b, comm_b[1])
                       + spec.species.detection_time)
             duration = (spec.teleport_overhead_time + max(side_a, side_b)
                         + spec.classical_latency)
-            place(start, duration, op, touched + [comm_a, comm_b], used_pair=True)
-            pairs_consumed += 1
+            place(start, duration, op, touched + [comm_a, comm_b], op.operands,
+                  used_pair=True)
 
     makespan = max((e.end for e in timeline), default=0.0)
     idle = {q: max(0.0, last_end[q] - busy[q]) for q in busy}
     return ScheduleResult(
         timeline=tuple(timeline),
         makespan=makespan,
-        pairs_consumed=pairs_consumed,
-        swaps_inserted=swaps_inserted,
+        pairs_consumed=sum(1 for e in timeline if e.used_pair),
+        swaps_inserted=sum(1 for e in timeline if e.op is None),
         fidelity_estimate=_fidelity(timeline, idle, spec).total,
         per_qubit_idle=idle,
         qmap=QubitMap(dict(position_of)),

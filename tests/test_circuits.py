@@ -84,6 +84,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="expected operand"):
             parse_circuit("qubits 2\nCNOT 0 1\n")
 
+    def test_superscript_digit_is_not_an_index(self):
+        # "²".isdigit() is true, but int() rejects it
+        with pytest.raises(ParseError, match="expected operand") as exc:
+            parse_circuit("qubits 2\nH q\u00b2\n")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
     def test_non_finite_angle(self):
         with pytest.raises(ParseError, match="finite"):
             parse_circuit("qubits 1\nRZ q0 inf\n")

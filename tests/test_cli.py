@@ -336,7 +336,7 @@ class TestBadSimulateInputs:
     def test_malformed_schedule_json(self, tmp_path, capsys):
         code, err = self.simulate(tmp_path, capsys, ONE_LINK[:-1])
         assert code == 1
-        assert "ionfab: error: $: invalid JSON at line 1" in err
+        assert f"ionfab: error: {tmp_path / 'sched.json'}: $: invalid JSON at line 1" in err
 
 
 class TestSubnormalLinkProbability:
@@ -422,63 +422,74 @@ ISING_SOLVE = ["ising", "solve", "{f}"]
 SIMULATE = ["simulate", str(EXAMPLE_JSON), "--horizon", "0.5", "--seed", "1"]
 SCHEDULE = ["schedule", str(EXAMPLE_JSON), str(FIXTURES_DIR / "mixed8.iqc")]
 
-# name -> (argv, file text, the error line after "ionfab: error: ")
+# name -> (argv, file text, the error line after "ionfab: error: "); a
+# malformed file is named, a domain error found after parsing is not
 BAD_INPUTS = {
     "unknown_elu": (["rates", str(EXAMPLE_JSON), "--elu", "Z"], None,
                     "no ELU with id 'Z'"),
     "qec_without_n_data": (
         QEC_EMBED, SURFACE3.replace('"n_data": 4, ', "") + "}",
-        "$: missing required key(s): n_data"),
+        "{f}: $: missing required key(s): n_data"),
     "qec_string_n_data": (
         QEC_EMBED, SURFACE3.replace('"n_data": 4', '"n_data": "4"') + "}",
-        "$.n_data: expected integer, got '4'"),
+        "{f}: $.n_data: expected integer, got '4'"),
     "qec_scalar_check_data": (
         QEC_EMBED, SURFACE3.replace("[0, 1, 2, 3]", "5") + "}",
-        "$.checks[0].data: expected a non-empty array of integers >= 0"),
+        "{f}: $.checks[0].data: expected a non-empty array of integers >= 0"),
     "qec_coords_without_checks": (
         QEC_EMBED, SURFACE3 + ', "coords": {"data": [[0, 0]]}}',
-        "$.coords: missing required key(s): checks"),
+        "{f}: $.coords: missing required key(s): checks"),
     "qec_without_family": (
         QEC_EMBED, SURFACE3.replace('"family": "surface", ', "") + "}",
-        "$: missing required key(s): family"),
+        "{f}: $: missing required key(s): family"),
     "ising_string_coupling_index": (
         ISING_SOLVE, ISING % ('[["a", 1, 2]]', "[]"),
-        "$.couplings[0][0]: expected integer, got 'a'"),
+        "{f}: $.couplings[0][0]: expected integer, got 'a'"),
     "ising_string_coupling": (
         ISING_SOLVE, ISING % ('[[0, 1, "x"]]', "[]"),
-        "$.couplings[0][2]: expected number, got 'x'"),
+        "{f}: $.couplings[0][2]: expected number, got 'x'"),
     "ising_string_field_index": (
         ISING_SOLVE, ISING % ("[]", '[["q", 1]]'),
-        "$.fields[0][0]: expected integer, got 'q'"),
+        "{f}: $.fields[0][0]: expected integer, got 'q'"),
     "ising_duplicate_field": (
         ISING_SOLVE, ISING % ("[]", "[[0, 1], [2, 1], [0, -1]]"),
-        "$.fields[2]: duplicate field 0"),
+        "{f}: $.fields[2]: duplicate field 0"),
     "ising_nan_coupling": (
         ISING_SOLVE, ISING % ("[[0, 1, NaN]]", "[]"),
         "coupling (0, 1) must be finite, got nan"),
     "ising_without_couplings": (
         ISING_SOLVE, '{"schema": "ionfab-ising/1", "n": 3, "fields": []}',
-        "$: missing required key(s): couplings"),
+        "{f}: $: missing required key(s): couplings"),
     "schedule_of_numbers": (
         [*SIMULATE, "--schedule", "{f}"], "[1, 2]",
-        "$[0]: expected object, got int"),
+        "{f}: $[0]: expected object, got int"),
     "demand_with_one_elu": (
         [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
         '[{"time_s": 0.1, "elus": ["A"]}]',
-        "$[0].elus: expected [elu_a, elu_b]"),
+        "{f}: $[0].elus: expected [elu_a, elu_b]"),
     "demand_string_time": (
         [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
         '[{"time_s": "x", "elus": ["A", "B"]}]',
-        "$[0].time_s: expected number, got 'x'"),
+        "{f}: $[0].time_s: expected number, got 'x'"),
     "map_malformed_json": (
         [*SCHEDULE, "--map", "file:{f}"], '{"0": ["A", 2]',
-        "$: invalid JSON at line 1: Expecting ',' delimiter"),
+        "{f}: $: invalid JSON at line 1: Expecting ',' delimiter"),
     "map_short_target": (
         [*SCHEDULE, "--map", "file:{f}"], '{"0": ["A"]}',
-        "$.0: expected [elu, position]"),
+        "{f}: $.0: expected [elu, position]"),
     "map_non_index_key": (
         [*SCHEDULE, "--map", "file:{f}"], '{"01": ["A", 2]}',
-        "$.01: expected a qubit index as key"),
+        "{f}: $.01: expected a qubit index as key"),
+    "demand_malformed_json": (
+        [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
+        '[{"time_s": 0.1, "elus": ["A", "B"]}',
+        "{f}: $: invalid JSON at line 1: Expecting ',' delimiter"),
+    "circuit_bad_operand": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 2\nH x1\n",
+        "{f}: line 2, col 3: expected operand like 'q0', got 'x1'"),
+    "hgp_bad_h2": (
+        ["qec", "hgp", "--h1", "{good_csv}", "--h2", "{f}"], "1,1\n1,x\n",
+        "{f}: $: non-integer entry on line 2"),
 }
 
 
@@ -489,14 +500,17 @@ class TestBadInputFiles:
     def test_exit_1_with_one_diagnostic(self, tmp_path, capsys, name):
         argv, text, expected = BAD_INPUTS[name]
         bad, one_link = tmp_path / "input.json", tmp_path / "one_link.json"
+        good_csv = tmp_path / "good.csv"
         one_link.write_text(ONE_LINK)
+        good_csv.write_text("1,1\n")
         if text is not None:
             bad.write_text(text)
-        code = main([a.format(f=bad, one_link=one_link) for a in argv])
+        code = main([a.format(f=bad, one_link=one_link, good_csv=good_csv)
+                     for a in argv])
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("ionfab: error: ")]
         assert code == 1
-        assert errors == [f"ionfab: error: {expected}"]
+        assert errors == [f"ionfab: error: {expected.format(f=bad)}"]
 
     @pytest.mark.parametrize("argv, content", [
         (["schedule", str(EXAMPLE_JSON), "{f}"], b"qubits 2\nH q0 \xff\n"),
@@ -509,4 +523,4 @@ class TestBadInputFiles:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("ionfab: error: ")]
         assert code == 1
-        assert errors == ["ionfab: error: $: not UTF-8 text: invalid start byte"]
+        assert errors == [f"ionfab: error: {bad}: $: not UTF-8 text: invalid start byte"]
