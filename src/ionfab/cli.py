@@ -4,6 +4,14 @@ Exit codes: 0 success, 1 domain error (bad inputs, failed validation),
 2 usage error. Diagnostics and the run manifest go to stderr; data goes to
 stdout or to ``--out``. Reports are bit-stable: identical inputs produce
 byte-identical files (sorted keys, shortest round-trip float formatting).
+
+Each subcommand handler takes ``(args, read)`` and returns ``(exit_code,
+files)``, where ``files`` is a list of ``(path, text)`` and a ``None`` path
+means stdout. A handler opens input files only through ``read(load, path)``
+and writes nothing itself, apart from printing its ``--summary`` line.
+:func:`main` owns the rest of the run: the ``--seed`` rule, the input
+hashes, writing the files in order, the one ``ionfab: error:`` line and the
+manifest.
 """
 
 from __future__ import annotations
@@ -13,17 +21,17 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .arch import load_architecture, validate_architecture
+from .arch import load_architecture
 from .circuits import load_circuit
 from .errors import InvalidArchitecture, IonfabError, ParseError, SchemaError
 from .graph import build_interaction_graph, graph_distance_profile, to_dot
 from .ising import (AnnealSchedule, adiabatic_evolve, anneal_classical,
                     brute_force_ground_state, instance_to_doc, load_instance,
-                    power_law_couplings, save_instance)
+                    power_law_couplings)
 from .jsondoc import each, fixed_array, integer, load_json, number, require_keys, string
 from .netsim import Link, SwitchConfig, make_link, run_sim
 from .qec import (embed_on_grid, embed_on_modular, hypergraph_product_graph,
@@ -33,6 +41,8 @@ from .rates import rate_report
 from .scheduler import assign_qubits, schedule
 
 _STOCHASTIC_HINT = "stochastic command requires --seed (no hidden entropy)"
+
+Files = list[tuple[str | None, str]]  # (path, text); path None is stdout
 
 
 def render_json(doc) -> str:
@@ -47,98 +57,45 @@ def render_csv_row(doc: dict) -> str:
     return f"{head}\n{row}\n"
 
 
-def emit_report(text: str, out: str | None) -> list[str]:
-    """Write a rendered report to --out or stdout; returns output paths."""
-    if out is None:
-        sys.stdout.write(text)
-        return []
-    Path(out).write_text(text)
-    return [out]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record emitted to stderr on every run."""
-
-    tool_version: str
-    subcommand: str
-    inputs: dict[str, str | None]  # path -> sha256 of the bytes read
-    seed: int | None
-    wall_time_s: float
-    outputs: list[str]
-
-    def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def _manifest(subcommand: str, inputs: list[str], seed: int | None,
-              outputs: list[str], started: float) -> None:
-    hashes: dict[str, str | None] = {}
-    for path in inputs:
-        try:
-            hashes[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        except OSError:
-            hashes[path] = None
-    manifest = RunManifest(
-        tool_version=__version__,
-        subcommand=subcommand,
-        inputs=hashes,
-        seed=seed,
-        wall_time_s=round(time.monotonic() - started, 6),
-        outputs=outputs,
-    )
-    print(manifest.to_json_line(), file=sys.stderr)
-
-
-def _read(load, path: str):
-    """``load(path)``; a malformed file's SchemaError or ParseError names it."""
-    try:
-        return load(path)
-    except (SchemaError, ParseError) as exc:
-        raise IonfabError(f"{path}: {exc}") from exc
+def _needs_seed(args) -> bool:
+    """Whether the run draws random numbers, and so must be given --seed."""
+    return (args.command == "simulate"
+            or getattr(args, "ising_cmd", None) == "anneal"
+            or getattr(args, "pairs", None) == "buffered"
+            or (getattr(args, "host", None) == "grid"
+                and getattr(args, "placement", None) == "random"))
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns (exit_code, output_paths)
+# Subcommand handlers; each takes (args, read) and returns (exit_code, files)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> tuple[int, list[str]]:
+def _cmd_validate(args, read) -> tuple[int, Files]:
     try:
-        spec = _read(load_architecture, args.arch)
+        read(load_architecture, args.arch)
     except InvalidArchitecture as exc:
         doc = {"ok": False,
                "violations": [{"path": v.path, "message": v.message}
                               for v in exc.report.violations]}
-        outputs = emit_report(render_json(doc), args.out)
-        return 1, outputs
-    report = validate_architecture(spec)
-    doc = {"ok": report.ok, "violations": []}
-    outputs = emit_report(render_json(doc), args.out)
-    return 0, outputs
+        return 1, [(args.out, render_json(doc))]
+    return 0, [(args.out, render_json({"ok": True, "violations": []}))]
 
 
-def _cmd_rates(args) -> tuple[int, list[str]]:
-    spec = _read(load_architecture, args.arch)
+def _cmd_rates(args, read) -> tuple[int, Files]:
+    spec = read(load_architecture, args.arch)
     elu_id = args.elu or spec.elus[0].id
     report = rate_report(spec, elu_id)
-    doc = {
-        "recoil_frequency": report.recoil_frequency,
-        "gate_rate": report.gate_rate,
-        "state_dependent_force": report.state_dependent_force,
-        "link_success_probability": report.link_success_probability,
-        "mean_connection_rate": report.mean_connection_rate,
-    }
     if args.summary:
         print(f"ELU {elu_id}: gate rate {report.gate_rate / 1e3:.1f} kHz, "
               f"connection rate {report.mean_connection_rate:.1f} Hz "
               f"(p = {report.link_success_probability:.2e})")
+    doc = asdict(report)
     text = render_csv_row(doc) if args.format == "csv" else render_json(doc)
-    return 0, emit_report(text, args.out)
+    return 0, [(args.out, text)]
 
 
-def _cmd_graph(args) -> tuple[int, list[str]]:
-    spec = _read(load_architecture, args.arch)
-    g = build_interaction_graph(spec)
+def _cmd_graph(args, read) -> tuple[int, Files]:
+    g = build_interaction_graph(read(load_architecture, args.arch))
     if args.format == "dot":
         text = to_dot(g, tier=args.tier)
     else:
@@ -158,22 +115,19 @@ def _cmd_graph(args) -> tuple[int, list[str]]:
         print(f"{len(g.nodes)} qubits; tier {args.tier or 'collective'}: "
               f"max hop distance {profile.max_distance}, "
               f"{profile.unreachable_pairs} unreachable pairs")
-    return 0, emit_report(text, args.out)
+    return 0, [(args.out, text)]
 
 
-def _cmd_ising(args) -> tuple[int, list[str]]:
-    sub = getattr(args, "ising_cmd", None)
+def _cmd_ising(args, read) -> tuple[int, Files]:
+    sub = args.ising_cmd
     if sub is None:
         if args.n is None or args.alpha is None:
             raise IonfabError("generation requires --n and --alpha "
                               "(or use: ionfab ising solve|adiabatic|anneal)")
         inst = power_law_couplings(args.n, args.alpha, args.j0)
-        if args.out:
-            save_instance(inst, args.out)
-            return 0, [args.out]
-        return 0, emit_report(render_json(instance_to_doc(inst)), None)
+        return 0, [(args.out, render_json(instance_to_doc(inst)))]
 
-    inst = _read(load_instance, args.instance)
+    inst = read(load_instance, args.instance)
     if sub == "solve":
         configs, best = brute_force_ground_state(inst)
         doc = {"minimum_energy": best,
@@ -182,48 +136,34 @@ def _cmd_ising(args) -> tuple[int, list[str]]:
         if args.summary:
             print(f"minimum energy {best} with {len(configs)} optimal "
                   f"configuration(s) reported")
-        return 0, emit_report(render_json(doc), args.out)
+        return 0, [(args.out, render_json(doc))]
     if sub == "adiabatic":
         run = adiabatic_evolve(inst, args.time, args.steps)
         doc = {"ground_overlap": run.ground_overlap,
                "total_time": run.total_time, "steps": run.steps,
                "final_norm": run.final_norm,
                "final_ising_energy": run.final_ising_energy}
-        outputs = emit_report(render_json(doc), args.out)
+        if args.summary:
+            print(f"overlap with ground space: {run.ground_overlap:.4f}")
+        files = [(args.out, render_json(doc))]
         if args.trace:
             rows = ["step,energy"] + [f"{i},{e!r}" for i, e in
                                       enumerate(run.energy_trace)]
-            Path(args.trace).write_text("\n".join(rows) + "\n")
-            outputs.append(args.trace)
-        if args.summary:
-            print(f"overlap with ground space: {run.ground_overlap:.4f}")
-        return 0, outputs
-    if sub == "anneal":
-        schedule_ = AnnealSchedule(t_start=args.t_start, t_factor=args.t_factor,
-                                   t_min=args.t_min,
-                                   sweeps_per_temp=args.sweeps)
-        config, best = anneal_classical(inst, schedule_, args.seed)
-        doc = {"energy": best, "config": list(config.spins)}
-        if args.summary:
-            print(f"best energy {best}")
-        return 0, emit_report(render_json(doc), args.out)
-    raise IonfabError(f"unknown ising subcommand {sub!r}")
+            files.append((args.trace, "\n".join(rows) + "\n"))
+        return 0, files
+    schedule_ = AnnealSchedule(t_start=args.t_start, t_factor=args.t_factor,
+                               t_min=args.t_min, sweeps_per_temp=args.sweeps)
+    config, best = anneal_classical(inst, schedule_, args.seed)
+    if args.summary:
+        print(f"best energy {best}")
+    return 0, [(args.out, render_json({"energy": best, "config": list(config.spins)}))]
 
 
-def _cmd_qec(args) -> tuple[int, list[str]]:
+def _cmd_qec(args, read) -> tuple[int, Files]:
     sub = args.qec_cmd
-    if sub == "surface":
-        code = surface_code_graph(args.d)
-    elif sub == "steane":
-        code = steane_concat_graph(args.levels)
-    elif sub == "hgp":
-        code = hypergraph_product_graph(_read(load_check_matrix_csv, args.h1),
-                                        _read(load_check_matrix_csv, args.h2))
-    elif sub == "embed":
-        code = _read(load_qec, args.code)
+    if sub == "embed":
+        code = read(load_qec, args.code)
         if args.host == "grid":
-            if args.placement == "random" and args.seed is None:
-                raise IonfabError(_STOCHASTIC_HINT)
             rep = embed_on_grid(code, args.placement, seed=args.seed)
             doc = {
                 "host": rep.host, "grid_side": rep.grid_side,
@@ -232,28 +172,32 @@ def _cmd_qec(args) -> tuple[int, list[str]]:
                 "mean_route_length": rep.mean_route_length,
                 "per_check_route_length": list(rep.per_check_route_length),
             }
+            if args.summary:
+                print(f"grid {rep.grid_side}x{rep.grid_side}: "
+                      f"{rep.swap_count} swaps, max span {rep.max_check_span}")
         else:
-            spec = _read(load_architecture, args.host)
-            rep = embed_on_modular(code, spec, args.partition)
+            rep = embed_on_modular(code, read(load_architecture, args.host),
+                                   args.partition)
             doc = {
                 "host": rep.host, "pairs_per_round": rep.pairs_per_round,
                 "max_check_span": rep.max_check_span,
                 "per_check_route_length": list(rep.per_check_route_length),
                 "per_check_remote_elus": list(rep.per_check_remote_elus),
             }
-        if args.summary:
-            if rep.host == "grid2d":
-                print(f"grid {rep.grid_side}x{rep.grid_side}: "
-                      f"{rep.swap_count} swaps, max span {rep.max_check_span}")
-            else:
+            if args.summary:
                 print(f"modular: {rep.pairs_per_round} pairs per round")
-        return 0, emit_report(render_json(doc), args.out)
+        return 0, [(args.out, render_json(doc))]
+    if sub == "surface":
+        code = surface_code_graph(args.d)
+    elif sub == "steane":
+        code = steane_concat_graph(args.levels)
     else:
-        raise IonfabError(f"unknown qec subcommand {sub!r}")
+        code = hypergraph_product_graph(read(load_check_matrix_csv, args.h1),
+                                        read(load_check_matrix_csv, args.h2))
     if args.summary:
         print(f"{code.family}: {code.n_data} data, {code.n_checks} checks, "
               f"max weight {max(c.weight for c in code.checks)}")
-    return 0, emit_report(render_json(qec_to_doc(code)), args.out)
+    return 0, [(args.out, render_json(qec_to_doc(code)))]
 
 
 def _switch_entry(entry: object) -> tuple[float, SwitchConfig]:
@@ -304,15 +248,7 @@ def sim_result_doc(result) -> dict:
                           "measured_rate_hz": s.measured_rate}
                   for label, s in result.per_link.items()},
         "mean_connection_rate_hz": result.mean_connection_rate,
-        "ledger": {
-            "successes": result.ledger.successes,
-            "delivered": result.ledger.delivered,
-            "expired": result.ledger.expired,
-            "invalidated": result.ledger.invalidated,
-            "overflow_dropped": result.ledger.overflow_dropped,
-            "residual": result.ledger.residual,
-            "conserved": result.ledger.conserved,
-        },
+        "ledger": {**asdict(result.ledger), "conserved": result.ledger.conserved},
         "collisions": result.collisions,
         "requests": {"count": result.request_count,
                      "served": result.requests_served,
@@ -321,39 +257,36 @@ def sim_result_doc(result) -> dict:
     }
 
 
-def _cmd_simulate(args) -> tuple[int, list[str]]:
-    spec = _read(load_architecture, args.arch)
-    switch_schedule = _read(lambda p: each(load_json(p), "$", _switch_entry),
-                            args.schedule)
-    demand = (_read(lambda p: each(load_json(p), "$", _request), args.demand)
+def _cmd_simulate(args, read) -> tuple[int, Files]:
+    spec = read(load_architecture, args.arch)
+    switch_schedule = read(lambda p: each(load_json(p), "$", _switch_entry),
+                           args.schedule)
+    demand = (read(lambda p: each(load_json(p), "$", _request), args.demand)
               if args.demand else [])
     result = run_sim(spec, switch_schedule, demand, args.horizon, args.seed,
                      p_override=args.p, store_log=args.log is not None)
-    outputs = emit_report(render_json(sim_result_doc(result)), args.out)
-    if args.log:
-        Path(args.log).write_text(result.events_csv())
-        outputs.append(args.log)
     if args.summary:
         print(f"{result.ledger.successes} pairs generated, "
               f"{result.ledger.delivered} delivered, "
               f"mean rate {result.mean_connection_rate:.2f} Hz")
-    return 0, outputs
+    files = [(args.out, render_json(sim_result_doc(result)))]
+    if args.log:
+        files.append((args.log, result.events_csv()))
+    return 0, files
 
 
-def _cmd_schedule(args) -> tuple[int, list[str]]:
-    spec = _read(load_architecture, args.arch)
-    circuit = _read(load_circuit, args.circuit)
+def _cmd_schedule(args, read) -> tuple[int, Files]:
+    spec = read(load_architecture, args.arch)
+    circuit = read(load_circuit, args.circuit)
     if args.map.startswith("file:"):
         qmap = assign_qubits(circuit, spec, "user",
-                             user_map=_read(_load_qubit_map, args.map[5:]))
+                             user_map=read(_load_qubit_map, args.map[5:]))
     elif args.map == "greedy":
         qmap = assign_qubits(circuit, spec, "greedy_interaction_cut")
     elif args.map == "roundrobin":
         qmap = assign_qubits(circuit, spec, "round_robin")
     else:
         raise IonfabError(f"unknown map strategy {args.map!r}")
-    if args.pairs == "buffered" and args.seed is None:
-        raise IonfabError(_STOCHASTIC_HINT)
     result = schedule(circuit, qmap, spec, pair_supply_mode=args.pairs,
                       seed=args.seed)
     doc = {
@@ -364,15 +297,14 @@ def _cmd_schedule(args) -> tuple[int, list[str]]:
         "mode": result.mode,
         "operations": len(result.timeline),
     }
-    outputs = emit_report(render_json(doc), args.out)
-    if args.timeline:
-        Path(args.timeline).write_text(result.timeline_csv())
-        outputs.append(args.timeline)
     if args.summary:
         print(f"makespan {result.makespan * 1e3:.3f} ms, "
               f"{result.pairs_consumed} pairs, "
               f"fidelity {result.fidelity_estimate:.4f}")
-    return 0, outputs
+    files = [(args.out, render_json(doc))]
+    if args.timeline:
+        files.append((args.timeline, result.timeline_csv()))
+    return 0, files
 
 
 # ---------------------------------------------------------------------------
@@ -500,28 +432,38 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    inputs = [getattr(args, name) for name in
-              ("arch", "circuit", "instance", "code", "h1", "h2", "schedule",
-               "demand")
-              if isinstance(getattr(args, name, None), str)]
-    if getattr(args, "map", "").startswith("file:"):
-        inputs.append(args.map[5:])
+    inputs: dict[str, str | None] = {}  # path -> sha256 of the bytes read
+    outputs: list[str] = []
+
+    def read(load, path: str):
+        """``load(path)`` after hashing the file; a malformed file's
+        SchemaError or ParseError names it."""
+        try:
+            inputs[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except OSError:
+            inputs[path] = None
+        try:
+            return load(path)
+        except (SchemaError, ParseError) as exc:
+            raise IonfabError(f"{path}: {exc}") from exc
 
     try:
-        if args.command == "simulate" and args.seed is None:
+        if args.seed is None and _needs_seed(args):
             raise IonfabError(_STOCHASTIC_HINT)
-        if getattr(args, "ising_cmd", None) == "anneal" and args.seed is None:
-            raise IonfabError(_STOCHASTIC_HINT)
-        code, outputs = args.func(args)
-    except IonfabError as exc:
+        code, files = args.func(args, read)
+        for path, text in files:
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                Path(path).write_text(text)
+                outputs.append(path)
+    except (IonfabError, OSError) as exc:
         print(f"ionfab: error: {exc}", file=sys.stderr)
-        _manifest(args.command, inputs, getattr(args, "seed", None), [], started)
-        return 1
-    except OSError as exc:
-        print(f"ionfab: error: {exc}", file=sys.stderr)
-        _manifest(args.command, inputs, getattr(args, "seed", None), [], started)
-        return 1
-    _manifest(args.command, inputs, getattr(args, "seed", None), outputs, started)
+        code = 1
+    print(json.dumps({"tool_version": __version__, "subcommand": args.command,
+                      "inputs": inputs, "seed": args.seed,
+                      "wall_time_s": round(time.monotonic() - started, 6),
+                      "outputs": outputs}, sort_keys=True), file=sys.stderr)
     return code
 
 

@@ -14,7 +14,6 @@ spin i is -1, so index 0 is the all-up configuration.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections.abc import Iterator
@@ -32,6 +31,7 @@ BRUTE_FORCE_MAX_SPINS = 24
 ADIABATIC_MAX_SPINS = 12
 ANNEAL_MAX_SPINS = 10_000
 ANNEAL_MAX_SWEEPS = 1_000_000  # temperatures x sweeps per temperature
+ADIABATIC_MAX_STEPS = 1_000_000
 _ENUM_CHUNK = 1 << 18
 
 
@@ -274,6 +274,8 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         raise DomainError(f"total_time must be positive and finite, got {total_time!r}")
     if steps < 10:
         raise DomainError(f"steps must be >= 10, got {steps}")
+    if steps > ADIABATIC_MAX_STEPS:
+        raise DomainError(f"steps must be <= {ADIABATIC_MAX_STEPS}, got {steps}")
 
     dim = 1 << n
     diag = np.concatenate([e for _, e in _energy_blocks(instance)])
@@ -416,7 +418,3 @@ def parse_instance(doc: object) -> IsingInstance:
 def load_instance(path: str | Path) -> IsingInstance:
     return parse_instance(load_json(path))
 
-
-def save_instance(instance: IsingInstance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_doc(instance), indent=2,
-                                     sort_keys=True) + "\n")

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, run_cli
 from ionfab.cli import main
+from ionfab.qec import (hypergraph_product_graph, qec_to_doc,
+                        repetition_check_matrix, surface_code_graph)
 
 ONE_LINK = '[{"time_s": 0.0, "links": [["A", 0, "B", 0]]}]'
 
@@ -123,6 +125,23 @@ class TestManifest:
         assert r.returncode == 1
         manifest = json.loads(r.stderr.strip().splitlines()[-1])
         assert manifest["subcommand"] == "rates"
+
+    def test_modular_host_is_hashed(self, tmp_path, capsys):
+        code = tmp_path / "c.json"
+        code.write_text(json.dumps(qec_to_doc(surface_code_graph(3))))
+        assert main(["qec", "embed", "--code", str(code), "--host", str(EXAMPLE_JSON)]) == 0
+        manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (code, EXAMPLE_JSON)}
+
+    def test_hash_is_of_the_bytes_read(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        inst.write_bytes((FIXTURES_DIR / "ising_degenerate11.json").read_bytes())
+        before = hashlib.sha256(inst.read_bytes()).hexdigest()
+        assert main(["ising", "solve", str(inst), "--out", str(inst)]) == 0
+        manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert hashlib.sha256(inst.read_bytes()).hexdigest() != before
+        assert manifest["inputs"] == {str(inst): before}
 
 
 class TestRates:
@@ -381,6 +400,85 @@ class TestSubnormalLinkProbability:
         errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
         assert len(errors) == 1
         assert "link pair rate" in errors[0] and "too low" in errors[0]
+
+
+DEGENERATE11 = str(FIXTURES_DIR / "ising_degenerate11.json")
+NETSIM = ["simulate", str(FIXTURES_DIR / "netsim_arch.json"),
+          "--schedule", str(FIXTURES_DIR / "netsim_schedule.json"),
+          "--demand", str(FIXTURES_DIR / "netsim_demand.json")]
+
+# name -> (argv, summary line); the lines were generated with the CLI before
+# every summary moved ahead of its report. {surface3}, {hgp_rep3} and {rep3}
+# are files the test writes.
+SUMMARIES = {
+    "rates": (["rates", str(EXAMPLE_JSON)],
+              "ELU A: gate rate 19.2 kHz, connection rate 100.0 Hz (p = 2.00e-04)"),
+    "graph": (["graph", str(EXAMPLE_JSON), "--tier", "fast"],
+              "40 qubits; tier fast: max hop distance 5, 400 unreachable pairs"),
+    "ising_solve": (["ising", "solve", DEGENERATE11],
+                    "minimum energy -18.0 with 6 optimal configuration(s) reported"),
+    "ising_adiabatic": (["ising", "adiabatic", DEGENERATE11, "--time", "4",
+                         "--steps", "120"], "overlap with ground space: 0.5807"),
+    "ising_anneal": (["ising", "anneal", DEGENERATE11, "--seed", "1"],
+                     "best energy -18.0"),
+    "qec_surface": (["qec", "surface", "--d", "3"],
+                    "surface: 9 data, 8 checks, max weight 4"),
+    "qec_steane": (["qec", "steane", "--levels", "1"],
+                   "steane: 7 data, 6 checks, max weight 4"),
+    "qec_hgp": (["qec", "hgp", "--h1", "{rep3}", "--h2", "{rep3}"],
+                "hypergraph_product: 13 data, 12 checks, max weight 4"),
+    "qec_embed_grid": (["qec", "embed", "--code", "{surface3}", "--host", "grid"],
+                       "grid 5x5: 124 swaps, max span 6"),
+    "qec_embed_modular": (["qec", "embed", "--code", "{hgp_rep3}",
+                           "--host", str(EXAMPLE_JSON)],
+                          "modular: 4 pairs per round"),
+    "simulate": ([*NETSIM, "--horizon", "0.05", "--seed", "3"],
+                 "9 pairs generated, 3 delivered, mean rate 36.00 Hz"),
+    "schedule": (["schedule", str(FIXTURES_DIR / "netsim_arch.json"),
+                  str(FIXTURES_DIR / "mixed8.iqc"),
+                  "--map", f"file:{FIXTURES_DIR / 'mixed8_split_map.json'}"],
+                 "makespan 0.424 ms, 3 pairs, fidelity 0.9930"),
+}
+
+
+class TestSummary:
+    """``--summary`` prints one line to stdout, ahead of a report sent there."""
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize("name", sorted(SUMMARIES))
+    def test_summary_line(self, tmp_path, capsys, name, to_file):
+        rep3 = tmp_path / "rep3.csv"
+        rep3.write_text("1,1,0\n0,1,1\n")
+        codes = {"surface3": surface_code_graph(3),
+                 "hgp_rep3": hypergraph_product_graph(repetition_check_matrix(3),
+                                                      repetition_check_matrix(3))}
+        for key, code in codes.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(qec_to_doc(code)))
+        argv, line = SUMMARIES[name]
+        argv = [a.format(rep3=rep3, **{k: tmp_path / f"{k}.json" for k in codes})
+                for a in argv]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--summary", *(["--out", str(out)] if to_file else [])]) == 0
+        stdout = capsys.readouterr().out
+        if to_file:
+            assert stdout == line + "\n"
+            report = out.read_text()
+        else:
+            first, report = stdout.split("\n", 1)
+            assert first == line
+        json.loads(report)
+
+
+class TestBadAdiabaticInputs:
+    """An oversized step count ends in exit 1 before any allocation, not a traceback."""
+
+    def test_step_cap(self, capsys):
+        code = main(["ising", "adiabatic", DEGENERATE11, "--time", "1",
+                     "--steps", "100000000000"])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("ionfab: error:")]
+        assert code == 1
+        assert errors == ["ionfab: error: steps must be <= 1000000, got 100000000000"]
 
 
 class TestBadAnnealInputs:

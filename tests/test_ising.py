@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -8,8 +9,8 @@ import ionfab.ising
 from ionfab.errors import DomainError
 from ionfab.ising import (AnnealSchedule, IsingInstance, SpinConfig,
                           adiabatic_evolve, anneal_classical,
-                          brute_force_ground_state, energy, load_instance,
-                          parse_instance, power_law_couplings, save_instance)
+                          brute_force_ground_state, energy, instance_to_doc,
+                          load_instance, parse_instance, power_law_couplings)
 
 
 def ferromagnet(n):
@@ -203,6 +204,11 @@ class TestAdiabatic:
         with pytest.raises(DomainError):
             adiabatic_evolve(ferromagnet(4), float("nan"), 100)
 
+    def test_step_cap(self):
+        cap = ionfab.ising.ADIABATIC_MAX_STEPS
+        with pytest.raises(DomainError, match=f"steps must be <= {cap}, got {cap + 1}"):
+            adiabatic_evolve(ferromagnet(4), 1.0, cap + 1)
+
 
 class TestAnneal:
     SLOW = AnnealSchedule(t_start=20.0, t_factor=0.92, t_min=0.05,
@@ -261,13 +267,13 @@ class TestInstanceIO:
     def test_round_trip(self, tmp_path):
         inst = power_law_couplings(5, 1.3, -0.7)
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
+        path.write_text(json.dumps(instance_to_doc(inst)))
         assert load_instance(path) == inst
 
     def test_round_trip_with_fields(self, tmp_path):
         inst = random_instance(6, seed=0)
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
+        path.write_text(json.dumps(instance_to_doc(inst)))
         assert load_instance(path) == inst
 
     def test_rejects_duplicate_coupling(self):

@@ -3,9 +3,10 @@
 Each example takes one input document, mutates one node of it and runs
 ``cli.main`` in-process. A mutation drops the node, gives it a value of
 another type, NaN, +inf, -inf or a negative value. The return code must be
-0 or 1, an exit 1 must print exactly one ``ionfab: error:`` line, and no
-exception may escape. For Ising and QEC documents every mutant that the
-published schema rejects must be rejected by the parser too.
+0 or 1, an exit 1 must print exactly one ``ionfab: error:`` line, an exit 0
+must hash exactly the files its command line names, and no exception may
+escape. For Ising and QEC documents every mutant that the published schema
+rejects must be rejected by the parser too.
 
 Huge values are left out: sizes such as ``n_ions`` have no cap, so graph
 and schedule would do unbounded work on them.
@@ -17,6 +18,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from operator import getitem
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -125,6 +127,10 @@ def assert_contract(argv):
     errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
     assert code in (0, 1), (argv, err)
     assert len(errors) == (1 if code == 1 else 0), (argv, err)
+    if code == 0:
+        named = {a.removeprefix("file:") for a in argv}
+        inputs = json.loads(err.splitlines()[-1])["inputs"]
+        assert set(inputs) == {a for a in named if Path(a).is_file()}, (argv, err)
 
 
 @functools.cache
