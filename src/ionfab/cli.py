@@ -46,7 +46,11 @@ Files = list[tuple[str | None, str]]  # (path, text); path None is stdout
 
 
 def render_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise IonfabError("report holds a non-finite number, "
+                          "which JSON cannot represent") from None
 
 
 def render_csv_row(doc: dict) -> str:
@@ -162,9 +166,14 @@ def _cmd_ising(args, read) -> tuple[int, Files]:
 def _cmd_qec(args, read) -> tuple[int, Files]:
     sub = args.qec_cmd
     if sub == "embed":
+        grid = args.host == "grid"
+        if grid and args.partition is not None:
+            raise IonfabError("--partition applies only to a machine file --host")
+        if not grid and args.placement is not None:
+            raise IonfabError("--placement applies only to --host grid")
         code = read(load_qec, args.code)
-        if args.host == "grid":
-            rep = embed_on_grid(code, args.placement, seed=args.seed)
+        if grid:
+            rep = embed_on_grid(code, args.placement or "row_major", seed=args.seed)
             doc = {
                 "host": rep.host, "grid_side": rep.grid_side,
                 "swap_count": rep.swap_count,
@@ -177,7 +186,7 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
                       f"{rep.swap_count} swaps, max span {rep.max_check_span}")
         else:
             rep = embed_on_modular(code, read(load_architecture, args.host),
-                                   args.partition)
+                                   args.partition or "greedy_cut")
             doc = {
                 "host": rep.host, "pairs_per_round": rep.pairs_per_round,
                 "max_check_span": rep.max_check_span,
@@ -390,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--code", required=True, help="ionfab-qec/1 JSON")
     pq.add_argument("--host", required=True,
                     help="'grid' or an architecture JSON path")
-    pq.add_argument("--placement", default="row_major",
-                    choices=("row_major", "random", "native"))
-    pq.add_argument("--partition", default="greedy_cut",
-                    choices=("greedy_cut", "round_robin"))
+    pq.add_argument("--placement", choices=("row_major", "random", "native"))
+    pq.add_argument("--partition", choices=("greedy_cut", "round_robin"))
     common(pq)
     p.set_defaults(func=_cmd_qec)
 

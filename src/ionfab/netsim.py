@@ -10,7 +10,7 @@ succeeds with probability p = (F*eta_D)^2/2, or ``p_override`` when given.
 Each unordered ELU pair owns a FIFO buffer of the expiry times of its
 stored pairs. A success goes to the oldest waiting request, else into the
 buffer (dropped and counted when full); pairs expire at their expiry time,
-and a request takes the oldest live pair or blocks until a success. Switch
+and a request takes the oldest pair or blocks until a success. Switch
 reconfiguration suspends changed links, and collisions invalidate all
 buffered pairs of the struck ELU and suspend its links for the reload time.
 
@@ -30,11 +30,13 @@ stable across platforms and Python versions, consumed in this exact order:
 Attempt outcomes are therefore sampled one draw per *success*, not per
 attempt, which is distributionally identical to per-attempt Bernoulli draws
 and keeps multi-second horizons at megahertz attempt rates cheap. Attempt
-counts are exact (closed-form slot counting per active window). Events at
-equal times process in the fixed priority order RECONFIG_DONE < RELOAD_DONE
-< COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST < PAIR_DELIVERED, then
-by sequence number; an attempt landing exactly on a suspension boundary
-does not fire.
+counts are exact (closed-form slot counting per active window). Queued
+events at equal times process in the fixed priority order RECONFIG_DONE <
+RELOAD_DONE < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST, then by
+sequence number; a PAIR_DELIVERED is not queued but logged by the SUCCESS
+or PAIR_REQUEST that causes it. A request never finds an expired pair: a
+non-empty buffer always has a live PAIR_EXPIRED queued at its head's expiry
+time. An attempt landing exactly on a suspension boundary does not fire.
 
 Neither the event order nor the draw order depends on the horizon, which
 only stops the loop. A :class:`NetworkSim` advanced in steps and then
@@ -52,16 +54,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arch import ArchitectureSpec
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .rates import link_success_probability
 
 Port = tuple[str, int]          # (elu id, chain position of the comm ion)
 Link = tuple[Port, Port]        # normalized: ports in sorted order
 
-# Priorities for equal-time ties; the relative order of RECONFIG_DONE,
-# COLLISION, SUCCESS, and PAIR_REQUEST is a documented contract.
+# Priorities of the queued events for equal-time ties; a documented contract.
 _PRIO = {"_SCHED": 0, "RECONFIG_DONE": 1, "RELOAD_DONE": 2, "COLLISION": 3,
-         "SUCCESS": 4, "PAIR_EXPIRED": 5, "PAIR_REQUEST": 6, "PAIR_DELIVERED": 7}
+         "SUCCESS": 4, "PAIR_EXPIRED": 5, "PAIR_REQUEST": 6}
 
 
 def make_link(a: Port, b: Port) -> Link:
@@ -165,7 +166,7 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 class _LinkState:
-    __slots__ = ("link", "label", "pair", "in_config", "reconfig_until",
+    __slots__ = ("link", "label", "pair", "reconfig_until",
                  "window_start", "consumed", "countdown", "epoch",
                  "attempts", "successes", "open_")
 
@@ -173,7 +174,6 @@ class _LinkState:
         self.link = link
         self.label = link_label(link)
         self.pair = link_pair(link)
-        self.in_config = False
         self.reconfig_until = 0.0
         self.window_start = 0.0
         self.consumed = 0       # attempt slots consumed in the open window
@@ -208,6 +208,21 @@ def validate_switch_config(spec: ArchitectureSpec, cfg: SwitchConfig) -> None:
     if len(cfg.ports) > spec.switch.port_count:
         raise DomainError(
             f"config uses {len(cfg.ports)} ports, switch has {spec.switch.port_count}")
+
+
+def static_links(spec: ArchitectureSpec,
+                 pairs: set[tuple[str, str]]) -> SwitchConfig:
+    """One link per ELU pair, taken in sorted order, each on the lowest
+    free communication ion of both ELUs."""
+    free: dict[str, list[int]] = {
+        e.id: sorted(e.comm_ion_indices) for e in spec.elus}
+    links = set()
+    for a, b in sorted(pairs):
+        if not free[a] or not free[b]:
+            raise CapacityError(
+                f"not enough communication ions to link {a} and {b}")
+        links.add(make_link((a, free[a].pop(0)), (b, free[b].pop(0))))
+    return SwitchConfig(frozenset(links))
 
 
 class NetworkSim:
@@ -290,6 +305,8 @@ class NetworkSim:
         self.latency_max = 0.0
         self.heap: list = []
         self.push_seq = 0
+        # The matching; empty until the first entry, before which a
+        # collision's RELOAD_DONE may already try to open windows.
         self.current = SwitchConfig(frozenset())
         self.first_sched = True
         self.now = 0.0  # every event before this time has been processed
@@ -330,7 +347,7 @@ class NetworkSim:
         self._push(st.window_start + slot / self.rate, "SUCCESS", (st, st.epoch, slot))
 
     def _open_window(self, st: _LinkState, now: float) -> None:
-        if st.open_ or not st.in_config:
+        if st.open_ or st.link not in self.current.active_links:
             return
         if now < st.reconfig_until or now < self.elu_reload_until[st.pair[0]] \
                 or now < self.elu_reload_until[st.pair[1]]:
@@ -370,16 +387,13 @@ class NetworkSim:
         if buf:
             self._push(buf[0], "PAIR_EXPIRED", (pair, self.buffer_epoch[pair]))
 
-    def _drop_expired(self, pair: tuple[str, str], now: float) -> int:
+    def _drop_expired(self, pair: tuple[str, str], now: float) -> None:
         """Pop, count and log the buffered pairs that expire by ``now``."""
         buf = self.buffers[pair]
-        dropped = 0
         while buf and buf[0] <= now:
             buf.popleft()
             self._emit(now, "PAIR_EXPIRED", "", pair[0], pair[1])
-            dropped += 1
-        self.counters["expired"] += dropped
-        return dropped
+            self.counters["expired"] += 1
 
     def advance(self, until: float) -> None:
         """Process every event with time < ``until``."""
@@ -403,25 +417,22 @@ class NetworkSim:
                 new_cfg: SwitchConfig = payload
                 removed = self.current.active_links - new_cfg.active_links
                 added = new_cfg.active_links - self.current.active_links
+                self.current = new_cfg
                 for link in sorted(removed):
-                    st = self.links[link]
-                    self._close_window(st, t)
-                    st.in_config = False
+                    self._close_window(self.links[link], t)
                 for link in sorted(added):
                     st = self.links[link]
-                    st.in_config = True
                     if self.first_sched:
                         self._open_window(st, t)
                     else:
                         st.reconfig_until = t + self.spec.switch.reconfiguration_time
                         self._push(st.reconfig_until, "RECONFIG_DONE", (st, st.epoch + 1))
                         st.epoch += 1
-                self.current = new_cfg
                 self.first_sched = False
 
             elif kind == "RECONFIG_DONE":
                 st, epoch = payload
-                if st.epoch != epoch or not st.in_config:
+                if st.epoch != epoch or st.link not in self.current.active_links:
                     continue
                 emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
                 self._open_window(st, t)
@@ -435,11 +446,9 @@ class NetworkSim:
                         counters["invalidated"] += len(buf)
                         buf.clear()
                         reschedule_expiry(pair)
-                reload_until = self.elu_reload_until
-                reload_until[elu_id] = max(reload_until[elu_id],
-                                           t + self.spec.elu(elu_id).reload_time)
+                self.elu_reload_until[elu_id] = t + self.spec.elu(elu_id).reload_time
                 self.elu_epoch[elu_id] += 1
-                self._push(reload_until[elu_id], "RELOAD_DONE",
+                self._push(self.elu_reload_until[elu_id], "RELOAD_DONE",
                            (elu_id, self.elu_epoch[elu_id]))
                 for link in sorted(self.links):
                     if elu_id in (link[0][0], link[1][0]):
@@ -450,7 +459,7 @@ class NetworkSim:
 
             elif kind == "RELOAD_DONE":
                 elu_id, epoch = payload
-                if self.elu_epoch[elu_id] != epoch or t < self.elu_reload_until[elu_id]:
+                if self.elu_epoch[elu_id] != epoch:
                     continue
                 emit(t, "RELOAD_DONE", "", elu_id, "")
                 for link in sorted(self.links):
@@ -491,14 +500,11 @@ class NetworkSim:
                 pair = payload
                 counters["requests"] += 1
                 emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
-                dropped = drop_expired(pair, t)
                 if buffers[pair]:
                     buffers[pair].popleft()
                     reschedule_expiry(pair)
                     deliver(pair, t, t)
                 else:
-                    if dropped:
-                        reschedule_expiry(pair)
                     waiting[pair].append(t)
         self.now = max(self.now, until)
 
@@ -573,13 +579,11 @@ class RateCheck:
 
 
 def default_link(spec: ArchitectureSpec) -> Link:
-    """First communication ions of the first two ELUs."""
+    """The link :func:`static_links` gives the first two ELUs."""
     if len(spec.elus) < 2:
         raise DomainError("need at least two ELUs to form a link")
-    a, b = spec.elus[0], spec.elus[1]
-    if not a.comm_ion_indices or not b.comm_ion_indices:
-        raise DomainError("both ELUs need communication ions")
-    return make_link((a.id, min(a.comm_ion_indices)), (b.id, min(b.comm_ion_indices)))
+    (link,) = static_links(spec, {(spec.elus[0].id, spec.elus[1].id)}).active_links
+    return link
 
 
 def theoretical_rate_check(spec: ArchitectureSpec, link: Link | None = None,

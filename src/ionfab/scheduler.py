@@ -35,6 +35,7 @@ operation, minus its busy time.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 from .arch import ArchitectureSpec
 from .circuits import ENTANGLING_KINDS, TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
 from .errors import CapacityError, DomainError
-from .netsim import NetworkSim, SwitchConfig, make_link
-from .rates import elu_gate_rate, link_success_probability, slow_gate_time
+from .netsim import NetworkSim, static_links
+from .rates import elu_gate_rate, mean_connection_rate, slow_gate_time
 from .graph import FAST_GATE_SPEEDUP, deal_round_robin, greedy_cut
 
 # A swap decomposes into three proximity CNOTs.
@@ -171,26 +172,22 @@ class BufferedPairSupply:
     """Pair deliveries taken from a seeded photonic-network simulation.
 
     One demand-free :class:`NetworkSim` with one static link per needed pair
-    (nearest free communication ions) generates the success stream per ELU
-    pair, which the scheduler consumes FIFO. The stream does not model the
-    scheduler's own buffer depletion, which is exact whenever the buffer
-    capacity is not binding. Deterministic per seed: the sim is advanced,
-    doubling its horizon, only as far as the requests reach, and a sim
-    advanced in steps yields the same success times as one long run.
+    (lowest free communication ions) generates the success stream per ELU
+    pair; a request at t takes the first unused success still alive at t.
+    The stream does not model the scheduler's own buffer depletion, which is
+    exact whenever the buffer capacity is not binding. Deterministic per
+    seed: the sim is advanced, doubling its horizon, only as far as the
+    requests reach, and a sim advanced in steps yields the same success
+    times as one long run.
     """
 
     def __init__(self, spec: ArchitectureSpec, pairs: set[tuple[str, str]],
                  seed: int):
-        self.spec = spec
-        self.pairs = sorted(pairs)
-        p = link_success_probability(spec.collection_fraction,
-                                     spec.detector_efficiency)
-        if p <= 0:
-            raise DomainError("zero link success probability, pairs can never arrive")
-        self.analytic_rate = spec.attempt_rate * p
-        self.sim = NetworkSim(spec, [(0.0, self._build_config())], [], seed)
-        self._advance(10.0 / self.analytic_rate)
-        self.cursor: dict[tuple[str, str], int] = {pair: 0 for pair in self.pairs}
+        self.analytic_rate = mean_connection_rate(
+            spec.attempt_rate, spec.collection_fraction, spec.detector_efficiency)
+        self.sim = NetworkSim(spec, [(0.0, static_links(spec, pairs))], [], seed)
+        self.next = dict.fromkeys(self.sim.success_times, 0)
+        self._advance(10.0 / self.analytic_rate if self.analytic_rate else math.inf)
 
     def _advance(self, horizon: float) -> None:
         if not math.isfinite(horizon):
@@ -199,32 +196,18 @@ class BufferedPairSupply:
         self.horizon = horizon
         self.sim.advance(horizon)
 
-    def _build_config(self) -> SwitchConfig:
-        free: dict[str, list[int]] = {
-            e.id: sorted(e.comm_ion_indices) for e in self.spec.elus}
-        links = set()
-        for a, b in self.pairs:
-            if not free[a] or not free[b]:
-                raise CapacityError(
-                    f"not enough communication ions to link {a} and {b}")
-            links.add(make_link((a, free[a].pop(0)), (b, free[b].pop(0))))
-        return SwitchConfig(frozenset(links))
-
     def request(self, pair: tuple[str, str], t: float) -> float:
         pair = tuple(sorted(pair))
-        if pair not in self.cursor:
+        if pair not in self.next:
             raise DomainError(f"unplanned ELU pair {pair}")
-        lifetime = self.spec.pair_lifetime
-        stream = self.sim.success_times[pair]
-        for _ in range(40):
-            while self.cursor[pair] < len(stream):
-                s = stream[self.cursor[pair]]
-                self.cursor[pair] += 1
-                if lifetime is not None and s + lifetime <= t:
-                    continue  # pair would have expired before this request
-                return max(t, s)
+        if not math.isfinite(t):
+            raise DomainError(f"pair request time must be finite, got {t!r}")
+        stream, lifetime = self.sim.success_times[pair], self.sim.lifetime
+        while (i := bisect.bisect_right(stream, t, lo=self.next[pair],
+                                        key=lambda s: s + lifetime)) == len(stream):
             self._advance(2.0 * self.horizon)
-        raise DomainError(f"pair supply for {pair} exhausted; rate too low?")
+        self.next[pair] = i + 1
+        return max(t, stream[i])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +319,8 @@ def schedule(
               used_pair: bool = False) -> None:
         """Append one entry: hold ``ions`` and charge ``qubits`` until its end."""
         end = start + duration
+        if not math.isfinite(end):
+            raise DomainError(f"schedule time overflows: an operation ends at {end!r} s")
         for ion in ions:
             ion_free[ion] = end
         timeline.append(TimelineEntry(start, duration, op, tuple(ions),

@@ -287,6 +287,24 @@ class TestScheduleFlow:
         doc = json.loads(r.stdout)
         assert doc["pairs_consumed"] > 0
 
+    def test_overflowing_time_exits_1(self, tmp_path, capsys):
+        doc = json.loads(EXAMPLE_JSON.read_text())
+        for elu in doc["elus"]:
+            elu["single_qubit_gate_time_s"] = 1e308
+        arch, circuit, qmap = (tmp_path / "arch.json", tmp_path / "c.iqc",
+                               tmp_path / "map.json")
+        arch.write_text(json.dumps(doc))
+        circuit.write_text("qubits 2\nX q0\nX q0\nCNOT q0 q1\n")
+        qmap.write_text('{"0": ["A", 2], "1": ["B", 2]}')
+        code = main(["schedule", str(arch), str(circuit), "--map", f"file:{qmap}"])
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("ionfab: error:")]
+        assert code == 1
+        assert captured.out == ""
+        assert errors == ["ionfab: error: schedule time overflows: "
+                          "an operation ends at inf s"]
+
 
 class TestGoldenOutputs:
     """Byte-identical reports pinned across versions, not just reruns."""
@@ -387,7 +405,8 @@ class TestSubnormalLinkProbability:
 
     # 1e-155: the first supply horizon, 10/rate ~ 1e307, is finite, but
     # the pairs never arrive and doubling it overflows
-    @pytest.mark.parametrize("collection_fraction", [1e-160, 1e-155])
+    # 1e-170: p underflows to 0.0, a rate of exactly zero
+    @pytest.mark.parametrize("collection_fraction", [1e-170, 1e-160, 1e-155])
     def test_buffered_schedule_names_the_rate(self, tmp_path, capsys,
                                               collection_fraction):
         arch = self.machine(tmp_path, collection_fraction)
@@ -588,6 +607,35 @@ BAD_INPUTS = {
     "hgp_bad_h2": (
         ["qec", "hgp", "--h1", "{good_csv}", "--h2", "{f}"], "1,1\n1,x\n",
         "{f}: $: non-integer entry on line 2"),
+    "hgp_empty_h2": (
+        ["qec", "hgp", "--h1", "{good_csv}", "--h2", "{f}"], "",
+        "{f}: $: empty check matrix file"),
+    "hgp_ragged_h2": (
+        ["qec", "hgp", "--h1", "{good_csv}", "--h2", "{f}"], "1,1\n1\n",
+        "{f}: $: ragged rows in check matrix file"),
+    "circuit_two_counts": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 2 3\n",
+        "{f}: line 1, col 10: header takes exactly one count"),
+    "circuit_zero_qubits": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 0\n",
+        "{f}: line 1, col 8: qubit count must be >= 1"),
+    "circuit_rz_without_angle": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 1\nRZ\n",
+        "{f}: line 2, col 1: RZ requires an angle"),
+    "simulate_p_above_one": (
+        [*SIMULATE, "--schedule", "{one_link}", "--p", "2"], None,
+        "p_override out of [0,1]: 2.0"),
+    # finite couplings whose energies overflow to -inf and inf
+    "ising_overflowing_couplings": (
+        ISING_SOLVE, ISING % ("[[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]", "[]"),
+        "report holds a non-finite number, which JSON cannot represent"),
+    "embed_placement_on_machine": (
+        ["qec", "embed", "--code", "{f}", "--host", str(EXAMPLE_JSON),
+         "--placement", "row_major"], SURFACE3 + "}",
+        "--placement applies only to --host grid"),
+    "embed_partition_on_grid": (
+        [*QEC_EMBED, "--partition", "round_robin"], SURFACE3 + "}",
+        "--partition applies only to a machine file --host"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionfab.errors import DomainError
+from ionfab.errors import CapacityError, DomainError
 from ionfab.netsim import (NetworkSim, SwitchConfig, default_link, link_label,
                            make_link, run_sim, theoretical_rate_check)
 from ionfab.scheduler import BufferedPairSupply
@@ -54,6 +54,43 @@ class TestSwitchConfig:
                 times[e.link].append(e.time)
         assert times[link_label(old)] and max(times[link_label(old)]) < 1e-4
         assert times[link_label(new)] and min(times[link_label(new)]) > resumed
+
+    def test_matching_replaced_within_reconfiguration(self, example_spec):
+        # a0b1 is removed 0.2 ms into its reconfiguration and re-added at
+        # 0.4 ms; a1b0 is added at 0.2 ms and removed while it reconfigures.
+        a0b0, a0b1 = make_link(("A", 0), ("B", 0)), make_link(("A", 0), ("B", 1))
+        a1b0 = make_link(("A", 1), ("B", 0))
+        schedule = [(0.0, SwitchConfig(frozenset({a0b0}))),
+                    (1e-4, SwitchConfig(frozenset({a0b1}))),
+                    (3e-4, SwitchConfig(frozenset({a1b0}))),
+                    (5e-4, SwitchConfig(frozenset({a0b1})))]
+        resumed = 5e-4 + example_spec.switch.reconfiguration_time
+        r = run_sim(example_spec, schedule, [], resumed + 1e-4, seed=0,
+                    p_override=1.0, store_log=True)
+        rows = [(e.kind, e.link, e.time) for e in r.events if e.link]
+        assert [row for row in rows if row[0] == "RECONFIG_DONE"] == [
+            ("RECONFIG_DONE", link_label(a0b1), resumed)]
+        assert all(link != link_label(a1b0) for _, link, _ in rows)
+        assert min(t for _, link, t in rows if link == link_label(a0b1)) == resumed
+        assert r.per_link[link_label(a1b0)].attempts == 0
+
+    def test_reload_before_first_entry_opens_nothing(self, example_spec):
+        spec = with_elu_field(example_spec, collision_rate_per_ion=1.0,
+                              reload_time=0.01)
+        first = 0.2
+        schedule = [(first, SwitchConfig(frozenset({default_link(spec)})))]
+        r = run_sim(spec, schedule, [], 0.3, seed=4, p_override=0.01,
+                    store_log=True)
+        kinds_before = {e.kind for e in r.events if e.time < first}
+        assert {"COLLISION", "RELOAD_DONE"} <= kinds_before
+        assert "SUCCESS" not in kinds_before
+        stats = r.per_link[link_label(default_link(spec))]
+        assert 0 < stats.attempts <= (0.3 - first) * spec.attempt_rate
+
+    def test_default_link_needs_comm_ions(self, example_spec):
+        spec = with_elu_field(example_spec, comm_ion_indices=())
+        with pytest.raises(CapacityError, match="not enough communication ions"):
+            default_link(spec)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_matchings_round_trip(self, seed):
@@ -402,6 +439,12 @@ class TestNetworkSim:
             expected.append(max(t, stream[cursor]))
             cursor += 1
         assert delivered == expected
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_supply_rejects_non_finite_time(self, example_spec, t):
+        supply = BufferedPairSupply(example_spec, {("A", "B")}, 0)
+        with pytest.raises(DomainError, match="request time must be finite"):
+            supply.request(("A", "B"), t)
 
     def test_finish_before_simulated_time_rejected(self, example_spec):
         sim = NetworkSim(example_spec, one_link_schedule(example_spec), [], 0)

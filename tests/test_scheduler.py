@@ -149,6 +149,17 @@ class TestScheduleDurations:
         assert r.makespan == pytest.approx(expected, rel=1e-12)
         assert r.pairs_consumed == 1
 
+    @pytest.mark.parametrize("mode, lifetime", [("ideal", None), ("buffered", 0.05)])
+    def test_overflowing_time_rejected(self, example_spec, mode, lifetime):
+        spec = dataclasses.replace(
+            example_spec, pair_lifetime=lifetime,
+            elus=tuple(dataclasses.replace(e, single_qubit_gate_time=1e308)
+                       for e in example_spec.elus))
+        c = parse_circuit("qubits 2\nX q0\nX q0\nCNOT q0 q1\n")
+        qmap = assign_qubits(c, spec, "user", user_map={0: ("A", 2), 1: ("B", 2)})
+        with pytest.raises(DomainError, match="schedule time overflows"):
+            schedule(c, qmap, spec, pair_supply_mode=mode, seed=1)
+
     def test_measure_duration(self, example_spec):
         c = parse_circuit("qubits 1\nMEASURE q0\n")
         qmap = assign_qubits(c, example_spec, "round_robin")
