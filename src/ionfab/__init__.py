@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .arch import (ArchitectureSpec, DriveField, EluSpec, IonSpecies,
                    SwitchSpec, ValidationReport, default_species,
-                   load_architecture, save_architecture, validate_architecture)
+                   load_architecture, validate_architecture)
 from .circuits import Circuit, GateKind, GateOp, parse_circuit
 from .errors import (CapacityError, DomainError, InvalidArchitecture,
                      IonfabError, ParseError, SchemaError, UnknownSpecies)

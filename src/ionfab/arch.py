@@ -3,8 +3,8 @@
 Internal units are SI throughout; angular frequencies are rad/s. The JSON
 file format ("ionfab-arch/1") accepts angular quantities as plain
 frequencies via ``*_hz`` keys (multiplied by 2*pi on load) or directly via
-``*_rad_s`` keys; :func:`save_architecture` always emits ``*_rad_s`` so that
-a save/load round trip is bit exact.
+``*_rad_s`` keys; :func:`architecture_to_doc` always emits ``*_rad_s`` so
+that a round trip through JSON is bit exact.
 
 All types are immutable after construction and safe to share between
 threads or processes.
@@ -12,14 +12,13 @@ threads or processes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .constants import ATOMIC_MASS_KG, HBAR, TWO_PI, species_entry
 from .errors import DomainError, InvalidArchitecture, SchemaError
-from .jsondoc import integer, load_json, number, require_keys, string
+from .jsondoc import integer, number, parse_json, read_text, require_keys, string
 
 SCHEMA_ID = "ionfab-arch/1"
 
@@ -336,7 +335,8 @@ def _parse_elu(obj: dict, path: str) -> EluSpec:
 
 
 def parse_architecture(doc: object) -> ArchitectureSpec:
-    """Parse an already-decoded ionfab-arch/1 document (strict, unknown keys rejected)."""
+    """Parse and validate a decoded ionfab-arch/1 document: SchemaError on
+    structural problems (unknown keys too), InvalidArchitecture on invariants."""
     if not isinstance(doc, dict):
         raise SchemaError(f"expected top-level object, got {type(doc).__name__}")
     require_keys(doc, "$", {"schema", "species", "drive", "elus", "switch",
@@ -372,7 +372,7 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
                  {"two_qubit_gate_fidelity", "teleport_overhead_time_s",
                   "classical_latency_s"})
 
-    return ArchitectureSpec(
+    spec = ArchitectureSpec(
         species=species,
         drive=drive,
         elus=elus,
@@ -387,6 +387,10 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
         pair_lifetime=lifetime,
         dual_species_comm=dual,
     )
+    report = validate_architecture(spec)
+    if not report.ok:
+        raise InvalidArchitecture(report)
+    return spec
 
 
 def architecture_to_doc(spec: ArchitectureSpec) -> dict:
@@ -447,18 +451,5 @@ def architecture_to_doc(spec: ArchitectureSpec) -> dict:
 
 
 def load_architecture(path: str | Path) -> ArchitectureSpec:
-    """Load, parse, and validate an architecture file.
-
-    Raises SchemaError on structural problems and InvalidArchitecture when
-    the parsed spec violates invariants.
-    """
-    spec = parse_architecture(load_json(path))
-    report = validate_architecture(spec)
-    if not report.ok:
-        raise InvalidArchitecture(report)
-    return spec
-
-
-def save_architecture(spec: ArchitectureSpec, path: str | Path) -> None:
-    doc = architecture_to_doc(spec)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """:func:`parse_architecture` of the JSON file at ``path``."""
+    return parse_architecture(parse_json(read_text(path)))

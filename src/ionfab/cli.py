@@ -7,8 +7,10 @@ byte-identical files (sorted keys, shortest round-trip float formatting).
 
 Each subcommand handler takes ``(args, read)`` and returns ``(exit_code,
 files)``, where ``files`` is a list of ``(path, text)`` and a ``None`` path
-means stdout. A handler opens input files only through ``read(load, path)``
-and writes nothing itself, apart from printing its ``--summary`` line.
+means stdout. A handler reads input files only through ``read(parse,
+path)``, which reads the bytes once, hashes them and parses their text (so
+a pipe such as ``/dev/stdin`` works), and writes nothing itself, apart from
+printing its ``--summary`` line.
 :func:`main` owns the rest of the run: the ``--seed`` rule, the input
 hashes, writing the files in order, the one ``ionfab: error:`` line and the
 manifest.
@@ -25,17 +27,18 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .arch import load_architecture
-from .circuits import load_circuit
+from .arch import parse_architecture
+from .circuits import parse_circuit
 from .errors import InvalidArchitecture, IonfabError, ParseError, SchemaError
 from .graph import build_interaction_graph, graph_distance_profile, to_dot
 from .ising import (AnnealSchedule, adiabatic_evolve, anneal_classical,
-                    brute_force_ground_state, instance_to_doc, load_instance,
+                    brute_force_ground_state, instance_to_doc, parse_instance,
                     power_law_couplings)
-from .jsondoc import each, fixed_array, integer, load_json, number, require_keys, string
+from .jsondoc import (decode, each, fixed_array, integer, number, parse_json,
+                      require_keys, string)
 from .netsim import Link, SwitchConfig, make_link, run_sim
 from .qec import (embed_on_grid, embed_on_modular, hypergraph_product_graph,
-                  load_check_matrix_csv, load_qec, qec_to_doc,
+                  parse_check_matrix_csv, parse_qec, qec_to_doc,
                   steane_concat_graph, surface_code_graph)
 from .rates import rate_report
 from .scheduler import assign_qubits, schedule
@@ -61,6 +64,11 @@ def render_csv_row(doc: dict) -> str:
     return f"{head}\n{row}\n"
 
 
+def _json(parse):
+    """A text parser that hands the decoded JSON document to ``parse``."""
+    return lambda text: parse(parse_json(text))
+
+
 def _needs_seed(args) -> bool:
     """Whether the run draws random numbers, and so must be given --seed."""
     return (args.command == "simulate"
@@ -76,7 +84,7 @@ def _needs_seed(args) -> bool:
 
 def _cmd_validate(args, read) -> tuple[int, Files]:
     try:
-        read(load_architecture, args.arch)
+        read(_json(parse_architecture), args.arch)
     except InvalidArchitecture as exc:
         doc = {"ok": False,
                "violations": [{"path": v.path, "message": v.message}
@@ -86,7 +94,7 @@ def _cmd_validate(args, read) -> tuple[int, Files]:
 
 
 def _cmd_rates(args, read) -> tuple[int, Files]:
-    spec = read(load_architecture, args.arch)
+    spec = read(_json(parse_architecture), args.arch)
     elu_id = args.elu or spec.elus[0].id
     report = rate_report(spec, elu_id)
     if args.summary:
@@ -99,7 +107,7 @@ def _cmd_rates(args, read) -> tuple[int, Files]:
 
 
 def _cmd_graph(args, read) -> tuple[int, Files]:
-    g = build_interaction_graph(read(load_architecture, args.arch))
+    g = build_interaction_graph(read(_json(parse_architecture), args.arch))
     if args.format == "dot":
         text = to_dot(g, tier=args.tier)
     else:
@@ -131,7 +139,7 @@ def _cmd_ising(args, read) -> tuple[int, Files]:
         inst = power_law_couplings(args.n, args.alpha, args.j0)
         return 0, [(args.out, render_json(instance_to_doc(inst)))]
 
-    inst = read(load_instance, args.instance)
+    inst = read(_json(parse_instance), args.instance)
     if sub == "solve":
         configs, best = brute_force_ground_state(inst)
         doc = {"minimum_energy": best,
@@ -171,7 +179,7 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
             raise IonfabError("--partition applies only to a machine file --host")
         if not grid and args.placement is not None:
             raise IonfabError("--placement applies only to --host grid")
-        code = read(load_qec, args.code)
+        code = read(_json(parse_qec), args.code)
         if grid:
             rep = embed_on_grid(code, args.placement or "row_major", seed=args.seed)
             doc = {
@@ -185,7 +193,7 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
                 print(f"grid {rep.grid_side}x{rep.grid_side}: "
                       f"{rep.swap_count} swaps, max span {rep.max_check_span}")
         else:
-            rep = embed_on_modular(code, read(load_architecture, args.host),
+            rep = embed_on_modular(code, read(_json(parse_architecture), args.host),
                                    args.partition or "greedy_cut")
             doc = {
                 "host": rep.host, "pairs_per_round": rep.pairs_per_round,
@@ -201,8 +209,8 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
     elif sub == "steane":
         code = steane_concat_graph(args.levels)
     else:
-        code = hypergraph_product_graph(read(load_check_matrix_csv, args.h1),
-                                        read(load_check_matrix_csv, args.h2))
+        code = hypergraph_product_graph(read(parse_check_matrix_csv, args.h1),
+                                        read(parse_check_matrix_csv, args.h2))
     if args.summary:
         print(f"{code.family}: {code.n_data} data, {code.n_checks} checks, "
               f"max weight {max(c.weight for c in code.checks)}")
@@ -228,8 +236,7 @@ def _request(entry: object) -> tuple[float, tuple[str, str]]:
             (string(elus, 0, "$.elus"), string(elus, 1, "$.elus")))
 
 
-def _load_qubit_map(path: str) -> dict[int, tuple[str, int]]:
-    doc = load_json(path)
+def _qubit_map(doc: object) -> dict[int, tuple[str, int]]:
     if not isinstance(doc, dict):
         raise SchemaError(f"expected object, got {type(doc).__name__}")
     user_map = {}
@@ -267,10 +274,10 @@ def sim_result_doc(result) -> dict:
 
 
 def _cmd_simulate(args, read) -> tuple[int, Files]:
-    spec = read(load_architecture, args.arch)
-    switch_schedule = read(lambda p: each(load_json(p), "$", _switch_entry),
+    spec = read(_json(parse_architecture), args.arch)
+    switch_schedule = read(_json(lambda doc: each(doc, "$", _switch_entry)),
                            args.schedule)
-    demand = (read(lambda p: each(load_json(p), "$", _request), args.demand)
+    demand = (read(_json(lambda doc: each(doc, "$", _request)), args.demand)
               if args.demand else [])
     result = run_sim(spec, switch_schedule, demand, args.horizon, args.seed,
                      p_override=args.p, store_log=args.log is not None)
@@ -285,11 +292,11 @@ def _cmd_simulate(args, read) -> tuple[int, Files]:
 
 
 def _cmd_schedule(args, read) -> tuple[int, Files]:
-    spec = read(load_architecture, args.arch)
-    circuit = read(load_circuit, args.circuit)
+    spec = read(_json(parse_architecture), args.arch)
+    circuit = read(parse_circuit, args.circuit)
     if args.map.startswith("file:"):
         qmap = assign_qubits(circuit, spec, "user",
-                             user_map=read(_load_qubit_map, args.map[5:]))
+                             user_map=read(_json(_qubit_map), args.map[5:]))
     elif args.map == "greedy":
         qmap = assign_qubits(circuit, spec, "greedy_interaction_cut")
     elif args.map == "roundrobin":
@@ -442,15 +449,14 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict[str, str | None] = {}  # path -> sha256 of the bytes read
     outputs: list[str] = []
 
-    def read(load, path: str):
-        """``load(path)`` after hashing the file; a malformed file's
-        SchemaError or ParseError names it."""
+    def read(parse, path: str):
+        """``parse`` of the text of the file at ``path``, read once and
+        hashed; a malformed file's SchemaError or ParseError names it."""
+        inputs[path] = None  # stays null if the read fails
+        data = Path(path).read_bytes()
+        inputs[path] = hashlib.sha256(data).hexdigest()
         try:
-            inputs[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        except OSError:
-            inputs[path] = None
-        try:
-            return load(path)
+            return parse(decode(data))
         except (SchemaError, ParseError) as exc:
             raise IonfabError(f"{path}: {exc}") from exc
 

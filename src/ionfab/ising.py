@@ -18,12 +18,11 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .jsondoc import each, fixed_array, integer, load_json, number, require_keys
+from .jsondoc import each, fixed_array, integer, number, require_keys
 
 ISING_SCHEMA_ID = "ionfab-ising/1"
 
@@ -56,6 +55,12 @@ class IsingInstance:
             for key, val in values.items():
                 if not math.isfinite(val):
                     raise DomainError(f"{what} {key} must be finite, got {val!r}")
+        # Energies sum each coupling twice, and a flip costs twice a local field.
+        scale = (sum(map(abs, self.couplings.values()))
+                 + sum(map(abs, self.local_fields.values())))
+        if not math.isfinite(2 * scale):
+            raise DomainError("couplings and fields too large: "
+                              "2 * (sum |J| + sum |B|) overflows")
 
     def support_edges(self) -> set[tuple[int, int]]:
         return set(self.couplings)
@@ -413,8 +418,3 @@ def parse_instance(doc: object) -> IsingInstance:
         fields[i] = val
     return IsingInstance(n_spins=n, couplings=couplings, local_fields=fields,
                          alpha=doc.get("alpha"), j0=doc.get("j0"))
-
-
-def load_instance(path: str | Path) -> IsingInstance:
-    return parse_instance(load_json(path))
-

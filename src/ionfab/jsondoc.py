@@ -1,12 +1,13 @@
-"""Strict reading of the JSON documents ionfab takes as input.
+"""Strict reading of the text and JSON documents ionfab takes as input.
 
-Every input file is read by :func:`read_text`, JSON files through
-:func:`load_json`, and every JSON loader checks shapes with the helpers
-below, so a bad document ends in one :class:`SchemaError` whose message
-starts with a JSON path such as ``$.elus[1].n_ions``. Integers must be
-JSON integers, and ``true`` / ``false`` are not numbers.
+Bytes become text by one rule, :func:`decode` (UTF-8, no newline
+translation), JSON text goes through :func:`parse_json`, and every JSON
+parser checks shapes with the helpers below, so a bad document ends in one
+:class:`SchemaError` whose message starts with a JSON path such as
+``$.elus[1].n_ions``. Integers must be JSON integers, and ``true`` /
+``false`` are not numbers.
 
-Path strings are built only when raising: the schedule and demand loaders
+Path strings are built only when raising: the schedule and demand parsers
 check every entry of lists that run to hundreds of entries, and building a
 path per entry up front made them measurably slower.
 """
@@ -19,17 +20,21 @@ from pathlib import Path
 from .errors import SchemaError
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; undecodable bytes raise SchemaError."""
+def decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; undecodable bytes raise SchemaError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc.reason}") from exc
 
 
-def load_json(path: str | Path) -> object:
-    """Decode a JSON file; an empty file or malformed text raises SchemaError."""
-    text = read_text(path)
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, decoded by :func:`decode`."""
+    return decode(Path(path).read_bytes())
+
+
+def parse_json(text: str) -> object:
+    """Decode JSON text; empty or malformed text raises SchemaError."""
     if not text.strip():
         raise SchemaError("empty file")
     try:

@@ -18,15 +18,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .arch import ArchitectureSpec
 from .errors import CapacityError, DomainError, SchemaError
 from .graph import deal_round_robin, greedy_cut
-from .jsondoc import (each, fixed_array, integer, load_json, number, read_text,
-                      require_keys, string)
+from .jsondoc import each, fixed_array, integer, number, require_keys, string
 
 QEC_SCHEMA_ID = "ionfab-qec/1"
 
@@ -519,14 +517,10 @@ def parse_qec(doc: object) -> QecGraph:
     )
 
 
-def load_qec(path: str | Path) -> QecGraph:
-    return parse_qec(load_json(path))
-
-
-def load_check_matrix_csv(path: str | Path) -> np.ndarray:
-    """Dense 0/1 check matrix from comma-separated rows."""
+def parse_check_matrix_csv(text: str) -> np.ndarray:
+    """Dense 0/1 check matrix from comma-separated rows; SchemaError if malformed."""
     rows = []
-    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -539,4 +533,7 @@ def load_check_matrix_csv(path: str | Path) -> np.ndarray:
         raise SchemaError("empty check matrix file")
     if len({len(r) for r in rows}) != 1:
         raise SchemaError("ragged rows in check matrix file")
-    return _as_binary_matrix(np.array(rows), str(path))
+    try:
+        return _as_binary_matrix(np.array(rows), "check matrix")
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None

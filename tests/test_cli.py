@@ -1,10 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
 
 import pytest
 
-from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, run_cli
+from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, cli_env, run_cli
 from ionfab.cli import main
 from ionfab.qec import (hypergraph_product_graph, qec_to_doc,
                         repetition_check_matrix, surface_code_graph)
@@ -142,6 +144,21 @@ class TestManifest:
         manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert hashlib.sha256(inst.read_bytes()).hexdigest() != before
         assert manifest["inputs"] == {str(inst): before}
+
+    @pytest.mark.parametrize("argv, piped", [
+        (["validate", "/dev/stdin"], EXAMPLE_JSON.read_bytes()),
+        (["schedule", str(EXAMPLE_JSON), "/dev/stdin"], b"qubits 2\nCNOT q0 q1\n"),
+        (["qec", "hgp", "--h1", "/dev/stdin", "--h2", "{good_csv}"], b"1,1,0\n0,1,1\n"),
+    ], ids=["json", "iqc", "csv"])
+    def test_piped_input_is_parsed_and_hashed(self, tmp_path, argv, piped):
+        good_csv = tmp_path / "good.csv"
+        good_csv.write_text("1,1\n")
+        r = subprocess.run([sys.executable, "-m", "ionfab",
+                            *(a.format(good_csv=good_csv) for a in argv)],
+                           input=piped, capture_output=True, env=cli_env())
+        assert r.returncode == 0, r.stderr
+        manifest = json.loads(r.stderr.splitlines()[-1])
+        assert manifest["inputs"]["/dev/stdin"] == hashlib.sha256(piped).hexdigest()
 
 
 class TestRates:
@@ -625,10 +642,10 @@ BAD_INPUTS = {
     "simulate_p_above_one": (
         [*SIMULATE, "--schedule", "{one_link}", "--p", "2"], None,
         "p_override out of [0,1]: 2.0"),
-    # finite couplings whose energies overflow to -inf and inf
+    # finite couplings whose energies would overflow to -inf and inf
     "ising_overflowing_couplings": (
         ISING_SOLVE, ISING % ("[[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]", "[]"),
-        "report holds a non-finite number, which JSON cannot represent"),
+        "couplings and fields too large: 2 * (sum |J| + sum |B|) overflows"),
     "embed_placement_on_machine": (
         ["qec", "embed", "--code", "{f}", "--host", str(EXAMPLE_JSON),
          "--placement", "row_major"], SURFACE3 + "}",

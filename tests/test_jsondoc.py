@@ -1,10 +1,12 @@
 import pytest
 
 from ionfab.errors import SchemaError
-from ionfab.jsondoc import each, fixed_array, integer, load_json, number, string
+from ionfab.jsondoc import decode, each, fixed_array, integer, number, parse_json, string
 
 
 class TestLoadJson:
+    """File bytes through ``decode`` and ``parse_json``, as the CLI reads them."""
+
     @pytest.mark.parametrize("content, message", [
         (b"", "empty file"),
         (b"  \n", "empty file"),
@@ -13,17 +15,13 @@ class TestLoadJson:
         (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: maximum recursion depth"),
         (b"1" * 5000, "invalid JSON: Exceeds the limit"),
     ])
-    def test_bad_text_is_schema_error_at_root(self, tmp_path, content, message):
-        path = tmp_path / "doc.json"
-        path.write_bytes(content)
+    def test_bad_text_is_schema_error_at_root(self, content, message):
         with pytest.raises(SchemaError, match=message) as info:
-            load_json(path)
+            parse_json(decode(content))
         assert info.value.path == "$"
 
-    def test_nan_and_infinity_decode(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text("[NaN, Infinity]")
-        assert str(load_json(path)) == "[nan, inf]"
+    def test_nan_and_infinity_decode(self):
+        assert str(parse_json("[NaN, Infinity]")) == "[nan, inf]"
 
 
 class TestHelpers:
