@@ -56,11 +56,14 @@ class IsingInstance:
                 if not math.isfinite(val):
                     raise DomainError(f"{what} {key} must be finite, got {val!r}")
         # Energies sum each coupling twice, and a flip costs twice a local field.
-        scale = (sum(map(abs, self.couplings.values()))
-                 + sum(map(abs, self.local_fields.values())))
-        if not math.isfinite(2 * scale):
+        if not math.isfinite(2 * self.magnitude()):
             raise DomainError("couplings and fields too large: "
                               "2 * (sum |J| + sum |B|) overflows")
+
+    def magnitude(self) -> float:
+        """sum |J| + sum |B|, a bound on |H(s)| for every configuration."""
+        return (sum(map(abs, self.couplings.values()))
+                + sum(map(abs, self.local_fields.values())))
 
     def support_edges(self) -> set[tuple[int, int]]:
         return set(self.couplings)
@@ -281,6 +284,11 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         raise DomainError(f"steps must be >= 10, got {steps}")
     if steps > ADIABATIC_MAX_STEPS:
         raise DomainError(f"steps must be <= {ADIABATIC_MAX_STEPS}, got {steps}")
+    # Every phase dt * s * E is at most total_time * magnitude in size; the
+    # factor 2 keeps the margin of the instance's own bound.
+    if not math.isfinite(total_time * 2 * instance.magnitude()):
+        raise DomainError("total_time too large for these couplings and fields: "
+                          "total_time * 2 * (sum |J| + sum |B|) overflows")
 
     dim = 1 << n
     diag = np.concatenate([e for _, e in _energy_blocks(instance)])

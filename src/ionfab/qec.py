@@ -73,10 +73,27 @@ class QecGraph:
         return self.n_data + self.n_checks
 
     def css_commutation_ok(self) -> bool:
-        """Every X-check / Z-check pair overlaps on an even number of data nodes."""
-        xs = [c.data for c in self.checks if c.kind == "X"]
-        zs = [c.data for c in self.checks if c.kind == "Z"]
-        return all(len(x & z) % 2 == 0 for x in xs for z in zs)
+        """Every X-check / Z-check pair overlaps on an even number of data nodes.
+
+        A sparse parity walk rather than an all-pairs intersection: map each
+        data node to the Z checks that touch it, then XOR those Z-check sets
+        over each X check's data nodes. What is left are the Z checks that
+        overlap that X check an odd number of times, so a non-empty set fails.
+        The cost is the sum over X checks of their data nodes' Z degrees.
+        """
+        z_of: dict[int, set[int]] = {}
+        for zi, c in enumerate(self.checks):
+            if c.kind == "Z":
+                for d in c.data:
+                    z_of.setdefault(d, set()).add(zi)
+        for c in self.checks:
+            if c.kind == "X":
+                odd: set[int] = set()
+                for d in c.data:
+                    odd.symmetric_difference_update(z_of.get(d, ()))
+                if odd:
+                    return False
+        return True
 
 
 def swaps_for_distance(distance: int) -> int:
@@ -243,6 +260,11 @@ def hypergraph_product_graph(h1, h2) -> QecGraph:
     n1*n2 (sector one) followed by m1*m2 (sector two); X-checks indexed
     (a, b) over m1 x n2, Z-checks (i, c) over n1 x m2. X/Z commutation holds
     by construction and is re-verified before return.
+
+    The number of logical qubits comes from the Tillich-Zemor dimension
+    formula, k = (n1 - r1)(n2 - r2) + (m1 - r1)(m2 - r2) with r_i the GF(2)
+    rank of H_i (Tillich & Zemor, IEEE Trans. IT 60, 1193 (2014)). It equals
+    n_data - rank(hx) - rank(hz) but ranks only the two small inputs.
     """
     h1 = _as_binary_matrix(h1, "h1")
     h2 = _as_binary_matrix(h2, "h2")
@@ -256,7 +278,8 @@ def hypergraph_product_graph(h1, h2) -> QecGraph:
     checks = [Check(kind, frozenset(np.flatnonzero(row).tolist()))
               for kind, h in (("X", hx), ("Z", hz)) for row in h]
     n_data = n1 * n2 + m1 * m2
-    k = n_data - gf2_rank(hx) - gf2_rank(hz)
+    r1, r2 = gf2_rank(h1), gf2_rank(h2)
+    k = (n1 - r1) * (n2 - r2) + (m1 - r1) * (m2 - r2)
 
     graph = QecGraph(
         n_data=n_data,

@@ -646,6 +646,12 @@ BAD_INPUTS = {
     "ising_overflowing_couplings": (
         ISING_SOLVE, ISING % ("[[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]", "[]"),
         "couplings and fields too large: 2 * (sum |J| + sum |B|) overflows"),
+    # finite phases time * energy that would overflow in the Trotter loop
+    "ising_adiabatic_overflowing_time": (
+        ["ising", "adiabatic", "{f}", "--time", "1e300", "--steps", "10"],
+        ISING % ("[[0, 1, 1e10], [0, 2, 1e10], [1, 2, 1e10]]", "[]"),
+        "total_time too large for these couplings and fields: "
+        "total_time * 2 * (sum |J| + sum |B|) overflows"),
     "embed_placement_on_machine": (
         ["qec", "embed", "--code", "{f}", "--host", str(EXAMPLE_JSON),
          "--placement", "row_major"], SURFACE3 + "}",

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ionfab.qec
 from ionfab.errors import CapacityError, DomainError, SchemaError
 from ionfab.qec import (Check, QecGraph, embed_on_grid, embed_on_modular,
                         gf2_rank, hypergraph_product_graph, parse_qec,
@@ -48,6 +51,37 @@ def check_matrices(code):
             hz[zi, sorted(c.data)] = 1
             zi += 1
     return hx, hz
+
+
+def all_pairs_commute(code):
+    """The definition the sparse parity walk must agree with."""
+    xs = [c.data for c in code.checks if c.kind == "X"]
+    zs = [c.data for c in code.checks if c.kind == "Z"]
+    return all(len(x & z) % 2 == 0 for x in xs for z in zs)
+
+
+@st.composite
+def check_matrices_without_zero_lines(draw):
+    """A 0/1 matrix up to 7 x 7 with a one in every row and every column."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    m = np.array(bits, dtype=np.uint8)
+    for r in np.flatnonzero(~m.any(axis=1)):
+        m[r, draw(st.integers(0, cols - 1))] = 1
+    for c in np.flatnonzero(~m.any(axis=0)):
+        m[draw(st.integers(0, rows - 1)), c] = 1
+    return m
+
+
+@st.composite
+def css_graphs(draw):
+    """A QecGraph of up to 8 random X and Z checks on up to 6 data nodes."""
+    n = draw(st.integers(1, 6))
+    checks = draw(st.lists(st.builds(
+        Check, st.sampled_from("XZ"),
+        st.frozensets(st.integers(0, n - 1), min_size=1)), max_size=8))
+    return QecGraph(n_data=n, checks=tuple(checks), family="random")
 
 
 def segments_cross(p1, p2, p3, p4):
@@ -201,6 +235,29 @@ class TestHypergraphProduct:
                 continue
             assert gf2_rank(m) == reference_gf2_rank(m)
 
+    @settings(max_examples=150)
+    @given(check_matrices_without_zero_lines(), check_matrices_without_zero_lines())
+    def test_dimension_formula_matches_full_ranks(self, h1, h2):
+        g = hypergraph_product_graph(h1, h2)
+        hx, hz = check_matrices(g)
+        assert g.params["k"] == (g.n_data - reference_gf2_rank(hx)
+                                 - reference_gf2_rank(hz))
+        assert g.css_commutation_ok() == all_pairs_commute(g)
+
+    def test_ranks_only_the_input_matrices(self, monkeypatch):
+        # k comes from the ranks of H1 and H2; ranking hx or hz again would
+        # show up here as a (m1*n2) x n_data or (n1*m2) x n_data shape
+        shapes, rank = [], ionfab.qec.gf2_rank
+
+        def recording_rank(m):
+            shapes.append(np.shape(m))
+            return rank(m)
+
+        monkeypatch.setattr(ionfab.qec, "gf2_rank", recording_rank)
+        rep5 = repetition_check_matrix(5)
+        assert hypergraph_product_graph(rep5, rep5).params["k"] == 1
+        assert shapes == [(4, 5), (4, 5)]
+
     def test_rejects_zero_matrix(self):
         with pytest.raises(DomainError, match="nonzero"):
             hypergraph_product_graph(np.zeros((2, 3), dtype=int),
@@ -213,6 +270,28 @@ class TestHypergraphProduct:
     def test_rejects_ragged(self):
         with pytest.raises(DomainError):
             hypergraph_product_graph([[1, 0], [1]], [[1]])
+
+
+class TestCssCommutationGuard:
+    """The parity walk flags an odd X/Z overlap and passes even ones."""
+
+    @pytest.mark.parametrize("checks, ok", [
+        ([Check("X", frozenset({0, 1})), Check("Z", frozenset({1, 2}))], False),
+        ([Check("Z", frozenset({0, 1})), Check("X", frozenset({0, 1})),
+          Check("X", frozenset({0, 1, 2, 3})), Check("Z", frozenset({0, 1, 2}))],
+         False),
+        ([Check("X", frozenset({0, 1})), Check("X", frozenset({1, 2, 3}))], True),
+        ([Check("X", frozenset({0, 1, 2})), Check("Z", frozenset({1, 2, 3}))], True),
+    ], ids=["one_node_overlap", "three_node_overlap", "x_only", "two_node_overlap"])
+    def test_hand_built_graphs(self, checks, ok):
+        code = QecGraph(n_data=4, checks=tuple(checks), family="hand")
+        assert code.css_commutation_ok() is ok
+        assert all_pairs_commute(code) is ok
+
+    @settings(max_examples=300)
+    @given(css_graphs())
+    def test_walk_matches_all_pairs(self, code):
+        assert code.css_commutation_ok() == all_pairs_commute(code)
 
 
 class TestGridEmbedding:
