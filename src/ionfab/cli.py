@@ -41,7 +41,7 @@ from .qec import (embed_on_grid, embed_on_modular, hypergraph_product_graph,
                   parse_check_matrix_csv, parse_qec, qec_to_doc,
                   steane_concat_graph, surface_code_graph)
 from .rates import rate_report
-from .scheduler import assign_qubits, schedule
+from .scheduler import QubitMap, assign_qubits, schedule
 
 _STOCHASTIC_HINT = "stochastic command requires --seed (no hidden entropy)"
 
@@ -295,8 +295,7 @@ def _cmd_schedule(args, read) -> tuple[int, Files]:
     spec = read(_json(parse_architecture), args.arch)
     circuit = read(parse_circuit, args.circuit)
     if args.map.startswith("file:"):
-        qmap = assign_qubits(circuit, spec, "user",
-                             user_map=read(_json(_qubit_map), args.map[5:]))
+        qmap = QubitMap(read(_json(_qubit_map), args.map[5:]))
     elif args.map == "greedy":
         qmap = assign_qubits(circuit, spec, "greedy_interaction_cut")
     elif args.map == "roundrobin":

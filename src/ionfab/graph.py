@@ -192,6 +192,7 @@ def to_dot(g: InteractionGraph, tier: str | None = None) -> str:
 
 
 def _spare(n_nodes: int, capacity: dict[str, int]) -> dict[str, int]:
+    """A copy of ``capacity`` to count down; the partitioners' one capacity check."""
     total = sum(capacity.values())
     if n_nodes > total:
         raise CapacityError(f"{n_nodes} nodes exceed {total} ELU slots")
@@ -224,15 +225,15 @@ def greedy_cut(order: list[int], neighbours, capacity: dict[str, int]) -> list[s
     spare = _spare(len(order), capacity)
     placed: list[str | None] = [None] * len(order)
     for node in order:
-        placed_weight = 0
         weight_on: dict[str, int] = {}
         for other, w in neighbours[node]:
             eid = placed[other]
             if eid is not None:
-                placed_weight += w
                 weight_on[eid] = weight_on.get(eid, 0) + w
-        best = min((eid for eid in capacity if spare[eid]),
-                   key=lambda eid: (placed_weight - weight_on.get(eid, 0), -spare[eid]))
+        # Least cut weight is most weight kept on the ELU; max keeps the
+        # first of equal keys, so the earlier ELU wins a full tie.
+        best = max((eid for eid in capacity if spare[eid]),
+                   key=lambda eid: (weight_on.get(eid, 0), spare[eid]))
         placed[node] = best
         spare[best] -= 1
     return placed

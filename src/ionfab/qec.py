@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ class QecGraph:
                 raise DomainError("every check must touch at least one data node")
             if any(not 0 <= d < self.n_data for d in c.data):
                 raise DomainError("check touches data index out of range")
+        if (self.data_coords is None) != (self.check_coords is None):
+            raise DomainError("data_coords and check_coords must be given together")
         if self.data_coords is not None and (
                 len(self.data_coords) != self.n_data
                 or len(self.check_coords) != len(self.checks)):
@@ -382,79 +385,54 @@ def embed_on_grid(code: QecGraph, placement: str = "row_major",
 # Modular embedding
 # ---------------------------------------------------------------------------
 
-def _tanner_adjacency(code: QecGraph) -> list[list[int]]:
-    """Adjacency over nodes 0..n_data-1 (data) then checks."""
-    adj: list[list[int]] = [[] for _ in range(code.n_nodes)]
+def _partition_nodes(code: QecGraph, spec: ArchitectureSpec,
+                     partition: str) -> list[str]:
+    capacities = {e.id: e.n_ions for e in spec.elus}
+    if partition == "round_robin":
+        return deal_round_robin(code.n_nodes, capacities)
+    if partition != "greedy_cut":
+        raise DomainError(f"unknown partition strategy {partition!r}")
+
+    # Unit-weight Tanner neighbours over data nodes 0..n_data-1, then checks.
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(code.n_nodes)]
     for ci, check in enumerate(code.checks):
         c_node = code.n_data + ci
         for d in sorted(check.data):
-            adj[c_node].append(d)
-            adj[d].append(c_node)
-    return adj
-
-
-def _partition_nodes(code: QecGraph, spec: ArchitectureSpec, partition: str,
-                     user_map: dict[int, str] | None) -> list[str]:
-    capacities = {e.id: e.n_ions for e in spec.elus}
-    total_capacity = sum(capacities.values())
-    if code.n_nodes > total_capacity:
-        raise CapacityError(
-            f"code needs {code.n_nodes} ions, machine has {total_capacity}")
-
-    if partition == "user_map":
-        if user_map is None:
-            raise DomainError("user_map partition requires a node -> ELU map")
-        assignment = []
-        used = dict.fromkeys(capacities, 0)
-        for node in range(code.n_nodes):
-            if node not in user_map:
-                raise DomainError(f"user_map missing node {node}")
-            eid = user_map[node]
-            if eid not in capacities:
-                raise DomainError(f"user_map names unknown ELU {eid!r}")
-            used[eid] += 1
-            if used[eid] > capacities[eid]:
-                raise CapacityError(f"user_map overfills ELU {eid!r}")
-            assignment.append(eid)
-        return assignment
-
-    if partition == "round_robin":
-        return deal_round_robin(code.n_nodes, capacities)
-
-    if partition == "greedy_cut":
-        # BFS order over the Tanner graph keeps local neighborhoods together.
-        adj = _tanner_adjacency(code)
-        order: list[int] = []
-        seen = [False] * code.n_nodes
-        for root in range(code.n_nodes):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = [root]
-            while queue:
-                u = queue.pop(0)
-                order.append(u)
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-        return greedy_cut(order, [[(w, 1) for w in nbrs] for nbrs in adj], capacities)
-
-    raise DomainError(f"unknown partition strategy {partition!r}")
+            neighbours[c_node].append((d, 1))
+            neighbours[d].append((c_node, 1))
+    # BFS order over the Tanner graph keeps local neighborhoods together.
+    order: list[int] = []
+    seen = [False] * code.n_nodes
+    for root in range(code.n_nodes):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w, _ in neighbours[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return greedy_cut(order, neighbours, capacities)
 
 
 def embed_on_modular(code: QecGraph, spec: ArchitectureSpec,
-                     partition: str = "greedy_cut",
-                     user_map: dict[int, str] | None = None) -> EmbeddingReport:
+                     partition: str = "greedy_cut") -> EmbeddingReport:
     """Partition a code over the machine's ELUs and cost one syndrome round.
 
-    Inside an ELU every interaction is distance 1 on the collective tier;
-    each distinct remote ELU touched by a check consumes one entangled pair
-    plus a teleport. Route length per check counts its intra-ELU arms (1 hop
-    each); ``per_check_remote_elus`` and ``pairs_per_round`` carry the
-    photonic cost.
+    ``partition`` is ``greedy_cut`` (Tanner nodes in breadth-first order,
+    unit weights) or ``round_robin``; both are the partitioners of
+    :mod:`ionfab.graph`, with each ELU's ``n_ions`` as its slots, and they
+    raise ``CapacityError`` when the code does not fit. Inside an ELU every
+    interaction is distance 1 on the collective tier; each distinct remote
+    ELU touched by a check consumes one entangled pair plus a teleport.
+    Route length per check counts its intra-ELU arms (1 hop each);
+    ``per_check_remote_elus`` and ``pairs_per_round`` carry the photonic
+    cost.
     """
-    assignment = _partition_nodes(code, spec, partition, user_map)
+    assignment = _partition_nodes(code, spec, partition)
     routes, spans, remote_counts = [], [], []
     for ci, check in enumerate(code.checks):
         host = assignment[code.n_data + ci]

@@ -1,7 +1,10 @@
 """Qubit assignment and ASAP gate scheduling against the pair supply.
 
 Program qubits live on memory ions (communication ions are reserved for the
-photonic interface). Scheduling processes operations in program order and
+photonic interface). A map is either computed by :func:`assign_qubits`,
+which places qubits on ELUs with the partitioners of :mod:`ionfab.graph`, or
+given by hand as a :class:`QubitMap`; :func:`schedule` validates whichever
+map it is given, once. Scheduling processes operations in program order and
 starts each as soon as every ion it touches is free, which preserves
 program-order dependencies between operations sharing a qubit.
 
@@ -52,6 +55,8 @@ SWAP_GATE_COUNT = 3
 
 BRUTE_FORCE_MAX_QUBITS = 8
 BRUTE_FORCE_MAX_ELUS = 3
+# Expected pairs simulated to answer one request when pairs expire.
+SUPPLY_MAX_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,26 +99,17 @@ def _fill_positions(elu_for: list[str], spec: ArchitectureSpec) -> QubitMap:
 
 
 def assign_qubits(circuit: Circuit, spec: ArchitectureSpec,
-                  strategy: str = "greedy_interaction_cut",
-                  user_map: dict[int, tuple[str, int]] | None = None) -> QubitMap:
-    """Map program qubits to memory ions.
+                  strategy: str = "greedy_interaction_cut") -> QubitMap:
+    """Map program qubits to memory ions with one of the ELU partitioners.
 
     ``round_robin`` deals qubits across ELUs cyclically;
     ``greedy_interaction_cut`` greedily minimizes entangling operations that
-    cross ELUs, placing heavy qubits first; ``user`` validates a given map.
+    cross ELUs, placing heavy qubits first. Each ELU offers its memory ions
+    as slots, and the partitioner raises ``CapacityError`` when the circuit
+    does not fit. A map given by hand is a :class:`QubitMap` built directly;
+    :func:`schedule` validates it.
     """
     capacity = {e.id: e.memory_ion_count for e in spec.elus}
-    if circuit.n_qubits > sum(capacity.values()):
-        raise CapacityError(
-            f"{circuit.n_qubits} qubits exceed {sum(capacity.values())} memory ions")
-
-    if strategy == "user":
-        if user_map is None:
-            raise DomainError("user strategy requires a map")
-        qmap = QubitMap(dict(user_map))
-        qmap.validate(circuit, spec)
-        return qmap
-
     if strategy == "round_robin":
         return _fill_positions(deal_round_robin(circuit.n_qubits, capacity), spec)
 
@@ -178,7 +174,10 @@ class BufferedPairSupply:
     exact whenever the buffer capacity is not binding. Deterministic per
     seed: the sim is advanced, doubling its horizon, only as far as the
     requests reach, and a sim advanced in steps yields the same success
-    times as one long run.
+    times as one long run. When pairs expire, a request at t needs the sim
+    run up to t, about t x rate x links successes, so a request past
+    ``SUPPLY_MAX_PAIRS`` of them raises ``DomainError`` before any of that
+    work; without a lifetime the work is bounded by the requests.
     """
 
     def __init__(self, spec: ArchitectureSpec, pairs: set[tuple[str, str]],
@@ -203,6 +202,10 @@ class BufferedPairSupply:
         if not math.isfinite(t):
             raise DomainError(f"pair request time must be finite, got {t!r}")
         stream, lifetime = self.sim.success_times[pair], self.sim.lifetime
+        if (math.isfinite(lifetime)
+                and t * self.analytic_rate * len(self.next) > SUPPLY_MAX_PAIRS):
+            raise DomainError(
+                f"pair request at t = {t!r} s exceeds {SUPPLY_MAX_PAIRS} simulated pairs")
         while (i := bisect.bisect_right(stream, t, lo=self.next[pair],
                                         key=lambda s: s + lifetime)) == len(stream):
             self._advance(2.0 * self.horizon)

@@ -10,6 +10,7 @@ from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, cli_env, run_cli
 from ionfab.cli import main
 from ionfab.qec import (hypergraph_product_graph, qec_to_doc,
                         repetition_check_matrix, surface_code_graph)
+from ionfab.scheduler import QubitMap
 
 ONE_LINK = '[{"time_s": 0.0, "links": [["A", 0, "B", 0]]}]'
 
@@ -321,6 +322,46 @@ class TestScheduleFlow:
         assert captured.out == ""
         assert errors == ["ionfab: error: schedule time overflows: "
                           "an operation ends at inf s"]
+
+    def test_file_map_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = QubitMap.validate
+
+        def counted(qmap, *args):
+            calls.append(qmap)
+            return validate(qmap, *args)
+
+        monkeypatch.setattr(QubitMap, "validate", counted)
+        qmap = tmp_path / "map.json"
+        qmap.write_text('{"0": ["A", 2], "1": ["B", 2]}')
+        circuit = tmp_path / "c.iqc"
+        circuit.write_text("qubits 2\nCNOT q0 q1\n")
+        assert main(["schedule", str(EXAMPLE_JSON), str(circuit),
+                     "--map", f"file:{qmap}"]) == 0
+        assert len(calls) == 1
+
+    def test_expiring_pairs_at_huge_time_exit_1(self, tmp_path, capsys):
+        """A remote gate at t = 1e300 s would need the pair sim run that far."""
+        doc = json.loads(EXAMPLE_JSON.read_text())
+        doc["link"]["pair_lifetime_s"] = 0.05
+        for elu in doc["elus"]:
+            elu["single_qubit_gate_time_s"] = 1e300
+        arch, circuit, qmap = (tmp_path / "arch.json", tmp_path / "c.iqc",
+                               tmp_path / "map.json")
+        arch.write_text(json.dumps(doc))
+        circuit.write_text("qubits 2\nX q0\nCNOT q0 q1\n")
+        qmap.write_text('{"0": ["A", 2], "1": ["B", 2]}')
+        argv = ["schedule", str(arch), str(circuit), "--map", f"file:{qmap}"]
+        assert main(argv) == 0  # ideal pairs need no simulation
+        assert json.loads(capsys.readouterr().out)["makespan_s"] >= 1e300
+        code = main([*argv, "--pairs", "buffered", "--seed", "1"])
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("ionfab: error:")]
+        assert code == 1
+        assert captured.out == ""
+        assert errors == ["ionfab: error: pair request at t = 1e+300 s "
+                          "exceeds 1000000 simulated pairs"]
 
 
 class TestGoldenOutputs:
@@ -659,6 +700,15 @@ BAD_INPUTS = {
     "embed_partition_on_grid": (
         [*QEC_EMBED, "--partition", "round_robin"], SURFACE3 + "}",
         "--partition applies only to a machine file --host"),
+    # the partitioner's one capacity check: n_ions slots per ELU for a code,
+    # memory ions for a circuit
+    "embed_code_too_big": (
+        ["qec", "embed", "--code", "{f}", "--host", str(EXAMPLE_JSON)],
+        json.dumps(qec_to_doc(surface_code_graph(5))),
+        "49 nodes exceed 40 ELU slots"),
+    "schedule_circuit_too_big": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 40\nX q0\n",
+        "40 nodes exceed 32 ELU slots"),
 }
 
 

@@ -120,6 +120,31 @@ def test_partitions_fill_within_capacity_and_follow_renaming(graph):
         assert place(renamed) == [rename[eid] for eid in placed]
 
 
+def documented_greedy_cut(order, neighbours, capacity):
+    """``greedy_cut``'s docstring restated: each node, in order, goes to the
+    ELU with room of lowest (cut weight to placed neighbours, -spare room,
+    position in ``capacity``)."""
+    elus = list(capacity)
+    spare = dict(capacity)
+    placed = {}
+    for node in order:
+        def key(eid):
+            cut = sum(w for other, w in neighbours[node]
+                      if other in placed and placed[other] != eid)
+            return cut, -spare[eid], elus.index(eid)
+        placed[node] = min((eid for eid in elus if spare[eid] > 0), key=key)
+        spare[placed[node]] -= 1
+    return [placed[node] for node in range(len(order))]
+
+
+@settings(max_examples=300)
+@given(weighted_graphs())
+def test_greedy_cut_follows_its_documented_rule(graph):
+    order, neighbours, capacity = graph
+    assert (greedy_cut(order, neighbours, capacity)
+            == documented_greedy_cut(order, neighbours, capacity))
+
+
 def test_partitions_reject_too_few_slots():
     with pytest.raises(CapacityError, match="3 nodes exceed 2 ELU slots"):
         deal_round_robin(3, {"A": 1, "B": 1})

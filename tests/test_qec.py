@@ -366,8 +366,9 @@ class TestModularEmbedding:
         # weight-4 check split 2/2 with the ancilla local to one side
         code = QecGraph(n_data=4, checks=(Check("Z", frozenset({0, 1, 2, 3})),),
                         family="custom")
-        user = {0: "A", 1: "A", 2: "B", 3: "B", 4: "A"}
-        rep = embed_on_modular(code, built_spec, "user_map", user_map=user)
+        # round robin on two ELUs: data 0-3 on A, B, A, B and the check on A
+        rep = embed_on_modular(code, built_spec, "round_robin")
+        assert rep.assignment == ("A", "B", "A", "B", "A")
         assert rep.pairs_per_round == 1
         assert rep.per_check_remote_elus == (1,)
         assert rep.per_check_route_length == (2,)  # two local arms
@@ -391,15 +392,8 @@ class TestModularEmbedding:
 
     def test_capacity_guard(self, built_spec):
         code = surface_code_graph(5)  # 49 nodes > 40 ions
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="49 nodes exceed 40 ELU slots"):
             embed_on_modular(code, built_spec)
-
-    def test_user_map_unknown_elu(self, built_spec):
-        code = QecGraph(n_data=1, checks=(Check("X", frozenset({0})),),
-                        family="custom")
-        with pytest.raises(DomainError, match="unknown ELU"):
-            embed_on_modular(code, built_spec, "user_map",
-                             user_map={0: "Z", 1: "Z"})
 
 
 class TestQecIO:
@@ -435,3 +429,10 @@ class TestQecIO:
         doc["coords"]["data"].pop()
         with pytest.raises(DomainError, match="one cell per data node"):
             parse_qec(doc)
+
+    @pytest.mark.parametrize("given", ["data_coords", "check_coords"])
+    def test_coords_come_in_pairs(self, given):
+        g = surface_code_graph(3)
+        with pytest.raises(DomainError, match="must be given together"):
+            QecGraph(n_data=g.n_data, checks=g.checks, family=g.family,
+                     **{given: getattr(g, given)})

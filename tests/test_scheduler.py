@@ -8,8 +8,10 @@ from conftest import FIXTURES_DIR
 from ionfab.circuits import load_circuit, parse_circuit
 from ionfab.errors import CapacityError, DomainError
 from ionfab.rates import elu_gate_rate, slow_gate_time
-from ionfab.scheduler import (QubitMap, assign_qubits, brute_force_best_map,
-                              crossing_count, fidelity_estimate, schedule)
+import ionfab.scheduler
+from ionfab.scheduler import (BufferedPairSupply, QubitMap, assign_qubits,
+                              brute_force_best_map, crossing_count,
+                              fidelity_estimate, schedule)
 
 FIXTURE_NAMES = ["ring4.iqc", "line6.iqc", "star5.iqc", "clusters6.iqc",
                  "mixed8.iqc"]
@@ -61,13 +63,12 @@ class TestAssignment:
     def test_user_map_duplicate_target(self, example_spec):
         c = parse_circuit("qubits 2\nCNOT q0 q1\n")
         with pytest.raises(DomainError, match="injective"):
-            assign_qubits(c, example_spec, "user",
-                          user_map={0: ("A", 2), 1: ("A", 2)})
+            QubitMap({0: ("A", 2), 1: ("A", 2)}).validate(c, example_spec)
 
     def test_user_map_comm_position_rejected(self, example_spec):
         c = parse_circuit("qubits 1\nX q0\n")
         with pytest.raises(DomainError, match="memory ion"):
-            assign_qubits(c, example_spec, "user", user_map={0: ("A", 0)})
+            QubitMap({0: ("A", 0)}).validate(c, example_spec)
 
     def test_unknown_strategy(self, example_spec):
         c = parse_circuit("qubits 1\nX q0\n")
@@ -123,8 +124,7 @@ class TestBruteForceOracle:
 class TestScheduleDurations:
     def test_adjacent_local_cnot(self, example_spec):
         c = parse_circuit("qubits 2\nCNOT q0 q1\n")
-        qmap = assign_qubits(c, example_spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 3)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 3)})
         r = schedule(c, qmap, example_spec)
         tau_fast = slow_gate_time(elu_gate_rate(example_spec, "A")) / 5.0
         assert r.makespan == tau_fast
@@ -132,15 +132,13 @@ class TestScheduleDurations:
 
     def test_distant_local_cnot_uses_collective(self, example_spec):
         c = parse_circuit("qubits 2\nCNOT q0 q1\n")
-        qmap = assign_qubits(c, example_spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 15)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 15)})
         r = schedule(c, qmap, example_spec)
         assert r.makespan == slow_gate_time(elu_gate_rate(example_spec, "A"))
 
     def test_remote_cnot_ideal_formula(self, example_spec):
         c = parse_circuit("qubits 2\nCNOT q0 q1\n")
-        qmap = assign_qubits(c, example_spec, "user",
-                             user_map={0: ("A", 2), 1: ("B", 2)})
+        qmap = QubitMap({0: ("A", 2), 1: ("B", 2)})
         r = schedule(c, qmap, example_spec)
         tau_fast = slow_gate_time(elu_gate_rate(example_spec, "A")) / 5.0
         correction = tau_fast + example_spec.species.detection_time
@@ -156,7 +154,7 @@ class TestScheduleDurations:
             elus=tuple(dataclasses.replace(e, single_qubit_gate_time=1e308)
                        for e in example_spec.elus))
         c = parse_circuit("qubits 2\nX q0\nX q0\nCNOT q0 q1\n")
-        qmap = assign_qubits(c, spec, "user", user_map={0: ("A", 2), 1: ("B", 2)})
+        qmap = QubitMap({0: ("A", 2), 1: ("B", 2)})
         with pytest.raises(DomainError, match="schedule time overflows"):
             schedule(c, qmap, spec, pair_supply_mode=mode, seed=1)
 
@@ -168,20 +166,16 @@ class TestScheduleDurations:
 
     def test_global_ms_duration_and_confinement(self, example_spec):
         c = parse_circuit("qubits 3\nGLOBAL_MS q0 q1 q2 0.5\n")
-        local = assign_qubits(c, example_spec, "user",
-                              user_map={0: ("A", 2), 1: ("A", 3), 2: ("A", 9)})
+        local = QubitMap({0: ("A", 2), 1: ("A", 3), 2: ("A", 9)})
         r = schedule(c, local, example_spec)
         assert r.makespan == slow_gate_time(elu_gate_rate(example_spec, "A"))
-        spanning = assign_qubits(c, example_spec, "user",
-                                 user_map={0: ("A", 2), 1: ("A", 3),
-                                           2: ("B", 2)})
+        spanning = QubitMap({0: ("A", 2), 1: ("A", 3), 2: ("B", 2)})
         with pytest.raises(DomainError, match="GLOBAL_MS spans"):
             schedule(c, spanning, example_spec)
 
     def test_measure_isolation_charges_shuttle(self, example_spec):
         c = parse_circuit("qubits 3\nMS q1 q2 0.5\nMEASURE q0\n")
-        qmap = assign_qubits(c, example_spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 3), 2: ("A", 4)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 3), 2: ("A", 4)})
         plain = schedule(c, qmap, example_spec)
         isolated = schedule(c, qmap, example_spec, measure_isolation=True)
         shuttle = example_spec.elus[0].shuttle_cost_time
@@ -260,9 +254,7 @@ class TestScheduleInvariants:
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
         text = "qubits 4\nMS q0 q2 0.5\nCNOT q1 q3\n"
         c = parse_circuit(text)
-        qmap = assign_qubits(c, spec, "user",
-                             user_map={0: ("A", 1), 2: ("A", 2),
-                                       1: ("A", 3), 3: ("B", 1)})
+        qmap = QubitMap({0: ("A", 1), 2: ("A", 2), 1: ("A", 3), 3: ("B", 1)})
         free = schedule(c, qmap, spec)
         strict = schedule(c, qmap, spec, comm_attempts_during_gates=False)
         assert strict.makespan >= free.makespan
@@ -275,7 +267,7 @@ class TestScheduleInvariants:
         c = parse_circuit("\n".join(lines))
         user = {i: ("A", 2 + i) for i in range(100)}
         user |= {100 + i: ("B", 2 + i) for i in range(100)}
-        qmap = assign_qubits(c, big, "user", user_map=user)
+        qmap = QubitMap(user)
         p = 2e-4
         rate = big.attempt_rate * p
         mean = 100 / rate
@@ -284,6 +276,39 @@ class TestScheduleInvariants:
             r = schedule(c, qmap, big, "buffered", seed=seed)
             assert r.pairs_consumed == 100
             assert mean - 3 * sd <= r.makespan <= mean + 3 * sd + 0.01
+
+
+class TestPairSupplyCap:
+    """With expiring pairs a request at t simulates about t x rate x links
+    pairs, so a request past SUPPLY_MAX_PAIRS of them raises at once."""
+
+    @staticmethod
+    def supply(spec, pairs=(("A", "B"),)):
+        return BufferedPairSupply(dataclasses.replace(spec, pair_lifetime=0.05),
+                                  set(pairs), seed=1)
+
+    def test_huge_time_raises_before_simulating(self, example_spec):
+        supply = self.supply(example_spec)
+        stream = supply.sim.success_times[("A", "B")]
+        before = len(stream)
+        with pytest.raises(DomainError, match=r"t = 1e\+300 s exceeds 1000000"):
+            supply.request(("A", "B"), 1e300)
+        assert len(stream) == before
+
+    def test_cap_counts_expected_pairs_over_all_links(self, example_spec,
+                                                      monkeypatch):
+        monkeypatch.setattr(ionfab.scheduler, "SUPPLY_MAX_PAIRS", 1000)
+        three = dataclasses.replace(example_spec, elus=(
+            *example_spec.elus, dataclasses.replace(example_spec.elus[0], id="C")))
+        supply = self.supply(three, [("A", "B"), ("A", "C")])
+        rate = supply.analytic_rate
+        assert supply.request(("A", "B"), 499 / rate) >= 499 / rate
+        with pytest.raises(DomainError, match="exceeds 1000 simulated pairs"):
+            supply.request(("A", "C"), 501 / rate)
+
+    def test_no_lifetime_no_cap(self, example_spec):
+        supply = BufferedPairSupply(example_spec, {("A", "B")}, seed=1)
+        assert supply.request(("A", "B"), 1e300) == 1e300
 
 
 class TestStrictProximity:
@@ -295,8 +320,7 @@ class TestStrictProximity:
                                       fast_gate_distance=4),),
             switch=dataclasses.replace(built_spec.switch, port_count=2))
         c = parse_circuit("qubits 2\nCNOT q0 q1\n")
-        qmap = assign_qubits(c, spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 11)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 11)})
         r = schedule(c, qmap, spec, strict_proximity=True)
         assert r.swaps_inserted == 9 - 4
         assert r.qmap.mapping[0] == ("A", 7)
@@ -328,7 +352,7 @@ class TestFidelity:
             base = 2 + 2 * (i % 5)
             user[2 * i] = (eid, base)
             user[2 * i + 1] = (eid, base + 1)
-        qmap = assign_qubits(c, example_spec, "user", user_map=user)
+        qmap = QubitMap(user)
         r = schedule(c, qmap, example_spec)
         # all gates start at t = 0 on disjoint ions: zero idle time
         assert all(v == 0.0 for v in r.per_qubit_idle.values())
@@ -342,8 +366,7 @@ class TestFidelity:
             species=dataclasses.replace(built_spec.species,
                                         qubit_coherence_time=2 * t1q))
         c = parse_circuit("qubits 2\nRZ q1 0.1\nRZ q1 0.1\nCNOT q0 q1\n")
-        qmap = assign_qubits(c, spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 3)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 3)})
         r = schedule(c, qmap, spec)
         assert r.per_qubit_idle[0] == pytest.approx(2 * t1q, rel=1e-12)
         assert r.per_qubit_idle[1] == 0.0
@@ -361,8 +384,7 @@ class TestFidelity:
     def test_monotone_under_added_gates(self, example_spec):
         base = parse_circuit("qubits 2\nCNOT q0 q1\n")
         more = parse_circuit("qubits 2\nCNOT q0 q1\nCNOT q0 q1\n")
-        qmap = assign_qubits(base, example_spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 3)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 3)})
         r1 = schedule(base, qmap, example_spec)
         r2 = schedule(more, qmap, example_spec)
         assert r2.fidelity_estimate <= r1.fidelity_estimate
@@ -376,8 +398,7 @@ class TestFidelity:
 class TestTimelineCsv:
     def test_header_and_rows(self, example_spec):
         c = parse_circuit("qubits 2\nCNOT q0 q1\nMEASURE q0\n")
-        qmap = assign_qubits(c, example_spec, "user",
-                             user_map={0: ("A", 2), 1: ("A", 3)})
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 3)})
         csv = schedule(c, qmap, example_spec).timeline_csv()
         lines = csv.splitlines()
         assert lines[0] == "start_s,dur_s,gate,operands,elus,resource"
