@@ -27,7 +27,7 @@ for tier in ("collective", "fast", "fast+photonic"):
           f"{profile.unreachable_pairs} unreachable pairs")
 
 print("\n=== one photonic link changes the topology ===")
-linked = graph.with_photonic_links([(("A", 0), ("B", 0))], spec)
+linked = build_interaction_graph(spec, links=[(("A", 0), ("B", 0))])
 profile = graph_distance_profile(linked, "fast+photonic")
 print(f"fast+photonic: max distance {profile.max_distance}, "
       f"{profile.unreachable_pairs} unreachable pairs")

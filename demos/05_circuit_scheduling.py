@@ -11,7 +11,6 @@ from pathlib import Path
 
 from ionfab import (assign_qubits, brute_force_best_map, crossing_count,
                     load_architecture, parse_circuit, schedule)
-from ionfab.scheduler import fidelity_estimate
 
 CIRCUIT = """\
 qubits 6
@@ -44,7 +43,7 @@ print("\n=== ideal pair supply ===")
 ideal = schedule(circuit, greedy, spec, "ideal")
 print(f"makespan {ideal.makespan * 1e3:.3f} ms, pairs {ideal.pairs_consumed}, "
       f"fidelity {ideal.fidelity_estimate:.6f}")
-breakdown = fidelity_estimate(ideal, spec)
+breakdown = ideal.fidelity
 print(f"  gates {breakdown.gate_factor:.6f} x idle {breakdown.idle_factor:.6f}")
 
 print("\n=== buffered pair supply (seeded network co-simulation) ===")

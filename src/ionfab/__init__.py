@@ -33,5 +33,4 @@ from .rates import (RateReport, gate_rate, link_success_probability,
                     mean_connection_rate, rabi_frequency, rate_report,
                     recoil_frequency, slow_gate_time, state_dependent_force)
 from .scheduler import (QubitMap, ScheduleResult, assign_qubits,
-                        brute_force_best_map, crossing_count,
-                        fidelity_estimate, schedule)
+                        brute_force_best_map, crossing_count, schedule)

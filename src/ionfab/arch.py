@@ -18,12 +18,19 @@ from pathlib import Path
 
 from .constants import ATOMIC_MASS_KG, HBAR, TWO_PI, species_entry
 from .errors import DomainError, InvalidArchitecture, SchemaError
-from .jsondoc import integer, number, parse_json, read_text, require_keys, string
+from .jsondoc import decode, integer, number, parse_json, require_keys, string
 
 SCHEMA_ID = "ionfab-arch/1"
 
 # Relative tolerance for the mu*E0/hbar vs rabi_frequency consistency check.
 RABI_CONSISTENCY_RTOL = 1e-12
+
+# Size caps, so that every machine takes bounded work: the interaction graph
+# alone holds up to n_ions^2 edges per ELU. The schema gives the same bounds.
+MAX_ELUS = 128
+MAX_IONS_PER_ELU = 100
+MAX_SWITCH_PORTS = 512
+MAX_BUFFER_CAPACITY = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -185,6 +192,8 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
             )
 
     check(len(spec.elus) >= 1, "elus", "at least one ELU required")
+    check(len(spec.elus) <= MAX_ELUS, "elus",
+          f"at most {MAX_ELUS} ELUs, got {len(spec.elus)}")
     seen_ids: set[str] = set()
     total_comm = 0
     for i, elu in enumerate(spec.elus):
@@ -192,6 +201,8 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
         check(elu.id not in seen_ids, f"{base}.id", f"duplicate ELU id {elu.id!r}")
         seen_ids.add(elu.id)
         check(elu.n_ions >= 1, f"{base}.n_ions", "must be >= 1")
+        check(elu.n_ions <= MAX_IONS_PER_ELU, f"{base}.n_ions",
+              f"must be <= {MAX_IONS_PER_ELU}")
         idx = elu.comm_ion_indices
         check(len(set(idx)) == len(idx), f"{base}.comm_ion_indices",
               "duplicate communication ion")
@@ -211,6 +222,8 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
                 check(val >= 0, f"{base}.{name}", "must be >= 0")
 
     check(spec.switch.port_count >= 0, "switch.port_count", "must be >= 0")
+    check(spec.switch.port_count <= MAX_SWITCH_PORTS, "switch.port_count",
+          f"must be <= {MAX_SWITCH_PORTS}")
     check(total_comm <= spec.switch.port_count, "switch.port_count",
           f"{total_comm} communication ions exceed {spec.switch.port_count} switch ports")
     if finite(spec.switch.reconfiguration_time, "switch.reconfiguration_time"):
@@ -230,6 +243,8 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
             check(spec.attempt_rate <= emission_rate, "attempt_rate",
                   f"exceeds emission-rate bound linewidth/2pi = {emission_rate!r}")
     check(spec.buffer_capacity >= 1, "buffer_capacity", "must be >= 1")
+    check(spec.buffer_capacity <= MAX_BUFFER_CAPACITY, "buffer_capacity",
+          f"must be <= {MAX_BUFFER_CAPACITY}")
     if spec.pair_lifetime is not None and finite(spec.pair_lifetime, "pair_lifetime"):
         check(spec.pair_lifetime > 0, "pair_lifetime", "must be > 0 when set")
     if finite(spec.two_qubit_gate_fidelity, "two_qubit_gate_fidelity"):
@@ -452,4 +467,4 @@ def architecture_to_doc(spec: ArchitectureSpec) -> dict:
 
 def load_architecture(path: str | Path) -> ArchitectureSpec:
     """:func:`parse_architecture` of the JSON file at ``path``."""
-    return parse_architecture(parse_json(read_text(path)))
+    return parse_architecture(parse_json(decode(Path(path).read_bytes())))

@@ -9,17 +9,18 @@ Grammar, one operation per line:
 Gates: X, H, MEASURE (one operand, no angle); RZ (one operand, angle);
 CNOT (two distinct operands, no angle); MS (two distinct operands, angle);
 GLOBAL_MS (two or more distinct operands, angle). Angles are radians.
-Blank lines are ignored. Errors carry 1-based line and column numbers.
+Blank lines are ignored. A circuit has at most MAX_QUBITS qubits and
+MAX_OPS operations. Errors carry 1-based line and column numbers.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .jsondoc import read_text
 
 
 class GateKind(enum.Enum):
@@ -43,6 +44,10 @@ _ARITY: dict[GateKind, tuple[int, int | None, bool]] = {
     GateKind.MEASURE: (1, 1, False),
 }
 
+# Size caps, so that mapping and scheduling a parsed circuit take bounded work.
+MAX_QUBITS = 1000
+MAX_OPS = 10_000
+
 TWO_QUBIT_KINDS = (GateKind.MS, GateKind.CNOT)
 ENTANGLING_KINDS = (GateKind.MS, GateKind.CNOT, GateKind.GLOBAL_MS)
 
@@ -56,9 +61,9 @@ class GateOp:
     def __post_init__(self):
         lo, hi, takes_angle = _ARITY[self.kind]
         if len(self.operands) < lo or (hi is not None and len(self.operands) > hi):
-            raise ValueError(f"{self.kind.value} takes {lo}"
-                             + (f"..{hi}" if hi != lo else "")
-                             + f" operands, got {len(self.operands)}")
+            want = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
+            raise ValueError(f"{self.kind.value} takes {want} operand(s), "
+                             f"got {len(self.operands)}")
         if len(set(self.operands)) != len(self.operands):
             raise ValueError(f"{self.kind.value} operands must be distinct")
         if takes_angle:
@@ -98,28 +103,16 @@ class Circuit:
         return weights
 
 
-def _column_of(line: str, token_index: int) -> int:
-    col = 1
-    tokens_seen = 0
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(line) and not line[i].isspace():
-            i += 1
-        if tokens_seen == token_index:
-            return start + 1
-        tokens_seen += 1
-        col = start + 1
-    return col
-
-
 def parse_circuit(text: str) -> Circuit:
     """Parse .iqc circuit text; raises ParseError with line/column diagnostics."""
     n_qubits: int | None = None
     ops: list[GateOp] = []
+
+    def error(message: str, token: int) -> ParseError:
+        """ParseError at token ``token`` of the current line; the columns
+        come from the whitespace-run rule that str.split uses."""
+        return ParseError(message, line_no,
+                          [m.start() + 1 for m in re.finditer(r"\S+", line)][token])
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -129,70 +122,57 @@ def parse_circuit(text: str) -> Circuit:
 
         if n_qubits is None:
             if tokens[0] != "qubits":
-                raise ParseError("expected header 'qubits <n>'", line_no,
-                                 _column_of(line, 0))
+                raise error("expected header 'qubits <n>'", 0)
             if len(tokens) != 2:
-                raise ParseError("header takes exactly one count", line_no,
-                                 _column_of(line, min(2, len(tokens) - 1)))
+                raise error("header takes exactly one count", min(2, len(tokens) - 1))
             try:
                 n_qubits = int(tokens[1])
             except ValueError:
-                raise ParseError(f"malformed qubit count {tokens[1]!r}", line_no,
-                                 _column_of(line, 1)) from None
+                raise error(f"malformed qubit count {tokens[1]!r}", 1) from None
             if n_qubits < 1:
-                raise ParseError("qubit count must be >= 1", line_no,
-                                 _column_of(line, 1))
+                raise error("qubit count must be >= 1", 1)
+            if n_qubits > MAX_QUBITS:
+                raise error(f"qubit count must be <= {MAX_QUBITS}", 1)
             continue
 
+        if len(ops) == MAX_OPS:
+            raise error(f"more than {MAX_OPS} operations", 0)
         name = tokens[0]
         try:
             kind = GateKind(name)
         except ValueError:
-            raise ParseError(f"unknown gate {name!r}", line_no,
-                             _column_of(line, 0)) from None
-        lo, hi, takes_angle = _ARITY[kind]
+            raise error(f"unknown gate {name!r}", 0) from None
 
         args = tokens[1:]
         angle = None
+        _, _, takes_angle = _ARITY[kind]
         if takes_angle:
             if not args:
-                raise ParseError(f"{name} requires an angle", line_no,
-                                 _column_of(line, 0))
-            angle_tok = args[-1]
-            args = args[:-1]
+                raise error(f"{name} requires an angle", 0)
+            angle_tok = args.pop()
             try:
                 angle = float(angle_tok)
             except ValueError:
-                raise ParseError(f"malformed angle {angle_tok!r}", line_no,
-                                 _column_of(line, len(tokens) - 1)) from None
+                raise error(f"malformed angle {angle_tok!r}", -1) from None
             if not math.isfinite(angle):
-                raise ParseError(f"angle must be finite, got {angle_tok}", line_no,
-                                 _column_of(line, len(tokens) - 1))
+                raise error(f"angle must be finite, got {angle_tok}", -1)
 
         operands = []
-        for k, tok in enumerate(args):
+        for k, tok in enumerate(args, start=1):
             if not tok.startswith("q") or not tok[1:].isdecimal():
-                raise ParseError(f"expected operand like 'q0', got {tok!r}",
-                                 line_no, _column_of(line, 1 + k))
+                raise error(f"expected operand like 'q0', got {tok!r}", k)
             q = int(tok[1:])
             if q >= n_qubits:
-                raise ParseError(f"q{q} out of range, circuit has {n_qubits} qubits",
-                                 line_no, _column_of(line, 1 + k))
+                raise error(f"q{q} out of range, circuit has {n_qubits} qubits", k)
             if q in operands:
-                raise ParseError(f"duplicate operand q{q}", line_no,
-                                 _column_of(line, 1 + k))
+                raise error(f"duplicate operand q{q}", k)
             operands.append(q)
 
-        if len(operands) < lo or (hi is not None and len(operands) > hi):
-            want = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
-            raise ParseError(f"{name} takes {want} operand(s), got {len(operands)}",
-                             line_no, _column_of(line, 0))
-        ops.append(GateOp(kind, tuple(operands), angle))
+        try:
+            ops.append(GateOp(kind, tuple(operands), angle))
+        except ValueError as exc:  # the arity rule
+            raise error(str(exc), 0) from None
 
     if n_qubits is None:
         raise ParseError("missing 'qubits <n>' header", 1)
     return Circuit(n_qubits, tuple(ops))
-
-
-def load_circuit(path) -> Circuit:
-    return parse_circuit(read_text(path))

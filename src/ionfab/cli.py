@@ -12,8 +12,8 @@ path)``, which reads the bytes once, hashes them and parses their text (so
 a pipe such as ``/dev/stdin`` works), and writes nothing itself, apart from
 printing its ``--summary`` line.
 :func:`main` owns the rest of the run: the ``--seed`` rule, the input
-hashes, writing the files in order, the one ``ionfab: error:`` line and the
-manifest.
+hashes, writing the files in order, one ``ionfab: warning:`` line per
+library warning, the one ``ionfab: error:`` line and the manifest.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -459,19 +460,23 @@ def main(argv: list[str] | None = None) -> int:
         except (SchemaError, ParseError) as exc:
             raise IonfabError(f"{path}: {exc}") from exc
 
-    try:
-        if args.seed is None and _needs_seed(args):
-            raise IonfabError(_STOCHASTIC_HINT)
-        code, files = args.func(args, read)
-        for path, text in files:
-            if path is None:
-                sys.stdout.write(text)
-            else:
-                Path(path).write_text(text)
-                outputs.append(path)
-    except (IonfabError, OSError) as exc:
-        print(f"ionfab: error: {exc}", file=sys.stderr)
-        code = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(
+            f"ionfab: warning: {message}", file=sys.stderr)
+        try:
+            if args.seed is None and _needs_seed(args):
+                raise IonfabError(_STOCHASTIC_HINT)
+            code, files = args.func(args, read)
+            for path, text in files:
+                if path is None:
+                    sys.stdout.write(text)
+                else:
+                    Path(path).write_text(text)
+                    outputs.append(path)
+        except (IonfabError, OSError) as exc:
+            print(f"ionfab: error: {exc}", file=sys.stderr)
+            code = 1
     print(json.dumps({"tool_version": __version__, "subcommand": args.command,
                       "inputs": inputs, "seed": args.seed,
                       "wall_time_s": round(time.monotonic() - started, 6),

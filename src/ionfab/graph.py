@@ -6,8 +6,7 @@ Three edge tiers:
 * FAST: pairs within the ELU's fast-gate distance; always a subset of the
   collective tier,
 * PHOTONIC: communication-ion to communication-ion edges between distinct
-  ELUs; never created by the constructor, added dynamically via
-  :meth:`InteractionGraph.with_photonic_links`.
+  ELUs, one per crossconnect link passed to :func:`build_interaction_graph`.
 
 Graphs are immutable once built.
 
@@ -67,43 +66,21 @@ class InteractionGraph:
     nodes: tuple[QubitNode, ...]
     edges: tuple[Edge, ...]
 
-    def node_index(self, elu_id: str, position: int) -> int:
-        for i, n in enumerate(self.nodes):
-            if n.elu_id == elu_id and n.position == position:
-                return i
-        raise KeyError(f"no qubit {elu_id}.{position}")
-
     def tier_edges(self, tier: Tier) -> list[Edge]:
         return [e for e in self.edges if e.tier is tier]
 
-    def with_photonic_links(self, links, spec: ArchitectureSpec) -> "InteractionGraph":
-        """New graph with PHOTONIC edges added between communication ions.
 
-        ``links`` is an iterable of ((elu_a, pos_a), (elu_b, pos_b)) pairs.
-        Edge time cost is the expected pair wait 1/mean_connection_rate plus
-        the teleport and classical overheads.
-        """
-        rate = mean_connection_rate(spec.attempt_rate, spec.collection_fraction,
-                                    spec.detector_efficiency)
-        wait = 1.0 / rate + spec.teleport_overhead_time + spec.classical_latency
-        new_edges = list(self.edges)
-        for (elu_a, pos_a), (elu_b, pos_b) in links:
-            ia = self.node_index(elu_a, pos_a)
-            ib = self.node_index(elu_b, pos_b)
-            na, nb = self.nodes[ia], self.nodes[ib]
-            if na.elu_id == nb.elu_id:
-                raise DomainError("photonic link endpoints must be in distinct ELUs")
-            if na.role is not Role.COMMUNICATION or nb.role is not Role.COMMUNICATION:
-                raise DomainError("photonic link endpoints must be communication ions")
-            new_edges.append(Edge(ia, ib, Tier.PHOTONIC, wait,
-                                  spec.two_qubit_gate_fidelity))
-        return InteractionGraph(self.nodes, tuple(new_edges))
+def build_interaction_graph(spec: ArchitectureSpec, links=()) -> InteractionGraph:
+    """Graph of a machine: the tiers of its ELUs plus one PHOTONIC edge per link.
 
-
-def build_interaction_graph(spec: ArchitectureSpec) -> InteractionGraph:
-    """Static two-tier graph of a machine; photonic edges are added later."""
+    ``links`` is an iterable of ((elu_a, pos_a), (elu_b, pos_b)) pairs of
+    communication ions in distinct ELUs, the wiring the crossconnect makes.
+    A photonic edge costs the expected pair wait 1/mean_connection_rate plus
+    the teleport and classical overheads.
+    """
     nodes: list[QubitNode] = []
     edges: list[Edge] = []
+    fid = spec.two_qubit_gate_fidelity
     for elu in spec.elus:
         comm = set(elu.comm_ion_indices)
         offset = len(nodes)
@@ -112,7 +89,6 @@ def build_interaction_graph(spec: ArchitectureSpec) -> InteractionGraph:
             nodes.append(QubitNode(elu.id, pos, role))
         tau_slow = slow_gate_time(elu_gate_rate(spec, elu.id))
         tau_fast = tau_slow / FAST_GATE_SPEEDUP
-        fid = spec.two_qubit_gate_fidelity
         for i in range(elu.n_ions):
             for j in range(i + 1, elu.n_ions):
                 edges.append(Edge(offset + i, offset + j, Tier.COLLECTIVE,
@@ -120,6 +96,24 @@ def build_interaction_graph(spec: ArchitectureSpec) -> InteractionGraph:
                 if j - i <= elu.fast_gate_distance:
                     edges.append(Edge(offset + i, offset + j, Tier.FAST,
                                       tau_fast, fid))
+    links = list(links)
+    if links:
+        index = {(n.elu_id, n.position): i for i, n in enumerate(nodes)}
+        rate = mean_connection_rate(spec.attempt_rate, spec.collection_fraction,
+                                    spec.detector_efficiency)
+        wait = 1.0 / rate + spec.teleport_overhead_time + spec.classical_latency
+    for (elu_a, pos_a), (elu_b, pos_b) in links:
+        for end in ((elu_a, pos_a), (elu_b, pos_b)):
+            if end not in index:
+                raise DomainError(f"photonic link endpoint {end[0]}.{end[1]} "
+                                  "is not a qubit of the machine")
+        ia, ib = index[elu_a, pos_a], index[elu_b, pos_b]
+        na, nb = nodes[ia], nodes[ib]
+        if na.elu_id == nb.elu_id:
+            raise DomainError("photonic link endpoints must be in distinct ELUs")
+        if na.role is not Role.COMMUNICATION or nb.role is not Role.COMMUNICATION:
+            raise DomainError("photonic link endpoints must be communication ions")
+        edges.append(Edge(ia, ib, Tier.PHOTONIC, wait, fid))
     return InteractionGraph(tuple(nodes), tuple(edges))
 
 

@@ -15,7 +15,6 @@ path per entry up front made them measurably slower.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import SchemaError
 
@@ -26,11 +25,6 @@ def decode(data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc.reason}") from exc
-
-
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file, decoded by :func:`decode`."""
-    return decode(Path(path).read_bytes())
 
 
 def parse_json(text: str) -> object:

@@ -60,6 +60,9 @@ from .rates import link_success_probability
 Port = tuple[str, int]          # (elu id, chain position of the comm ion)
 Link = tuple[Port, Port]        # normalized: ports in sorted order
 
+# Expected successes and collisions one advance may simulate.
+SIM_MAX_EVENTS = 10_000_000
+
 # Priorities of the queued events for equal-time ties; a documented contract.
 _PRIO = {"_SCHED": 0, "RECONFIG_DONE": 1, "RELOAD_DONE": 2, "COLLISION": 3,
          "SUCCESS": 4, "PAIR_EXPIRED": 5, "PAIR_REQUEST": 6}
@@ -233,7 +236,8 @@ class NetworkSim:
     event with time < t; ``finish(horizon)`` advances to the horizon and
     closes the run out into a :class:`SimResult`, after which the sim is
     spent. The success times of each ELU pair accumulate in
-    ``success_times`` as the sim advances.
+    ``success_times`` as the sim advances. An advance that would simulate
+    over ``SIM_MAX_EVENTS`` expected events raises DomainError at once.
     """
 
     def __init__(
@@ -295,6 +299,9 @@ class NetworkSim:
         self.elu_epoch: dict[str, int] = {e.id: 0 for e in spec.elus}
         self.collision_rates = {
             e.id: e.collision_rate_per_ion * e.n_ions for e in spec.elus}
+        # Most expected events per second: every link on, and every collision.
+        self.event_rate = (len(self.links) * self.rate * self.p
+                           + sum(self.collision_rates.values()))
 
         self.log: list[SimEvent] | None = [] if store_log else None
         self.event_seq = 0
@@ -399,6 +406,10 @@ class NetworkSim:
         """Process every event with time < ``until``."""
         if not 0.0 < until < math.inf:
             raise DomainError(f"horizon must be finite and > 0, got {until!r}")
+        events = (until - self.now) * self.event_rate
+        if events > SIM_MAX_EVENTS:
+            raise DomainError(f"simulating to {until!r} s means about {events:.3g} "
+                              f"random events, over the cap of {SIM_MAX_EVENTS}")
         # Hot state in locals; the scalars stay on self.
         heap, heappop = self.heap, heapq.heappop
         counters, buffers, waiting = self.counters, self.buffers, self.waiting
@@ -597,11 +608,10 @@ def theoretical_rate_check(spec: ArchitectureSpec, link: Link | None = None,
     if link is None:
         link = default_link(spec)
     horizon = (attempts + 0.5) / spec.attempt_rate
-    cfg = SwitchConfig(frozenset({link}))
-    result = run_sim(spec, [(0.0, cfg)], [], horizon, seed, p_override=p_override)
-    stats = result.per_link[link_label(link)]
-    p = p_override if p_override is not None else link_success_probability(
-        spec.collection_fraction, spec.detector_efficiency)
+    sim = NetworkSim(spec, [(0.0, SwitchConfig(frozenset({link})))], [], seed,
+                     p_override)
+    stats = sim.finish(horizon).per_link[link_label(link)]
+    p = sim.p
     analytic = spec.attempt_rate * p
     n = stats.attempts
     if 0.0 < p < 1.0 and n:

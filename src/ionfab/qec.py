@@ -28,6 +28,8 @@ from .graph import deal_round_robin, greedy_cut
 from .jsondoc import each, fixed_array, integer, number, require_keys, string
 
 QEC_SCHEMA_ID = "ionfab-qec/1"
+# Cap on a code document's data nodes: the embedders place every node.
+MAX_DOC_DATA = 100_000
 
 
 @dataclass(frozen=True)
@@ -496,6 +498,8 @@ def parse_qec(doc: object) -> QecGraph:
     n_data = integer(doc, "n_data", "$")
     if n_data < 1:
         raise SchemaError(f"must be >= 1, got {n_data}", "$.n_data")
+    if n_data > MAX_DOC_DATA:
+        raise SchemaError(f"must be <= {MAX_DOC_DATA}, got {n_data}", "$.n_data")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError(f"expected object, got {type(params).__name__}", "$.params")

@@ -33,7 +33,9 @@ plus one detection; the two sides run in parallel.
 The fidelity estimate is the product of ``two_qubit_gate_fidelity`` over
 entangling operations (swaps count as three) times exp(-idle/T2) per qubit,
 where idle time is measured from circuit start to the qubit's last
-operation, minus its busy time.
+operation, minus its busy time. :func:`schedule` computes it once, as the
+result's ``fidelity`` breakdown (total, gate factor, idle factor);
+``fidelity_estimate`` is its total.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import ArchitectureSpec
 from .circuits import ENTANGLING_KINDS, TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
@@ -246,7 +248,6 @@ class FidelityBreakdown:
     total: float
     gate_factor: float
     idle_factor: float
-    per_qubit_idle: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -255,11 +256,15 @@ class ScheduleResult:
     makespan: float
     pairs_consumed: int
     swaps_inserted: int
-    fidelity_estimate: float
+    fidelity: FidelityBreakdown
     per_qubit_idle: dict[int, float]
     qmap: QubitMap
     mode: str
     seed: int | None = None
+
+    @property
+    def fidelity_estimate(self) -> float:
+        return self.fidelity.total
 
     def timeline_csv(self) -> str:
         lines = ["start_s,dur_s,gate,operands,elus,resource"]
@@ -410,38 +415,21 @@ def schedule(
 
     makespan = max((e.end for e in timeline), default=0.0)
     idle = {q: max(0.0, last_end[q] - busy[q]) for q in busy}
-    return ScheduleResult(
-        timeline=tuple(timeline),
-        makespan=makespan,
-        pairs_consumed=sum(1 for e in timeline if e.used_pair),
-        swaps_inserted=sum(1 for e in timeline if e.op is None),
-        fidelity_estimate=_fidelity(timeline, idle, spec).total,
-        per_qubit_idle=idle,
-        qmap=QubitMap(dict(position_of)),
-        mode=pair_supply_mode,
-        seed=seed,
-    )
-
-
-def _fidelity(timeline, per_qubit_idle: dict[int, float],
-              spec: ArchitectureSpec) -> FidelityBreakdown:
     gate_factor = 1.0
     for entry in timeline:
         if entry.op is None:  # inserted swap, three proximity gates
             gate_factor *= spec.two_qubit_gate_fidelity ** SWAP_GATE_COUNT
         elif entry.op.kind in ENTANGLING_KINDS:
             gate_factor *= spec.two_qubit_gate_fidelity
-    t2 = spec.species.qubit_coherence_time
-    idle_factor = math.exp(-sum(per_qubit_idle.values()) / t2)
-    return FidelityBreakdown(
-        total=gate_factor * idle_factor,
-        gate_factor=gate_factor,
-        idle_factor=idle_factor,
-        per_qubit_idle=dict(per_qubit_idle),
+    idle_factor = math.exp(-sum(idle.values()) / spec.species.qubit_coherence_time)
+    return ScheduleResult(
+        timeline=tuple(timeline),
+        makespan=makespan,
+        pairs_consumed=sum(1 for e in timeline if e.used_pair),
+        swaps_inserted=sum(1 for e in timeline if e.op is None),
+        fidelity=FidelityBreakdown(gate_factor * idle_factor, gate_factor, idle_factor),
+        per_qubit_idle=idle,
+        qmap=QubitMap(dict(position_of)),
+        mode=pair_supply_mode,
+        seed=seed,
     )
-
-
-def fidelity_estimate(result: ScheduleResult,
-                      spec: ArchitectureSpec) -> FidelityBreakdown:
-    """The fidelity product of a schedule with a per-term breakdown."""
-    return _fidelity(result.timeline, result.per_qubit_idle, spec)

@@ -30,7 +30,7 @@ import pytest
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR
 from ionfab.arch import default_species, load_architecture
-from ionfab.circuits import load_circuit
+from ionfab.circuits import parse_circuit
 from ionfab.constants import TWO_PI
 from ionfab.ising import (AnnealSchedule, IsingInstance, adiabatic_evolve,
                           anneal_classical, brute_force_ground_state)
@@ -195,13 +195,13 @@ def test_c7_scheduler_oracle_equivalence(spec):
                             fast_gate_distance=2) for e in spec.elus),
         switch=dataclasses.replace(spec.switch, port_count=4))
     for name in suite:
-        circuit = load_circuit(FIXTURES_DIR / name)
+        circuit = parse_circuit((FIXTURES_DIR / name).read_text())
         _, oracle = brute_force_best_map(circuit, small)
         greedy = crossing_count(
             circuit, assign_qubits(circuit, small, "greedy_interaction_cut"))
         assert greedy >= oracle, name
 
-    circuit = load_circuit(FIXTURES_DIR / "clusters6.iqc")
+    circuit = parse_circuit((FIXTURES_DIR / "clusters6.iqc").read_text())
     qmap = assign_qubits(circuit, small, "round_robin")
     remote = sum(1 for op in circuit.ops
                  if op.is_multi_qubit

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from ionfab.arch import (DriveField, SwitchSpec, architecture_to_doc,
-                         default_species, load_architecture,
-                         validate_architecture)
-from ionfab.constants import HBAR, TWO_PI
+from ionfab.arch import (MAX_BUFFER_CAPACITY, MAX_ELUS, MAX_IONS_PER_ELU,
+                         MAX_SWITCH_PORTS, DriveField, SwitchSpec,
+                         architecture_to_doc, default_species,
+                         load_architecture, validate_architecture)
+from ionfab.constants import ATOMIC_MASS_KG, HBAR, TWO_PI
 from ionfab.errors import InvalidArchitecture, SchemaError, UnknownSpecies
 from conftest import EXAMPLE_JSON
 
@@ -101,6 +102,40 @@ class TestValidation:
         assert any("switch ports" in v.message for v in report.violations)
 
 
+def capped_spec(spec, n_elus, n_ions, ports, buffer_capacity):
+    """``spec`` with ``n_elus`` copies of its first ELU, each of ``n_ions``
+    ions with one communication ion."""
+    elu = dataclasses.replace(spec.elus[0], n_ions=n_ions, comm_ion_indices=(0,),
+                              fast_gate_distance=1)
+    return dataclasses.replace(
+        spec, elus=tuple(dataclasses.replace(elu, id=f"E{k}") for k in range(n_elus)),
+        switch=SwitchSpec(port_count=ports, reconfiguration_time=1e-3),
+        buffer_capacity=buffer_capacity)
+
+
+class TestSizeCaps:
+    def test_machine_at_every_cap_passes(self, built_spec):
+        spec = capped_spec(built_spec, MAX_ELUS, MAX_IONS_PER_ELU,
+                           MAX_SWITCH_PORTS, MAX_BUFFER_CAPACITY)
+        assert validate_architecture(spec).ok
+
+    @pytest.mark.parametrize("over, path, message", [
+        ({"n_elus": MAX_ELUS + 1}, "elus",
+         f"at most {MAX_ELUS} ELUs, got {MAX_ELUS + 1}"),
+        ({"n_ions": MAX_IONS_PER_ELU + 1}, "elus[0].n_ions",
+         f"must be <= {MAX_IONS_PER_ELU}"),
+        ({"ports": MAX_SWITCH_PORTS + 1}, "switch.port_count",
+         f"must be <= {MAX_SWITCH_PORTS}"),
+        ({"buffer_capacity": MAX_BUFFER_CAPACITY + 1}, "buffer_capacity",
+         f"must be <= {MAX_BUFFER_CAPACITY}"),
+    ], ids=["elus", "n_ions", "ports", "buffer"])
+    def test_one_over_a_cap_is_one_violation(self, built_spec, over, path, message):
+        sizes = {"n_elus": 1, "n_ions": 20, "ports": MAX_SWITCH_PORTS,
+                 "buffer_capacity": 64}
+        report = validate_architecture(capped_spec(built_spec, **{**sizes, **over}))
+        assert [(v.path, v.message) for v in report.violations] == [(path, message)]
+
+
 class TestLoadSave:
     def test_example_fixture_loads(self, example_spec):
         assert len(example_spec.elus) == 2
@@ -185,6 +220,14 @@ class TestLoadSave:
         path.write_text(json.dumps(doc))
         spec = load_architecture(path)
         assert spec.elus[0].trap_frequency == TWO_PI * 3e6
+
+    def test_mass_in_atomic_units(self, tmp_path):
+        doc = json.loads(EXAMPLE_TEXT)
+        del doc["species"]["mass_kg"]
+        doc["species"]["mass_u"] = 171.0
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(doc))
+        assert load_architecture(path).species.mass == 171.0 * ATOMIC_MASS_KG
 
     def test_drive_from_components_only(self, tmp_path):
         doc = json.loads(EXAMPLE_TEXT)

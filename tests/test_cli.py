@@ -597,6 +597,23 @@ ISING_SOLVE = ["ising", "solve", "{f}"]
 SIMULATE = ["simulate", str(EXAMPLE_JSON), "--horizon", "0.5", "--seed", "1"]
 SCHEDULE = ["schedule", str(EXAMPLE_JSON), str(FIXTURES_DIR / "mixed8.iqc")]
 
+
+def example_with(edit) -> str:
+    """The text of docs/example.json after ``edit`` changed the decoded document."""
+    doc = json.loads(EXAMPLE_JSON.read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def one_comm_elus(n_elus: int):
+    """An edit giving the example machine ``n_elus`` ELUs of one comm ion each."""
+    def edit(doc):
+        doc["elus"] = [dict(doc["elus"][0], id=f"E{k}", comm_ion_indices=[0])
+                       for k in range(n_elus)]
+        doc["switch"]["port_count"] = n_elus
+    return edit
+
+
 # name -> (argv, file text, the error line after "ionfab: error: "); a
 # malformed file is named, a domain error found after parsing is not
 BAD_INPUTS = {
@@ -709,7 +726,61 @@ BAD_INPUTS = {
     "schedule_circuit_too_big": (
         ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 40\nX q0\n",
         "40 nodes exceed 32 ELU slots"),
+    "arch_wrong_schema_id": (
+        ["rates", "{f}"], example_with(lambda d: d.update(schema="ionfab-arch/2")),
+        "{f}: $.schema: expected schema 'ionfab-arch/1', got 'ionfab-arch/2'"),
+    "arch_mass_u_and_mass_kg": (
+        ["rates", "{f}"], example_with(lambda d: d["species"].update(mass_u=171.0)),
+        "{f}: $.species: give mass_u or mass_kg, not both"),
+    "arch_string_dual_species_comm": (
+        ["rates", "{f}"],
+        example_with(lambda d: d["link"].update(dual_species_comm="yes")),
+        "{f}: $.link.dual_species_comm: expected boolean"),
+    # the size caps; each is also the schema's maximum
+    "arch_too_many_elus": (
+        ["graph", "{f}"], example_with(one_comm_elus(129)),
+        "architecture invalid: elus: at most 128 ELUs, got 129"),
+    "arch_too_many_ions": (
+        ["graph", "{f}"], example_with(lambda d: d["elus"][1].update(n_ions=101)),
+        "architecture invalid: elus[1].n_ions: must be <= 100"),
+    "arch_too_many_ports": (
+        ["graph", "{f}"], example_with(lambda d: d["switch"].update(port_count=513)),
+        "architecture invalid: switch.port_count: must be <= 512"),
+    "arch_buffer_too_big": (
+        ["graph", "{f}"],
+        example_with(lambda d: d["link"].update(buffer_capacity=1_000_001)),
+        "architecture invalid: buffer_capacity: must be <= 1000000"),
+    "circuit_too_many_qubits": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 1001\n",
+        "{f}: line 1, col 8: qubit count must be <= 1000"),
+    "circuit_too_many_ops": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 1\n" + "X q0\n" * 10_001,
+        "{f}: line 10002, col 1: more than 10000 operations"),
+    "qec_n_data_over_cap": (
+        QEC_EMBED, SURFACE3.replace('"n_data": 4', '"n_data": 100001') + "}",
+        "{f}: $.n_data: must be <= 100000, got 100001"),
+    # 20 ions colliding at 1e300 Hz each would need about 1e301 events in 0.5 s
+    "simulate_collision_storm": (
+        ["simulate", "{f}", "--schedule", "{one_link}", "--horizon", "0.5",
+         "--seed", "1"],
+        example_with(lambda d: d["elus"][0].update(collision_rate_per_ion_hz=1e300)),
+        "simulating to 0.5 s means about 1e+301 random events, "
+        "over the cap of 10000000"),
 }
+
+
+class TestLibraryWarnings:
+    """A library warning is one stderr line ahead of the manifest."""
+
+    def test_lamb_dicke_warning(self, tmp_path, capsys):
+        arch = tmp_path / "soft_trap.json"
+        arch.write_text(example_with(
+            lambda d: d["elus"][0].update(trap_frequency_rad_s=1e4)))
+        assert main(["rates", str(arch)]) == 0
+        warning, manifest = capsys.readouterr().err.splitlines()
+        assert warning == ("ionfab: warning: Lamb-Dicke parameter 1.079 > 0.3 for "
+                           "ELU 'A'; plane-wave force model may not apply")
+        assert json.loads(manifest)["subcommand"] == "rates"
 
 
 class TestBadInputFiles:

@@ -68,21 +68,30 @@ class TestBuildInteractionGraph:
 
 class TestPhotonicLinks:
     def test_adds_edge_between_comm_ions(self, example_spec):
-        g = build_interaction_graph(example_spec)
-        g2 = g.with_photonic_links([(("A", 0), ("B", 0))], example_spec)
-        photonic = g2.tier_edges(Tier.PHOTONIC)
+        g = build_interaction_graph(example_spec, links=[(("A", 0), ("B", 0))])
+        photonic = g.tier_edges(Tier.PHOTONIC)
         assert len(photonic) == 1
         assert photonic[0].time_cost > 1.0 / 100.01  # expected pair wait dominates
 
     def test_rejects_memory_ion_endpoint(self, example_spec):
-        g = build_interaction_graph(example_spec)
         with pytest.raises(DomainError, match="communication"):
-            g.with_photonic_links([(("A", 5), ("B", 0))], example_spec)
+            build_interaction_graph(example_spec, links=[(("A", 5), ("B", 0))])
 
     def test_rejects_same_elu(self, example_spec):
-        g = build_interaction_graph(example_spec)
         with pytest.raises(DomainError, match="distinct"):
-            g.with_photonic_links([(("A", 0), ("A", 19))], example_spec)
+            build_interaction_graph(example_spec, links=[(("A", 0), ("A", 19))])
+
+    @pytest.mark.parametrize("end", [("A", 99), ("C", 0)])
+    def test_rejects_endpoint_outside_machine(self, example_spec, end):
+        label = f"{end[0]}.{end[1]}"
+        with pytest.raises(DomainError, match=f"endpoint {label} is not a qubit"):
+            build_interaction_graph(example_spec, links=[(("B", 0), end)])
+
+    def test_no_links_no_photonic_edges(self, example_spec):
+        g = build_interaction_graph(example_spec)
+        assert g.tier_edges(Tier.PHOTONIC) == []
+        linked = build_interaction_graph(example_spec, links=[(("A", 0), ("B", 0))])
+        assert linked.edges[:-1] == g.edges
 
 
 class TestDistanceProfile:
@@ -105,8 +114,7 @@ class TestDistanceProfile:
         assert profile.unreachable_pairs == 20 * 20
 
     def test_photonic_bridges_elus(self, example_spec):
-        g = build_interaction_graph(example_spec).with_photonic_links(
-            [(("A", 0), ("B", 0))], example_spec)
+        g = build_interaction_graph(example_spec, links=[(("A", 0), ("B", 0))])
         profile = graph_distance_profile(g, "fast+photonic")
         assert profile.unreachable_pairs == 0
 

@@ -2,20 +2,20 @@
 
 Each example takes one input document, mutates one node of it and runs
 ``cli.main`` in-process. A mutation drops the node, gives it a value of
-another type, NaN, +inf, -inf or a negative value. The return code must be
-0 or 1, an exit 1 must print exactly one ``ionfab: error:`` line, an exit 0
-must hash exactly the files its command line names, and no exception may
-escape. For Ising and QEC documents every mutant that the published schema
-rejects must be rejected by the parser too.
-
-Huge values are left out: sizes such as ``n_ions`` have no cap, so graph
-and schedule would do unbounded work on them.
+another type, NaN, +inf, -inf, a negative or a huge value. The return code
+must be 0 or 1, an exit 1 must print exactly one ``ionfab: error:`` line,
+an exit 0 must hash exactly the files its command line names, no exception
+may escape, and the run must stay within ``RUN_CPU_LIMIT_S`` of CPU time
+(the size caps bound the work a huge value can ask for). For Ising and QEC
+documents every mutant that the published schema rejects must be rejected
+by the parser too.
 """
 
 import copy
 import functools
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from operator import getitem
 from pathlib import Path
@@ -34,7 +34,10 @@ from ionfab.qec import (hypergraph_product_graph, parse_qec, qec_to_doc,
                         surface_code_graph)
 
 OTHER_VALUES = ("x", [], {}, True, None, 1.5, 7)
-KINDS = ("drop", "type", "nan", "inf", "-inf", "negative")
+HUGE_INT = 10**18  # far above every size cap
+# CPU seconds one run may take; every mutant runs in well under one.
+RUN_CPU_LIMIT_S = 10.0
+KINDS = ("drop", "type", "nan", "inf", "-inf", "negative", "huge")
 
 ARCH = str(FIXTURES_DIR / "netsim_arch.json")
 SCHEDULE = str(FIXTURES_DIR / "netsim_schedule.json")
@@ -95,9 +98,11 @@ def mutated_text(doc, path, kind, other):
     if kind == "drop":
         del parent[key]
         return json.dumps(doc)
+    number = isinstance(old, (int, float)) and not isinstance(old, bool)
     if kind == "negative":
-        new = -abs(old) - 1 if isinstance(old, (int, float)) and \
-            not isinstance(old, bool) else -1
+        new = -abs(old) - 1 if number else -1
+    elif kind == "huge":
+        new = HUGE_INT if isinstance(old, int) and number else 1e300
     else:
         new = {"type": other, "nan": float("nan"), "inf": float("inf"),
                "-inf": float("-inf")}[kind]
@@ -123,7 +128,9 @@ def run_main(argv):
 
 
 def assert_contract(argv):
+    started = time.process_time()
     code, err = run_main(argv)
+    assert time.process_time() - started < RUN_CPU_LIMIT_S, (argv, err)
     errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
     assert code in (0, 1), (argv, err)
     assert len(errors) == (1 if code == 1 else 0), (argv, err)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionfab.errors import CapacityError, DomainError
-from ionfab.netsim import (NetworkSim, SwitchConfig, default_link, link_label,
-                           make_link, run_sim, theoretical_rate_check)
+from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, default_link,
+                           link_label, make_link, run_sim,
+                           theoretical_rate_check)
 from ionfab.scheduler import BufferedPairSupply
 
 
@@ -28,6 +29,14 @@ class TestSwitchConfig:
                 make_link(("A", 0), ("B", 0)),
                 make_link(("A", 0), ("C", 0)),
             }))
+
+    def test_more_ports_than_the_switch_has_rejected(self, example_spec):
+        spec = dataclasses.replace(example_spec, switch=dataclasses.replace(
+            example_spec.switch, port_count=2))
+        cfg = SwitchConfig(frozenset({make_link(("A", 0), ("B", 0)),
+                                      make_link(("A", 1), ("B", 1))}))
+        with pytest.raises(DomainError, match="^config uses 4 ports, switch has 2$"):
+            NetworkSim(spec, [(0.0, cfg)], [], 0)
 
     def test_same_elu_link_rejected(self):
         with pytest.raises(DomainError, match="distinct ELUs"):
@@ -456,6 +465,19 @@ class TestNetworkSim:
     def test_bad_horizon_rejected(self, example_spec, horizon):
         with pytest.raises(DomainError, match="horizon must be finite and > 0"):
             run_sim(example_spec, one_link_schedule(example_spec), [], horizon, 0)
+
+    def test_event_cap_raises_before_simulating(self, example_spec):
+        # one link at R = 500 kHz with p = 1: 500,000 successes per second
+        sim = NetworkSim(example_spec, one_link_schedule(example_spec), [], 0,
+                         p_override=1.0)
+        with pytest.raises(DomainError, match="over the cap of 10000000"):
+            sim.advance(1.01 * SIM_MAX_EVENTS / 5e5)
+        assert sim.now == 0.0 and sim.counters["successes"] == 0
+
+    def test_huge_collision_rate_hits_the_cap(self, example_spec):
+        spec = with_elu_field(example_spec, collision_rate_per_ion=1e300)
+        with pytest.raises(DomainError, match="about 4e\\+300 random events"):
+            run_sim(spec, one_link_schedule(spec), [], 0.1, 0)
 
     def test_non_finite_times_rejected(self, example_spec):
         cfg = SwitchConfig(frozenset({default_link(example_spec)}))

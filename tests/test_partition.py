@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
 from ionfab.arch import load_architecture
-from ionfab.circuits import load_circuit
+from ionfab.circuits import parse_circuit
 from ionfab.errors import CapacityError
 from ionfab.graph import deal_round_robin, greedy_cut
 from ionfab.qec import (embed_on_modular, hypergraph_product_graph,
@@ -60,7 +60,7 @@ def fitted_machine(n_nodes):
 def partitions():
     qubits = {}
     for path in sorted(FIXTURES_DIR.glob("*.iqc")):
-        circuit = load_circuit(path)
+        circuit = parse_circuit(path.read_text())
         for machine, spec in circuit_machines().items():
             for strategy in ("greedy_interaction_cut", "round_robin"):
                 qmap = assign_qubits(circuit, spec, strategy)

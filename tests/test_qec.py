@@ -343,6 +343,10 @@ class TestGridEmbedding:
         with pytest.raises(DomainError, match="seed"):
             embed_on_grid(surface_code_graph(3), "random")
 
+    def test_unknown_placement(self):
+        with pytest.raises(DomainError, match="^unknown placement 'spiral'$"):
+            embed_on_grid(surface_code_graph(3), "spiral")
+
     def test_native_requires_coords(self):
         g = steane_concat_graph(1)
         with pytest.raises(DomainError, match="coordinates"):
@@ -389,6 +393,10 @@ class TestModularEmbedding:
         b = embed_on_modular(code, renamed, "round_robin")
         assert a.pairs_per_round == b.pairs_per_round
         assert a.per_check_route_length == b.per_check_route_length
+
+    def test_unknown_partition(self, built_spec):
+        with pytest.raises(DomainError, match="^unknown partition strategy 'spectral'$"):
+            embed_on_modular(surface_code_graph(3), built_spec, "spectral")
 
     def test_capacity_guard(self, built_spec):
         code = surface_code_graph(5)  # 49 nodes > 40 ions

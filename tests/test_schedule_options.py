@@ -20,7 +20,7 @@ import pytest
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
 from ionfab.arch import load_architecture
-from ionfab.circuits import load_circuit
+from ionfab.circuits import parse_circuit
 from ionfab.errors import DomainError
 from ionfab.scheduler import assign_qubits, schedule
 
@@ -53,7 +53,7 @@ def schedules() -> dict[str, dict]:
     spec = machine()
     results = {}
     for path in sorted(FIXTURES_DIR.glob("*.iqc")):
-        circuit = load_circuit(path)
+        circuit = parse_circuit(path.read_text())
         qmap = assign_qubits(circuit, spec, "greedy_interaction_cut")
         for values in itertools.product((False, True), repeat=len(OPTIONS)):
             options = dict(zip(OPTIONS, values))

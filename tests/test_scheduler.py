@@ -5,13 +5,12 @@ import math
 import pytest
 
 from conftest import FIXTURES_DIR
-from ionfab.circuits import load_circuit, parse_circuit
+from ionfab.circuits import parse_circuit
 from ionfab.errors import CapacityError, DomainError
 from ionfab.rates import elu_gate_rate, slow_gate_time
 import ionfab.scheduler
 from ionfab.scheduler import (BufferedPairSupply, QubitMap, assign_qubits,
-                              brute_force_best_map, crossing_count,
-                              fidelity_estimate, schedule)
+                              brute_force_best_map, crossing_count, schedule)
 
 FIXTURE_NAMES = ["ring4.iqc", "line6.iqc", "star5.iqc", "clusters6.iqc",
                  "mixed8.iqc"]
@@ -45,12 +44,12 @@ def reference_min_crossing(circuit, spec):
 
 class TestAssignment:
     def test_fits_one_elu_zero_crossing(self, example_spec):
-        c = load_circuit(FIXTURES_DIR / "line6.iqc")
+        c = parse_circuit((FIXTURES_DIR / "line6.iqc").read_text())
         qmap = assign_qubits(c, example_spec, "greedy_interaction_cut")
         assert crossing_count(c, qmap) == 0
 
     def test_round_robin_deals_across_elus(self, example_spec):
-        c = load_circuit(FIXTURES_DIR / "ring4.iqc")
+        c = parse_circuit((FIXTURES_DIR / "ring4.iqc").read_text())
         qmap = assign_qubits(c, example_spec, "round_robin")
         assert {qmap.elu_of(q) for q in range(4)} == {"A", "B"}
 
@@ -70,6 +69,11 @@ class TestAssignment:
         with pytest.raises(DomainError, match="memory ion"):
             QubitMap({0: ("A", 0)}).validate(c, example_spec)
 
+    def test_user_map_unknown_elu_rejected(self, example_spec):
+        c = parse_circuit("qubits 1\nX q0\n")
+        with pytest.raises(DomainError, match="^q0 mapped to unknown ELU 'Z'$"):
+            QubitMap({0: ("Z", 2)}).validate(c, example_spec)
+
     def test_unknown_strategy(self, example_spec):
         c = parse_circuit("qubits 1\nX q0\n")
         with pytest.raises(DomainError, match="strategy"):
@@ -78,7 +82,7 @@ class TestAssignment:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_greedy_no_worse_than_round_robin(self, built_spec, name):
         spec = two_elu_spec(built_spec)
-        c = load_circuit(FIXTURES_DIR / name)
+        c = parse_circuit((FIXTURES_DIR / name).read_text())
         greedy = crossing_count(c, assign_qubits(c, spec, "greedy_interaction_cut"))
         rr = crossing_count(c, assign_qubits(c, spec, "round_robin"))
         assert greedy <= rr
@@ -89,13 +93,13 @@ class TestBruteForceOracle:
         spec = dataclasses.replace(built_spec, elus=built_spec.elus[:1],
                                    switch=dataclasses.replace(
                                        built_spec.switch, port_count=4))
-        c = load_circuit(FIXTURES_DIR / "ring4.iqc")
+        c = parse_circuit((FIXTURES_DIR / "ring4.iqc").read_text())
         _, cross = brute_force_best_map(c, spec)
         assert cross == 0
 
     def test_ring4_on_2x2_elus(self, built_spec):
         spec = two_elu_spec(built_spec, n_ions=4, comm=(0, 3), d=2)
-        c = load_circuit(FIXTURES_DIR / "ring4.iqc")
+        c = parse_circuit((FIXTURES_DIR / "ring4.iqc").read_text())
         qmap, cross = brute_force_best_map(c, spec)
         assert cross == 2
         assert crossing_count(c, qmap) == 2
@@ -103,14 +107,14 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_matches_independent_enumeration(self, built_spec, name):
         spec = two_elu_spec(built_spec)
-        c = load_circuit(FIXTURES_DIR / name)
+        c = parse_circuit((FIXTURES_DIR / name).read_text())
         _, cross = brute_force_best_map(c, spec)
         assert cross == reference_min_crossing(c, spec)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_greedy_never_beats_oracle(self, built_spec, name):
         spec = two_elu_spec(built_spec)
-        c = load_circuit(FIXTURES_DIR / name)
+        c = parse_circuit((FIXTURES_DIR / name).read_text())
         _, oracle = brute_force_best_map(c, spec)
         greedy = crossing_count(c, assign_qubits(c, spec, "greedy_interaction_cut"))
         assert greedy >= oracle
@@ -119,6 +123,13 @@ class TestBruteForceOracle:
         c = parse_circuit("qubits 9\n" + "".join(f"X q{i}\n" for i in range(9)))
         with pytest.raises(DomainError, match="oracle cap"):
             brute_force_best_map(c, built_spec)
+
+    def test_elu_guard(self, built_spec):
+        spec = dataclasses.replace(built_spec, elus=tuple(
+            dataclasses.replace(built_spec.elus[0], id=f"E{k}") for k in range(4)))
+        c = parse_circuit("qubits 2\nCNOT q0 q1\n")
+        with pytest.raises(DomainError, match="^4 ELUs exceed oracle cap 3$"):
+            brute_force_best_map(c, spec)
 
 
 class TestScheduleDurations:
@@ -187,7 +198,7 @@ class TestScheduleInvariants:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_per_ion_exclusivity(self, built_spec, name):
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
-        c = load_circuit(FIXTURES_DIR / name)
+        c = parse_circuit((FIXTURES_DIR / name).read_text())
         r = schedule(c, assign_qubits(c, spec, "greedy_interaction_cut"), spec)
         by_ion = {}
         for entry in r.timeline:
@@ -201,7 +212,7 @@ class TestScheduleInvariants:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_dependency_preservation(self, built_spec, name):
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
-        c = load_circuit(FIXTURES_DIR / name)
+        c = parse_circuit((FIXTURES_DIR / name).read_text())
         r = schedule(c, assign_qubits(c, spec, "greedy_interaction_cut"), spec)
         gate_entries = [e for e in r.timeline if e.op is not None]
         assert len(gate_entries) == len(c.ops)
@@ -216,7 +227,7 @@ class TestScheduleInvariants:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_pair_ledger(self, built_spec, name):
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
-        c = load_circuit(FIXTURES_DIR / name)
+        c = parse_circuit((FIXTURES_DIR / name).read_text())
         qmap = assign_qubits(c, spec, "greedy_interaction_cut")
         r = schedule(c, qmap, spec)
         remote = sum(
@@ -229,7 +240,7 @@ class TestScheduleInvariants:
     @pytest.mark.parametrize("seed", range(10))
     def test_ideal_no_slower_than_buffered(self, built_spec, seed):
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
-        c = load_circuit(FIXTURES_DIR / "clusters6.iqc")
+        c = parse_circuit((FIXTURES_DIR / "clusters6.iqc").read_text())
         qmap = assign_qubits(c, spec, "round_robin")
         ideal = schedule(c, qmap, spec, "ideal")
         buffered = schedule(c, qmap, spec, "buffered", seed=seed)
@@ -237,14 +248,14 @@ class TestScheduleInvariants:
 
     def test_buffered_requires_seed(self, built_spec):
         spec = two_elu_spec(built_spec)
-        c = load_circuit(FIXTURES_DIR / "ring4.iqc")
+        c = parse_circuit((FIXTURES_DIR / "ring4.iqc").read_text())
         qmap = assign_qubits(c, spec, "round_robin")
         with pytest.raises(DomainError, match="seed"):
             schedule(c, qmap, spec, "buffered")
 
     def test_buffered_deterministic(self, built_spec):
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
-        c = load_circuit(FIXTURES_DIR / "clusters6.iqc")
+        c = parse_circuit((FIXTURES_DIR / "clusters6.iqc").read_text())
         qmap = assign_qubits(c, spec, "round_robin")
         a = schedule(c, qmap, spec, "buffered", seed=5)
         b = schedule(c, qmap, spec, "buffered", seed=5)
@@ -328,7 +339,7 @@ class TestStrictProximity:
         assert len(swap_entries) == 5
 
     def test_default_mode_inserts_no_swaps(self, example_spec):
-        c = load_circuit(FIXTURES_DIR / "mixed8.iqc")
+        c = parse_circuit((FIXTURES_DIR / "mixed8.iqc").read_text())
         r = schedule(c, assign_qubits(c, example_spec, "greedy_interaction_cut"),
                      example_spec)
         assert r.swaps_inserted == 0
@@ -370,16 +381,17 @@ class TestFidelity:
         r = schedule(c, qmap, spec)
         assert r.per_qubit_idle[0] == pytest.approx(2 * t1q, rel=1e-12)
         assert r.per_qubit_idle[1] == 0.0
-        breakdown = fidelity_estimate(r, spec)
-        assert breakdown.idle_factor == pytest.approx(math.exp(-1.0), rel=1e-9)
-        assert breakdown.gate_factor == pytest.approx(0.999, rel=1e-12)
+        assert r.fidelity.idle_factor == pytest.approx(math.exp(-1.0), rel=1e-9)
+        assert r.fidelity.gate_factor == pytest.approx(0.999, rel=1e-12)
 
     def test_breakdown_matches_schedule_estimate(self, built_spec):
         spec = two_elu_spec(built_spec, n_ions=8, comm=(0, 7), d=2)
-        c = load_circuit(FIXTURES_DIR / "mixed8.iqc")
+        c = parse_circuit((FIXTURES_DIR / "mixed8.iqc").read_text())
         r = schedule(c, assign_qubits(c, spec, "greedy_interaction_cut"), spec)
-        breakdown = fidelity_estimate(r, spec)
-        assert breakdown.total == pytest.approx(r.fidelity_estimate, rel=1e-12)
+        breakdown = r.fidelity
+        assert isinstance(r.fidelity_estimate, float)
+        assert r.fidelity_estimate == breakdown.total
+        assert breakdown.total == breakdown.gate_factor * breakdown.idle_factor
 
     def test_monotone_under_added_gates(self, example_spec):
         base = parse_circuit("qubits 2\nCNOT q0 q1\n")

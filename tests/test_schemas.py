@@ -4,11 +4,12 @@ import jsonschema
 import pytest
 
 from conftest import EXAMPLE_JSON, SCHEMAS_DIR
-from ionfab.arch import architecture_to_doc, load_architecture
+from ionfab.arch import (MAX_BUFFER_CAPACITY, MAX_ELUS, MAX_IONS_PER_ELU,
+                         MAX_SWITCH_PORTS, architecture_to_doc, load_architecture)
 from ionfab.cli import sim_result_doc
 from ionfab.ising import instance_to_doc, power_law_couplings
 from ionfab.netsim import SwitchConfig, default_link, run_sim
-from ionfab.qec import (hypergraph_product_graph, qec_to_doc,
+from ionfab.qec import (MAX_DOC_DATA, hypergraph_product_graph, qec_to_doc,
                         repetition_check_matrix, steane_concat_graph,
                         surface_code_graph)
 
@@ -42,6 +43,22 @@ class TestArchSchema:
         with pytest.raises(jsonschema.ValidationError):
             validate(doc, "ionfab-arch-1.schema.json")
 
+    def test_size_caps_match_the_parser(self):
+        props = load_schema("ionfab-arch-1.schema.json")["properties"]
+        assert props["elus"]["maxItems"] == MAX_ELUS
+        assert props["elus"]["items"]["properties"]["n_ions"]["maximum"] == \
+            MAX_IONS_PER_ELU
+        assert props["switch"]["properties"]["port_count"]["maximum"] == \
+            MAX_SWITCH_PORTS
+        assert props["link"]["properties"]["buffer_capacity"]["maximum"] == \
+            MAX_BUFFER_CAPACITY
+
+    def test_ions_over_cap_fail_schema(self):
+        doc = json.loads(EXAMPLE_JSON.read_text())
+        doc["elus"][0]["n_ions"] = MAX_IONS_PER_ELU + 1
+        with pytest.raises(jsonschema.ValidationError):
+            validate(doc, "ionfab-arch-1.schema.json")
+
 
 class TestIsingSchema:
     def test_generated_instance_validates(self):
@@ -64,6 +81,10 @@ class TestQecSchema:
     ], ids=["surface", "steane", "hgp"])
     def test_generated_codes_validate(self, code):
         validate(qec_to_doc(code), "ionfab-qec-1.schema.json")
+
+    def test_data_cap_matches_the_parser(self):
+        schema = load_schema("ionfab-qec-1.schema.json")
+        assert schema["properties"]["n_data"]["maximum"] == MAX_DOC_DATA
 
     def test_bad_kind_fails(self):
         doc = qec_to_doc(surface_code_graph(3))
