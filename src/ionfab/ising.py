@@ -10,6 +10,23 @@ Boltzmann-machine topologies (entries may be exactly 0).
 
 Spin configurations enumerate as integers: bit i of the index set means
 spin i is -1, so index 0 is the all-up configuration.
+
+Both exact kernels split the register once: spins 0..lo-1 form the low
+half and spins lo..n-1 the high half, with lo = min(n // 2, log2
+_ENUM_CHUNK) and hi = n - lo. A configuration's index is h * 2^lo + l, so a
+row-major (2^hi, 2^lo) matrix holds every configuration in ascending index
+order. The enumerator yields blocks of rows of
+
+    E[h, l] = E_hi[h] + E_lo[l] + (S_hi J_hl S_lo^T)[h, l],
+
+where S_k is the (2^k, k) matrix of spins of each half-index. The Trotter
+step of the adiabatic sweep reshapes the statevector to that matrix M. The
+uniform X rotation exp(i theta sum X) factors as A_hi (x) A_lo, with
+
+    A_k[i, j] = cos(theta)^(k - d) * (i sin(theta))^d,   d = popcount(i ^ j),
+
+and both factors are symmetric, so one step is M <- A_hi M A_lo. Likewise
+<sum X> = Re <M, X_hi M + M X_lo>, where X_k is the mask d == 1.
 """
 
 from __future__ import annotations
@@ -209,6 +226,22 @@ def energy(instance: IsingInstance, config: SpinConfig) -> float:
     return float(total)
 
 
+def _split(n: int) -> int:
+    """Spins in the low half: at most n // 2, and a low row fits one block."""
+    return min(n // 2, _ENUM_CHUNK.bit_length() - 1)
+
+
+def _spin_matrix(k: int) -> np.ndarray:
+    """(2^k, k) matrix of +-1 spins; row i holds the spins of index i."""
+    return 1.0 - 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
+
+
+def _popcount_xor(k: int) -> np.ndarray:
+    """(2^k, 2^k) table of popcount(i ^ j): the spins two indices differ in."""
+    idx = np.arange(1 << k)
+    return ((idx[:, None] ^ idx)[..., None] >> np.arange(k) & 1).sum(axis=-1)
+
+
 def _energy_blocks(instance: IsingInstance) -> Iterator[tuple[int, np.ndarray]]:
     """Energies of all 2^n configurations in ascending index order, yielded
     as (first index, energies) blocks of ``_ENUM_CHUNK`` configurations."""
@@ -217,13 +250,15 @@ def _energy_blocks(instance: IsingInstance) -> Iterator[tuple[int, np.ndarray]]:
         raise DomainError(f"n = {n} exceeds brute-force cap {BRUTE_FORCE_MAX_SPINS}")
     J = instance.coupling_matrix()
     B = instance.field_vector()
-    total, chunk = 1 << n, _ENUM_CHUNK
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
-        energies = 0.5 * np.einsum("ci,ci->c", spins @ J, spins) + spins @ B
-        del idx, spins  # hold one block's spins at a time, not two
-        yield start, energies
+    lo = _split(n)
+    s_lo, s_hi = _spin_matrix(lo), _spin_matrix(n - lo)
+    e_lo = 0.5 * np.einsum("ci,ci->c", s_lo @ J[:lo, :lo], s_lo) + s_lo @ B[:lo]
+    e_hi = 0.5 * np.einsum("ci,ci->c", s_hi @ J[lo:, lo:], s_hi) + s_hi @ B[lo:]
+    cross = s_hi @ J[lo:, :lo]
+    rows = _ENUM_CHUNK >> lo
+    for h in range(0, len(s_hi), rows):
+        block = e_hi[h:h + rows, None] + e_lo + cross[h:h + rows] @ s_lo.T
+        yield h << lo, block.ravel()
 
 
 def brute_force_ground_state(
@@ -253,16 +288,11 @@ def brute_force_ground_state(
 # Adiabatic statevector evolution
 # ---------------------------------------------------------------------------
 
-def _apply_uniform_x_rotation(psi: np.ndarray, n: int, theta: float) -> np.ndarray:
-    """exp(+i*theta*X) applied to every qubit of a dense statevector."""
+def _x_rotation(d: np.ndarray, k: int, theta: float) -> np.ndarray:
+    """exp(+i*theta*X) on each of k qubits, as a 2^k x 2^k matrix built from
+    their popcount(i ^ j) table ``d``: entry cos(theta)^(k-d) (i sin(theta))^d."""
     c, s = math.cos(theta), 1j * math.sin(theta)
-    for q in range(n):
-        shaped = psi.reshape(1 << (n - 1 - q), 2, 1 << q)
-        a = shaped[:, 0, :].copy()
-        b = shaped[:, 1, :]
-        shaped[:, 0, :] = c * a + s * b
-        shaped[:, 1, :] = s * a + c * b
-    return psi
+    return np.array([c ** (k - m) * s ** m for m in range(k + 1)])[d]
 
 
 def adiabatic_evolve(instance: IsingInstance, total_time: float,
@@ -290,8 +320,11 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         raise DomainError("total_time too large for these couplings and fields: "
                           "total_time * 2 * (sum |J| + sum |B|) overflows")
 
-    dim = 1 << n
+    dim, lo = 1 << n, _split(n)
+    hi = n - lo
     diag = np.concatenate([e for _, e in _energy_blocks(instance)])
+    d_hi, d_lo = _popcount_xor(hi), _popcount_xor(lo)
+    x_hi, x_lo = (d_hi == 1).astype(complex), (d_lo == 1).astype(complex)
     psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     dt = total_time / steps
     trace = np.empty(steps)
@@ -300,8 +333,11 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         s = (k + 0.5) / steps
         # exp(-i*dt*s*H_z) then exp(-i*dt*(1-s)*(-sum X)) = exp(+i*dt*(1-s)*sum X)
         psi *= np.exp(-1j * dt * s * diag)
-        psi = _apply_uniform_x_rotation(psi, n, dt * (1.0 - s))
-        x_expect = _sum_x_expectation(psi, n)
+        theta = dt * (1.0 - s)
+        m = _x_rotation(d_hi, hi, theta) @ psi.reshape(1 << hi, 1 << lo) \
+            @ _x_rotation(d_lo, lo, theta)
+        psi = m.reshape(dim)
+        x_expect = float(np.real(np.vdot(m, x_hi @ m + m @ x_lo)))
         trace[k] = s * float(np.real(np.vdot(psi, diag * psi))) - (1.0 - s) * x_expect
 
     ground_idx = np.flatnonzero(diag == diag.min())
@@ -315,14 +351,6 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         final_norm=float(np.linalg.norm(psi)),
         final_ising_energy=float(np.real(np.vdot(psi, diag * psi))),
     )
-
-
-def _sum_x_expectation(psi: np.ndarray, n: int) -> float:
-    total = 0.0
-    for q in range(n):
-        shaped = psi.reshape(1 << (n - 1 - q), 2, 1 << q)
-        total += 2.0 * float(np.real(np.sum(np.conj(shaped[:, 0, :]) * shaped[:, 1, :])))
-    return total
 
 
 # ---------------------------------------------------------------------------

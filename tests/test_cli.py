@@ -245,6 +245,15 @@ class TestIsingFlow:
         r = run_cli(["ising", "anneal", str(inst), "--seed", "3"])
         assert json.loads(r.stdout)["energy"] == -15.0
 
+    def test_solve_at_the_brute_force_cap(self, tmp_path, capsys):
+        inst, out = tmp_path / "ferro24.json", tmp_path / "solved.json"
+        assert main(["ising", "--n", "24", "--alpha", "0", "--j0", "-1",
+                     "--out", str(inst)]) == 0
+        assert main(["ising", "solve", str(inst), "--out", str(out)]) == 0
+        solved = json.loads(out.read_text())
+        assert solved["minimum_energy"] == -276.0  # -C(24, 2)
+        assert solved["ground_states"] == [[1] * 24, [-1] * 24]
+
     def test_generation_requires_n_and_alpha(self):
         r = run_cli(["ising"])
         assert r.returncode == 1
@@ -710,6 +719,14 @@ BAD_INPUTS = {
         ISING % ("[[0, 1, 1e10], [0, 2, 1e10], [1, 2, 1e10]]", "[]"),
         "total_time too large for these couplings and fields: "
         "total_time * 2 * (sum |J| + sum |B|) overflows"),
+    # one spin over each solver's size cap
+    "ising_solve_over_cap": (
+        ISING_SOLVE, '{"schema": "ionfab-ising/1", "n": 25, "couplings": [], "fields": []}',
+        "n = 25 exceeds brute-force cap 24"),
+    "ising_adiabatic_over_cap": (
+        ["ising", "adiabatic", "{f}", "--time", "1", "--steps", "10"],
+        '{"schema": "ionfab-ising/1", "n": 13, "couplings": [], "fields": []}',
+        "n = 13 exceeds adiabatic cap 12"),
     "embed_placement_on_machine": (
         ["qec", "embed", "--code", "{f}", "--host", str(EXAMPLE_JSON),
          "--placement", "row_major"], SURFACE3 + "}",

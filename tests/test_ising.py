@@ -2,8 +2,13 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ionfab.ising
 from ionfab.errors import DomainError
@@ -51,6 +56,38 @@ def reference_energy(instance, spins):
             total += J[i, j] * spins[i] * spins[j]
         total += instance.local_fields.get(i, 0.0) * spins[i]
     return total
+
+
+def reference_trotter(instance, total_time, steps):
+    """Per-qubit loop of the adiabatic sweep: each Trotter step applies the
+    X rotation as one butterfly per qubit and sums <X_q> one qubit at a time.
+    Returns (trace, ground_overlap, final_ising_energy, final_norm)."""
+    n, dim = instance.n_spins, 1 << instance.n_spins
+    diag = np.array([reference_energy(instance, SpinConfig.from_index(i, n).spins)
+                     for i in range(dim)])
+    psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    dt = total_time / steps
+    trace = []
+    for k in range(steps):
+        s = (k + 0.5) / steps
+        psi *= np.exp(-1j * dt * s * diag)
+        c, i_s = math.cos(dt * (1.0 - s)), 1j * math.sin(dt * (1.0 - s))
+        x_expect = 0.0
+        for q in range(n):
+            shaped = psi.reshape(1 << (n - 1 - q), 2, 1 << q)
+            a = shaped[:, 0, :].copy()
+            b = shaped[:, 1, :]
+            shaped[:, 0, :] = c * a + i_s * b
+            shaped[:, 1, :] = i_s * a + c * b
+        for q in range(n):
+            shaped = psi.reshape(1 << (n - 1 - q), 2, 1 << q)
+            x_expect += 2.0 * float(np.real(np.sum(
+                np.conj(shaped[:, 0, :]) * shaped[:, 1, :])))
+        trace.append(s * float(np.real(np.vdot(psi, diag * psi)))
+                     - (1.0 - s) * x_expect)
+    overlap = float(np.sum(np.abs(psi[diag == diag.min()]) ** 2))
+    return (trace, overlap, float(np.real(np.vdot(psi, diag * psi))),
+            float(np.linalg.norm(psi)))
 
 
 def reference_ground(instance):
@@ -160,6 +197,58 @@ class TestBlockBoundaries:
         assert spins_index(ordered[cap - 1]) // 16 == spins_index(ordered[cap]) // 16
 
 
+@st.composite
+def enumerator_cases(draw):
+    """An instance of 1-10 spins with integer or float couplings and fields
+    (float ones with or without fields), and a block size."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["integer", "float", "float_no_fields"]))
+    if kind == "integer":
+        value = st.integers(-3, 3).map(float)
+    else:
+        value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    couplings = {(i, j): draw(value) for i in range(n) for j in range(i + 1, n)}
+    fields = {} if kind == "float_no_fields" else {i: draw(value) for i in range(n)}
+    chunk = draw(st.sampled_from([1, 2, 16, 1 << 18]))
+    return IsingInstance(n, couplings, fields), kind, chunk
+
+
+class TestEnumeratorProperty:
+    """The half-split enumerator against the double loop, for any block size."""
+
+    @settings(max_examples=120)
+    @given(enumerator_cases())
+    def test_blocks_match_reference(self, case):
+        inst, kind, chunk = case
+        n, total = inst.n_spins, 1 << inst.n_spins
+        with mock.patch.object(ionfab.ising, "_ENUM_CHUNK", chunk):
+            blocks = list(ionfab.ising._energy_blocks(inst))
+            configs, _ = brute_force_ground_state(inst, max_configs=total)
+        assert [start for start, _ in blocks] == list(range(0, total, chunk))
+        assert all(len(e) == min(chunk, total - start) for start, e in blocks)
+        energies = np.concatenate([e for _, e in blocks])
+        expected = [reference_energy(inst, SpinConfig.from_index(i, n).spins)
+                    for i in range(total)]
+        if kind == "integer":
+            assert energies.tolist() == expected
+        else:
+            assert energies.tolist() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        if kind == "float_no_fields":
+            ground = {c.spins for c in configs}
+            assert all(tuple(-s for s in g) in ground for g in ground)
+
+    def test_memory_bound_at_n20(self):
+        inst = power_law_couplings(20, 1.3, 1.0)
+        tracemalloc.start()
+        try:
+            configs, _ = brute_force_ground_state(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(configs) == 2
+        assert peak < 16 * 2**20
+
+
 class TestAdiabatic:
     def test_sudden_limit(self):
         run = adiabatic_evolve(ferromagnet(6), 1e-9, 10)
@@ -208,6 +297,20 @@ class TestAdiabatic:
         cap = ionfab.ising.ADIABATIC_MAX_STEPS
         with pytest.raises(DomainError, match=f"steps must be <= {cap}, got {cap + 1}"):
             adiabatic_evolve(ferromagnet(4), 1.0, cap + 1)
+
+    @pytest.mark.parametrize("n, family", [
+        *((n, "integer") for n in range(1, 11)),
+        *((n, "power_law") for n in range(2, 11))])
+    def test_matches_per_qubit_reference(self, n, family):
+        inst = (random_instance(n, seed=n) if family == "integer"
+                else power_law_couplings(n, 1.3, 1.0))
+        run = adiabatic_evolve(inst, 5.0, 200)
+        trace, overlap, final_energy, norm = reference_trotter(inst, 5.0, 200)
+        close = dict(rel=1e-12, abs=1e-12)
+        assert list(run.energy_trace) == pytest.approx(trace, **close)
+        assert run.ground_overlap == pytest.approx(overlap, **close)
+        assert run.final_ising_energy == pytest.approx(final_energy, **close)
+        assert run.final_norm == pytest.approx(norm, **close)
 
 
 class TestAnneal:
