@@ -158,14 +158,16 @@ def parse_circuit(text: str) -> Circuit:
                 raise error(f"angle must be finite, got {angle_tok}", -1)
 
         operands = []
+        seen = set()  # operands as a set, so a k-operand line checks in O(k)
         for k, tok in enumerate(args, start=1):
             if not tok.startswith("q") or not tok[1:].isdecimal():
                 raise error(f"expected operand like 'q0', got {tok!r}", k)
             q = int(tok[1:])
             if q >= n_qubits:
                 raise error(f"q{q} out of range, circuit has {n_qubits} qubits", k)
-            if q in operands:
+            if q in seen:
                 raise error(f"duplicate operand q{q}", k)
+            seen.add(q)
             operands.append(q)
 
         try:

@@ -18,6 +18,7 @@ embedding alike; every edge cut between ELUs costs a heralded photonic pair.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -215,8 +216,17 @@ def greedy_cut(order: list[int], neighbours, capacity: dict[str, int]) -> list[s
     ``capacity`` maps ELU id -> slots, in ELU order. Each node goes to the
     ELU with room that cuts the least weight to already-placed neighbours,
     ties going to the most spare room, then to the earlier ELU.
+
+    With weights >= 0 only two kinds of ELU can win: one that holds a
+    placed neighbour, or the roomiest (then earliest) ELU of all, which a
+    lazy heap keeps. The cost is O(edges + nodes · log ELUs).
     """
     spare = _spare(len(order), capacity)
+    rank = {eid: k for k, eid in enumerate(capacity)}
+    # Max-heap of (-spare, rank, eid), one fresh entry per drop in an ELU's
+    # spare room; an entry whose room no longer matches is stale.
+    roomiest = [(-m, rank[eid], eid) for eid, m in spare.items() if m > 0]
+    heapq.heapify(roomiest)
     placed: list[str | None] = [None] * len(order)
     for node in order:
         weight_on: dict[str, int] = {}
@@ -224,10 +234,20 @@ def greedy_cut(order: list[int], neighbours, capacity: dict[str, int]) -> list[s
             eid = placed[other]
             if eid is not None:
                 weight_on[eid] = weight_on.get(eid, 0) + w
-        # Least cut weight is most weight kept on the ELU; max keeps the
-        # first of equal keys, so the earlier ELU wins a full tie.
-        best = max((eid for eid in capacity if spare[eid]),
-                   key=lambda eid: (weight_on.get(eid, 0), spare[eid]))
+        while -roomiest[0][0] != spare[roomiest[0][2]]:
+            heapq.heappop(roomiest)
+        # Least cut weight is most weight kept on the ELU; -rank makes the
+        # earlier ELU win a full tie. The roomiest ELU enters at weight 0,
+        # and again below at its own weight if it holds a neighbour.
+        _, r, best = roomiest[0]
+        best_key = (0, spare[best], -r)
+        for eid, w in weight_on.items():
+            if spare[eid] > 0:
+                key = (w, spare[eid], -rank[eid])
+                if key > best_key:
+                    best, best_key = eid, key
         placed[node] = best
         spare[best] -= 1
+        if spare[best]:
+            heapq.heappush(roomiest, (-spare[best], rank[best], best))
     return placed

@@ -438,8 +438,12 @@ def embed_on_modular(code: QecGraph, spec: ArchitectureSpec,
     routes, spans, remote_counts = [], [], []
     for ci, check in enumerate(code.checks):
         host = assignment[code.n_data + ci]
-        intra = sum(1 for d in check.data if assignment[d] == host)
-        remote = {assignment[d] for d in check.data} - {host}
+        intra, remote = 0, set()
+        for d in check.data:
+            if assignment[d] == host:
+                intra += 1
+            else:
+                remote.add(assignment[d])
         routes.append(intra)
         spans.append(1 if intra else 0)
         remote_counts.append(len(remote))

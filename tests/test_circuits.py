@@ -42,6 +42,14 @@ class TestParseErrors:
             parse_circuit("qubits 1\nCNOT q0 q0\n")
         assert err.value.line == 2
 
+    def test_duplicate_operand_at_the_end_of_a_wide_line(self):
+        # 999 distinct operands, then q5 again as the 1,000th.
+        line = "GLOBAL_MS " + " ".join(f"q{k}" for k in range(999)) + " q5 0.5"
+        with pytest.raises(ParseError, match="duplicate operand q5") as err:
+            parse_circuit(f"qubits 1000\n{line}\n")
+        assert err.value.line == 2
+        assert err.value.column == line.rfind(" q5 ") + 2
+
     def test_unknown_gate(self):
         with pytest.raises(ParseError, match="unknown gate 'TOFFOLI'") as err:
             parse_circuit("qubits 3\nTOFFOLI q0 q1 q2\n")
