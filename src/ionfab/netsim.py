@@ -32,11 +32,21 @@ attempt, which is distributionally identical to per-attempt Bernoulli draws
 and keeps multi-second horizons at megahertz attempt rates cheap. Attempt
 counts are exact (closed-form slot counting per active window). Queued
 events at equal times process in the fixed priority order RECONFIG_DONE <
-RELOAD_DONE < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST, then by
-sequence number; a PAIR_DELIVERED is not queued but logged by the SUCCESS
-or PAIR_REQUEST that causes it. A request never finds an expired pair: a
-non-empty buffer always has a live PAIR_EXPIRED queued at its head's expiry
-time. An attempt landing exactly on a suspension boundary does not fire.
+RELOAD_DONE < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST, then in
+the order they were queued; a PAIR_DELIVERED is not queued but logged by
+the SUCCESS or PAIR_REQUEST that causes it. A request never finds an
+expired pair: a non-empty buffer always has a live PAIR_EXPIRED queued at
+its head's expiry time. An attempt landing exactly on a suspension
+boundary does not fire.
+
+The queue holds no event that the switch schedule already rules out. A
+switch entry processes before every other event at its time, so a SUCCESS
+at or after the next entry that removes its link would be cancelled by it:
+such a SUCCESS is never queued (a collision may still cancel a queued one).
+Each switch entry that adds links queues one RECONFIG_DONE for all of
+them; at their resume time it takes them in sorted link order and logs one
+RECONFIG_DONE row per link that resumes. The ``seq`` of a logged event is
+its index in the log, and a run without a log builds no events.
 
 Neither the event order nor the draw order depends on the horizon, which
 only stops the loop. A :class:`NetworkSim` advanced in steps and then
@@ -53,7 +63,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .arch import ArchitectureSpec
+from .arch import ArchitectureSpec, EluSpec
 from .errors import CapacityError, DomainError
 from .rates import link_success_probability
 
@@ -114,7 +124,7 @@ class SimEvent:
     link: str      # link label or "" when not link-scoped
     elu_a: str
     elu_b: str     # "" for single-ELU events
-    seq: int
+    seq: int       # index of the event in the run's log
 
     def csv_row(self) -> str:
         return f"{self.time!r},{self.kind},{self.link},{self.elu_a},{self.elu_b},{self.seq}"
@@ -168,16 +178,34 @@ class SimResult:
 # Core simulator
 # ---------------------------------------------------------------------------
 
+class _EluState:
+    __slots__ = ("id", "collision_rate", "reload_time", "reload_until",
+                 "epoch", "links", "buffers")
+
+    def __init__(self, elu: EluSpec):
+        self.id = elu.id
+        self.collision_rate = elu.collision_rate_per_ion * elu.n_ions
+        self.reload_time = elu.reload_time
+        self.reload_until = 0.0
+        self.epoch = 0
+        self.links: list[_LinkState] = []  # the ELU's links, sorted
+        self.buffers: list[tuple[tuple[str, str], deque]] = []  # by pair, sorted
+
+
 class _LinkState:
-    __slots__ = ("link", "label", "pair", "reconfig_until",
+    __slots__ = ("link", "label", "pair", "elus", "reconfig_until", "removals",
                  "window_start", "consumed", "countdown", "epoch",
                  "attempts", "successes", "open_")
 
-    def __init__(self, link: Link):
+    def __init__(self, link: Link, elus: dict[str, _EluState]):
         self.link = link
         self.label = link_label(link)
         self.pair = link_pair(link)
+        self.elus = (elus[self.pair[0]], elus[self.pair[1]])
         self.reconfig_until = 0.0
+        # Times of the switch entries still to come that remove the link,
+        # then math.inf: while the link is active, the head is when it closes.
+        self.removals: deque[float] = deque()
         self.window_start = 0.0
         self.consumed = 0       # attempt slots consumed in the open window
         self.countdown = -1     # failures left before next success; -1 = unsampled
@@ -252,6 +280,8 @@ class NetworkSim:
         times = [t for t, _ in switch_schedule]
         if not all(math.isfinite(t) for t in times):
             raise DomainError("switch schedule times must be finite")
+        if times and min(times) < 0.0:
+            raise DomainError(f"switch schedule times must be >= 0, got {min(times)!r}")
         if times != sorted(times):
             raise DomainError("switch schedule times must be sorted")
         configs = list(dict.fromkeys(cfg for _, cfg in switch_schedule))
@@ -270,15 +300,18 @@ class NetworkSim:
         self.log1m_p = math.log1p(-self.p) if 0.0 < self.p < 1.0 else None
 
         # Every link that ever appears; demanded pairs must be connectable.
+        elus = {e.id: _EluState(e) for e in spec.elus}
         self.links: dict[Link, _LinkState] = {}
         for cfg in configs:
             for link in cfg.active_links:
                 if link not in self.links:
-                    self.links[link] = _LinkState(link)
+                    self.links[link] = _LinkState(link, elus)
         connectable = {st.pair for st in self.links.values()}
         for t, pair in demand:
             if not math.isfinite(t):
                 raise DomainError(f"request times must be finite, got {t!r}")
+            if t < 0.0:
+                raise DomainError(f"request times must be >= 0, got {t!r}")
             if tuple(sorted(pair)) not in connectable:
                 raise DomainError(
                     f"request for ELU pair {pair} that no scheduled link can serve")
@@ -295,16 +328,18 @@ class NetworkSim:
             pair: 0 for pair in connectable}
         self.success_times: dict[tuple[str, str], list[float]] = {
             pair: [] for pair in connectable}
-        self.elu_reload_until: dict[str, float] = {e.id: 0.0 for e in spec.elus}
-        self.elu_epoch: dict[str, int] = {e.id: 0 for e in spec.elus}
-        self.collision_rates = {
-            e.id: e.collision_rate_per_ion * e.n_ions for e in spec.elus}
+        # What a collision or a reload of each ELU visits, in sorted order.
+        for _, st in sorted(self.links.items()):
+            for elu in st.elus:
+                elu.links.append(st)
+        for pair, buf in sorted(self.buffers.items()):
+            for elu_id in pair:
+                elus[elu_id].buffers.append((pair, buf))
         # Most expected events per second: every link on, and every collision.
         self.event_rate = (len(self.links) * self.rate * self.p
-                           + sum(self.collision_rates.values()))
+                           + sum(e.collision_rate for e in elus.values()))
 
         self.log: list[SimEvent] | None = [] if store_log else None
-        self.event_seq = 0
         self.counters = {"successes": 0, "delivered": 0, "expired": 0,
                          "invalidated": 0, "overflow": 0, "collisions": 0,
                          "requests": 0}
@@ -319,13 +354,28 @@ class NetworkSim:
         self.now = 0.0  # every event before this time has been processed
 
         # Initial collision gaps, ELUs in spec order (documented draw order).
-        for elu in spec.elus:
-            r = self.collision_rates[elu.id]
-            if r > 0:
+        for elu in elus.values():
+            if elu.collision_rate > 0:
                 u = self.rng.random()
-                self._push(-math.log(1.0 - u) / r, "COLLISION", elu.id)
+                self._push(-math.log(1.0 - u) / elu.collision_rate, "COLLISION", elu)
+        # Each distinct (previous, new) config pair's removed and added link
+        # states in sorted order, and each link's removal times, then inf.
+        changes: dict[tuple[SwitchConfig, SwitchConfig], tuple] = {}
+        prev = SwitchConfig(frozenset())
         for t, cfg in switch_schedule:
-            self._push(t, "_SCHED", cfg)
+            change = changes.get((prev, cfg))
+            if change is None:
+                removed = sorted(prev.active_links - cfg.active_links)
+                added = sorted(cfg.active_links - prev.active_links)
+                change = changes[prev, cfg] = (
+                    cfg, [self.links[link] for link in removed],
+                    [self.links[link] for link in added])
+            for st in change[1]:
+                st.removals.append(t)
+            self._push(t, "_SCHED", change)
+            prev = cfg
+        for st in self.links.values():
+            st.removals.append(math.inf)
         for t, pair in demand:
             self._push(t, "PAIR_REQUEST", tuple(sorted(pair)))
 
@@ -334,9 +384,8 @@ class NetworkSim:
         self.push_seq += 1
 
     def _emit(self, t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
-        if self.log is not None:
-            self.log.append(SimEvent(t, kind, link, elu_a, elu_b, self.event_seq))
-        self.event_seq += 1
+        """Log one event; called only when the run keeps a log."""
+        self.log.append(SimEvent(t, kind, link, elu_a, elu_b, len(self.log)))
 
     def _sample_countdown(self) -> int:
         if self.p <= 0.0:
@@ -351,13 +400,15 @@ class NetworkSim:
         if not st.open_ or st.countdown == -2:
             return
         slot = st.consumed + st.countdown + 1
-        self._push(st.window_start + slot / self.rate, "SUCCESS", (st, st.epoch, slot))
+        t = st.window_start + slot / self.rate
+        if t < st.removals[0]:  # else that removal processes first and cancels it
+            self._push(t, "SUCCESS", (st, st.epoch, slot))
 
     def _open_window(self, st: _LinkState, now: float) -> None:
         if st.open_ or st.link not in self.current.active_links:
             return
-        if now < st.reconfig_until or now < self.elu_reload_until[st.pair[0]] \
-                or now < self.elu_reload_until[st.pair[1]]:
+        if now < st.reconfig_until or now < st.elus[0].reload_until \
+                or now < st.elus[1].reload_until:
             return
         st.open_ = True
         st.window_start = now
@@ -384,7 +435,8 @@ class NetworkSim:
         lat = now - req_time
         self.latency_total += lat
         self.latency_max = max(self.latency_max, lat)
-        self._emit(now, "PAIR_DELIVERED", "", pair[0], pair[1])
+        if self.log is not None:
+            self._emit(now, "PAIR_DELIVERED", "", pair[0], pair[1])
 
     def _reschedule_expiry(self, pair: tuple[str, str]) -> None:
         if self.lifetime is math.inf:
@@ -399,7 +451,8 @@ class NetworkSim:
         buf = self.buffers[pair]
         while buf and buf[0] <= now:
             buf.popleft()
-            self._emit(now, "PAIR_EXPIRED", "", pair[0], pair[1])
+            if self.log is not None:
+                self._emit(now, "PAIR_EXPIRED", "", pair[0], pair[1])
             self.counters["expired"] += 1
 
     def advance(self, until: float) -> None:
@@ -414,8 +467,9 @@ class NetworkSim:
         heap, heappop = self.heap, heapq.heappop
         counters, buffers, waiting = self.counters, self.buffers, self.waiting
         success_times, lifetime = self.success_times, self.lifetime
-        emit, deliver = self._emit, self._deliver
+        log, emit, deliver = self.log, self._emit, self._deliver
         reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
+        open_window, close_window = self._open_window, self._close_window
         capacity = self.spec.buffer_capacity
         sample_countdown = self._sample_countdown
         schedule_success = self._schedule_success
@@ -425,57 +479,58 @@ class NetworkSim:
             if kind == "_SCHED":
                 # The first entry is the switch's initial state and is free;
                 # later entries charge reconfiguration_time to changed links.
-                new_cfg: SwitchConfig = payload
-                removed = self.current.active_links - new_cfg.active_links
-                added = new_cfg.active_links - self.current.active_links
-                self.current = new_cfg
-                for link in sorted(removed):
-                    self._close_window(self.links[link], t)
-                for link in sorted(added):
-                    st = self.links[link]
+                self.current, removed, added = payload
+                for st in removed:
+                    st.removals.popleft()
+                    close_window(st, t)
+                resumes = t + self.spec.switch.reconfiguration_time
+                pending = []
+                for st in added:
                     if self.first_sched:
-                        self._open_window(st, t)
+                        open_window(st, t)
                     else:
-                        st.reconfig_until = t + self.spec.switch.reconfiguration_time
-                        self._push(st.reconfig_until, "RECONFIG_DONE", (st, st.epoch + 1))
+                        st.reconfig_until = resumes
                         st.epoch += 1
+                        pending.append((st, st.epoch))
+                if pending:
+                    self._push(resumes, "RECONFIG_DONE", pending)
                 self.first_sched = False
 
             elif kind == "RECONFIG_DONE":
-                st, epoch = payload
-                if st.epoch != epoch or st.link not in self.current.active_links:
-                    continue
-                emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
-                self._open_window(st, t)
+                for st, epoch in payload:
+                    if st.epoch != epoch or st.link not in self.current.active_links:
+                        continue
+                    if log is not None:
+                        emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
+                    open_window(st, t)
 
             elif kind == "COLLISION":
-                elu_id = payload
+                elu = payload
                 counters["collisions"] += 1
-                emit(t, "COLLISION", "", elu_id, "")
-                for pair, buf in sorted(buffers.items()):
-                    if elu_id in pair and buf:
+                if log is not None:
+                    emit(t, "COLLISION", "", elu.id, "")
+                for pair, buf in elu.buffers:
+                    if buf:
                         counters["invalidated"] += len(buf)
                         buf.clear()
                         reschedule_expiry(pair)
-                self.elu_reload_until[elu_id] = t + self.spec.elu(elu_id).reload_time
-                self.elu_epoch[elu_id] += 1
-                self._push(self.elu_reload_until[elu_id], "RELOAD_DONE",
-                           (elu_id, self.elu_epoch[elu_id]))
-                for link in sorted(self.links):
-                    if elu_id in (link[0][0], link[1][0]):
-                        self._close_window(self.links[link], t)
+                elu.reload_until = t + elu.reload_time
+                elu.epoch += 1
+                self._push(elu.reload_until, "RELOAD_DONE", (elu, elu.epoch))
+                for st in elu.links:
+                    close_window(st, t)
                 u = self.rng.random()
-                self._push(t - math.log(1.0 - u) / self.collision_rates[elu_id],
-                           "COLLISION", elu_id)
+                self._push(t - math.log(1.0 - u) / elu.collision_rate,
+                           "COLLISION", elu)
 
             elif kind == "RELOAD_DONE":
-                elu_id, epoch = payload
-                if self.elu_epoch[elu_id] != epoch:
+                elu, epoch = payload
+                if elu.epoch != epoch:
                     continue
-                emit(t, "RELOAD_DONE", "", elu_id, "")
-                for link in sorted(self.links):
-                    if elu_id in (link[0][0], link[1][0]):
-                        self._open_window(self.links[link], t)
+                if log is not None:
+                    emit(t, "RELOAD_DONE", "", elu.id, "")
+                for st in elu.links:
+                    open_window(st, t)
 
             elif kind == "SUCCESS":
                 st, epoch, slot = payload
@@ -485,7 +540,8 @@ class NetworkSim:
                 st.consumed = slot
                 st.successes += 1
                 counters["successes"] += 1
-                emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
+                if log is not None:
+                    emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
                 pair = st.pair
                 success_times[pair].append(t)
                 buf = buffers[pair]
@@ -510,7 +566,8 @@ class NetworkSim:
             elif kind == "PAIR_REQUEST":
                 pair = payload
                 counters["requests"] += 1
-                emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
+                if log is not None:
+                    emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
                 if buffers[pair]:
                     buffers[pair].popleft()
                     reschedule_expiry(pair)

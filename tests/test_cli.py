@@ -388,6 +388,22 @@ class TestGoldenOutputs:
         assert out.read_bytes() == (GOLDEN_DIR / "simulate_netsim_report.json").read_bytes()
         assert log.read_bytes() == (GOLDEN_DIR / "simulate_netsim_events.csv").read_bytes()
 
+    def test_simulate_multiplexed_report_and_log(self, tmp_path):
+        # six ELUs cycle the round-robin matchings every 5 ms, two entries
+        # share t = 0.1 s, and collisions, expiry and Poisson demand are on
+        out, log = tmp_path / "report.json", tmp_path / "events.csv"
+        code = main([
+            "simulate", str(FIXTURES_DIR / "multiplex_arch.json"),
+            "--schedule", str(FIXTURES_DIR / "multiplex_schedule.json"),
+            "--demand", str(FIXTURES_DIR / "multiplex_demand.json"),
+            "--horizon", "0.2", "--seed", "5",
+            "--out", str(out), "--log", str(log)])
+        assert code == 0
+        assert out.read_bytes() == (
+            GOLDEN_DIR / "simulate_multiplex_report.json").read_bytes()
+        assert log.read_bytes() == (
+            GOLDEN_DIR / "simulate_multiplex_events.csv").read_bytes()
+
     def test_buffered_schedule_report_and_timeline(self, tmp_path):
         out, timeline = tmp_path / "report.json", tmp_path / "timeline.csv"
         code = main([
@@ -436,6 +452,14 @@ class TestBadSimulateInputs:
             tmp_path, capsys, '[{"time_s": NaN, "links": [["A", 0, "B", 0]]}]')
         assert code == 1
         assert "ionfab: error: switch schedule times must be finite" in err
+
+    def test_negative_schedule_time(self, tmp_path, capsys):
+        code, err = self.simulate(
+            tmp_path, capsys, '[{"time_s": -1.0, "links": [["A", 0, "B", 0]]}]',
+            horizon="0.01")
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("ionfab: error:")] == [
+            "ionfab: error: switch schedule times must be >= 0, got -1.0"]
 
     def test_malformed_schedule_json(self, tmp_path, capsys):
         code, err = self.simulate(tmp_path, capsys, ONE_LINK[:-1])

@@ -42,6 +42,9 @@ KINDS = ("drop", "type", "nan", "inf", "-inf", "negative", "huge")
 ARCH = str(FIXTURES_DIR / "netsim_arch.json")
 SCHEDULE = str(FIXTURES_DIR / "netsim_schedule.json")
 DEMAND = str(FIXTURES_DIR / "netsim_demand.json")
+MUX_ARCH = str(FIXTURES_DIR / "multiplex_arch.json")
+MUX_SCHEDULE = str(FIXTURES_DIR / "multiplex_schedule.json")
+MUX_DEMAND = str(FIXTURES_DIR / "multiplex_demand.json")
 HORIZON = ["--horizon", "0.05", "--seed", "3"]
 
 # argv for each fixture, given the path of its mutant.
@@ -55,6 +58,12 @@ FIXTURE_RUNS = {
     "mixed8_split_map.json": lambda p: ["schedule", ARCH,
                                         str(FIXTURES_DIR / "mixed8.iqc"),
                                         "--map", f"file:{p}"],
+    "multiplex_arch.json": lambda p: ["simulate", p, "--schedule", MUX_SCHEDULE,
+                                      "--demand", MUX_DEMAND, *HORIZON],
+    "multiplex_schedule.json": lambda p: ["simulate", MUX_ARCH, "--schedule", p,
+                                          "--demand", MUX_DEMAND, *HORIZON],
+    "multiplex_demand.json": lambda p: ["simulate", MUX_ARCH, "--schedule",
+                                        MUX_SCHEDULE, "--demand", p, *HORIZON],
     "ising_powerlaw12.json": lambda p: ["ising", "solve", p],
     "ising_degenerate11.json": lambda p: ["ising", "solve", p],
 }

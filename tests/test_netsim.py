@@ -1,16 +1,22 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EXAMPLE_JSON
+from ionfab.arch import load_architecture
 from ionfab.errors import CapacityError, DomainError
 from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, default_link,
-                           link_label, make_link, run_sim,
+                           link_label, link_pair, make_link, run_sim,
                            theoretical_rate_check)
 from ionfab.scheduler import BufferedPairSupply
+
+EXAMPLE = load_architecture(EXAMPLE_JSON)
+PORTS = EXAMPLE.elus[0].comm_ion_indices
 
 
 def one_link_schedule(spec):
@@ -20,6 +26,78 @@ def one_link_schedule(spec):
 def with_elu_field(spec, **kwargs):
     return dataclasses.replace(
         spec, elus=tuple(dataclasses.replace(e, **kwargs) for e in spec.elus))
+
+
+def machine(n_elus, collision_rate=0.0, lifetime=None,
+            attempt_rate=EXAMPLE.attempt_rate):
+    """``n_elus`` copies of the example's first ELU, ids E0, E1, ..., with
+    a switch port for every communication ion and a 2 ms reload."""
+    elus = tuple(dataclasses.replace(EXAMPLE.elus[0], id=f"E{k}",
+                                     collision_rate_per_ion=collision_rate,
+                                     reload_time=2e-3)
+                 for k in range(n_elus))
+    switch = dataclasses.replace(EXAMPLE.switch, port_count=n_elus * len(PORTS))
+    return dataclasses.replace(EXAMPLE, elus=elus, switch=switch,
+                               pair_lifetime=lifetime, attempt_rate=attempt_rate)
+
+
+def round_robin(ids, dwell, horizon):
+    """The circle-method perfect matchings of an even number of ELUs, every
+    port of each matched pair linked, cycled every ``dwell`` seconds."""
+    n = len(ids)
+    configs = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)] + [((r + k) % (n - 1), (r - k) % (n - 1))
+                                for k in range(1, n // 2)]
+        configs.append(SwitchConfig(frozenset(
+            make_link((ids[a], p), (ids[b], p)) for a, b in pairs for p in PORTS)))
+    return [(k * dwell, configs[k % len(configs)])
+            for k in range(round(horizon / dwell))]
+
+
+@st.composite
+def matchings(draw, ids):
+    """Ports shuffled and paired across ELUs, each pair kept as a link or not."""
+    free = list(draw(st.permutations([(e, p) for e in ids for p in PORTS])))
+    links = set()
+    while free:
+        a = free.pop()
+        b = next((q for q in free if q[0] != a[0]), None)
+        if b is not None:
+            free.remove(b)
+            if draw(st.booleans()):
+                links.add(make_link(a, b))
+    return SwitchConfig(frozenset(links))
+
+
+@st.composite
+def multiplexed_runs(draw):
+    """``(spec, schedule, demand, horizon, p)`` of a random multiplexed run.
+
+    A pool of matchings is entered in random order with dwells from zero
+    (two entries at one time) to 2.5 reconfiguration times; collisions,
+    expiry and requests are optional. The attempt rate is 20 kHz, so runs
+    at p = 1 stay small.
+    """
+    ids = [f"E{k}" for k in range(draw(st.integers(2, 4)))]
+    pool = draw(st.lists(matchings(ids), min_size=1, max_size=4))
+    t = draw(st.sampled_from([0.0, 5e-4]))
+    schedule = []
+    for _ in range(draw(st.integers(1, 12))):
+        schedule.append((t, draw(st.sampled_from(pool))))
+        t += draw(st.sampled_from([0.0, 2e-4, 1e-3, 2.5e-3]))
+    horizon = t + draw(st.sampled_from([1e-3, 5e-3]))
+    spec = machine(len(ids),
+                   collision_rate=draw(st.sampled_from([0.0, 0.5, 5.0])),
+                   lifetime=draw(st.sampled_from([None, 2e-3])),
+                   attempt_rate=2e4)
+    pairs = sorted({link_pair(link) for _, cfg in schedule
+                    for link in cfg.active_links})
+    demand = draw(st.lists(st.tuples(st.floats(0.0, horizon),
+                                     st.sampled_from(pairs)), max_size=20)
+                  ) if pairs else []
+    p = draw(st.sampled_from([0.01, 0.2, 1.0]))
+    return spec, schedule, demand, horizon, p
 
 
 class TestSwitchConfig:
@@ -422,6 +500,49 @@ class TestNetworkSim:
         assert sim.finish(self.HORIZON) == run_sim(
             spec, schedule, demand, self.HORIZON, seed, store_log=store_log)
 
+    @settings(max_examples=60, deadline=None)
+    @given(run=multiplexed_runs(), seed=st.integers(0, 2**31 - 1),
+           store_log=st.booleans(),
+           splits=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4))
+    def test_stepwise_advance_equals_one_run_multiplexed(self, run, seed,
+                                                         store_log, splits):
+        spec, schedule, demand, horizon, p = run
+        sim = NetworkSim(spec, schedule, demand, seed, p_override=p,
+                         store_log=store_log)
+        for fraction in sorted(splits):
+            sim.advance(fraction * horizon)
+        assert sim.finish(horizon) == run_sim(spec, schedule, demand, horizon,
+                                              seed, p, store_log)
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=multiplexed_runs(), seed=st.integers(0, 2**31 - 1))
+    def test_every_attempt_succeeds_at_p_one(self, run, seed):
+        # a success wrongly left unqueued leaves its link open with its
+        # attempts counted at the close but no success for them
+        spec, schedule, demand, horizon, _ = run
+        r = run_sim(spec, schedule, demand, horizon, seed, p_override=1.0)
+        assert r.ledger.conserved
+        assert {label: s.attempts for label, s in r.per_link.items()} == {
+            label: s.successes for label, s in r.per_link.items()}
+
+    def test_queues_only_events_that_can_happen(self, monkeypatch):
+        # collision-free, so every queued success fires, is cut off by the
+        # horizon (one per link at most) or was never queued
+        spec = machine(6)
+        schedule = round_robin(spec.elu_ids(), 0.005, 1.0)
+        queued = Counter()
+        push = NetworkSim._push
+
+        def counting_push(sim, t, kind, payload):
+            queued[kind] += 1
+            push(sim, t, kind, payload)
+
+        monkeypatch.setattr(NetworkSim, "_push", counting_push)
+        r = run_sim(spec, schedule, [], 1.0, seed=7)
+        assert r.ledger.successes > 500
+        assert queued["SUCCESS"] <= r.ledger.successes + len(r.per_link)
+        assert queued["RECONFIG_DONE"] <= len(schedule)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
            collision_rate=st.sampled_from([0.0, 0.25, 1.0]),
@@ -485,6 +606,16 @@ class TestNetworkSim:
             NetworkSim(example_spec, [(math.nan, cfg)], [], 0)
         with pytest.raises(DomainError, match="request times must be finite"):
             NetworkSim(example_spec, [(0.0, cfg)], [(math.inf, ("A", "B"))], 0)
+
+    def test_negative_times_rejected(self, example_spec):
+        # a negative time opens no window, so the run read as valid but idle
+        cfg = SwitchConfig(frozenset({default_link(example_spec)}))
+        with pytest.raises(DomainError,
+                           match=r"^switch schedule times must be >= 0, got -1\.0$"):
+            NetworkSim(example_spec, [(-1.0, cfg)], [], 0)
+        with pytest.raises(DomainError,
+                           match=r"^request times must be >= 0, got -0\.5$"):
+            NetworkSim(example_spec, [(0.0, cfg)], [(-0.5, ("A", "B"))], 0)
 
 
 class TestTheoreticalRateCheck:
