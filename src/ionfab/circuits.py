@@ -24,25 +24,27 @@ from .errors import ParseError
 
 
 class GateKind(enum.Enum):
-    X = "X"
-    H = "H"
-    RZ = "RZ"
-    MS = "MS"
-    CNOT = "CNOT"
-    GLOBAL_MS = "GLOBAL_MS"
-    MEASURE = "MEASURE"
+    """A gate, valued by its name. ``arity`` is (min operands, max operands
+    or None, takes angle): a plain attribute, because ``Enum.__hash__`` is
+    Python code and a dict keyed by the kind pays for it on every op."""
+
+    X = ("X", 1, 1, False)
+    H = ("H", 1, 1, False)
+    RZ = ("RZ", 1, 1, True)
+    MS = ("MS", 2, 2, True)
+    CNOT = ("CNOT", 2, 2, False)
+    GLOBAL_MS = ("GLOBAL_MS", 2, None, True)
+    MEASURE = ("MEASURE", 1, 1, False)
+
+    def __new__(cls, name: str, lo: int, hi: int | None, takes_angle: bool):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.arity = (lo, hi, takes_angle)
+        return kind
 
 
-# (min operands, max operands or None, takes angle)
-_ARITY: dict[GateKind, tuple[int, int | None, bool]] = {
-    GateKind.X: (1, 1, False),
-    GateKind.H: (1, 1, False),
-    GateKind.RZ: (1, 1, True),
-    GateKind.MS: (2, 2, True),
-    GateKind.CNOT: (2, 2, False),
-    GateKind.GLOBAL_MS: (2, None, True),
-    GateKind.MEASURE: (1, 1, False),
-}
+# Gate name -> kind, one dict lookup per parsed line.
+_KIND_OF_NAME: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 
 # Size caps, so that mapping and scheduling a parsed circuit take bounded work.
 MAX_QUBITS = 1000
@@ -59,7 +61,7 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self):
-        lo, hi, takes_angle = _ARITY[self.kind]
+        lo, hi, takes_angle = self.kind.arity
         if len(self.operands) < lo or (hi is not None and len(self.operands) > hi):
             want = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
             raise ValueError(f"{self.kind.value} takes {want} operand(s), "
@@ -138,14 +140,13 @@ def parse_circuit(text: str) -> Circuit:
         if len(ops) == MAX_OPS:
             raise error(f"more than {MAX_OPS} operations", 0)
         name = tokens[0]
-        try:
-            kind = GateKind(name)
-        except ValueError:
-            raise error(f"unknown gate {name!r}", 0) from None
+        kind = _KIND_OF_NAME.get(name)
+        if kind is None:
+            raise error(f"unknown gate {name!r}", 0)
 
         args = tokens[1:]
         angle = None
-        _, _, takes_angle = _ARITY[kind]
+        _, _, takes_angle = kind.arity
         if takes_angle:
             if not args:
                 raise error(f"{name} requires an angle", 0)

@@ -307,14 +307,17 @@ class NetworkSim:
                 if link not in self.links:
                     self.links[link] = _LinkState(link, elus)
         connectable = {st.pair for st in self.links.values()}
+        requests = []  # (time, sorted pair), queued after the switch schedule
         for t, pair in demand:
             if not math.isfinite(t):
                 raise DomainError(f"request times must be finite, got {t!r}")
             if t < 0.0:
                 raise DomainError(f"request times must be >= 0, got {t!r}")
-            if tuple(sorted(pair)) not in connectable:
+            key = tuple(sorted(pair))
+            if key not in connectable:
                 raise DomainError(
                     f"request for ELU pair {pair} that no scheduled link can serve")
+            requests.append((t, key))
 
         if connectable and spec.buffer_capacity < 1:
             raise DomainError(
@@ -376,8 +379,8 @@ class NetworkSim:
             prev = cfg
         for st in self.links.values():
             st.removals.append(math.inf)
-        for t, pair in demand:
-            self._push(t, "PAIR_REQUEST", tuple(sorted(pair)))
+        for t, pair in requests:
+            self._push(t, "PAIR_REQUEST", pair)
 
     def _push(self, t: float, kind: str, payload) -> None:
         heapq.heappush(self.heap, (t, _PRIO[kind], self.push_seq, kind, payload))

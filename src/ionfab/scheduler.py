@@ -10,8 +10,11 @@ program-order dependencies between operations sharing a qubit.
 
 Every timeline entry (gate, measurement, remote gate or inserted swap) is
 placed by one rule: it holds its ions from start to end and adds its
-duration to the busy time of the qubits it acts on. ``swaps_inserted`` and
-``pairs_consumed`` count the swap entries and the pair-using entries.
+duration to the busy time of the qubits it acts on. The same rule keeps the
+result's totals in one pass, in timeline order: ``makespan`` (the latest
+end), ``swaps_inserted`` and ``pairs_consumed`` (the swap entries and the
+pair-using entries) and the fidelity's gate factor. A
+:class:`TimelineEntry` is an immutable ``typing.NamedTuple``.
 
 Operations inside one ELU differ only in duration:
 
@@ -44,6 +47,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import ArchitectureSpec
 from .circuits import ENTANGLING_KINDS, TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
@@ -219,8 +223,7 @@ class BufferedPairSupply:
 # Scheduling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     start: float
     duration: float
     op: GateOp | None  # None for inserted swaps
@@ -298,6 +301,12 @@ def schedule(
     elu_spec = {e.id: e for e in spec.elus}
     tau_slow = {e.id: slow_gate_time(elu_gate_rate(spec, e.id)) for e in spec.elus}
     tau_fast = {eid: tau / FAST_GATE_SPEEDUP for eid, tau in tau_slow.items()}
+    # The nearest communication ion of every position (ties: the lower
+    # index), for each ELU that has one.
+    nearest_comm = {
+        e.id: [min(e.comm_ion_indices, key=lambda c: (abs(c - pos), c))
+               for pos in range(e.n_ions)]
+        for e in spec.elus if e.comm_ion_indices}
     position_of = dict(qmap.mapping)  # mutates under strict-proximity swaps
     qubit_at: dict[tuple[str, int], int] = {
         ion: q for q, ion in position_of.items()}
@@ -306,12 +315,13 @@ def schedule(
     if pair_supply_mode == "buffered":
         if seed is None:
             raise DomainError("buffered mode requires a seed")
-        needed = {
-            tuple(sorted({qmap.elu_of(q) for q in op.operands}))
-            for op in circuit.ops
-            if op.kind in TWO_QUBIT_KINDS
-            and len({qmap.elu_of(q) for q in op.operands}) > 1
-        }
+        needed = set()
+        for op in circuit.ops:
+            if op.kind in TWO_QUBIT_KINDS:
+                q0, q1 = op.operands
+                eid_a, eid_b = position_of[q0][0], position_of[q1][0]
+                if eid_a != eid_b:
+                    needed.add((eid_a, eid_b) if eid_a < eid_b else (eid_b, eid_a))
         if needed:
             supply = BufferedPairSupply(spec, needed, seed)
     elif pair_supply_mode != "ideal":
@@ -321,22 +331,36 @@ def schedule(
     timeline: list[TimelineEntry] = []
     busy: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
     last_end: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
+    # The result's totals, kept in timeline order as entries are placed.
+    makespan, pairs_consumed, swaps_inserted, gate_factor = 0.0, 0, 0, 1.0
+    gate_fidelity = spec.two_qubit_gate_fidelity
+    swap_fidelity = gate_fidelity ** SWAP_GATE_COUNT
 
     def place(start: float, duration: float, op: GateOp | None,
-              ions: list[tuple[str, int]], qubits: tuple[int, ...],
-              used_pair: bool = False) -> None:
-        """Append one entry: hold ``ions`` and charge ``qubits`` until its end."""
+              ions: list[tuple[str, int]], elus: tuple[str, ...],
+              qubits: tuple[int, ...], used_pair: bool = False) -> None:
+        """Append one entry: hold ``ions`` and charge ``qubits`` until its end.
+
+        ``elus`` is the sorted ELU ids of ``ions``, known to every caller."""
+        nonlocal makespan, pairs_consumed, swaps_inserted, gate_factor
         end = start + duration
         if not math.isfinite(end):
             raise DomainError(f"schedule time overflows: an operation ends at {end!r} s")
         for ion in ions:
             ion_free[ion] = end
-        timeline.append(TimelineEntry(start, duration, op, tuple(ions),
-                                      tuple(sorted({eid for eid, _ in ions})),
-                                      used_pair))
+        timeline.append(TimelineEntry(start, duration, op, tuple(ions), elus, used_pair))
         for q in qubits:
             busy[q] += duration
             last_end[q] = end
+        if end > makespan:
+            makespan = end
+        if op is None:  # inserted swap, three proximity gates
+            swaps_inserted += 1
+            gate_factor *= swap_fidelity
+        elif op.kind in ENTANGLING_KINDS:
+            gate_factor *= gate_fidelity
+        if used_pair:
+            pairs_consumed += 1
 
     def two_qubit_time(eid: str, pos_a: int, pos_b: int) -> float:
         if abs(pos_a - pos_b) <= elu_spec[eid].fast_gate_distance:
@@ -346,29 +370,32 @@ def schedule(
     def elu_busy_until(eid: str) -> float:
         return max(ion_free[(eid, pos)] for pos in range(elu_spec[eid].n_ions))
 
-    def nearest_comm(eid: str, pos: int) -> int:
-        comm = elu_spec[eid].comm_ion_indices
-        return min(comm, key=lambda c: (abs(c - pos), c))
-
+    # Hoisted: a member lookup on an Enum class is slow Python-level work.
+    measure, global_ms = GateKind.MEASURE, GateKind.GLOBAL_MS
     for op in circuit.ops:
+        kind = op.kind
         touched = [position_of[q] for q in op.operands]
-        elus = {eid for eid, _ in touched}
-        if op.kind is GateKind.GLOBAL_MS and len(elus) > 1:
-            raise DomainError(f"GLOBAL_MS spans ELUs {sorted(elus)} after mapping")
-        start = max(ion_free[ion] for ion in touched)
+        eid = touched[0][0]
+        local = True
+        start = 0.0
+        for ion in touched:
+            free = ion_free[ion]
+            if free > start:
+                start = free
+            if ion[0] != eid:
+                local = False
 
-        if len(elus) == 1:
-            (eid,) = elus
+        if local:
             elu = elu_spec[eid]
-            if op.kind is GateKind.MEASURE:
+            if kind is measure:
                 duration = spec.species.detection_time
                 if measure_isolation and any(
                         ion_free[(eid, p)] > start
                         for p in range(elu.n_ions) if p != touched[0][1]):
                     duration += elu.shuttle_cost_time
-            elif op.kind is GateKind.GLOBAL_MS:
+            elif kind is global_ms:
                 duration = tau_slow[eid]
-            elif op.kind in TWO_QUBIT_KINDS:
+            elif kind in TWO_QUBIT_KINDS:
                 if strict_proximity:
                     # Swap operand 0 along the chain with its neighbour ion
                     # (occupied or not) until operand 1 is within reach.
@@ -380,7 +407,7 @@ def schedule(
                         other = qubit_at.get(nxt)
                         swap_start = max(start, ion_free[cur], ion_free[nxt])
                         swap_time = SWAP_GATE_COUNT * tau_fast[eid]
-                        place(swap_start, swap_time, None, [cur, nxt],
+                        place(swap_start, swap_time, None, [cur, nxt], (eid,),
                               (q0,) if other is None else (other, q0))
                         start = swap_start + swap_time
                         position_of[q0], qubit_at[nxt] = nxt, q0
@@ -392,17 +419,25 @@ def schedule(
                 duration = two_qubit_time(eid, touched[0][1], touched[1][1])
             else:
                 duration = elu.single_qubit_gate_time
-            place(start, duration, op, touched, op.operands)
+            place(start, duration, op, touched, (eid,), op.operands)
 
+        elif kind is global_ms:
+            raise DomainError(f"GLOBAL_MS spans ELUs "
+                              f"{sorted({eid for eid, _ in touched})} after mapping")
         else:
             # Remote two-qubit gate: consume one pair, teleport.
             (eid_a, pos_a), (eid_b, pos_b) = touched
+            pair = (eid_a, eid_b) if eid_a < eid_b else (eid_b, eid_a)
             if not comm_attempts_during_gates:
                 start = max(start, elu_busy_until(eid_a), elu_busy_until(eid_b))
             if supply is not None:
-                start = supply.request((eid_a, eid_b), start)
-            comm_a = (eid_a, nearest_comm(eid_a, pos_a))
-            comm_b = (eid_b, nearest_comm(eid_b, pos_b))
+                start = supply.request(pair, start)
+            try:
+                comm_a = (eid_a, nearest_comm[eid_a][pos_a])
+                comm_b = (eid_b, nearest_comm[eid_b][pos_b])
+            except KeyError as exc:
+                raise CapacityError(f"ELU {exc.args[0]} has no communication ion "
+                                    "for a remote gate") from None
             start = max(start, ion_free[comm_a], ion_free[comm_b])
             side_a = (two_qubit_time(eid_a, pos_a, comm_a[1])
                       + spec.species.detection_time)
@@ -410,23 +445,16 @@ def schedule(
                       + spec.species.detection_time)
             duration = (spec.teleport_overhead_time + max(side_a, side_b)
                         + spec.classical_latency)
-            place(start, duration, op, touched + [comm_a, comm_b], op.operands,
+            place(start, duration, op, touched + [comm_a, comm_b], pair, op.operands,
                   used_pair=True)
 
-    makespan = max((e.end for e in timeline), default=0.0)
     idle = {q: max(0.0, last_end[q] - busy[q]) for q in busy}
-    gate_factor = 1.0
-    for entry in timeline:
-        if entry.op is None:  # inserted swap, three proximity gates
-            gate_factor *= spec.two_qubit_gate_fidelity ** SWAP_GATE_COUNT
-        elif entry.op.kind in ENTANGLING_KINDS:
-            gate_factor *= spec.two_qubit_gate_fidelity
     idle_factor = math.exp(-sum(idle.values()) / spec.species.qubit_coherence_time)
     return ScheduleResult(
         timeline=tuple(timeline),
         makespan=makespan,
-        pairs_consumed=sum(1 for e in timeline if e.used_pair),
-        swaps_inserted=sum(1 for e in timeline if e.op is None),
+        pairs_consumed=pairs_consumed,
+        swaps_inserted=swaps_inserted,
         fidelity=FidelityBreakdown(gate_factor * idle_factor, gate_factor, idle_factor),
         per_qubit_idle=idle,
         qmap=QubitMap(dict(position_of)),

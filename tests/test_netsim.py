@@ -174,6 +174,34 @@ class TestSwitchConfig:
         stats = r.per_link[link_label(default_link(spec))]
         assert 0 < stats.attempts <= (0.3 - first) * spec.attempt_rate
 
+    def test_one_reload_opens_never_activated_links_in_sorted_order(
+            self, example_spec):
+        # Only A collides. Seed 14 puts its one collision before both links
+        # are added, later-sorted link first; both wait for the same
+        # RELOAD_DONE, which draws their countdowns in sorted link order.
+        spec = dataclasses.replace(example_spec, elus=(
+            dataclasses.replace(example_spec.elus[0], collision_rate_per_ion=0.5,
+                                reload_time=0.05),
+            example_spec.elus[1]))
+        a0b0, a1b1 = make_link(("A", 0), ("B", 0)), make_link(("A", 1), ("B", 1))
+        schedule = [(0.02, SwitchConfig(frozenset({a1b1}))),
+                    (0.03, SwitchConfig(frozenset({a0b0, a1b1})))]
+        r = run_sim(spec, schedule, [], 0.08, seed=14, p_override=0.01,
+                    store_log=True)
+        (collision,) = [e.time for e in r.events if e.kind == "COLLISION"]
+        (reload_done,) = [e.time for e in r.events if e.kind == "RELOAD_DONE"]
+        assert collision < 0.02 and reload_done == collision + 0.05
+        first = {}
+        for e in r.events:
+            if e.kind == "SUCCESS":
+                first.setdefault(e.link, e.time)
+        assert min(first.values()) > reload_done
+        rate = spec.attempt_rate
+        assert first[link_label(a0b0)] == pytest.approx(reload_done + 106 / rate,
+                                                        abs=1e-12)
+        assert first[link_label(a1b1)] == pytest.approx(reload_done + 281 / rate,
+                                                        abs=1e-12)
+
     def test_default_link_needs_comm_ions(self, example_spec):
         spec = with_elu_field(example_spec, comm_ion_indices=())
         with pytest.raises(CapacityError, match="not enough communication ions"):
@@ -382,6 +410,11 @@ class TestRunSim:
             run_sim(example_spec, one_link_schedule(example_spec),
                     [(0.0, ("A", "Z"))], 1.0, seed=0)
 
+    def test_unconnectable_pair_named_as_given(self, example_spec):
+        with pytest.raises(DomainError, match=r"pair \('Z', 'A'\) that no"):
+            run_sim(example_spec, one_link_schedule(example_spec),
+                    [(0.0, ("Z", "A"))], 1.0, seed=0)
+
     def test_unsorted_schedule_rejected(self, example_spec):
         cfg = SwitchConfig(frozenset({default_link(example_spec)}))
         with pytest.raises(DomainError, match="sorted"):
@@ -429,13 +462,15 @@ class TestRunSim:
         link2 = make_link(("A", 1), ("B", 1))
         schedule = [(0.0, SwitchConfig(frozenset({link}))),
                     (0.5, SwitchConfig(frozenset({link2})))]
-        r = run_sim(example_spec, schedule, [], 1.0, seed=0, p_override=1.0,
+        expected = 0.5 + example_spec.switch.reconfiguration_time \
+            + 1.0 / example_spec.attempt_rate
+        # A few attempt periods past the expected first success of link2.
+        horizon = expected + 3.0 / example_spec.attempt_rate
+        r = run_sim(example_spec, schedule, [], horizon, seed=0, p_override=1.0,
                     store_log=True)
         lbl2 = link_label(link2)
         first = next(e for e in r.events
                      if e.kind == "SUCCESS" and e.link == lbl2)
-        expected = 0.5 + example_spec.switch.reconfiguration_time \
-            + 1.0 / example_spec.attempt_rate
         assert first.time == pytest.approx(expected, abs=1e-12)
 
     def test_success_fraction_converges(self, example_spec):

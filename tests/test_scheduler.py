@@ -3,9 +3,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR
-from ionfab.circuits import parse_circuit
+from conftest import EXAMPLE_JSON, FIXTURES_DIR
+from ionfab.arch import load_architecture
+from ionfab.circuits import ENTANGLING_KINDS, Circuit, GateKind, GateOp, parse_circuit
 from ionfab.errors import CapacityError, DomainError
 from ionfab.rates import elu_gate_rate, slow_gate_time
 import ionfab.scheduler
@@ -168,6 +171,16 @@ class TestScheduleDurations:
         qmap = QubitMap({0: ("A", 2), 1: ("B", 2)})
         with pytest.raises(DomainError, match="schedule time overflows"):
             schedule(c, qmap, spec, pair_supply_mode=mode, seed=1)
+
+    def test_elu_without_comm_ions(self, example_spec):
+        spec = dataclasses.replace(example_spec, elus=(
+            example_spec.elus[0],
+            dataclasses.replace(example_spec.elus[1], comm_ion_indices=())))
+        c = parse_circuit("qubits 2\nCNOT q0 q1\n")
+        local = schedule(c, QubitMap({0: ("A", 2), 1: ("A", 3)}), spec)
+        assert local.pairs_consumed == 0
+        with pytest.raises(CapacityError, match="^ELU B has no communication ion"):
+            schedule(c, QubitMap({0: ("A", 2), 1: ("B", 3)}), spec)
 
     def test_measure_duration(self, example_spec):
         c = parse_circuit("qubits 1\nMEASURE q0\n")
@@ -416,3 +429,79 @@ class TestTimelineCsv:
         assert lines[0] == "start_s,dur_s,gate,operands,elus,resource"
         assert lines[1].split(",")[2] == "CNOT"
         assert "A.2" in lines[1]
+
+
+EXAMPLE = load_architecture(EXAMPLE_JSON)
+ONE_QUBIT = (GateKind.X, GateKind.H, GateKind.RZ, GateKind.MEASURE)
+
+
+@st.composite
+def mapped_circuits(draw):
+    """A random circuit on the example machine with its round-robin map.
+
+    Every gate kind appears; a GLOBAL_MS takes its operands from one ELU,
+    and up to 32 qubits put distant pairs in one chain, so strict
+    proximity inserts swaps.
+    """
+    n = draw(st.integers(2, 32))
+    qmap = assign_qubits(Circuit(n, ()), EXAMPLE, "round_robin")
+    by_elu = {}
+    for q in range(n):
+        by_elu.setdefault(qmap.elu_of(q), []).append(q)
+    groups = [qs for qs in by_elu.values() if len(qs) >= 2]
+    kinds = [k for k in GateKind if groups or k is not GateKind.GLOBAL_MS]
+    angle = st.floats(-math.pi, math.pi)
+    ops = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ONE_QUBIT:
+            operands = (draw(st.integers(0, n - 1)),)
+        elif kind is GateKind.GLOBAL_MS:
+            group = draw(st.sampled_from(groups))
+            operands = tuple(draw(st.lists(st.sampled_from(group), min_size=2,
+                                           max_size=4, unique=True)))
+        else:
+            operands = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                           max_size=2, unique=True)))
+        takes_angle = kind.arity[2]
+        ops.append(GateOp(kind, operands, draw(angle) if takes_angle else None))
+    return Circuit(n, tuple(ops)), qmap
+
+
+class TestOnePassTotals:
+    """The totals kept while placing equal a re-scan of the timeline."""
+
+    @pytest.mark.parametrize("mode", ["ideal", "buffered"])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("isolate", [False, True])
+    @pytest.mark.parametrize("comm", [False, True])
+    @settings(max_examples=20)
+    @given(mapped=mapped_circuits(), seed=st.integers(0, 2**31 - 1))
+    def test_totals_match_a_rescan(self, mode, strict, isolate, comm, mapped, seed):
+        circuit, qmap = mapped
+        r = schedule(circuit, qmap, EXAMPLE, mode,
+                     seed=seed if mode == "buffered" else None,
+                     strict_proximity=strict, measure_isolation=isolate,
+                     comm_attempts_during_gates=comm)
+        assert r.makespan == (max(e.end for e in r.timeline) if r.timeline else 0.0)
+        assert r.pairs_consumed == sum(1 for e in r.timeline if e.used_pair)
+        assert r.swaps_inserted == sum(1 for e in r.timeline if e.op is None)
+        f = EXAMPLE.two_qubit_gate_fidelity
+        gate_factor = 1.0
+        for e in r.timeline:
+            if e.op is None:
+                gate_factor *= f ** 3
+            elif e.op.kind in ENTANGLING_KINDS:
+                gate_factor *= f
+        assert r.fidelity.gate_factor == gate_factor
+        for e in r.timeline:
+            assert e.elus == tuple(sorted({eid for eid, _ in e.ions}))
+
+    def test_entries_are_hashable_and_immutable(self, example_spec):
+        c = parse_circuit("qubits 2\nCNOT q0 q1\nX q0\n")
+        qmap = QubitMap({0: ("A", 2), 1: ("B", 2)})
+        timeline = schedule(c, qmap, example_spec).timeline
+        assert len(set(timeline)) == len(timeline) == 2
+        for field in ("start", "duration", "op", "ions", "elus", "used_pair"):
+            with pytest.raises(AttributeError):
+                setattr(timeline[0], field, None)
