@@ -8,9 +8,9 @@ Grammar, one operation per line:
 
 Gates: X, H, MEASURE (one operand, no angle); RZ (one operand, angle);
 CNOT (two distinct operands, no angle); MS (two distinct operands, angle);
-GLOBAL_MS (two or more distinct operands, angle). Angles are radians.
-Blank lines are ignored. A circuit has at most MAX_QUBITS qubits and
-MAX_OPS operations. Errors carry 1-based line and column numbers.
+GLOBAL_MS (two to MAX_IONS_PER_ELU distinct operands, angle). Angles are
+radians. Blank lines are ignored. A circuit has at most MAX_QUBITS qubits
+and MAX_OPS operations. Errors carry 1-based line and column numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .arch import MAX_IONS_PER_ELU
 from .errors import ParseError
 
 
@@ -170,6 +171,9 @@ def parse_circuit(text: str) -> Circuit:
                 raise error(f"duplicate operand q{q}", k)
             seen.add(q)
             operands.append(q)
+        if kind is GateKind.GLOBAL_MS and len(operands) > MAX_IONS_PER_ELU:
+            raise error(f"GLOBAL_MS takes at most {MAX_IONS_PER_ELU} operands, "
+                        f"the ions of one ELU", MAX_IONS_PER_ELU + 1)
 
         try:
             ops.append(GateOp(kind, tuple(operands), angle))

@@ -57,6 +57,7 @@ horizon past t.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -180,7 +181,7 @@ class SimResult:
 
 class _EluState:
     __slots__ = ("id", "collision_rate", "reload_time", "reload_until",
-                 "epoch", "links", "buffers")
+                 "epoch", "links", "buffers", "collisions")
 
     def __init__(self, elu: EluSpec):
         self.id = elu.id
@@ -190,6 +191,7 @@ class _EluState:
         self.epoch = 0
         self.links: list[_LinkState] = []  # the ELU's links, sorted
         self.buffers: list[tuple[tuple[str, str], deque]] = []  # by pair, sorted
+        self.collisions: list[float] = []
 
 
 class _LinkState:
@@ -264,8 +266,9 @@ class NetworkSim:
     event with time < t; ``finish(horizon)`` advances to the horizon and
     closes the run out into a :class:`SimResult`, after which the sim is
     spent. The success times of each ELU pair accumulate in
-    ``success_times`` as the sim advances. An advance that would simulate
-    over ``SIM_MAX_EVENTS`` expected events raises DomainError at once.
+    ``success_times`` as the sim advances; :meth:`request` reads them as a
+    pair supply. An advance that would simulate over ``SIM_MAX_EVENTS``
+    expected events raises DomainError at once.
     """
 
     def __init__(
@@ -331,6 +334,9 @@ class NetworkSim:
             pair: 0 for pair in connectable}
         self.success_times: dict[tuple[str, str], list[float]] = {
             pair: [] for pair in connectable}
+        # Index in success_times of the first success no request has passed.
+        self.taken = dict.fromkeys(connectable, 0)
+        self.elus = elus
         # What a collision or a reload of each ELU visits, in sorted order.
         for _, st in sorted(self.links.items()):
             for elu in st.elus:
@@ -458,14 +464,53 @@ class NetworkSim:
                 self._emit(now, "PAIR_EXPIRED", "", pair[0], pair[1])
             self.counters["expired"] += 1
 
-    def advance(self, until: float) -> None:
-        """Process every event with time < ``until``."""
-        if not 0.0 < until < math.inf:
-            raise DomainError(f"horizon must be finite and > 0, got {until!r}")
+    def _check_events(self, until: float) -> None:
         events = (until - self.now) * self.event_rate
         if events > SIM_MAX_EVENTS:
             raise DomainError(f"simulating to {until!r} s means about {events:.3g} "
                               f"random events, over the cap of {SIM_MAX_EVENTS}")
+
+    def request(self, pair: tuple[str, str], t: float) -> float:
+        """When a pair of ELUs ``pair`` asked for at ``t`` can be used: at the
+        first success after the last one taken that the buffer would still
+        hold at t if nothing else drew on it (unexpired, s + lifetime > t,
+        and made after the last collision of either ELU at or before t),
+        else at the next success. Buffer capacity is not modelled. Only when
+        an ELU of the pair can collide does the sim run to just past t. When
+        pairs expire or collide, a t past SIM_MAX_EVENTS expected events
+        raises DomainError before any of that work."""
+        pair = tuple(sorted(pair))
+        if pair not in self.taken:
+            raise DomainError(
+                f"request for ELU pair {pair} that no scheduled link can serve")
+        if not math.isfinite(t):
+            raise DomainError(f"pair request time must be finite, got {t!r}")
+        stream, lifetime = self.success_times[pair], self.lifetime
+        elus = (self.elus[pair[0]], self.elus[pair[1]])
+        colliding = elus[0].collision_rate or elus[1].collision_rate
+        if lifetime < math.inf or colliding:
+            self._check_events(t)
+        if colliding:
+            self.advance(math.nextafter(t, math.inf))
+        lo = self.taken[pair]
+        for elu in elus:  # a collision at or before t destroyed every older pair
+            if k := bisect.bisect_right(elu.collisions, t):
+                lo = bisect.bisect_right(stream, elu.collisions[k - 1], lo=lo)
+        rate = self.rate * self.p
+        while (i := bisect.bisect_right(stream, t, lo=lo,
+                                        key=lambda s: s + lifetime)) == len(stream):
+            horizon = max(2.0 * self.now, 10.0 / rate) if rate else math.inf
+            if horizon == math.inf:
+                raise DomainError(f"link pair rate {rate!r}/s is too low to supply pairs")
+            self.advance(horizon)
+        self.taken[pair] = i + 1
+        return max(t, stream[i])
+
+    def advance(self, until: float) -> None:
+        """Process every event with time < ``until``."""
+        if not 0.0 < until < math.inf:
+            raise DomainError(f"horizon must be finite and > 0, got {until!r}")
+        self._check_events(until)
         # Hot state in locals; the scalars stay on self.
         heap, heappop = self.heap, heapq.heappop
         counters, buffers, waiting = self.counters, self.buffers, self.waiting
@@ -503,13 +548,14 @@ class NetworkSim:
                 for st, epoch in payload:
                     if st.epoch != epoch or st.link not in self.current.active_links:
                         continue
-                    if log is not None:
+                    open_window(st, t)  # refused while an ELU of the link reloads
+                    if log is not None and st.open_:
                         emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
-                    open_window(st, t)
 
             elif kind == "COLLISION":
                 elu = payload
                 counters["collisions"] += 1
+                elu.collisions.append(t)
                 if log is not None:
                     emit(t, "COLLISION", "", elu.id, "")
                 for pair, buf in elu.buffers:

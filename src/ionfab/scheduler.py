@@ -31,7 +31,10 @@ A two-qubit gate across ELUs consumes one entangled pair (waited for in
 BUFFERED mode) and takes teleport_overhead_time + the slower side's local
 gate-and-measure sequence + classical_latency. Each side charges one local
 two-qubit gate between the program ion and its nearest communication ion
-plus one detection; the two sides run in parallel.
+plus one detection; the two sides run in parallel. BUFFERED pairs come
+from :meth:`NetworkSim.request` on one seeded, demand-free sim with a
+static link per needed ELU pair: expiry and collisions are honoured,
+buffer capacity is not.
 
 The fidelity estimate is the product of ``two_qubit_gate_fidelity`` over
 entangling operations (swaps count as three) times exp(-idle/T2) per qubit,
@@ -43,7 +46,6 @@ result's ``fidelity`` breakdown (total, gate factor, idle factor);
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ from .arch import ArchitectureSpec
 from .circuits import ENTANGLING_KINDS, TWO_QUBIT_KINDS, Circuit, GateKind, GateOp
 from .errors import CapacityError, DomainError
 from .netsim import NetworkSim, static_links
-from .rates import elu_gate_rate, mean_connection_rate, slow_gate_time
+from .rates import elu_gate_rate, slow_gate_time
 from .graph import FAST_GATE_SPEEDUP, deal_round_robin, greedy_cut
 
 # A swap decomposes into three proximity CNOTs.
@@ -61,8 +63,6 @@ SWAP_GATE_COUNT = 3
 
 BRUTE_FORCE_MAX_QUBITS = 8
 BRUTE_FORCE_MAX_ELUS = 3
-# Expected pairs simulated to answer one request when pairs expire.
-SUPPLY_MAX_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -167,59 +167,6 @@ def brute_force_best_map(circuit: Circuit,
 
 
 # ---------------------------------------------------------------------------
-# Pair supply
-# ---------------------------------------------------------------------------
-
-class BufferedPairSupply:
-    """Pair deliveries taken from a seeded photonic-network simulation.
-
-    One demand-free :class:`NetworkSim` with one static link per needed pair
-    (lowest free communication ions) generates the success stream per ELU
-    pair; a request at t takes the first unused success still alive at t.
-    The stream does not model the scheduler's own buffer depletion, which is
-    exact whenever the buffer capacity is not binding. Deterministic per
-    seed: the sim is advanced, doubling its horizon, only as far as the
-    requests reach, and a sim advanced in steps yields the same success
-    times as one long run. When pairs expire, a request at t needs the sim
-    run up to t, about t x rate x links successes, so a request past
-    ``SUPPLY_MAX_PAIRS`` of them raises ``DomainError`` before any of that
-    work; without a lifetime the work is bounded by the requests.
-    """
-
-    def __init__(self, spec: ArchitectureSpec, pairs: set[tuple[str, str]],
-                 seed: int):
-        self.analytic_rate = mean_connection_rate(
-            spec.attempt_rate, spec.collection_fraction, spec.detector_efficiency)
-        self.sim = NetworkSim(spec, [(0.0, static_links(spec, pairs))], [], seed)
-        self.next = dict.fromkeys(self.sim.success_times, 0)
-        self._advance(10.0 / self.analytic_rate if self.analytic_rate else math.inf)
-
-    def _advance(self, horizon: float) -> None:
-        if not math.isfinite(horizon):
-            raise DomainError(
-                f"link pair rate {self.analytic_rate!r}/s is too low to supply pairs")
-        self.horizon = horizon
-        self.sim.advance(horizon)
-
-    def request(self, pair: tuple[str, str], t: float) -> float:
-        pair = tuple(sorted(pair))
-        if pair not in self.next:
-            raise DomainError(f"unplanned ELU pair {pair}")
-        if not math.isfinite(t):
-            raise DomainError(f"pair request time must be finite, got {t!r}")
-        stream, lifetime = self.sim.success_times[pair], self.sim.lifetime
-        if (math.isfinite(lifetime)
-                and t * self.analytic_rate * len(self.next) > SUPPLY_MAX_PAIRS):
-            raise DomainError(
-                f"pair request at t = {t!r} s exceeds {SUPPLY_MAX_PAIRS} simulated pairs")
-        while (i := bisect.bisect_right(stream, t, lo=self.next[pair],
-                                        key=lambda s: s + lifetime)) == len(stream):
-            self._advance(2.0 * self.horizon)
-        self.next[pair] = i + 1
-        return max(t, stream[i])
-
-
-# ---------------------------------------------------------------------------
 # Scheduling
 # ---------------------------------------------------------------------------
 
@@ -311,7 +258,7 @@ def schedule(
     qubit_at: dict[tuple[str, int], int] = {
         ion: q for q, ion in position_of.items()}
 
-    supply = None  # ideal: a pair is there whenever it is asked for
+    sim = None  # ideal: a pair is there whenever it is asked for
     if pair_supply_mode == "buffered":
         if seed is None:
             raise DomainError("buffered mode requires a seed")
@@ -323,7 +270,7 @@ def schedule(
                 if eid_a != eid_b:
                     needed.add((eid_a, eid_b) if eid_a < eid_b else (eid_b, eid_a))
         if needed:
-            supply = BufferedPairSupply(spec, needed, seed)
+            sim = NetworkSim(spec, [(0.0, static_links(spec, needed))], [], seed)
     elif pair_supply_mode != "ideal":
         raise DomainError(f"unknown pair supply mode {pair_supply_mode!r}")
 
@@ -430,8 +377,8 @@ def schedule(
             pair = (eid_a, eid_b) if eid_a < eid_b else (eid_b, eid_a)
             if not comm_attempts_during_gates:
                 start = max(start, elu_busy_until(eid_a), elu_busy_until(eid_b))
-            if supply is not None:
-                start = supply.request(pair, start)
+            if sim is not None:
+                start = sim.request(pair, start)
             try:
                 comm_a = (eid_a, nearest_comm[eid_a][pos_a])
                 comm_b = (eid_b, nearest_comm[eid_b][pos_b])

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import FIXTURES_DIR
+from ionfab.arch import MAX_IONS_PER_ELU
 from ionfab.circuits import (MAX_OPS, MAX_QUBITS, Circuit, GateKind, GateOp,
                              parse_circuit)
 from ionfab.errors import ParseError
@@ -125,6 +126,20 @@ class TestSizeCaps:
 
     def test_ops_at_cap(self):
         assert len(parse_circuit("qubits 1\n" + "X q0\n" * MAX_OPS).ops) == MAX_OPS
+
+    def test_global_ms_operands_at_cap(self):
+        line = "GLOBAL_MS " + " ".join(f"q{k}" for k in range(MAX_IONS_PER_ELU)) + " 0.5"
+        (op,) = parse_circuit(f"qubits 1000\n{line}\n").ops
+        assert len(op.operands) == MAX_IONS_PER_ELU
+
+    def test_global_ms_operands_over_cap(self):
+        operands = [f"q{k}" for k in range(MAX_IONS_PER_ELU + 1)]
+        line = "GLOBAL_MS " + " ".join(operands) + " 0.5"
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"qubits 1000\n{line}\n")
+        assert str(err.value) == (
+            f"line 2, col {line.rfind(operands[-1]) + 1}: GLOBAL_MS takes at most "
+            f"{MAX_IONS_PER_ELU} operands, the ions of one ELU")
 
     def test_ops_over_cap(self):
         text = "qubits 1\n" + "X q0\n" * MAX_OPS + "  # done\n bogus\n"

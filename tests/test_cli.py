@@ -369,8 +369,8 @@ class TestScheduleFlow:
                   if line.startswith("ionfab: error:")]
         assert code == 1
         assert captured.out == ""
-        assert errors == ["ionfab: error: pair request at t = 1e+300 s "
-                          "exceeds 1000000 simulated pairs"]
+        assert errors == ["ionfab: error: simulating to 1e+300 s means about "
+                          "1e+302 random events, over the cap of 10000000"]
 
 
 class TestGoldenOutputs:

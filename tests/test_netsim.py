@@ -13,7 +13,6 @@ from ionfab.errors import CapacityError, DomainError
 from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, default_link,
                            link_label, link_pair, make_link, run_sim,
                            theoretical_rate_check)
-from ionfab.scheduler import BufferedPairSupply
 
 EXAMPLE = load_architecture(EXAMPLE_JSON)
 PORTS = EXAMPLE.elus[0].comm_ion_indices
@@ -191,6 +190,9 @@ class TestSwitchConfig:
         (collision,) = [e.time for e in r.events if e.kind == "COLLISION"]
         (reload_done,) = [e.time for e in r.events if e.kind == "RELOAD_DONE"]
         assert collision < 0.02 and reload_done == collision + 0.05
+        # Both links finish reconfiguring (A.1-B.1 at 0.021 s, A.0-B.0 at
+        # 0.031 s) while A reloads, so neither logs a RECONFIG_DONE row.
+        assert not [e for e in r.events if e.kind == "RECONFIG_DONE"]
         first = {}
         for e in r.events:
             if e.kind == "SUCCESS":
@@ -586,20 +588,24 @@ class TestNetworkSim:
     def test_supply_matches_one_long_stream(self, example_spec, seed,
                                             collision_rate, lifetime,
                                             request_times):
+        """NetworkSim.request against an oracle read off one logged run:
+        each request takes the first success after the last one taken that
+        is unexpired at t and younger than the last collision at or before
+        t, else it waits for the next success."""
         spec, _, _ = self.scenario(example_spec, collision_rate, lifetime)
-        pair = ("A", "B")
-        supply = BufferedPairSupply(spec, {pair}, seed)
-        delivered = [supply.request(pair, t) for t in request_times]
+        schedule = [(0.0, SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))})))]
+        sim = NetworkSim(spec, schedule, [], seed)
+        delivered = [sim.request(("A", "B"), t) for t in request_times]
 
-        link = SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))}))
-        sim = NetworkSim(spec, [(0.0, link)], [], seed)
-        sim.advance(2 * supply.horizon)
-        stream = sim.success_times[pair]
-        assert supply.sim.success_times[pair] == [
-            s for s in stream if s < supply.horizon]
+        events = run_sim(spec, schedule, [], 5.0, seed, store_log=True).events
+        stream = [e.time for e in events if e.kind == "SUCCESS"]
+        collisions = [e.time for e in events if e.kind == "COLLISION"]
+        assert sim.success_times[("A", "B")] == [s for s in stream if s < sim.now]
         expected, cursor = [], 0
         for t in request_times:
-            while lifetime is not None and stream[cursor] + lifetime <= t:
+            last_collision = max([c for c in collisions if c <= t], default=-1.0)
+            while not (stream[cursor] > last_collision and (
+                    lifetime is None or stream[cursor] + lifetime > t)):
                 cursor += 1
             expected.append(max(t, stream[cursor]))
             cursor += 1
@@ -607,9 +613,9 @@ class TestNetworkSim:
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_supply_rejects_non_finite_time(self, example_spec, t):
-        supply = BufferedPairSupply(example_spec, {("A", "B")}, 0)
+        sim = NetworkSim(example_spec, one_link_schedule(example_spec), [], 0)
         with pytest.raises(DomainError, match="request time must be finite"):
-            supply.request(("A", "B"), t)
+            sim.request(("A", "B"), t)
 
     def test_finish_before_simulated_time_rejected(self, example_spec):
         sim = NetworkSim(example_spec, one_link_schedule(example_spec), [], 0)

@@ -11,9 +11,10 @@ from ionfab.arch import load_architecture
 from ionfab.circuits import ENTANGLING_KINDS, Circuit, GateKind, GateOp, parse_circuit
 from ionfab.errors import CapacityError, DomainError
 from ionfab.rates import elu_gate_rate, slow_gate_time
-import ionfab.scheduler
-from ionfab.scheduler import (BufferedPairSupply, QubitMap, assign_qubits,
-                              brute_force_best_map, crossing_count, schedule)
+import ionfab.netsim
+from ionfab.netsim import NetworkSim, SwitchConfig, make_link
+from ionfab.scheduler import (QubitMap, assign_qubits, brute_force_best_map,
+                              crossing_count, schedule)
 
 FIXTURE_NAMES = ["ring4.iqc", "line6.iqc", "star5.iqc", "clusters6.iqc",
                  "mixed8.iqc"]
@@ -303,36 +304,50 @@ class TestScheduleInvariants:
 
 
 class TestPairSupplyCap:
-    """With expiring pairs a request at t simulates about t x rate x links
-    pairs, so a request past SUPPLY_MAX_PAIRS of them raises at once."""
+    """With expiring or colliding pairs a request at t simulates up to about
+    t, so a request past SIM_MAX_EVENTS expected events raises at once."""
 
     @staticmethod
-    def supply(spec, pairs=(("A", "B"),)):
-        return BufferedPairSupply(dataclasses.replace(spec, pair_lifetime=0.05),
-                                  set(pairs), seed=1)
+    def sim(spec, pairs=(("A", "B"),), lifetime=0.05):
+        spec = dataclasses.replace(spec, pair_lifetime=lifetime)
+        links = {make_link((a, 0), (b, 1)) for a, b in pairs}
+        return NetworkSim(spec, [(0.0, SwitchConfig(frozenset(links)))], [], seed=1)
 
     def test_huge_time_raises_before_simulating(self, example_spec):
-        supply = self.supply(example_spec)
-        stream = supply.sim.success_times[("A", "B")]
+        self.assert_huge_time_raises_before_simulating(self.sim(example_spec))
+
+    def test_huge_time_on_a_colliding_machine_raises_before_simulating(
+            self, example_spec):
+        spec = dataclasses.replace(example_spec, elus=tuple(
+            dataclasses.replace(e, collision_rate_per_ion=1.0)
+            for e in example_spec.elus))
+        self.assert_huge_time_raises_before_simulating(self.sim(spec, lifetime=None))
+
+    @staticmethod
+    def assert_huge_time_raises_before_simulating(sim):
+        assert sim.request(("A", "B"), 0.1) >= 0.1
+        stream = sim.success_times[("A", "B")]
         before = len(stream)
-        with pytest.raises(DomainError, match=r"t = 1e\+300 s exceeds 1000000"):
-            supply.request(("A", "B"), 1e300)
+        with pytest.raises(DomainError, match=r"simulating to 1e\+300 s means about "
+                                              r".* over the cap of 10000000"):
+            sim.request(("A", "B"), 1e300)
         assert len(stream) == before
 
     def test_cap_counts_expected_pairs_over_all_links(self, example_spec,
                                                       monkeypatch):
-        monkeypatch.setattr(ionfab.scheduler, "SUPPLY_MAX_PAIRS", 1000)
+        monkeypatch.setattr(ionfab.netsim, "SIM_MAX_EVENTS", 1000)
         three = dataclasses.replace(example_spec, elus=(
             *example_spec.elus, dataclasses.replace(example_spec.elus[0], id="C")))
-        supply = self.supply(three, [("A", "B"), ("A", "C")])
-        rate = supply.analytic_rate
-        assert supply.request(("A", "B"), 499 / rate) >= 499 / rate
-        with pytest.raises(DomainError, match="exceeds 1000 simulated pairs"):
-            supply.request(("A", "C"), 501 / rate)
+        sim = self.sim(three, [("A", "B"), ("B", "C")])
+        rate = sim.rate * sim.p  # per link; two links
+        assert sim.request(("A", "B"), 200 / rate) >= 200 / rate
+        before = sim.now
+        with pytest.raises(DomainError, match="over the cap of 1000$"):
+            sim.request(("B", "C"), before + 501 / rate)
+        assert sim.now == before
 
     def test_no_lifetime_no_cap(self, example_spec):
-        supply = BufferedPairSupply(example_spec, {("A", "B")}, seed=1)
-        assert supply.request(("A", "B"), 1e300) == 1e300
+        assert self.sim(example_spec, lifetime=None).request(("A", "B"), 1e300) == 1e300
 
 
 class TestStrictProximity:
@@ -505,3 +520,27 @@ class TestOnePassTotals:
         for field in ("start", "duration", "op", "ions", "elus", "used_pair"):
             with pytest.raises(AttributeError):
                 setattr(timeline[0], field, None)
+
+
+class TestIdealBoundsBuffered:
+    """IDEAL <= BUFFERED: every duration is the same in both modes and every
+    start time is a maximum of end times, so waiting for pairs only delays.
+    ``measure_isolation`` stays off: its shuttle charge depends on whether
+    neighbours are busy, so a later start can make a measurement shorter."""
+
+    @pytest.mark.parametrize("collision_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("lifetime", [None, 0.002])
+    @settings(max_examples=20)
+    @given(mapped=mapped_circuits(), seed=st.integers(0, 2**31 - 1),
+           strict=st.booleans(), comm=st.booleans())
+    def test_ideal_makespan_bounds_buffered(self, collision_rate, lifetime,
+                                            mapped, seed, strict, comm):
+        spec = dataclasses.replace(EXAMPLE, pair_lifetime=lifetime, elus=tuple(
+            dataclasses.replace(e, collision_rate_per_ion=collision_rate)
+            for e in EXAMPLE.elus))
+        circuit, qmap = mapped
+        options = {"strict_proximity": strict, "comm_attempts_during_gates": comm}
+        ideal = schedule(circuit, qmap, spec, "ideal", **options)
+        buffered = schedule(circuit, qmap, spec, "buffered", seed=seed, **options)
+        assert ideal.makespan <= buffered.makespan
+        assert ideal.pairs_consumed == buffered.pairs_consumed
