@@ -25,8 +25,8 @@ from .errors import ParseError
 
 
 class GateKind(enum.Enum):
-    """A gate, valued by its name. ``arity`` is (min operands, max operands
-    or None, takes angle): a plain attribute, because ``Enum.__hash__`` is
+    """A gate, valued by its name. ``arity`` is (min operands, max operands,
+    takes angle): a plain attribute, because ``Enum.__hash__`` is
     Python code and a dict keyed by the kind pays for it on every op."""
 
     X = ("X", 1, 1, False)
@@ -34,10 +34,10 @@ class GateKind(enum.Enum):
     RZ = ("RZ", 1, 1, True)
     MS = ("MS", 2, 2, True)
     CNOT = ("CNOT", 2, 2, False)
-    GLOBAL_MS = ("GLOBAL_MS", 2, None, True)
+    GLOBAL_MS = ("GLOBAL_MS", 2, MAX_IONS_PER_ELU, True)  # the ions of one ELU
     MEASURE = ("MEASURE", 1, 1, False)
 
-    def __new__(cls, name: str, lo: int, hi: int | None, takes_angle: bool):
+    def __new__(cls, name: str, lo: int, hi: int, takes_angle: bool):
         kind = object.__new__(cls)
         kind._value_ = name
         kind.arity = (lo, hi, takes_angle)
@@ -63,10 +63,10 @@ class GateOp:
 
     def __post_init__(self):
         lo, hi, takes_angle = self.kind.arity
-        if len(self.operands) < lo or (hi is not None and len(self.operands) > hi):
-            want = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
-            raise ValueError(f"{self.kind.value} takes {want} operand(s), "
-                             f"got {len(self.operands)}")
+        n = len(self.operands)
+        if not lo <= n <= hi:
+            want = str(lo) if hi == lo else (f"{lo}+" if n < lo else f"at most {hi}")
+            raise ValueError(f"{self.kind.value} takes {want} operand(s), got {n}")
         if len(set(self.operands)) != len(self.operands):
             raise ValueError(f"{self.kind.value} operands must be distinct")
         if takes_angle:
@@ -147,7 +147,7 @@ def parse_circuit(text: str) -> Circuit:
 
         args = tokens[1:]
         angle = None
-        _, _, takes_angle = kind.arity
+        _, hi, takes_angle = kind.arity
         if takes_angle:
             if not args:
                 raise error(f"{name} requires an angle", 0)
@@ -171,14 +171,11 @@ def parse_circuit(text: str) -> Circuit:
                 raise error(f"duplicate operand q{q}", k)
             seen.add(q)
             operands.append(q)
-        if kind is GateKind.GLOBAL_MS and len(operands) > MAX_IONS_PER_ELU:
-            raise error(f"GLOBAL_MS takes at most {MAX_IONS_PER_ELU} operands, "
-                        f"the ions of one ELU", MAX_IONS_PER_ELU + 1)
 
         try:
             ops.append(GateOp(kind, tuple(operands), angle))
-        except ValueError as exc:  # the arity rule
-            raise error(str(exc), 0) from None
+        except ValueError as exc:  # the arity rule: at the first extra operand
+            raise error(str(exc), hi + 1 if len(operands) > hi else 0) from None
 
     if n_qubits is None:
         raise ParseError("missing 'qubits <n>' header", 1)

@@ -71,7 +71,7 @@ from .rates import link_success_probability
 Port = tuple[str, int]          # (elu id, chain position of the comm ion)
 Link = tuple[Port, Port]        # normalized: ports in sorted order
 
-# Expected successes and collisions one advance may simulate.
+# Expected successes and collisions a sim may simulate from time 0.
 SIM_MAX_EVENTS = 10_000_000
 
 # Priorities of the queued events for equal-time ties; a documented contract.
@@ -267,8 +267,8 @@ class NetworkSim:
     closes the run out into a :class:`SimResult`, after which the sim is
     spent. The success times of each ELU pair accumulate in
     ``success_times`` as the sim advances; :meth:`request` reads them as a
-    pair supply. An advance that would simulate over ``SIM_MAX_EVENTS``
-    expected events raises DomainError at once.
+    pair supply. An advance past ``SIM_MAX_EVENTS`` expected events,
+    counted from time 0, raises DomainError at once.
     """
 
     def __init__(
@@ -344,9 +344,11 @@ class NetworkSim:
         for pair, buf in sorted(self.buffers.items()):
             for elu_id in pair:
                 elus[elu_id].buffers.append((pair, buf))
-        # Most expected events per second: every link on, and every collision.
+        # Most expected events per second: every link on, and every collision;
+        # by max_time, SIM_MAX_EVENTS of them are expected.
         self.event_rate = (len(self.links) * self.rate * self.p
                            + sum(e.collision_rate for e in elus.values()))
+        self.max_time = SIM_MAX_EVENTS / self.event_rate if self.event_rate else math.inf
 
         self.log: list[SimEvent] | None = [] if store_log else None
         self.counters = {"successes": 0, "delivered": 0, "expired": 0,
@@ -465,20 +467,20 @@ class NetworkSim:
             self.counters["expired"] += 1
 
     def _check_events(self, until: float) -> None:
-        events = (until - self.now) * self.event_rate
-        if events > SIM_MAX_EVENTS:
-            raise DomainError(f"simulating to {until!r} s means about {events:.3g} "
-                              f"random events, over the cap of {SIM_MAX_EVENTS}")
+        if until > self.max_time:
+            raise DomainError(f"simulating to {until!r} s means about "
+                              f"{until * self.event_rate:.3g} random events, "
+                              f"over the cap of {SIM_MAX_EVENTS}")
 
     def request(self, pair: tuple[str, str], t: float) -> float:
         """When a pair of ELUs ``pair`` asked for at ``t`` can be used: at the
         first success after the last one taken that the buffer would still
         hold at t if nothing else drew on it (unexpired, s + lifetime > t,
         and made after the last collision of either ELU at or before t),
-        else at the next success. Buffer capacity is not modelled. Only when
-        an ELU of the pair can collide does the sim run to just past t. When
-        pairs expire or collide, a t past SIM_MAX_EVENTS expected events
-        raises DomainError before any of that work."""
+        else at the next success, sought in doubling steps that stop at the
+        cap. Buffer capacity is not modelled. Only when an ELU of the pair
+        can collide does the sim run to just past t. When pairs expire or
+        collide, a t past the cap raises DomainError before any work."""
         pair = tuple(sorted(pair))
         if pair not in self.taken:
             raise DomainError(
@@ -497,12 +499,15 @@ class NetworkSim:
             if k := bisect.bisect_right(elu.collisions, t):
                 lo = bisect.bisect_right(stream, elu.collisions[k - 1], lo=lo)
         rate = self.rate * self.p
+        step = 10.0 / rate if rate else math.inf
         while (i := bisect.bisect_right(stream, t, lo=lo,
                                         key=lambda s: s + lifetime)) == len(stream):
-            horizon = max(2.0 * self.now, 10.0 / rate) if rate else math.inf
+            horizon = self.now + step if colliding else max(2.0 * self.now, step)
             if horizon == math.inf:
                 raise DomainError(f"link pair rate {rate!r}/s is too low to supply pairs")
-            self.advance(horizon)
+            step *= 2.0
+            cap = self.max_time if self.now < self.max_time else math.inf
+            self.advance(min(horizon, cap))
         self.taken[pair] = i + 1
         return max(t, stream[i])
 

@@ -139,7 +139,7 @@ class TestSizeCaps:
             parse_circuit(f"qubits 1000\n{line}\n")
         assert str(err.value) == (
             f"line 2, col {line.rfind(operands[-1]) + 1}: GLOBAL_MS takes at most "
-            f"{MAX_IONS_PER_ELU} operands, the ions of one ELU")
+            f"{MAX_IONS_PER_ELU} operand(s), got {MAX_IONS_PER_ELU + 1}")
 
     def test_ops_over_cap(self):
         text = "qubits 1\n" + "X q0\n" * MAX_OPS + "  # done\n bogus\n"
@@ -168,6 +168,11 @@ class TestConstructorChecks:
         with pytest.raises(ValueError) as err:
             GateOp(kind, operands, angle)
         assert str(err.value) == message
+
+    def test_global_ms_wider_than_an_elu(self):
+        with pytest.raises(ValueError, match=rf"^GLOBAL_MS takes at most "
+                                             rf"{MAX_IONS_PER_ELU} operand\(s\), got"):
+            GateOp(GateKind.GLOBAL_MS, tuple(range(MAX_IONS_PER_ELU + 1)), 0.5)
 
     def test_zero_qubits(self):
         with pytest.raises(ValueError, match=r"^n_qubits must be >= 1, got 0$"):

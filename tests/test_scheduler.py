@@ -305,7 +305,8 @@ class TestScheduleInvariants:
 
 class TestPairSupplyCap:
     """With expiring or colliding pairs a request at t simulates up to about
-    t, so a request past SIM_MAX_EVENTS expected events raises at once."""
+    t, so a request past SIM_MAX_EVENTS expected events, counted from time
+    0, raises at once; the cap bounds the run however it is split."""
 
     @staticmethod
     def sim(spec, pairs=(("A", "B"),), lifetime=0.05):
@@ -313,15 +314,18 @@ class TestPairSupplyCap:
         links = {make_link((a, 0), (b, 1)) for a, b in pairs}
         return NetworkSim(spec, [(0.0, SwitchConfig(frozenset(links)))], [], seed=1)
 
+    @staticmethod
+    def colliding(spec):
+        return dataclasses.replace(spec, elus=tuple(
+            dataclasses.replace(e, collision_rate_per_ion=1.0) for e in spec.elus))
+
     def test_huge_time_raises_before_simulating(self, example_spec):
         self.assert_huge_time_raises_before_simulating(self.sim(example_spec))
 
     def test_huge_time_on_a_colliding_machine_raises_before_simulating(
             self, example_spec):
-        spec = dataclasses.replace(example_spec, elus=tuple(
-            dataclasses.replace(e, collision_rate_per_ion=1.0)
-            for e in example_spec.elus))
-        self.assert_huge_time_raises_before_simulating(self.sim(spec, lifetime=None))
+        self.assert_huge_time_raises_before_simulating(
+            self.sim(self.colliding(example_spec), lifetime=None))
 
     @staticmethod
     def assert_huge_time_raises_before_simulating(sim):
@@ -340,11 +344,22 @@ class TestPairSupplyCap:
             *example_spec.elus, dataclasses.replace(example_spec.elus[0], id="C")))
         sim = self.sim(three, [("A", "B"), ("B", "C")])
         rate = sim.rate * sim.p  # per link; two links
-        assert sim.request(("A", "B"), 200 / rate) >= 200 / rate
+        assert sim.request(("A", "B"), 499 / rate) >= 499 / rate
         before = sim.now
         with pytest.raises(DomainError, match="over the cap of 1000$"):
-            sim.request(("B", "C"), before + 501 / rate)
+            sim.request(("B", "C"), 501 / rate)
         assert sim.now == before
+
+    def test_small_steps_add_up_to_the_cap(self, example_spec, monkeypatch):
+        # each request is a step of about 45 expected events past the last
+        monkeypatch.setattr(ionfab.netsim, "SIM_MAX_EVENTS", 1000)
+        sim = self.sim(self.colliding(example_spec), lifetime=None)
+        step = 45 / sim.event_rate
+        with pytest.raises(DomainError, match="over the cap of 1000$"):
+            for k in range(1, 100):
+                sim.request(("A", "B"), k * step)
+        assert k * step * sim.event_rate <= 1080
+        assert sim.now * sim.event_rate <= 1000
 
     def test_no_lifetime_no_cap(self, example_spec):
         assert self.sim(example_spec, lifetime=None).request(("A", "B"), 1e300) == 1e300
