@@ -25,8 +25,12 @@ uniform X rotation exp(i theta sum X) factors as A_hi (x) A_lo, with
 
     A_k[i, j] = cos(theta)^(k - d) * (i sin(theta))^d,   d = popcount(i ^ j),
 
-and both factors are symmetric, so one step is M <- A_hi M A_lo. Likewise
-<sum X> = Re <M, X_hi M + M X_lo>, where X_k is the mask d == 1.
+and both factors are symmetric, so one step is M <- A_hi M A_lo, with one
+matrix built for both sides when hi == lo. Likewise <sum X> = Re <M, X_hi M
++ M X_lo>, where X_k is the real mask d == 1, so it is taken as real products
+on the float64 view of M (and of M^T for the low half). The phase
+exp(-i dt s H_z) is computed once per distinct energy level and gathered to
+the 2^n entries: integer instances have few levels.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ class AdiabaticRun:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Geometric temperature ladder: t_start * t_factor^k until t_min."""
+    """Geometric temperature ladder: t_start * t_factor^k until t_min, and
+    at least the one rung t_start."""
 
     t_start: float
     t_factor: float = 0.95
@@ -159,7 +164,7 @@ class AnnealSchedule:
                     f"anneal schedule exceeds {ANNEAL_MAX_SWEEPS} sweeps: {self}")
             temps.append(t)
             t *= self.t_factor
-        return temps or [self.t_min]
+        return temps or [self.t_start]
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,9 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
     dim, lo = 1 << n, _split(n)
     hi = n - lo
     diag = np.concatenate([e for _, e in _energy_blocks(instance)])
+    levels, level_of = np.unique(diag, return_inverse=True)
     d_hi, d_lo = _popcount_xor(hi), _popcount_xor(lo)
-    x_hi, x_lo = (d_hi == 1).astype(complex), (d_lo == 1).astype(complex)
+    x_hi, x_lo = (d_hi == 1).astype(float), (d_lo == 1).astype(float)
     psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     dt = total_time / steps
     trace = np.empty(steps)
@@ -332,13 +338,17 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
     for k in range(steps):
         s = (k + 0.5) / steps
         # exp(-i*dt*s*H_z) then exp(-i*dt*(1-s)*(-sum X)) = exp(+i*dt*(1-s)*sum X)
-        psi *= np.exp(-1j * dt * s * diag)
+        psi *= np.exp(-1j * dt * s * levels)[level_of]
         theta = dt * (1.0 - s)
-        m = _x_rotation(d_hi, hi, theta) @ psi.reshape(1 << hi, 1 << lo) \
-            @ _x_rotation(d_lo, lo, theta)
+        a_hi = _x_rotation(d_hi, hi, theta)
+        a_lo = a_hi if hi == lo else _x_rotation(d_lo, lo, theta)
+        m = a_hi @ psi.reshape(1 << hi, 1 << lo) @ a_lo
         psi = m.reshape(dim)
-        x_expect = float(np.real(np.vdot(m, x_hi @ m + m @ x_lo)))
-        trace[k] = s * float(np.real(np.vdot(psi, diag * psi))) - (1.0 - s) * x_expect
+        # X_k is real, so Re<M, X_k M> sums the real and imaginary parts apart
+        v, v_t = m.view(np.float64), np.ascontiguousarray(m.T).view(np.float64)
+        x_expect = float(np.vdot(v, x_hi @ v) + np.vdot(v_t, x_lo @ v_t))
+        trace[k] = s * float(diag @ (psi.real ** 2 + psi.imag ** 2)) \
+            - (1.0 - s) * x_expect
 
     ground_idx = np.flatnonzero(diag == diag.min())
     overlap = float(np.sum(np.abs(psi[ground_idx]) ** 2))
@@ -365,6 +375,10 @@ def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
     Uses the stdlib Mersenne Twister (random.Random) so runs reproduce across
     platforms. Starts from ``initial`` when given, else from a seeded random
     configuration. Returns the best configuration seen, not the final one.
+
+    Each spin's local field is cached and recomputed, with the same sum in
+    the same neighbour order, only after a neighbour flips; so the fields,
+    the RNG draws and the result are those of summing on every visit.
     """
     n = instance.n_spins
     if n > ANNEAL_MAX_SPINS:
@@ -389,15 +403,23 @@ def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
     best = current
     best_spins = list(spins)
 
+    # local[i] is spin i's field, or None until it is summed and after a
+    # neighbour flips.
+    local: list[float | None] = [None] * n
     for t in temps:
         for _ in range(schedule.sweeps_per_temp):
             for i in range(n):
-                local = fields[i]
-                for j, val in neighbors[i]:
-                    local += val * spins[j]
-                delta = -2.0 * spins[i] * local
+                h = local[i]
+                if h is None:
+                    h = fields[i]
+                    for j, val in neighbors[i]:
+                        h += val * spins[j]
+                    local[i] = h
+                delta = -2.0 * spins[i] * h
                 if delta <= 0.0 or (t > 0.0 and rng.random() < math.exp(-delta / t)):
                     spins[i] = -spins[i]
+                    for j, _ in neighbors[i]:
+                        local[j] = None
                     current += delta
                     if current < best:
                         best = current

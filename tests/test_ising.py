@@ -42,6 +42,14 @@ def unit_instance(n, seed, free=0):
                              for i in range(free, n) for j in range(i + 1, n)})
 
 
+def float_instance(n, seed, density=1.0):
+    """Couplings and fields drawn uniformly from [-1, 1]."""
+    rng = random.Random(seed)
+    couplings = {(i, j): rng.uniform(-1.0, 1.0) for i in range(n)
+                 for j in range(i + 1, n) if rng.random() < density}
+    return IsingInstance(n, couplings, {i: rng.uniform(-1.0, 1.0) for i in range(n)})
+
+
 def spins_index(spins):
     """Enumeration index of a spin tuple (bit i set where spin i is -1)."""
     return sum(1 << i for i, s in enumerate(spins) if s == -1)
@@ -88,6 +96,44 @@ def reference_trotter(instance, total_time, steps):
     overlap = float(np.sum(np.abs(psi[diag == diag.min()]) ** 2))
     return (trace, overlap, float(np.real(np.vdot(psi, diag * psi))),
             float(np.linalg.norm(psi)))
+
+
+def reference_anneal(instance, schedule, seed, initial=None):
+    """Metropolis loop that sums every spin's local field on every visit;
+    ``anneal_classical`` caches the fields and must match it bit for bit."""
+    n = instance.n_spins
+    temps = schedule.temperatures()
+    rng = random.Random(seed)
+
+    neighbors = [[] for _ in range(n)]
+    for (i, j), val in instance.couplings.items():
+        if val != 0.0:
+            neighbors[i].append((j, val))
+            neighbors[j].append((i, val))
+    fields = [instance.local_fields.get(i, 0.0) for i in range(n)]
+
+    if initial is not None:
+        spins = list(initial.spins)
+    else:
+        spins = [rng.choice((-1, 1)) for _ in range(n)]
+    current = energy(instance, SpinConfig(tuple(spins)))
+    best = current
+    best_spins = list(spins)
+
+    for t in temps:
+        for _ in range(schedule.sweeps_per_temp):
+            for i in range(n):
+                local = fields[i]
+                for j, val in neighbors[i]:
+                    local += val * spins[j]
+                delta = -2.0 * spins[i] * local
+                if delta <= 0.0 or (t > 0.0 and rng.random() < math.exp(-delta / t)):
+                    spins[i] = -spins[i]
+                    current += delta
+                    if current < best:
+                        best = current
+                        best_spins = list(spins)
+    return SpinConfig(tuple(best_spins)), best
 
 
 def reference_ground(instance):
@@ -298,12 +344,21 @@ class TestAdiabatic:
         with pytest.raises(DomainError, match=f"steps must be <= {cap}, got {cap + 1}"):
             adiabatic_evolve(ferromagnet(4), 1.0, cap + 1)
 
+    # n = 11 splits into unequal halves, n = 12 is the cap, and random float
+    # fields give 2^n distinct energies, so the phase gather saves nothing.
     @pytest.mark.parametrize("n, family", [
-        *((n, "integer") for n in range(1, 11)),
-        *((n, "power_law") for n in range(2, 11))])
+        *((n, "integer") for n in range(1, 13)),
+        *((n, "power_law") for n in range(2, 13)),
+        *((n, "float") for n in (5, 11, 12))])
     def test_matches_per_qubit_reference(self, n, family):
-        inst = (random_instance(n, seed=n) if family == "integer"
-                else power_law_couplings(n, 1.3, 1.0))
+        if family == "integer":
+            inst = random_instance(n, seed=n)
+        elif family == "power_law":
+            inst = power_law_couplings(n, 1.3, 1.0)
+        else:
+            inst = float_instance(n, seed=n)
+            energies = np.concatenate([e for _, e in ionfab.ising._energy_blocks(inst)])
+            assert len(np.unique(energies)) == 1 << n
         run = adiabatic_evolve(inst, 5.0, 200)
         trace, overlap, final_energy, norm = reference_trotter(inst, 5.0, 200)
         close = dict(rel=1e-12, abs=1e-12)
@@ -359,11 +414,59 @@ class TestAnneal:
         with pytest.raises(DomainError, match="must be finite"):
             AnnealSchedule(**bounds).temperatures()
 
+    @pytest.mark.parametrize("t_start", [0.005, 1e-300, 0.01])
+    def test_ladder_starts_at_t_start(self, t_start):
+        # a start below t_min is the one rung, not t_min
+        assert AnnealSchedule(t_start=t_start).temperatures() == [t_start]
+
     def test_malformed_schedule(self):
         with pytest.raises(DomainError):
             AnnealSchedule(t_start=1.0, t_factor=1.5).temperatures()
         with pytest.raises(DomainError):
             AnnealSchedule(t_start=1.0, t_min=0.0).temperatures()
+
+
+@st.composite
+def anneal_cases(draw):
+    """An instance (integer, power-law, float-field, sparse or zero
+    couplings), a schedule that may be frozen, a seed and maybe a start."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integer", "power_law", "float_fields",
+                                 "sparse", "zero"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "integer":
+        inst = random_instance(n, seed)
+    elif kind == "power_law":
+        inst = power_law_couplings(max(n, 2), draw(st.floats(0.0, 3.0)),
+                                   draw(st.sampled_from([1.0, -1.0])))
+    elif kind == "float_fields":
+        inst = IsingInstance(n, random_instance(n, seed).couplings,
+                             float_instance(n, seed).local_fields)
+    elif kind == "sparse":
+        inst = float_instance(n, seed, density=0.2)
+    else:
+        inst = IsingInstance(n, {(i, j): 0.0 for i in range(n) for j in range(i + 1, n)},
+                             float_instance(n, seed).local_fields)
+    schedule = AnnealSchedule(
+        t_start=draw(st.sampled_from([0.0, 0.005, 0.5, 5.0])),
+        t_factor=draw(st.sampled_from([0.5, 0.9])),
+        sweeps_per_temp=draw(st.integers(1, 3)))
+    initial = draw(st.none() | st.lists(st.sampled_from([-1, 1]), min_size=inst.n_spins,
+                                        max_size=inst.n_spins).map(tuple).map(SpinConfig))
+    return inst, schedule, draw(st.integers(0, 2**31 - 1)), initial
+
+
+class TestAnnealProperty:
+    """The cached-field anneal against the loop that sums on every visit."""
+
+    @settings(max_examples=150)
+    @given(anneal_cases())
+    def test_matches_reference_anneal(self, case):
+        inst, schedule, seed, initial = case
+        config, best = anneal_classical(inst, schedule, seed, initial)
+        ref_config, ref_best = reference_anneal(inst, schedule, seed, initial)
+        assert config == ref_config
+        assert best == ref_best and repr(best) == repr(ref_best)
 
 
 class TestInstanceIO:
