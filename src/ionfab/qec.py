@@ -3,9 +3,13 @@
 Three generators: a rotated-layout surface-code patch (planar, low-weight
 checks), a recursively concatenated Steane [7,1,3] code (check weight grows
 with level), and the hypergraph product of two classical check matrices
-(fixed-weight but spatially non-local checks). Embedders place a code on a
-2D swap grid or on the modular machine and report routing cost, swap
-counts, and entangled-pair consumption per syndrome-extraction round.
+(fixed-weight but spatially non-local checks), built from the row and
+column supports of its two factors. No generator builds a code of more than
+``MAX_DOC_DATA`` data nodes, the most a code document may hold: each raises
+``DomainError`` first. Embedders place a code on a 2D swap grid or on the
+modular machine and report routing cost, swap counts, and entangled-pair
+consumption per syndrome-extraction round; the grid embedder costs every
+check-to-data arm in one numpy pass.
 
 Swap convention, used consistently everywhere: moving syndrome information
 across one check-to-data arm of Manhattan length d costs 2*(d - 1) swaps
@@ -19,6 +23,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -60,7 +65,7 @@ class QecGraph:
                 raise DomainError(f"check kind must be X or Z, got {c.kind!r}")
             if not c.data:
                 raise DomainError("every check must touch at least one data node")
-            if any(not 0 <= d < self.n_data for d in c.data):
+            if min(c.data) < 0 or max(c.data) >= self.n_data:
                 raise DomainError("check touches data index out of range")
         if (self.data_coords is None) != (self.check_coords is None):
             raise DomainError("data_coords and check_coords must be given together")
@@ -121,6 +126,9 @@ def surface_code_graph(distance: int) -> QecGraph:
     if distance < 3 or distance % 2 == 0:
         raise DomainError(f"distance must be odd and >= 3, got {distance}")
     d = distance
+    if d * d > MAX_DOC_DATA:
+        raise DomainError(f"surface code of distance {d} has {d * d} data nodes, "
+                          f"over the cap of {MAX_DOC_DATA}")
     span = 2 * d  # lattice coordinates run over 0..2d on the doubled grid
 
     data_id: dict[tuple[int, int], int] = {}
@@ -189,6 +197,10 @@ def steane_concat_graph(levels: int) -> QecGraph:
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
+    # 7^bit_length is already over the cap, so min() spares forming 7^levels.
+    if 7 ** min(levels, MAX_DOC_DATA.bit_length()) > MAX_DOC_DATA:
+        raise DomainError(f"Steane code of {levels} levels has 7^{levels} data "
+                          f"nodes, over the cap of {MAX_DOC_DATA}")
 
     def build(level: int) -> tuple[int, list[Check]]:
         if level == 1:
@@ -243,6 +255,14 @@ def _as_binary_matrix(m, name: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def _row_supports(m: np.ndarray, scale: int, offset: int) -> list[list[int]]:
+    """Each row's support in ``m``, as ``column * scale + offset`` ints."""
+    rows, cols = np.nonzero(m)
+    flat = (cols * scale + offset).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(m))).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def gf2_rank(m: np.ndarray) -> int:
     rows = [int("".join(str(int(b)) for b in row), 2) for row in m]
     rank = 0
@@ -260,11 +280,19 @@ def gf2_rank(m: np.ndarray) -> int:
 def hypergraph_product_graph(h1, h2) -> QecGraph:
     """Standard hypergraph-product CSS construction from two check matrices.
 
-    hx = [H1 (x) I_n2 | I_m1 (x) H2^T] and hz = [I_n1 (x) H2 | H1^T (x) I_m2]
-    (Tillich & Zemor); each row is one check, X checks first. Data nodes:
-    n1*n2 (sector one) followed by m1*m2 (sector two); X-checks indexed
-    (a, b) over m1 x n2, Z-checks (i, c) over n1 x m2. X/Z commutation holds
-    by construction and is re-verified before return.
+    The checks are the rows of hx = [H1 (x) I_n2 | I_m1 (x) H2^T] and
+    hz = [I_n1 (x) H2 | H1^T (x) I_m2] (Tillich & Zemor), X checks first,
+    but neither matrix is formed: each check is the product of a row or
+    column support of H1 with one of H2. Data nodes: n1*n2 (sector one,
+    node (i, j) = i*n2 + j) followed by m1*m2 (sector two, node (a, c) =
+    n1*n2 + a*m2 + c). X check (a, b), over m1 x n2, is
+    {i*n2 + b : H1[a, i] = 1} | {n1*n2 + a*m2 + c : H2[c, b] = 1}; Z check
+    (i, c), over n1 x m2, is {i*n2 + j : H2[c, j] = 1} |
+    {n1*n2 + a*m2 + c : H1[a, i] = 1}. So the work and memory follow the
+    number of ones, not n_data times the number of checks. X/Z commutation
+    holds by construction and is re-verified before return. A product of
+    more than ``MAX_DOC_DATA`` data nodes, which a code document could not
+    hold, is refused with ``DomainError`` before any check is built.
 
     The number of logical qubits comes from the Tillich-Zemor dimension
     formula, k = (n1 - r1)(n2 - r2) + (m1 - r1)(m2 - r2) with r_i the GF(2)
@@ -275,14 +303,24 @@ def hypergraph_product_graph(h1, h2) -> QecGraph:
     h2 = _as_binary_matrix(h2, "h2")
     m1, n1 = h1.shape
     m2, n2 = h2.shape
-
-    hx = np.hstack([np.kron(h1, np.eye(n2, dtype=np.uint8)),
-                    np.kron(np.eye(m1, dtype=np.uint8), h2.T)])
-    hz = np.hstack([np.kron(np.eye(n1, dtype=np.uint8), h2),
-                    np.kron(h1.T, np.eye(m2, dtype=np.uint8))])
-    checks = [Check(kind, frozenset(np.flatnonzero(row).tolist()))
-              for kind, h in (("X", hx), ("Z", hz)) for row in h]
     n_data = n1 * n2 + m1 * m2
+    if n_data > MAX_DOC_DATA:
+        raise DomainError(f"hypergraph product of {m1}x{n1} and {m2}x{n2} check "
+                          f"matrices has {n_data} data nodes, over the cap of "
+                          f"{MAX_DOC_DATA}")
+
+    # Each support is scaled and offset to its share of a node index.
+    sector_two = n1 * n2
+    h1_rows = _row_supports(h1, n2, 0)            # i*n2 with H1[a, i] = 1, per a
+    h1_cols = _row_supports(h1.T, m2, sector_two)  # n1*n2 + a*m2, per i
+    h2_rows = _row_supports(h2, 1, 0)             # j with H2[c, j] = 1, per c
+    h2_cols = _row_supports(h2.T, 1, sector_two)  # n1*n2 + c, per b
+    checks = [Check("X", frozenset([i + b for i in h1_rows[a]]
+                                   + [c + a * m2 for c in h2_cols[b]]))
+              for a in range(m1) for b in range(n2)]
+    checks += [Check("Z", frozenset([j + i * n2 for j in h2_rows[c]]
+                                    + [a + c for a in h1_cols[i]]))
+               for i in range(n1) for c in range(m2)]
     r1, r2 = gf2_rank(h1), gf2_rank(h2)
     k = (n1 - r1) * (n2 - r2) + (m1 - r1) * (m2 - r2)
 
@@ -347,7 +385,8 @@ def embed_on_grid(code: QecGraph, placement: str = "row_major",
     The grid is the smallest square holding every node (the native placement
     may need a larger side, which is then used). Each check-to-data arm of
     Manhattan length d costs d hops of routing and ``swaps_for_distance(d)``
-    swaps.
+    swaps. All arms are costed together over one flat array of check
+    members, and every count in the report is a Python int.
     """
     side = math.isqrt(code.n_nodes)
     if side * side < code.n_nodes:
@@ -360,23 +399,28 @@ def embed_on_grid(code: QecGraph, placement: str = "row_major",
     if any(not (0 <= x < side and 0 <= y < side) for x, y in cells):
         raise CapacityError(f"placement overflows the {side}x{side} grid")
 
-    data_cells = cells[: code.n_data]
-    check_cells = cells[code.n_data:]
-    routes, spans = [], []
-    swaps = 0
-    for check, cell in zip(code.checks, check_cells):
-        arms = [abs(cell[0] - data_cells[d][0]) + abs(cell[1] - data_cells[d][1])
-                for d in sorted(check.data)]
-        routes.append(sum(arms))
-        spans.append(max(arms))
-        swaps += sum(swaps_for_distance(a) for a in arms)
+    # Every arm in one pass: the members of all checks in check order, each
+    # paired with its check's node; reduceat folds the arms back per check.
+    weights = np.array([len(c.data) for c in code.checks], dtype=np.int64)
+    members = np.fromiter(chain.from_iterable([c.data for c in code.checks]),
+                          dtype=np.int64, count=int(weights.sum()))
+    # Coordinates are below side and an arm below 2 * side, so no value
+    # below can pass this bound.
+    if 2 * side * (len(members) + 1) > np.iinfo(np.int64).max:
+        raise CapacityError(f"a {side}x{side} grid is too wide to cost exactly")
+    owners = np.repeat(np.arange(code.n_data, code.n_nodes), weights)
+    xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
+                     count=2 * len(cells)).reshape(-1, 2)
+    arms = np.abs(xy[owners] - xy[members]).sum(axis=1)
+    starts = np.cumsum(weights) - weights
+    spans = np.maximum.reduceat(arms, starts).tolist()
 
     return EmbeddingReport(
         host="grid2d",
-        per_check_route_length=tuple(routes),
+        per_check_route_length=tuple(np.add.reduceat(arms, starts).tolist()),
         per_check_span=tuple(spans),
-        max_check_span=max(spans) if spans else 0,
-        swap_count=swaps,
+        max_check_span=max(spans, default=0),
+        swap_count=2 * int(np.maximum(arms - 1, 0).sum()),
         pairs_per_round=0,
         grid_side=side,
         assignment=tuple(cells),
@@ -396,12 +440,13 @@ def _partition_nodes(code: QecGraph, spec: ArchitectureSpec,
         raise DomainError(f"unknown partition strategy {partition!r}")
 
     # Unit-weight Tanner neighbours over data nodes 0..n_data-1, then checks.
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(code.n_nodes)]
-    for ci, check in enumerate(code.checks):
-        c_node = code.n_data + ci
-        for d in sorted(check.data):
-            neighbours[c_node].append((d, 1))
-            neighbours[d].append((c_node, 1))
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(code.n_data)]
+    for c_node, check in enumerate(code.checks, start=code.n_data):
+        members = sorted(check.data)
+        neighbours.append([(d, 1) for d in members])
+        edge = (c_node, 1)
+        for d in members:
+            neighbours[d].append(edge)
     # BFS order over the Tanner graph keeps local neighborhoods together.
     order: list[int] = []
     seen = [False] * code.n_nodes

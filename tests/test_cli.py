@@ -800,6 +800,19 @@ BAD_INPUTS = {
     "qec_n_data_over_cap": (
         QEC_EMBED, SURFACE3.replace('"n_data": 4', '"n_data": 100001') + "}",
         "{f}: $.n_data: must be <= 100000, got 100001"),
+    # the generators refuse what the reader would: rep(225)^2 has 100,801 data nodes
+    "qec_surface_over_cap": (
+        ["qec", "surface", "--d", "317"], None,
+        "surface code of distance 317 has 100489 data nodes, over the cap of 100000"),
+    "qec_steane_over_cap": (
+        ["qec", "steane", "--levels", "6"], None,
+        "Steane code of 6 levels has 7^6 data nodes, over the cap of 100000"),
+    "qec_hgp_over_cap": (
+        ["qec", "hgp", "--h1", "{f}", "--h2", "{f}"],
+        "".join(",".join("1" if c in (r, r + 1) else "0" for c in range(225)) + "\n"
+                for r in range(224)),
+        "hypergraph product of 224x225 and 224x225 check matrices has 100801 "
+        "data nodes, over the cap of 100000"),
     # 20 ions colliding at 1e300 Hz each would need about 1e301 events in 0.5 s
     "simulate_collision_storm": (
         ["simulate", "{f}", "--schedule", "{one_link}", "--horizon", "0.5",

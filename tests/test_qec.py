@@ -1,19 +1,23 @@
 import dataclasses
 import itertools
+import math
 import random
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ionfab.qec
 from ionfab.errors import CapacityError, DomainError, SchemaError
-from ionfab.qec import (Check, QecGraph, embed_on_grid, embed_on_modular,
-                        gf2_rank, hypergraph_product_graph, parse_qec,
-                        qec_to_doc, repetition_check_matrix,
-                        steane_concat_graph, surface_code_graph,
-                        swaps_for_distance)
+from ionfab.graph import deal_round_robin, greedy_cut
+from ionfab.qec import (MAX_DOC_DATA, Check, EmbeddingReport, QecGraph,
+                        embed_on_grid, embed_on_modular, gf2_rank,
+                        hypergraph_product_graph, parse_qec, qec_to_doc,
+                        repetition_check_matrix, steane_concat_graph,
+                        surface_code_graph, swaps_for_distance)
 
 
 def reference_gf2_rank(m):
@@ -82,6 +86,148 @@ def css_graphs(draw):
         Check, st.sampled_from("XZ"),
         st.frozensets(st.integers(0, n - 1), min_size=1)), max_size=8))
     return QecGraph(n_data=n, checks=tuple(checks), family="random")
+
+
+@st.composite
+def check_matrices_with_zero_lines(draw):
+    """Any 0/1 matrix up to 7 x 7: zero rows, zero columns, even all zeros."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return np.array(bits, dtype=np.uint8)
+
+
+def reference_hypergraph_product(h1, h2):
+    """The dense construction: hx and hz as Kronecker blocks, one row per check."""
+    h1 = ionfab.qec._as_binary_matrix(h1, "h1")
+    h2 = ionfab.qec._as_binary_matrix(h2, "h2")
+    m1, n1 = h1.shape
+    m2, n2 = h2.shape
+    hx = np.hstack([np.kron(h1, np.eye(n2, dtype=np.uint8)),
+                    np.kron(np.eye(m1, dtype=np.uint8), h2.T)])
+    hz = np.hstack([np.kron(np.eye(n1, dtype=np.uint8), h2),
+                    np.kron(h1.T, np.eye(m2, dtype=np.uint8))])
+    checks = [Check(kind, frozenset(np.flatnonzero(row).tolist()))
+              for kind, h in (("X", hx), ("Z", hz)) for row in h]
+    n_data = n1 * n2 + m1 * m2
+    r1, r2 = gf2_rank(h1), gf2_rank(h2)
+    k = (n1 - r1) * (n2 - r2) + (m1 - r1) * (m2 - r2)
+    graph = QecGraph(n_data=n_data, checks=tuple(checks),
+                     family="hypergraph_product",
+                     params={"m1": m1, "n1": n1, "m2": m2, "n2": n2, "k": k},
+                     rate=k / n_data)
+    if not graph.css_commutation_ok():
+        raise DomainError("hypergraph product produced non-commuting checks")
+    return graph
+
+
+def graph_or_error(build, *args):
+    try:
+        return build(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def reference_embed_on_grid(code, placement="row_major", seed=None):
+    """The per-arm loop: each check's arms summed, maxed and swapped in Python."""
+    side = math.isqrt(code.n_nodes)
+    if side * side < code.n_nodes:
+        side += 1
+    cells = ionfab.qec._grid_cells(code, placement, side, seed)
+    if placement == "native":
+        side = max(max(x, y) for x, y in cells) + 1
+    if len(set(cells)) != len(cells):
+        raise DomainError("placement assigned two nodes to one cell")
+    if any(not (0 <= x < side and 0 <= y < side) for x, y in cells):
+        raise CapacityError(f"placement overflows the {side}x{side} grid")
+    data_cells = cells[: code.n_data]
+    routes, spans, swaps = [], [], 0
+    for check, cell in zip(code.checks, cells[code.n_data:]):
+        arms = [abs(cell[0] - data_cells[d][0]) + abs(cell[1] - data_cells[d][1])
+                for d in sorted(check.data)]
+        routes.append(sum(arms))
+        spans.append(max(arms))
+        swaps += sum(swaps_for_distance(a) for a in arms)
+    return EmbeddingReport(
+        host="grid2d", per_check_route_length=tuple(routes),
+        per_check_span=tuple(spans), max_check_span=max(spans) if spans else 0,
+        swap_count=swaps, pairs_per_round=0, grid_side=side,
+        assignment=tuple(cells))
+
+
+def reference_embed_on_modular(code, spec, partition="greedy_cut"):
+    """Per-node neighbour appends, breadth-first order and a per-check loop."""
+    capacities = {e.id: e.n_ions for e in spec.elus}
+    if partition == "round_robin":
+        assignment = deal_round_robin(code.n_nodes, capacities)
+    else:
+        neighbours = [[] for _ in range(code.n_nodes)]
+        for ci, check in enumerate(code.checks):
+            c_node = code.n_data + ci
+            for d in sorted(check.data):
+                neighbours[c_node].append((d, 1))
+                neighbours[d].append((c_node, 1))
+        order, seen = [], [False] * code.n_nodes
+        for root in range(code.n_nodes):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                order.append(u)
+                for w, _ in neighbours[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+        assignment = greedy_cut(order, neighbours, capacities)
+    routes, spans, remote_counts = [], [], []
+    for ci, check in enumerate(code.checks):
+        host = assignment[code.n_data + ci]
+        intra, remote = 0, set()
+        for d in check.data:
+            if assignment[d] == host:
+                intra += 1
+            else:
+                remote.add(assignment[d])
+        routes.append(intra)
+        spans.append(1 if intra else 0)
+        remote_counts.append(len(remote))
+    return EmbeddingReport(
+        host="modular", per_check_route_length=tuple(routes),
+        per_check_span=tuple(spans), max_check_span=max(spans) if spans else 0,
+        swap_count=0, pairs_per_round=sum(remote_counts),
+        assignment=tuple(assignment), per_check_remote_elus=tuple(remote_counts))
+
+
+def assert_plain_ints(rep):
+    """Every count in a report is a Python int, which render_json can write."""
+    scalars = [rep.max_check_span, rep.swap_count, rep.pairs_per_round,
+               *rep.per_check_route_length, *rep.per_check_span,
+               *rep.per_check_remote_elus]
+    if rep.host == "grid2d":
+        scalars += [rep.grid_side, *itertools.chain.from_iterable(rep.assignment)]
+    assert all(type(x) is int for x in scalars)
+
+
+def machine_of(spec, n_elus):
+    """``n_elus`` copies of the machine's first ELU."""
+    return dataclasses.replace(spec, elus=tuple(
+        dataclasses.replace(spec.elus[0], id=f"E{k:02d}") for k in range(n_elus)))
+
+
+def rep_square(r):
+    """The hypergraph product of the [r, 1] repetition code with itself."""
+    h = repetition_check_matrix(r)
+    return hypergraph_product_graph(h, h)
+
+
+# The three families at the sizes the qec-codes benchmark builds, plus smaller.
+ORACLE_CODES = {
+    **{f"surface{d}": (surface_code_graph, d) for d in (3, 9, 15, 21)},
+    **{f"steane{n}": (steane_concat_graph, n) for n in (1, 2, 3)},
+    **{f"hgp_rep{r}": (rep_square, r) for r in (3, 8, 11, 13, 15, 17)},
+}
 
 
 def segments_cross(p1, p2, p3, p4):
@@ -258,6 +404,37 @@ class TestHypergraphProduct:
         assert hypergraph_product_graph(rep5, rep5).params["k"] == 1
         assert shapes == [(4, 5), (4, 5)]
 
+    @settings(max_examples=300)
+    @given(check_matrices_with_zero_lines(), check_matrices_with_zero_lines())
+    @example(np.array([[1, 0], [0, 0]]), np.array([[1, 0]]))  # X check (1, 1) is empty
+    def test_matches_dense_reference(self, h1, h2):
+        assert (graph_or_error(hypergraph_product_graph, h1, h2)
+                == graph_or_error(reference_hypergraph_product, h1, h2))
+
+    def test_empty_check_is_refused(self):
+        # row 1 of H1 and column 1 of H2 are zero, so X check (1, 1) is empty
+        with pytest.raises(DomainError,
+                           match="^every check must touch at least one data node$"):
+            hypergraph_product_graph([[1, 0], [0, 0]], [[1, 0]])
+
+    @pytest.mark.parametrize("r", [8, 11, 13, 15, 17])
+    def test_repetition_squares_match_dense_reference(self, r):
+        h = repetition_check_matrix(r)
+        assert hypergraph_product_graph(h, h) == reference_hypergraph_product(h, h)
+
+    def test_peak_memory_is_a_small_multiple_of_the_code(self):
+        # rep(60)^2 has 7,081 data nodes; dense hx and hz alone would be 50 MB
+        h = repetition_check_matrix(60)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = hypergraph_product_graph(h, h)
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert graph.n_data == 60 * 60 + 59 * 59
+        assert peak <= 2 * retained
+
     def test_rejects_zero_matrix(self):
         with pytest.raises(DomainError, match="nonzero"):
             hypergraph_product_graph(np.zeros((2, 3), dtype=int),
@@ -270,6 +447,35 @@ class TestHypergraphProduct:
     def test_rejects_ragged(self):
         with pytest.raises(DomainError):
             hypergraph_product_graph([[1, 0], [1]], [[1]])
+
+
+class TestGeneratorDataCap:
+    """Each generator refuses, before building, a code the reader would refuse."""
+
+    @pytest.mark.parametrize("build, arg, n_data", [
+        (surface_code_graph, 315, 99_225),
+        (steane_concat_graph, 5, 16_807),
+        (rep_square, 224, 99_905),
+    ], ids=["surface315", "steane5", "hgp_rep224"])
+    def test_largest_code_under_the_cap_builds(self, build, arg, n_data):
+        code = build(arg)
+        assert code.n_data == n_data <= MAX_DOC_DATA
+        assert parse_qec(qec_to_doc(code)).n_data == n_data
+
+    @pytest.mark.parametrize("build, arg, message", [
+        (surface_code_graph, 317,
+         "surface code of distance 317 has 100489 data nodes"),
+        (steane_concat_graph, 6, "Steane code of 6 levels has 7^6 data nodes"),
+        (steane_concat_graph, 10**9,
+         "Steane code of 1000000000 levels has 7^1000000000 data nodes"),
+        (rep_square, 225,
+         "hypergraph product of 224x225 and 224x225 check matrices has 100801 "
+         "data nodes"),
+    ], ids=["surface317", "steane6", "steane_huge", "hgp_rep225"])
+    def test_first_code_over_the_cap_is_refused(self, build, arg, message):
+        with pytest.raises(DomainError) as exc:
+            build(arg)
+        assert str(exc.value) == f"{message}, over the cap of 100000"
 
 
 class TestCssCommutationGuard:
@@ -339,6 +545,43 @@ class TestGridEmbedding:
             rep = embed_on_grid(g, "random", seed=seed)
             assert rep.swap_count >= 0
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODES))
+    def test_matches_per_arm_reference(self, name):
+        build, size = ORACLE_CODES[name]
+        code = build(size)
+        placements = [("row_major", None), ("random", 7), ("random", 12345)]
+        if code.data_coords is not None:
+            placements.append(("native", None))
+        for placement, seed in placements:
+            rep = embed_on_grid(code, placement, seed)
+            assert rep == reference_embed_on_grid(code, placement, seed)
+            assert_plain_ints(rep)
+
+    @settings(max_examples=200)
+    @given(css_graphs(), st.sampled_from(["row_major", "random"]),
+           st.integers(0, 2**31))
+    def test_random_graphs_match_per_arm_reference(self, code, placement, seed):
+        rep = embed_on_grid(code, placement, seed)
+        assert rep == reference_embed_on_grid(code, placement, seed)
+        assert_plain_ints(rep)
+
+    @pytest.mark.parametrize("placement, seed", [("row_major", None), ("random", 3)])
+    def test_no_checks(self, placement, seed):
+        code = QecGraph(n_data=5, checks=(), family="empty")
+        rep = embed_on_grid(code, placement, seed)
+        assert rep == reference_embed_on_grid(code, placement, seed)
+        assert (rep.per_check_route_length, rep.per_check_span) == ((), ())
+        assert (rep.max_check_span, rep.swap_count) == (0, 0)
+        assert_plain_ints(rep)
+
+    def test_too_wide_grid_is_refused(self):
+        # a native coordinate near 2^62 could wrap a 64-bit arm sum
+        code = QecGraph(n_data=2, checks=(Check("X", frozenset({0, 1})),),
+                        family="custom", data_coords=((0, 0), (2**62, 0)),
+                        check_coords=((1, 0),))
+        with pytest.raises(CapacityError, match="too wide to cost exactly"):
+            embed_on_grid(code, "native")
+
     def test_random_requires_seed(self):
         with pytest.raises(DomainError, match="seed"):
             embed_on_grid(surface_code_graph(3), "random")
@@ -393,6 +636,32 @@ class TestModularEmbedding:
         b = embed_on_modular(code, renamed, "round_robin")
         assert a.pairs_per_round == b.pairs_per_round
         assert a.per_check_route_length == b.per_check_route_length
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODES))
+    def test_matches_per_check_reference(self, built_spec, name):
+        build, size = ORACLE_CODES[name]
+        code = build(size)
+        n_ions = built_spec.elus[0].n_ions
+        machine = machine_of(built_spec, -(-code.n_nodes // n_ions))
+        for partition in ("greedy_cut", "round_robin"):
+            rep = embed_on_modular(code, machine, partition)
+            assert rep == reference_embed_on_modular(code, machine, partition)
+            assert_plain_ints(rep)
+
+    @settings(max_examples=200)
+    @given(css_graphs(), st.sampled_from(["greedy_cut", "round_robin"]))
+    def test_random_graphs_match_per_check_reference(self, built_spec, code,
+                                                     partition):
+        rep = embed_on_modular(code, built_spec, partition)
+        assert rep == reference_embed_on_modular(code, built_spec, partition)
+        assert_plain_ints(rep)
+
+    def test_no_checks(self, built_spec):
+        code = QecGraph(n_data=5, checks=(), family="empty")
+        for partition in ("greedy_cut", "round_robin"):
+            rep = embed_on_modular(code, built_spec, partition)
+            assert rep == reference_embed_on_modular(code, built_spec, partition)
+            assert (rep.per_check_route_length, rep.pairs_per_round) == ((), 0)
 
     def test_unknown_partition(self, built_spec):
         with pytest.raises(DomainError, match="^unknown partition strategy 'spectral'$"):
