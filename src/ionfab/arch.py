@@ -6,6 +6,18 @@ frequencies via ``*_hz`` keys (multiplied by 2*pi on load) or directly via
 ``*_rad_s`` keys; :func:`architecture_to_doc` always emits ``*_rad_s`` so
 that a round trip through JSON is bit exact.
 
+Every scalar field is declared once, by :func:`_field` in its class body:
+its JSON key (for an angular quantity, the stem of its ``*_hz`` and
+``*_rad_s`` keys), its reader, its bounds and its default. One reader
+(:func:`_read`), one bounds check (:func:`_check`) and one writer
+(:func:`_write`) walk these declarations. Only the rules that tie fields
+together are written out: ELU count and ids, communication ions, the
+fast-gate distance, switch ports, the emission-rate bound, the Rabi
+frequency against mu*E0/hbar, ``mass_u`` against ``mass_kg``, and the
+species-table defaults. A new machine field is therefore one declaration
+here and one property in ``schemas/ionfab-arch-1.schema.json``, and a test
+holds the bounds of the two equal.
+
 All types are immutable after construction and safe to share between
 threads or processes.
 """
@@ -13,11 +25,11 @@ threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .constants import ATOMIC_MASS_KG, HBAR, TWO_PI, species_entry
-from .errors import DomainError, InvalidArchitecture, SchemaError
+from .errors import DomainError, InvalidArchitecture, SchemaError, UnknownSpecies
 from .jsondoc import decode, integer, number, parse_json, require_keys, string
 
 SCHEMA_ID = "ionfab-arch/1"
@@ -33,14 +45,85 @@ MAX_SWITCH_PORTS = 512
 MAX_BUFFER_CAPACITY = 1_000_000
 
 
+# ---------------------------------------------------------------------------
+# Field readers: each takes (object, key, path) and returns the field's value
+# ---------------------------------------------------------------------------
+
+def _angular(obj: dict, stem: str, path: str) -> float:
+    """Read ``<stem>_hz`` (times 2*pi) or ``<stem>_rad_s`` (as is); exactly one."""
+    hz_key, rad_key = f"{stem}_hz", f"{stem}_rad_s"
+    has_hz, has_rad = hz_key in obj, rad_key in obj
+    if has_hz == has_rad:
+        raise SchemaError(f"exactly one of {hz_key} / {rad_key} required", path)
+    if has_hz:
+        return TWO_PI * number(obj, hz_key, path)
+    return number(obj, rad_key, path)
+
+
+def _mass(obj: dict, key: str, path: str) -> float:
+    """Read ``mass_kg`` or ``mass_u`` (times the atomic mass unit); not both."""
+    if "mass_u" not in obj:
+        return number(obj, key, path)
+    if key in obj:
+        raise SchemaError("give mass_u or mass_kg, not both", path)
+    return number(obj, "mass_u", path) * ATOMIC_MASS_KG
+
+
+def _indices(obj: dict, key: str, path: str) -> tuple[int, ...]:
+    idx = obj[key]
+    if not isinstance(idx, list) or any(isinstance(x, bool) or not isinstance(x, int)
+                                        for x in idx):
+        raise SchemaError("expected list of integers", f"{path}.{key}")
+    return tuple(idx)
+
+
+def _boolean(obj: dict, key: str, path: str) -> bool:
+    if not isinstance(obj[key], bool):
+        raise SchemaError("expected boolean", f"{path}.{key}")
+    return obj[key]
+
+
+def _number_or_null(obj: dict, key: str, path: str) -> float | None:
+    return None if obj[key] is None else number(obj, key, path)
+
+
+# The default of a field that a cross-field rule fills in when the document
+# leaves it out: the species table, or mu*E0/hbar for the Rabi frequency.
+_DERIVED = object()
+_GOT = ", got {!r}"
+
+
+def _field(key: str, read=number, default=MISSING, *, section: str | None = None,
+           gt=None, ge=None, le=None, note: str = ""):
+    """Declare one machine field: its JSON key, reader, bounds and default.
+
+    ``key`` is the stem for :func:`_angular`. A bound is a value's
+    ``exclusiveMinimum`` (``gt``), ``minimum`` (``ge``) or ``maximum``
+    (``le``); ``note``, formatted with the value, ends the message of a
+    broken lower bound. ``section`` names the document object that holds
+    an :class:`ArchitectureSpec` field.
+    """
+    keys = ((f"{key}_hz", f"{key}_rad_s") if read is _angular
+            else ("mass_u", key) if read is _mass else (key,))
+    return field(default=MISSING if default is _DERIVED else default, metadata={
+        "key": key, "keys": keys, "read": read, "default": default,
+        "section": section, "gt": gt, "ge": ge, "le": le, "note": note})
+
+
 @dataclass(frozen=True)
 class IonSpecies:
-    name: str
-    mass: float                  # kg
-    hyperfine_splitting: float   # Hz
-    linewidth: float             # rad/s, excited-state radiative linewidth
-    detection_time: float        # s
-    qubit_coherence_time: float  # s, T2 memory time
+    """An ion species; fields a document leaves out come from the species table."""
+
+    name: str = _field("name", string)
+    mass: float = _field("mass_kg", _mass, _DERIVED, gt=0, note=_GOT)  # kg
+    hyperfine_splitting: float = _field("hyperfine_splitting_hz",
+                                        default=_DERIVED)  # Hz
+    # rad/s, excited-state radiative linewidth
+    linewidth: float = _field("linewidth", _angular, _DERIVED, gt=0, note=_GOT)
+    detection_time: float = _field("detection_time_s", default=_DERIVED,
+                                   gt=0, note=_GOT)  # s
+    qubit_coherence_time: float = _field("qubit_coherence_time_s", default=_DERIVED,
+                                         gt=0, note=_GOT)  # s, T2 memory time
 
 
 @dataclass(frozen=True)
@@ -48,23 +131,26 @@ class DriveField:
     """Qubit-control field. ``rabi_frequency`` may be given directly or derived
     as mu*E0/hbar when both components are supplied."""
 
-    effective_wavevector: float          # rad/m
-    rabi_frequency: float                # rad/s
-    dipole_coupling: float | None = None  # J*m/V
-    field_amplitude: float | None = None  # V/m
+    effective_wavevector: float = _field("effective_wavevector_rad_m", gt=0)  # rad/m
+    rabi_frequency: float = _field("rabi_frequency", _angular, _DERIVED, gt=0)  # rad/s
+    dipole_coupling: float | None = _field("dipole_coupling", default=None,
+                                           gt=0, note=" when set")  # J*m/V
+    field_amplitude: float | None = _field("field_amplitude", default=None,
+                                           gt=0, note=" when set")  # V/m
 
 
 @dataclass(frozen=True)
 class EluSpec:
-    id: str
-    n_ions: int
-    comm_ion_indices: tuple[int, ...]
-    fast_gate_distance: int        # ion spacings
-    trap_frequency: float          # rad/s
-    single_qubit_gate_time: float  # s
-    collision_rate_per_ion: float = 0.0  # 1/s, 0 disables collisions
-    reload_time: float = 0.1       # s
-    shuttle_cost_time: float = 0.0  # s
+    id: str = _field("id", string)
+    n_ions: int = _field("n_ions", integer, ge=1, le=MAX_IONS_PER_ELU)
+    comm_ion_indices: tuple[int, ...] = _field("comm_ion_indices", _indices)
+    fast_gate_distance: int = _field("fast_gate_distance", integer)  # ion spacings
+    trap_frequency: float = _field("trap_frequency", _angular, gt=0)  # rad/s
+    single_qubit_gate_time: float = _field("single_qubit_gate_time_s", ge=0)  # s
+    collision_rate_per_ion: float = _field("collision_rate_per_ion_hz", default=0.0,
+                                           ge=0)  # 1/s, 0 disables collisions
+    reload_time: float = _field("reload_time_s", default=0.1, ge=0)  # s
+    shuttle_cost_time: float = _field("shuttle_cost_time_s", default=0.0, ge=0)  # s
 
     @property
     def memory_ion_count(self) -> int:
@@ -77,8 +163,8 @@ class EluSpec:
 
 @dataclass(frozen=True)
 class SwitchSpec:
-    port_count: int
-    reconfiguration_time: float  # s
+    port_count: int = _field("port_count", integer, ge=0, le=MAX_SWITCH_PORTS)
+    reconfiguration_time: float = _field("reconfiguration_time_s", ge=0)  # s
 
 
 @dataclass(frozen=True)
@@ -87,15 +173,25 @@ class ArchitectureSpec:
     drive: DriveField
     elus: tuple[EluSpec, ...]
     switch: SwitchSpec
-    buffer_capacity: int            # pairs per ELU pair
-    attempt_rate: float             # 1/s, repetition rate R of the photonic interface
-    collection_fraction: float      # F
-    detector_efficiency: float      # eta_D
-    two_qubit_gate_fidelity: float
-    teleport_overhead_time: float   # s
-    classical_latency: float        # s
-    pair_lifetime: float | None = None  # s, None = pairs never expire
-    dual_species_comm: bool = False     # metadata only, no behavioral difference
+    # pairs per ELU pair
+    buffer_capacity: int = _field("buffer_capacity", integer, section="link",
+                                  ge=1, le=MAX_BUFFER_CAPACITY)
+    # 1/s, repetition rate R of the photonic interface
+    attempt_rate: float = _field("attempt_rate_hz", section="link", gt=0)
+    collection_fraction: float = _field("collection_fraction", section="link",
+                                        gt=0, le=1)  # F
+    detector_efficiency: float = _field("detector_efficiency", section="link",
+                                        gt=0, le=1)  # eta_D
+    two_qubit_gate_fidelity: float = _field("two_qubit_gate_fidelity", section="costs",
+                                            gt=0, le=1)
+    teleport_overhead_time: float = _field("teleport_overhead_time_s", section="costs",
+                                           ge=0)  # s
+    classical_latency: float = _field("classical_latency_s", section="costs", ge=0)  # s
+    # s, None = pairs never expire
+    pair_lifetime: float | None = _field("pair_lifetime_s", _number_or_null, None,
+                                         section="link", gt=0, note=" when set")
+    # metadata only, no behavioral difference
+    dual_species_comm: bool = _field("dual_species_comm", _boolean, False, section="link")
 
     def elu(self, elu_id: str) -> EluSpec:
         for e in self.elus:
@@ -105,6 +201,32 @@ class ArchitectureSpec:
 
     def elu_ids(self) -> list[str]:
         return [e.id for e in self.elus]
+
+
+def _tables(cls: type, section: str | None) -> tuple:
+    """The declarations of ``cls`` (of ``section``) as flat tuples for the
+    reader, the bounds check and the writer."""
+    decls = [(f.name, f.type, f.metadata) for f in fields(cls)
+             if f.metadata and f.metadata["section"] == section]
+    required = frozenset(m["key"] for _, _, m in decls
+                         if m["default"] is MISSING and len(m["keys"]) == 1)
+    keys = frozenset(k for _, _, m in decls for k in m["keys"])
+    reads = tuple((name, m["key"], m["keys"][0], m["keys"][-1], m["read"], m["default"])
+                  for name, _, m in decls)
+    # a field annotated float must be finite; None is an optional field unset
+    checks = tuple((name, "float" in type_, m["default"] is None,
+                    m["gt"], m["ge"], m["le"], m["note"]) for name, type_, m in decls)
+    writes = tuple((name, m["keys"][-1]) for name, _, m in decls)
+    return (required, keys, reads), checks, writes
+
+
+# Built once, at import: one entry per (class, section).
+_READERS: dict = {}
+_CHECKS: dict = {}
+_WRITERS: dict = {}
+for _at in ((IonSpecies, None), (DriveField, None), (EluSpec, None), (SwitchSpec, None),
+            (ArchitectureSpec, "link"), (ArchitectureSpec, "costs")):
+    _READERS[_at], _CHECKS[_at], _WRITERS[_at] = _tables(*_at)
 
 
 @dataclass(frozen=True)
@@ -148,6 +270,27 @@ def _bad(value) -> bool:
     return not isinstance(value, (int, float)) or not math.isfinite(value)
 
 
+def _check(obj, prefix: str, v: list[Violation], section: str | None = None) -> None:
+    """Append to ``v`` one violation per declared bound that a field of
+    ``obj`` (of ``section``) breaks; a non-finite float breaks all at once."""
+    for name, finite, optional, gt, ge, le, note in _CHECKS[type(obj), section]:
+        val = getattr(obj, name)
+        if val is None and optional:
+            continue
+        if finite and _bad(val):
+            v.append(Violation(prefix + name, f"not a finite number: {val!r}"))
+        elif gt is not None and le is not None:
+            if not gt < val <= le:
+                v.append(Violation(prefix + name, f"out of ({gt},{le}]"))
+        else:
+            if gt is not None and not val > gt:
+                v.append(Violation(prefix + name, f"must be > {gt}{note.format(val)}"))
+            if ge is not None and not val >= ge:
+                v.append(Violation(prefix + name, f"must be >= {ge}"))
+            if le is not None and not val <= le:
+                v.append(Violation(prefix + name, f"must be <= {le}"))
+
+
 def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
     """Check every documented invariant; violations are returned, never raised.
 
@@ -160,36 +303,15 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
         if not cond:
             v.append(Violation(path, message))
 
-    def finite(value, path: str) -> bool:
-        if _bad(value):
-            v.append(Violation(path, f"not a finite number: {value!r}"))
-            return False
-        return True
-
-    sp = spec.species
-    for name in ("mass", "linewidth", "detection_time", "qubit_coherence_time"):
-        val = getattr(sp, name)
-        if finite(val, f"species.{name}"):
-            check(val > 0, f"species.{name}", f"must be > 0, got {val!r}")
-    finite(sp.hyperfine_splitting, "species.hyperfine_splitting")
-
-    dr = spec.drive
-    if finite(dr.effective_wavevector, "drive.effective_wavevector"):
-        check(dr.effective_wavevector > 0, "drive.effective_wavevector",
-              "must be > 0")
-    if finite(dr.rabi_frequency, "drive.rabi_frequency"):
-        check(dr.rabi_frequency > 0, "drive.rabi_frequency", "must be > 0")
-    if dr.dipole_coupling is not None and dr.field_amplitude is not None:
-        if finite(dr.dipole_coupling, "drive.dipole_coupling") and \
-           finite(dr.field_amplitude, "drive.field_amplitude") and \
-           not _bad(dr.rabi_frequency) and dr.rabi_frequency > 0:
-            derived = dr.dipole_coupling * dr.field_amplitude / HBAR
-            check(
-                abs(derived - dr.rabi_frequency)
-                <= RABI_CONSISTENCY_RTOL * abs(derived),
-                "drive.rabi_frequency",
-                f"inconsistent with mu*E0/hbar = {derived!r}",
-            )
+    sp, dr = spec.species, spec.drive
+    _check(sp, "species.", v)
+    _check(dr, "drive.", v)
+    mu, e0, rabi = dr.dipole_coupling, dr.field_amplitude, dr.rabi_frequency
+    if mu is not None and e0 is not None and not (_bad(mu) or _bad(e0) or _bad(rabi)) \
+            and rabi > 0:
+        derived = mu * e0 / HBAR
+        check(abs(derived - rabi) <= RABI_CONSISTENCY_RTOL * abs(derived),
+              "drive.rabi_frequency", f"inconsistent with mu*E0/hbar = {derived!r}")
 
     check(len(spec.elus) >= 1, "elus", "at least one ELU required")
     check(len(spec.elus) <= MAX_ELUS, "elus",
@@ -198,11 +320,9 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
     total_comm = 0
     for i, elu in enumerate(spec.elus):
         base = f"elus[{i}]"
+        _check(elu, base + ".", v)
         check(elu.id not in seen_ids, f"{base}.id", f"duplicate ELU id {elu.id!r}")
         seen_ids.add(elu.id)
-        check(elu.n_ions >= 1, f"{base}.n_ions", "must be >= 1")
-        check(elu.n_ions <= MAX_IONS_PER_ELU, f"{base}.n_ions",
-              f"must be <= {MAX_IONS_PER_ELU}")
         idx = elu.comm_ion_indices
         check(len(set(idx)) == len(idx), f"{base}.comm_ion_indices",
               "duplicate communication ion")
@@ -213,48 +333,17 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
         check(1 <= elu.fast_gate_distance < max(elu.n_ions, 2),
               f"{base}.fast_gate_distance",
               f"must satisfy 1 <= d < n_ions, got {elu.fast_gate_distance}")
-        if finite(elu.trap_frequency, f"{base}.trap_frequency"):
-            check(elu.trap_frequency > 0, f"{base}.trap_frequency", "must be > 0")
-        for name in ("single_qubit_gate_time", "collision_rate_per_ion",
-                     "reload_time", "shuttle_cost_time"):
-            val = getattr(elu, name)
-            if finite(val, f"{base}.{name}"):
-                check(val >= 0, f"{base}.{name}", "must be >= 0")
 
-    check(spec.switch.port_count >= 0, "switch.port_count", "must be >= 0")
-    check(spec.switch.port_count <= MAX_SWITCH_PORTS, "switch.port_count",
-          f"must be <= {MAX_SWITCH_PORTS}")
+    _check(spec.switch, "switch.", v)
     check(total_comm <= spec.switch.port_count, "switch.port_count",
           f"{total_comm} communication ions exceed {spec.switch.port_count} switch ports")
-    if finite(spec.switch.reconfiguration_time, "switch.reconfiguration_time"):
-        check(spec.switch.reconfiguration_time >= 0,
-              "switch.reconfiguration_time", "must be >= 0")
 
-    if finite(spec.collection_fraction, "collection_fraction"):
-        check(0 < spec.collection_fraction <= 1, "collection_fraction",
-              "out of (0,1]")
-    if finite(spec.detector_efficiency, "detector_efficiency"):
-        check(0 < spec.detector_efficiency <= 1, "detector_efficiency",
-              "out of (0,1]")
-    if finite(spec.attempt_rate, "attempt_rate"):
-        check(spec.attempt_rate > 0, "attempt_rate", "must be > 0")
-        if not _bad(sp.linewidth):
-            emission_rate = sp.linewidth / TWO_PI
-            check(spec.attempt_rate <= emission_rate, "attempt_rate",
-                  f"exceeds emission-rate bound linewidth/2pi = {emission_rate!r}")
-    check(spec.buffer_capacity >= 1, "buffer_capacity", "must be >= 1")
-    check(spec.buffer_capacity <= MAX_BUFFER_CAPACITY, "buffer_capacity",
-          f"must be <= {MAX_BUFFER_CAPACITY}")
-    if spec.pair_lifetime is not None and finite(spec.pair_lifetime, "pair_lifetime"):
-        check(spec.pair_lifetime > 0, "pair_lifetime", "must be > 0 when set")
-    if finite(spec.two_qubit_gate_fidelity, "two_qubit_gate_fidelity"):
-        check(0 < spec.two_qubit_gate_fidelity <= 1,
-              "two_qubit_gate_fidelity", "out of (0,1]")
-    for name in ("teleport_overhead_time", "classical_latency"):
-        val = getattr(spec, name)
-        if finite(val, name):
-            check(val >= 0, name, "must be >= 0")
-
+    _check(spec, "", v, "link")
+    _check(spec, "", v, "costs")
+    if not _bad(spec.attempt_rate) and not _bad(sp.linewidth):
+        emission_rate = sp.linewidth / TWO_PI
+        check(spec.attempt_rate <= emission_rate, "attempt_rate",
+              f"exceeds emission-rate bound linewidth/2pi = {emission_rate!r}")
     return ValidationReport(tuple(v))
 
 
@@ -262,91 +351,19 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
 # JSON I/O
 # ---------------------------------------------------------------------------
 
-def _angular(obj: dict, stem: str, path: str) -> float:
-    """Read ``<stem>_hz`` (times 2*pi) or ``<stem>_rad_s`` (as is); exactly one."""
-    hz_key, rad_key = f"{stem}_hz", f"{stem}_rad_s"
-    has_hz, has_rad = hz_key in obj, rad_key in obj
-    if has_hz == has_rad:
-        raise SchemaError(f"exactly one of {hz_key} / {rad_key} required", path)
-    if has_hz:
-        return TWO_PI * number(obj, hz_key, path)
-    return number(obj, rad_key, path)
-
-
-def _parse_species(obj: dict, path: str) -> IonSpecies:
-    require_keys(obj, path, {"name"},
-                 {"mass_u", "mass_kg", "hyperfine_splitting_hz",
-                  "linewidth_hz", "linewidth_rad_s",
-                  "detection_time_s", "qubit_coherence_time_s"})
-    name = string(obj, "name", path)
-    base = default_species(name)
-    if "mass_u" in obj and "mass_kg" in obj:
-        raise SchemaError("give mass_u or mass_kg, not both", path)
-    mass = base.mass
-    if "mass_u" in obj:
-        mass = number(obj, "mass_u", path) * ATOMIC_MASS_KG
-    elif "mass_kg" in obj:
-        mass = number(obj, "mass_kg", path)
-    linewidth = base.linewidth
-    if "linewidth_hz" in obj or "linewidth_rad_s" in obj:
-        linewidth = _angular(obj, "linewidth", path)
-    return IonSpecies(
-        name=name,
-        mass=mass,
-        hyperfine_splitting=number(obj, "hyperfine_splitting_hz", path)
-        if "hyperfine_splitting_hz" in obj else base.hyperfine_splitting,
-        linewidth=linewidth,
-        detection_time=number(obj, "detection_time_s", path)
-        if "detection_time_s" in obj else base.detection_time,
-        qubit_coherence_time=number(obj, "qubit_coherence_time_s", path)
-        if "qubit_coherence_time_s" in obj else base.qubit_coherence_time,
-    )
-
-
-def _parse_drive(obj: dict, path: str) -> DriveField:
-    require_keys(obj, path, {"effective_wavevector_rad_m"},
-                 {"dipole_coupling", "field_amplitude",
-                  "rabi_frequency_hz", "rabi_frequency_rad_s"})
-    k = number(obj, "effective_wavevector_rad_m", path)
-    mu = number(obj, "dipole_coupling", path) if "dipole_coupling" in obj else None
-    e0 = number(obj, "field_amplitude", path) if "field_amplitude" in obj else None
-    has_rabi = "rabi_frequency_hz" in obj or "rabi_frequency_rad_s" in obj
-    if has_rabi:
-        rabi = _angular(obj, "rabi_frequency", path)
-    elif mu is not None and e0 is not None:
-        rabi = mu * e0 / HBAR
-    else:
-        raise SchemaError(
-            "rabi_frequency_hz/_rad_s required unless both dipole_coupling "
-            "and field_amplitude are given", path)
-    return DriveField(effective_wavevector=k, rabi_frequency=rabi,
-                      dipole_coupling=mu, field_amplitude=e0)
-
-
-def _parse_elu(obj: dict, path: str) -> EluSpec:
-    require_keys(
-        obj, path,
-        {"id", "n_ions", "comm_ion_indices", "fast_gate_distance",
-         "single_qubit_gate_time_s"},
-        {"trap_frequency_hz", "trap_frequency_rad_s",
-         "collision_rate_per_ion_hz", "reload_time_s", "shuttle_cost_time_s"})
-    idx = obj["comm_ion_indices"]
-    if not isinstance(idx, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in idx):
-        raise SchemaError("expected list of integers", f"{path}.comm_ion_indices")
-    return EluSpec(
-        id=string(obj, "id", path),
-        n_ions=integer(obj, "n_ions", path),
-        comm_ion_indices=tuple(idx),
-        fast_gate_distance=integer(obj, "fast_gate_distance", path),
-        trap_frequency=_angular(obj, "trap_frequency", path),
-        single_qubit_gate_time=number(obj, "single_qubit_gate_time_s", path),
-        collision_rate_per_ion=number(obj, "collision_rate_per_ion_hz", path)
-        if "collision_rate_per_ion_hz" in obj else 0.0,
-        reload_time=number(obj, "reload_time_s", path)
-        if "reload_time_s" in obj else 0.1,
-        shuttle_cost_time=number(obj, "shuttle_cost_time_s", path)
-        if "shuttle_cost_time_s" in obj else 0.0,
-    )
+def _read(cls: type, obj: object, path: str, section: str | None = None) -> dict:
+    """The declared fields of ``cls`` (of ``section``) that the JSON object
+    ``obj`` at ``path`` gives or that have a default of their own; a
+    ``_DERIVED`` field the object leaves out is left to the caller."""
+    required, keys, entries = _READERS[cls, section]
+    require_keys(obj, path, required, keys)
+    values = {}
+    for name, key, first, last, read, default in entries:
+        if first in obj or last in obj or default is MISSING:
+            values[name] = read(obj, key, path)
+        elif default is not _DERIVED:
+            values[name] = default
+    return values
 
 
 def parse_architecture(doc: object) -> ArchitectureSpec:
@@ -359,48 +376,29 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
     if doc["schema"] != SCHEMA_ID:
         raise SchemaError(f"expected schema {SCHEMA_ID!r}, got {doc['schema']!r}",
                           "$.schema")
-    species = _parse_species(doc["species"], "$.species")
-    drive = _parse_drive(doc["drive"], "$.drive")
+    species = _read(IonSpecies, doc["species"], "$.species")
+    try:
+        base = default_species(species["name"])
+    except UnknownSpecies as exc:
+        raise SchemaError(str(exc), "$.species.name") from None
+    drive = _read(DriveField, doc["drive"], "$.drive")
+    if "rabi_frequency" not in drive:
+        mu, e0 = drive["dipole_coupling"], drive["field_amplitude"]
+        if mu is None or e0 is None:
+            raise SchemaError(
+                "rabi_frequency_hz/_rad_s required unless both dipole_coupling "
+                "and field_amplitude are given", "$.drive")
+        drive["rabi_frequency"] = mu * e0 / HBAR
     if not isinstance(doc["elus"], list) or not doc["elus"]:
         raise SchemaError("expected non-empty array", "$.elus")
-    elus = tuple(_parse_elu(e, f"$.elus[{i}]") for i, e in enumerate(doc["elus"]))
-
-    sw = doc["switch"]
-    require_keys(sw, "$.switch", {"port_count", "reconfiguration_time_s"})
-    switch = SwitchSpec(port_count=integer(sw, "port_count", "$.switch"),
-                        reconfiguration_time=number(sw, "reconfiguration_time_s", "$.switch"))
-
-    link = doc["link"]
-    require_keys(link, "$.link",
-                 {"attempt_rate_hz", "collection_fraction",
-                  "detector_efficiency", "buffer_capacity"},
-                 {"pair_lifetime_s", "dual_species_comm"})
-    lifetime = None
-    if "pair_lifetime_s" in link and link["pair_lifetime_s"] is not None:
-        lifetime = number(link, "pair_lifetime_s", "$.link")
-    dual = link.get("dual_species_comm", False)
-    if not isinstance(dual, bool):
-        raise SchemaError("expected boolean", "$.link.dual_species_comm")
-
-    costs = doc["costs"]
-    require_keys(costs, "$.costs",
-                 {"two_qubit_gate_fidelity", "teleport_overhead_time_s",
-                  "classical_latency_s"})
-
     spec = ArchitectureSpec(
-        species=species,
-        drive=drive,
-        elus=elus,
-        switch=switch,
-        buffer_capacity=integer(link, "buffer_capacity", "$.link"),
-        attempt_rate=number(link, "attempt_rate_hz", "$.link"),
-        collection_fraction=number(link, "collection_fraction", "$.link"),
-        detector_efficiency=number(link, "detector_efficiency", "$.link"),
-        two_qubit_gate_fidelity=number(costs, "two_qubit_gate_fidelity", "$.costs"),
-        teleport_overhead_time=number(costs, "teleport_overhead_time_s", "$.costs"),
-        classical_latency=number(costs, "classical_latency_s", "$.costs"),
-        pair_lifetime=lifetime,
-        dual_species_comm=dual,
+        species=replace(base, **species),
+        drive=DriveField(**drive),
+        elus=tuple(EluSpec(**_read(EluSpec, e, f"$.elus[{i}]"))
+                   for i, e in enumerate(doc["elus"])),
+        switch=SwitchSpec(**_read(SwitchSpec, doc["switch"], "$.switch")),
+        **_read(ArchitectureSpec, doc["link"], "$.link", "link"),
+        **_read(ArchitectureSpec, doc["costs"], "$.costs", "costs"),
     )
     report = validate_architecture(spec)
     if not report.ok:
@@ -408,60 +406,27 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
     return spec
 
 
+def _write(obj, section: str | None = None) -> dict:
+    """The JSON object of the declared fields of ``obj`` (of ``section``); an
+    unset optional field (None, or False for a flag) is left out."""
+    doc = {}
+    for name, key in _WRITERS[type(obj), section]:
+        val = getattr(obj, name)
+        if val is not None and val is not False:
+            doc[key] = list(val) if isinstance(val, tuple) else val
+    return doc
+
+
 def architecture_to_doc(spec: ArchitectureSpec) -> dict:
     """Spec as an ionfab-arch/1 document; inverse of :func:`parse_architecture`."""
-    sp, dr = spec.species, spec.drive
-    drive_doc: dict = {"effective_wavevector_rad_m": dr.effective_wavevector,
-                       "rabi_frequency_rad_s": dr.rabi_frequency}
-    if dr.dipole_coupling is not None:
-        drive_doc["dipole_coupling"] = dr.dipole_coupling
-    if dr.field_amplitude is not None:
-        drive_doc["field_amplitude"] = dr.field_amplitude
-    link_doc: dict = {
-        "attempt_rate_hz": spec.attempt_rate,
-        "collection_fraction": spec.collection_fraction,
-        "detector_efficiency": spec.detector_efficiency,
-        "buffer_capacity": spec.buffer_capacity,
-    }
-    if spec.pair_lifetime is not None:
-        link_doc["pair_lifetime_s"] = spec.pair_lifetime
-    if spec.dual_species_comm:
-        link_doc["dual_species_comm"] = True
     return {
         "schema": SCHEMA_ID,
-        "species": {
-            "name": sp.name,
-            "mass_kg": sp.mass,
-            "hyperfine_splitting_hz": sp.hyperfine_splitting,
-            "linewidth_rad_s": sp.linewidth,
-            "detection_time_s": sp.detection_time,
-            "qubit_coherence_time_s": sp.qubit_coherence_time,
-        },
-        "drive": drive_doc,
-        "elus": [
-            {
-                "id": e.id,
-                "n_ions": e.n_ions,
-                "comm_ion_indices": list(e.comm_ion_indices),
-                "fast_gate_distance": e.fast_gate_distance,
-                "trap_frequency_rad_s": e.trap_frequency,
-                "single_qubit_gate_time_s": e.single_qubit_gate_time,
-                "collision_rate_per_ion_hz": e.collision_rate_per_ion,
-                "reload_time_s": e.reload_time,
-                "shuttle_cost_time_s": e.shuttle_cost_time,
-            }
-            for e in spec.elus
-        ],
-        "switch": {
-            "port_count": spec.switch.port_count,
-            "reconfiguration_time_s": spec.switch.reconfiguration_time,
-        },
-        "link": link_doc,
-        "costs": {
-            "two_qubit_gate_fidelity": spec.two_qubit_gate_fidelity,
-            "teleport_overhead_time_s": spec.teleport_overhead_time,
-            "classical_latency_s": spec.classical_latency,
-        },
+        "species": _write(spec.species),
+        "drive": _write(spec.drive),
+        "elus": [_write(e) for e in spec.elus],
+        "switch": _write(spec.switch),
+        "link": _write(spec, "link"),
+        "costs": _write(spec, "costs"),
     }
 
 

@@ -7,7 +7,8 @@ import pytest
 from ionfab.arch import (MAX_BUFFER_CAPACITY, MAX_ELUS, MAX_IONS_PER_ELU,
                          MAX_SWITCH_PORTS, DriveField, SwitchSpec,
                          architecture_to_doc, default_species,
-                         load_architecture, validate_architecture)
+                         load_architecture, parse_architecture,
+                         validate_architecture)
 from ionfab.constants import ATOMIC_MASS_KG, HBAR, TWO_PI
 from ionfab.errors import InvalidArchitecture, SchemaError, UnknownSpecies
 from conftest import EXAMPLE_JSON
@@ -229,6 +230,14 @@ class TestLoadSave:
         path.write_text(json.dumps(doc))
         assert load_architecture(path).species.mass == 171.0 * ATOMIC_MASS_KG
 
+    def test_unknown_species_names_its_path(self):
+        doc = json.loads(EXAMPLE_TEXT)
+        doc["species"]["name"] = "Xx1"
+        with pytest.raises(SchemaError) as err:
+            parse_architecture(doc)
+        assert err.value.path == "$.species.name"
+        assert err.value.reason == "unknown species 'Xx1' (known: Yb171)"
+
     def test_drive_from_components_only(self, tmp_path):
         doc = json.loads(EXAMPLE_TEXT)
         doc["drive"] = {"effective_wavevector_rad_m": 3.5e7,
@@ -238,3 +247,30 @@ class TestLoadSave:
         spec = load_architecture(path)
         assert spec.drive.rabi_frequency == 1e-29 * 1e4 / HBAR
 
+
+def drive_violations(drive: dict) -> list[tuple[str, str]]:
+    """The violations of the example machine with ``drive`` as its drive."""
+    doc = json.loads(EXAMPLE_TEXT)
+    doc["drive"] = {"effective_wavevector_rad_m": 3.5e7, **drive}
+    with pytest.raises(InvalidArchitecture) as err:
+        parse_architecture(doc)
+    return [(v.path, v.message) for v in err.value.report.violations]
+
+
+class TestDriveComponents:
+    """A dipole coupling or field amplitude, when given, is finite and > 0."""
+
+    @pytest.mark.parametrize("mu, message", [
+        (-1e-29, "must be > 0 when set"),
+        (0.0, "must be > 0 when set"),
+        (float("nan"), "not a finite number: nan"),
+    ], ids=["negative", "zero", "nan"])
+    def test_lone_component_next_to_rabi(self, mu, message):
+        assert drive_violations({"rabi_frequency_hz": 1e6, "dipole_coupling": mu}) == \
+            [("drive.dipole_coupling", message)]
+
+    def test_negative_components_derive_no_rabi(self):
+        # (-mu) * (-E0) / hbar is positive, but neither component is
+        assert drive_violations({"dipole_coupling": -1e-29, "field_amplitude": -1e4}) == [
+            ("drive.dipole_coupling", "must be > 0 when set"),
+            ("drive.field_amplitude", "must be > 0 when set")]

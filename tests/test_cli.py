@@ -773,6 +773,9 @@ BAD_INPUTS = {
     "arch_mass_u_and_mass_kg": (
         ["rates", "{f}"], example_with(lambda d: d["species"].update(mass_u=171.0)),
         "{f}: $.species: give mass_u or mass_kg, not both"),
+    "arch_unknown_species": (
+        ["rates", "{f}"], example_with(lambda d: d["species"].update(name="Xx1")),
+        "{f}: $.species.name: unknown species 'Xx1' (known: Yb171)"),
     "arch_string_dual_species_comm": (
         ["rates", "{f}"],
         example_with(lambda d: d["link"].update(dual_species_comm="yes")),

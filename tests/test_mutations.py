@@ -6,9 +6,9 @@ another type, NaN, +inf, -inf, a negative or a huge value. The return code
 must be 0 or 1, an exit 1 must print exactly one ``ionfab: error:`` line,
 an exit 0 must hash exactly the files its command line names, no exception
 may escape, and the run must stay within ``RUN_CPU_LIMIT_S`` of CPU time
-(the size caps bound the work a huge value can ask for). For Ising and QEC
-documents every mutant that the published schema rejects must be rejected
-by the parser too.
+(the size caps bound the work a huge value can ask for). For architecture,
+Ising and QEC documents every mutant that the published schema rejects must
+be rejected by the parser too.
 """
 
 import copy
@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, SCHEMAS_DIR
+from ionfab.arch import parse_architecture
 from ionfab.cli import main
 from ionfab.errors import IonfabError
 from ionfab.ising import instance_to_doc, parse_instance, power_law_couplings
@@ -191,6 +192,31 @@ def test_mutated_example_machine(workdir, data):
     path.write_text(draw_mutant(data, json.loads(EXAMPLE_JSON.read_text())))
     run = data.draw(st.sampled_from(EXAMPLE_RUNS), label="command")
     assert_contract(run(str(path), str(sched)))
+    assert_parser_as_strict(parse_architecture, "ionfab-arch-1.schema.json",
+                            path.read_text())
+
+
+# Drives with mu or E0 given: one next to a Rabi frequency, whose bounds
+# nothing else checks, and both, from which the Rabi frequency is derived.
+COMPONENT_DRIVES = [
+    {"effective_wavevector_rad_m": 3.5e7, "rabi_frequency_hz": 1e6,
+     "dipole_coupling": 1e-29},
+    {"effective_wavevector_rad_m": 3.5e7, "dipole_coupling": 1e-29,
+     "field_amplitude": 1e4}]
+
+
+@settings(max_examples=100)
+@given(drive=st.sampled_from(COMPONENT_DRIVES), data=st.data())
+def test_mutated_drive_components(drive, data):
+    """The example machine with a mutant of ``drive`` as its drive."""
+    doc = json.loads(EXAMPLE_JSON.read_text())
+    text = draw_mutant(data, drive)
+    if text:
+        doc["drive"] = json.loads(text)
+    else:
+        del doc["drive"]
+    assert_parser_as_strict(parse_architecture, "ionfab-arch-1.schema.json",
+                            json.dumps(doc))
 
 
 ising_docs = st.builds(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import jsonschema
@@ -5,7 +6,9 @@ import pytest
 
 from conftest import EXAMPLE_JSON, SCHEMAS_DIR
 from ionfab.arch import (MAX_BUFFER_CAPACITY, MAX_ELUS, MAX_IONS_PER_ELU,
-                         MAX_SWITCH_PORTS, architecture_to_doc, load_architecture)
+                         MAX_SWITCH_PORTS, ArchitectureSpec, DriveField,
+                         EluSpec, IonSpecies, SwitchSpec, architecture_to_doc,
+                         load_architecture)
 from ionfab.cli import sim_result_doc
 from ionfab.ising import instance_to_doc, power_law_couplings
 from ionfab.netsim import SwitchConfig, default_link, run_sim
@@ -21,6 +24,23 @@ def load_schema(name):
 def validate(doc, schema_name):
     jsonschema.validate(doc, load_schema(schema_name),
                         format_checker=jsonschema.FormatChecker())
+
+
+# The classes whose fields the architecture file declares, with the section
+# of the document that holds them; ArchitectureSpec's own fields name theirs.
+DECLARED_CLASSES = {IonSpecies: "species", DriveField: "drive", EluSpec: "elus",
+                    SwitchSpec: "switch", ArchitectureSpec: None}
+SECTIONS = ("species", "drive", "elus", "switch", "link", "costs")
+SCHEMA_BOUNDS = {"exclusiveMinimum": "gt", "minimum": "ge", "maximum": "le"}
+# Schema bounds that a cross-field rule of validate_architecture checks
+# instead of a declaration: 1 <= fast_gate_distance < n_ions. The ELU count
+# and the communication-ion range are rules of that kind too, but the
+# schema states them on the array and on its items.
+CROSS_FIELD_BOUNDS = {("elus", "fast_gate_distance", "minimum")}
+
+
+def section_properties(props, section):
+    return (props["elus"]["items"] if section == "elus" else props[section])["properties"]
 
 
 class TestArchSchema:
@@ -44,14 +64,32 @@ class TestArchSchema:
             validate(doc, "ionfab-arch-1.schema.json")
 
     def test_size_caps_match_the_parser(self):
+        """Each bound the schema states for an architecture field is the
+        bound of the field's declaration, size caps included."""
         props = load_schema("ionfab-arch-1.schema.json")["properties"]
-        assert props["elus"]["maxItems"] == MAX_ELUS
+        assert (props["elus"]["minItems"], props["elus"]["maxItems"]) == (1, MAX_ELUS)
         assert props["elus"]["items"]["properties"]["n_ions"]["maximum"] == \
             MAX_IONS_PER_ELU
         assert props["switch"]["properties"]["port_count"]["maximum"] == \
             MAX_SWITCH_PORTS
         assert props["link"]["properties"]["buffer_capacity"]["maximum"] == \
             MAX_BUFFER_CAPACITY
+        declared = set()
+        for cls in DECLARED_CLASSES:
+            for f in dataclasses.fields(cls):
+                if not f.metadata:
+                    continue
+                section = f.metadata["section"] or DECLARED_CLASSES[cls]
+                for key in f.metadata["keys"]:
+                    prop = section_properties(props, section)[key]
+                    declared.add((section, key))
+                    for word, bound in SCHEMA_BOUNDS.items():
+                        if (section, key, word) in CROSS_FIELD_BOUNDS:
+                            assert f.metadata[bound] is None and word in prop
+                        else:
+                            assert prop.get(word) == f.metadata[bound], (key, word)
+        assert declared == {(section, key) for section in SECTIONS
+                            for key in section_properties(props, section)}
 
     def test_ions_over_cap_fail_schema(self):
         doc = json.loads(EXAMPLE_JSON.read_text())
