@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .arch import ArchitectureSpec
 from .errors import CapacityError, DomainError
+from .netsim import SwitchConfig, validate_switch_config
 from .rates import elu_gate_rate, mean_connection_rate, slow_gate_time
 
 # Speed ratio of proximity gates to collective-bus gates.
@@ -76,15 +77,22 @@ def build_interaction_graph(spec: ArchitectureSpec, links=()) -> InteractionGrap
 
     ``links`` is an iterable of ((elu_a, pos_a), (elu_b, pos_b)) pairs of
     communication ions in distinct ELUs, the wiring the crossconnect makes.
-    A photonic edge costs the expected pair wait 1/mean_connection_rate plus
-    the teleport and classical overheads.
+    They must form a valid switch configuration (see
+    :func:`~ionfab.netsim.validate_switch_config`): no port on two links,
+    no more ports than ``switch.port_count``. Edges come in sorted link
+    order. A photonic edge costs the expected pair wait
+    1/mean_connection_rate plus the teleport and classical overheads.
     """
+    cfg = SwitchConfig(frozenset(links))
+    validate_switch_config(spec, cfg)
+    links = sorted(cfg.active_links)
     nodes: list[QubitNode] = []
     edges: list[Edge] = []
+    offset_of: dict[str, int] = {}
     fid = spec.two_qubit_gate_fidelity
     for elu in spec.elus:
         comm = set(elu.comm_ion_indices)
-        offset = len(nodes)
+        offset = offset_of[elu.id] = len(nodes)
         for pos in range(elu.n_ions):
             role = Role.COMMUNICATION if pos in comm else Role.MEMORY
             nodes.append(QubitNode(elu.id, pos, role))
@@ -97,24 +105,13 @@ def build_interaction_graph(spec: ArchitectureSpec, links=()) -> InteractionGrap
                 if j - i <= elu.fast_gate_distance:
                     edges.append(Edge(offset + i, offset + j, Tier.FAST,
                                       tau_fast, fid))
-    links = list(links)
     if links:
-        index = {(n.elu_id, n.position): i for i, n in enumerate(nodes)}
         rate = mean_connection_rate(spec.attempt_rate, spec.collection_fraction,
                                     spec.detector_efficiency)
         wait = 1.0 / rate + spec.teleport_overhead_time + spec.classical_latency
     for (elu_a, pos_a), (elu_b, pos_b) in links:
-        for end in ((elu_a, pos_a), (elu_b, pos_b)):
-            if end not in index:
-                raise DomainError(f"photonic link endpoint {end[0]}.{end[1]} "
-                                  "is not a qubit of the machine")
-        ia, ib = index[elu_a, pos_a], index[elu_b, pos_b]
-        na, nb = nodes[ia], nodes[ib]
-        if na.elu_id == nb.elu_id:
-            raise DomainError("photonic link endpoints must be in distinct ELUs")
-        if na.role is not Role.COMMUNICATION or nb.role is not Role.COMMUNICATION:
-            raise DomainError("photonic link endpoints must be communication ions")
-        edges.append(Edge(ia, ib, Tier.PHOTONIC, wait, fid))
+        edges.append(Edge(offset_of[elu_a] + pos_a, offset_of[elu_b] + pos_b,
+                          Tier.PHOTONIC, wait, fid))
     return InteractionGraph(tuple(nodes), tuple(edges))
 
 

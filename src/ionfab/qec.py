@@ -1,15 +1,16 @@
 """QEC check-operator (Tanner) graph families and embedding-cost analysis.
 
-Three generators: a rotated-layout surface-code patch (planar, low-weight
-checks), a recursively concatenated Steane [7,1,3] code (check weight grows
-with level), and the hypergraph product of two classical check matrices
-(fixed-weight but spatially non-local checks), built from the row and
-column supports of its two factors. No generator builds a code of more than
-``MAX_DOC_DATA`` data nodes, the most a code document may hold: each raises
-``DomainError`` first. Embedders place a code on a 2D swap grid or on the
-modular machine and report routing cost, swap counts, and entangled-pair
-consumption per syndrome-extraction round; the grid embedder costs every
-check-to-data arm in one numpy pass.
+Three generators, each written from its code's definition: a rotated-layout
+surface-code patch from its plaquette rule on the d x d grid (planar,
+low-weight checks), a concatenated Steane [7,1,3] code built one level per
+loop pass (check weight grows with level), and the hypergraph product of
+two classical check matrices (fixed-weight but spatially non-local checks),
+built from the row and column supports of its two factors. No generator
+builds a code of more than ``MAX_DOC_DATA`` data nodes, the most a code
+document may hold: each raises ``DomainError`` first. Embedders place a
+code on a 2D swap grid or on the modular machine and report routing cost,
+swap counts, and entangled-pair consumption per syndrome-extraction round;
+the grid embedder costs every check-to-data arm in one numpy pass.
 
 Swap convention, used consistently everywhere: moving syndrome information
 across one check-to-data arm of Manhattan length d costs 2*(d - 1) swaps
@@ -116,12 +117,18 @@ def swaps_for_distance(distance: int) -> int:
 # ---------------------------------------------------------------------------
 
 def surface_code_graph(distance: int) -> QecGraph:
-    """Rotated-layout planar surface-code patch.
+    """Rotated-layout planar surface-code patch, from its plaquette rule.
 
-    d^2 data nodes and d^2 - 1 alternating X/Z checks of weight 2 or 4. The
-    stored integer coordinates are a planar straight-line embedding in which
-    every check sits at Manhattan distance 1 from each of its data nodes
-    (used by the grid embedder's ``native`` placement).
+    Data (r, c) of the d x d grid is node r*d + c. The plaquette at corner
+    (r, c), 0 <= r, c <= d, touches the data (r-1 or r, c-1 or c) that
+    exist. X checks are the plaquettes with r + c odd on rows 0..d and
+    columns 1..d-1; Z checks those with r + c even on rows 1..d-1 and
+    columns 0..d. That gives d^2 - 1 checks of weight 2 or 4, listed X
+    first, then rows outer and columns inner. Coordinates rotate the grid
+    by 45 degrees: (r + c + 1, r - c + d) for data and (r + c, r - c + d)
+    for plaquettes, a planar straight-line embedding in which every check
+    sits at Manhattan distance 1 from each of its data nodes (used by the
+    grid embedder's ``native`` placement).
     """
     if distance < 3 or distance % 2 == 0:
         raise DomainError(f"distance must be odd and >= 3, got {distance}")
@@ -129,51 +136,25 @@ def surface_code_graph(distance: int) -> QecGraph:
     if d * d > MAX_DOC_DATA:
         raise DomainError(f"surface code of distance {d} has {d * d} data nodes, "
                           f"over the cap of {MAX_DOC_DATA}")
-    span = 2 * d  # lattice coordinates run over 0..2d on the doubled grid
-
-    data_id: dict[tuple[int, int], int] = {}
-    for j in range(1, span, 2):
-        for i in range(1, span, 2):
-            data_id[(j, i)] = len(data_id)
-
-    def rotate(j: int, i: int) -> tuple[int, int]:
-        # 45-degree rotation of the even sublattice onto the integer grid;
-        # diagonal lattice neighbors become orthogonal grid neighbors.
-        return (i + j) // 2, (j - i + span) // 2
-
     checks: list[Check] = []
     check_coords: list[tuple[int, int]] = []
-
-    def maybe_add(kind: str, j: int, i: int) -> None:
-        members = frozenset(
-            data_id[(j + dj, i + di)]
-            for dj in (-1, 1) for di in (-1, 1)
-            if (j + dj, i + di) in data_id
-        )
-        if members:
-            checks.append(Check(kind, members))
-            check_coords.append(rotate(j, i))
-
-    for j in range(0, span + 1, 2):
-        for i in range(2, span - 1, 2):
-            if (i % 4 == 2 and j % 4 == 0) or (i % 4 == 0 and j % 4 == 2):
-                maybe_add("X", j, i)
-    for j in range(2, span - 1, 2):
-        for i in range(0, span + 1, 2):
-            if (i % 4 == 0 and j % 4 == 0) or (i % 4 == 2 and j % 4 == 2):
-                maybe_add("Z", j, i)
-
-    data_coords = [None] * len(data_id)
-    for (j, i), idx in data_id.items():
-        data_coords[idx] = rotate(j, i)
-
+    for kind, parity, rows, cols in (("X", 1, range(d + 1), range(1, d)),
+                                     ("Z", 0, range(1, d), range(d + 1))):
+        for r in rows:
+            for c in cols:
+                if (r + c) % 2 == parity:
+                    checks.append(Check(kind, frozenset(
+                        i * d + j for i in (r - 1, r) if 0 <= i < d
+                        for j in (c - 1, c) if 0 <= j < d)))
+                    check_coords.append((r + c, r - c + d))
     return QecGraph(
         n_data=d * d,
         checks=tuple(checks),
         family="surface",
         params={"distance": d},
         rate=1.0 / (d * d),
-        data_coords=tuple(data_coords),
+        data_coords=tuple((r + c + 1, r - c + d)
+                          for r in range(d) for c in range(d)),
         check_coords=tuple(check_coords),
     )
 
@@ -189,11 +170,14 @@ STEANE_PARITY_SETS = (frozenset({3, 4, 5, 6}),
 
 
 def steane_concat_graph(levels: int) -> QecGraph:
-    """Steane [7,1,3] concatenated ``levels`` times.
+    """Steane [7,1,3] concatenated ``levels`` times, one level per loop pass.
 
-    Level L replaces each data node of level L-1 with a 7-qubit block and
-    lifts each top-level check transversally over its blocks, so data count
-    is 7^L and the top-level check weight is 4 * 7^(L-1).
+    Starting from one data node and no checks, each level takes seven
+    copies of the previous checks, copy b offset by b times the previous
+    data count n, then appends the six block checks: for each kind (X, then
+    Z) and each of ``STEANE_PARITY_SETS``, the union of the blocks in the
+    set. Then n grows sevenfold. So data count is 7^L and the top-level
+    check weight is 4 * 7^(L-1).
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -201,28 +185,14 @@ def steane_concat_graph(levels: int) -> QecGraph:
     if 7 ** min(levels, MAX_DOC_DATA.bit_length()) > MAX_DOC_DATA:
         raise DomainError(f"Steane code of {levels} levels has 7^{levels} data "
                           f"nodes, over the cap of {MAX_DOC_DATA}")
-
-    def build(level: int) -> tuple[int, list[Check]]:
-        if level == 1:
-            checks = [Check(kind, s) for kind in ("X", "Z")
-                      for s in STEANE_PARITY_SETS]
-            return 7, checks
-        inner_n, inner_checks = build(level - 1)
-        checks = []
-        for b in range(7):
-            offset = b * inner_n
-            checks.extend(
-                Check(c.kind, frozenset(q + offset for q in c.data))
-                for c in inner_checks
-            )
-        for kind in ("X", "Z"):
-            for s in STEANE_PARITY_SETS:
-                members = frozenset(
-                    q for b in s for q in range(b * inner_n, (b + 1) * inner_n))
-                checks.append(Check(kind, members))
-        return 7 * inner_n, checks
-
-    n, checks = build(levels)
+    n, checks = 1, []
+    for _ in range(levels):
+        checks = [Check(c.kind, frozenset(q + offset for q in c.data))
+                  for offset in range(0, 7 * n, n) for c in checks]
+        blocks = [frozenset().union(*[range(b * n, (b + 1) * n) for b in s])
+                  for s in STEANE_PARITY_SETS]
+        checks += [Check(kind, s) for kind in ("X", "Z") for s in blocks]
+        n *= 7
     return QecGraph(n_data=n, checks=tuple(checks), family="steane",
                     params={"levels": levels}, rate=1.0 / n)
 

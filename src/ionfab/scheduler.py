@@ -22,7 +22,8 @@ Operations inside one ELU differ only in duration:
 * two-qubit gates: tau_fast = tau_slow/kappa on a fast edge (positions
   within the fast-gate distance), else tau_slow = 2*pi/R_gate(N). With
   ``strict_proximity`` a distant pair is first brought within the fast-gate
-  distance by chain swaps of 3*tau_fast each;
+  distance by chain swaps of 3*tau_fast each, which moves operand 0 and
+  raises ``CapacityError`` rather than park it on a communication ion;
 * GLOBAL_MS: tau_slow, operands confined to one ELU;
 * MEASURE: the species detection time (plus the shuttle cost when
   ``measure_isolation`` is on and another ion of the ELU is busy).
@@ -351,6 +352,9 @@ def schedule(
                     while abs(position_of[q1][1] - position_of[q0][1]) > elu.fast_gate_distance:
                         cur = position_of[q0]
                         nxt = (eid, cur[1] + step)
+                        if nxt[1] in elu.comm_ion_indices:
+                            raise CapacityError(f"strict proximity would swap q{q0} "
+                                                f"onto communication ion {eid}.{nxt[1]}")
                         other = qubit_at.get(nxt)
                         swap_start = max(start, ion_free[cur], ion_free[nxt])
                         swap_time = SWAP_GATE_COUNT * tau_fast[eid]

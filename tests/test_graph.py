@@ -81,11 +81,34 @@ class TestPhotonicLinks:
         with pytest.raises(DomainError, match="distinct"):
             build_interaction_graph(example_spec, links=[(("A", 0), ("A", 19))])
 
-    @pytest.mark.parametrize("end", [("A", 99), ("C", 0)])
-    def test_rejects_endpoint_outside_machine(self, example_spec, end):
-        label = f"{end[0]}.{end[1]}"
-        with pytest.raises(DomainError, match=f"endpoint {label} is not a qubit"):
+    @pytest.mark.parametrize("end, message", [
+        (("A", 99), "port A.99 is not a communication ion"),
+        (("C", 0), "unknown ELU 'C' in switch config"),
+    ], ids=["end0", "end1"])
+    def test_rejects_endpoint_outside_machine(self, example_spec, end, message):
+        with pytest.raises(DomainError, match=message):
             build_interaction_graph(example_spec, links=[(("B", 0), end)])
+
+    @pytest.mark.parametrize("second", [(("A", 0), ("B", 1)), (("B", 0), ("A", 0))],
+                             ids=["shared_port", "reversed_duplicate"])
+    def test_rejects_port_on_two_links(self, example_spec, second):
+        with pytest.raises(DomainError, match="used by two links"):
+            build_interaction_graph(example_spec, links=[(("A", 0), ("B", 0)), second])
+
+    def test_rejects_more_ports_than_the_switch_has(self, example_spec):
+        spec = dataclasses.replace(
+            example_spec,
+            switch=dataclasses.replace(example_spec.switch, port_count=2))
+        with pytest.raises(DomainError, match="config uses 4 ports, switch has 2"):
+            build_interaction_graph(
+                spec, links=[(("A", 0), ("B", 0)), (("A", 1), ("B", 1))])
+
+    def test_edges_in_sorted_link_order(self, example_spec):
+        g = build_interaction_graph(
+            example_spec, links=[(("B", 1), ("A", 1)), (("A", 0), ("B", 0))])
+        labels = [(g.nodes[e.a].label, g.nodes[e.b].label)
+                  for e in g.tier_edges(Tier.PHOTONIC)]
+        assert labels == [("A.0", "B.0"), ("A.1", "B.1")]
 
     def test_no_links_no_photonic_edges(self, example_spec):
         g = build_interaction_graph(example_spec)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -447,6 +449,29 @@ class TestHypergraphProduct:
     def test_rejects_ragged(self):
         with pytest.raises(DomainError):
             hypergraph_product_graph([[1, 0], [1]], [[1]])
+
+
+# sha256 of each generator's sorted-key code document. Counts, weights and
+# planarity leave check order and coordinates free, but partitions.json and
+# the qec-codes bench digest depend on both.
+PINNED_CODE_DOCS = {
+    ("surface", 3): "89df9179e1bfac2b495d41ee39dbae36b603317ead31f86ab156d2267d4a4734",
+    ("surface", 5): "02bd7ea9675f13c02bac993a781acedd2a57a7d190db5841c1689ae22300ec77",
+    ("surface", 9): "b5fcf0344293b8457a413d508735838232151305a99698ca3afeb92fbf28175c",
+    ("surface", 15): "06c00973c879e4f6db08590640d9a7bd5719ee0be392ec6a3a30bfbefa82fa84",
+    ("surface", 21): "c691f4cb2942ae768a7dc1b090e605e70c7aed9823a7622062e4e169f9c2454c",
+    ("steane", 1): "7a0e3624b34fef7ebd97a2d3f08596fad4a5306e19906d00a88389f6034ef503",
+    ("steane", 2): "07dfad478a5986747c65aa6e7b222a9e81cd8bd12fc2cf4e7e60e16232c59e97",
+    ("steane", 3): "28fb56e37f6da103547320fd5e605e633e44897997ebc73f98e21461a5623364",
+}
+
+
+@pytest.mark.parametrize("family, arg", sorted(PINNED_CODE_DOCS),
+                         ids=[f"{f}{a}" for f, a in sorted(PINNED_CODE_DOCS)])
+def test_generator_output_is_pinned(family, arg):
+    build = {"surface": surface_code_graph, "steane": steane_concat_graph}[family]
+    doc = json.dumps(qec_to_doc(build(arg)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_CODE_DOCS[family, arg]
 
 
 class TestGeneratorDataCap:

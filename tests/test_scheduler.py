@@ -381,6 +381,14 @@ class TestStrictProximity:
         swap_entries = [e for e in r.timeline if e.op is None]
         assert len(swap_entries) == 5
 
+    def test_walk_never_parks_a_qubit_on_a_communication_ion(self, built_spec):
+        spec = two_elu_spec(built_spec, n_ions=10, comm=(5,), d=1)
+        c = parse_circuit("qubits 3\nCNOT q0 q1\nCNOT q0 q2\n")
+        qmap = QubitMap({0: ("A", 2), 1: ("A", 6), 2: ("B", 2)})
+        with pytest.raises(CapacityError,
+                           match="would swap q0 onto communication ion A.5"):
+            schedule(c, qmap, spec, strict_proximity=True)
+
     def test_default_mode_inserts_no_swaps(self, example_spec):
         c = parse_circuit((FIXTURES_DIR / "mixed8.iqc").read_text())
         r = schedule(c, assign_qubits(c, example_spec, "greedy_interaction_cut"),
