@@ -30,7 +30,8 @@ from pathlib import Path
 from . import __version__
 from .arch import parse_architecture
 from .circuits import parse_circuit
-from .errors import InvalidArchitecture, IonfabError, ParseError, SchemaError
+from .errors import (DomainError, InvalidArchitecture, IonfabError, ParseError,
+                     SchemaError)
 from .graph import build_interaction_graph, graph_distance_profile, to_dot
 from .ising import (AnnealSchedule, adiabatic_evolve, anneal_classical,
                     brute_force_ground_state, instance_to_doc, parse_instance,
@@ -183,27 +184,20 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
         code = read(_json(parse_qec), args.code)
         if grid:
             rep = embed_on_grid(code, args.placement or "row_major", seed=args.seed)
-            doc = {
-                "host": rep.host, "grid_side": rep.grid_side,
-                "swap_count": rep.swap_count,
-                "max_check_span": rep.max_check_span,
-                "mean_route_length": rep.mean_route_length,
-                "per_check_route_length": list(rep.per_check_route_length),
-            }
+            doc = {"grid_side": rep.grid_side, "swap_count": rep.swap_count,
+                   "mean_route_length": rep.mean_route_length}
             if args.summary:
                 print(f"grid {rep.grid_side}x{rep.grid_side}: "
                       f"{rep.swap_count} swaps, max span {rep.max_check_span}")
         else:
             rep = embed_on_modular(code, read(_json(parse_architecture), args.host),
                                    args.partition or "greedy_cut")
-            doc = {
-                "host": rep.host, "pairs_per_round": rep.pairs_per_round,
-                "max_check_span": rep.max_check_span,
-                "per_check_route_length": list(rep.per_check_route_length),
-                "per_check_remote_elus": list(rep.per_check_remote_elus),
-            }
+            doc = {"pairs_per_round": rep.pairs_per_round,
+                   "per_check_remote_elus": list(rep.per_check_remote_elus)}
             if args.summary:
                 print(f"modular: {rep.pairs_per_round} pairs per round")
+        doc.update(host=rep.host, max_check_span=rep.max_check_span,
+                   per_check_route_length=list(rep.per_check_route_length))
         return 0, [(args.out, render_json(doc))]
     if sub == "surface":
         code = surface_code_graph(args.d)
@@ -221,13 +215,21 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
 def _switch_entry(entry: object) -> tuple[float, SwitchConfig]:
     require_keys(entry, "$", {"time_s", "links"})
     links = each(entry["links"], "$.links", _link)
-    return number(entry, "time_s", "$"), SwitchConfig(frozenset(links))
+    t = number(entry, "time_s", "$")
+    try:
+        return t, SwitchConfig(frozenset(links))
+    except DomainError as exc:
+        raise SchemaError(str(exc), "$.links") from None
 
 
 def _link(row: object) -> Link:
     fixed_array(row, 4, "[elu_a, port_a, elu_b, port_b]")
-    return make_link((string(row, 0, "$"), integer(row, 1, "$")),
-                     (string(row, 2, "$"), integer(row, 3, "$")))
+    a = (string(row, 0, "$"), integer(row, 1, "$"))
+    b = (string(row, 2, "$"), integer(row, 3, "$"))
+    try:
+        return make_link(a, b)
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _request(entry: object) -> tuple[float, tuple[str, str]]:

@@ -122,7 +122,6 @@ class SpinConfig:
 
 @dataclass(frozen=True)
 class AdiabaticRun:
-    instance: IsingInstance
     total_time: float       # units of 1/|j0| (dimensionless schedule length)
     steps: int
     ground_overlap: float   # probability of ending in the exact ground space
@@ -171,20 +170,16 @@ class AnnealSchedule:
 # Generators
 # ---------------------------------------------------------------------------
 
-def power_law_couplings(n: int, alpha: float, j0: float,
-                        allow_any_alpha: bool = False) -> IsingInstance:
+def power_law_couplings(n: int, alpha: float, j0: float) -> IsingInstance:
     """1D chain with J_ij = j0 / |i-j|^alpha at unit spacing and zero fields.
 
     alpha is restricted to the tunable range [0, 3] (infinite-range to
-    dipole-dipole) unless ``allow_any_alpha`` is set.
+    dipole-dipole).
     """
     if n < 2:
         raise DomainError(f"need at least 2 spins, got {n}")
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
-    if not allow_any_alpha and not 0 <= alpha <= 3:
-        raise DomainError(
-            f"alpha = {alpha!r} outside [0, 3]; pass allow_any_alpha=True to override")
+    if not 0 <= alpha <= 3:  # also catches NaN
+        raise DomainError(f"alpha = {alpha!r} outside [0, 3]")
     couplings = {(i, j): j0 / float(j - i) ** alpha
                  for i in range(n) for j in range(i + 1, n)}
     return IsingInstance(n_spins=n, couplings=couplings, alpha=alpha, j0=j0)
@@ -353,7 +348,6 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
     ground_idx = np.flatnonzero(diag == diag.min())
     overlap = float(np.sum(np.abs(psi[ground_idx]) ** 2))
     return AdiabaticRun(
-        instance=instance,
         total_time=total_time,
         steps=steps,
         ground_overlap=overlap,
@@ -380,6 +374,8 @@ def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
     the same neighbour order, only after a neighbour flips; so the fields,
     the RNG draws and the result are those of summing on every visit.
     """
+    if seed is None:
+        raise DomainError("annealing requires a seed")
     n = instance.n_spins
     if n > ANNEAL_MAX_SPINS:
         raise DomainError(f"n = {n} exceeds anneal cap {ANNEAL_MAX_SPINS}")

@@ -79,15 +79,19 @@ _PRIO = {"_SCHED": 0, "RECONFIG_DONE": 1, "RELOAD_DONE": 2, "COLLISION": 3,
          "SUCCESS": 4, "PAIR_EXPIRED": 5, "PAIR_REQUEST": 6}
 
 
+def _port_label(port: Port) -> str:
+    return f"{port[0]}.{port[1]}"
+
+
 def make_link(a: Port, b: Port) -> Link:
     if a[0] == b[0]:
-        raise DomainError(f"link endpoints must be in distinct ELUs, got {a} and {b}")
+        raise DomainError("link endpoints must be in distinct ELUs, "
+                          f"got {_port_label(a)} and {_port_label(b)}")
     return (a, b) if a <= b else (b, a)
 
 
 def link_label(link: Link) -> str:
-    (ea, pa), (eb, pb) = link
-    return f"{ea}.{pa}-{eb}.{pb}"
+    return f"{_port_label(link[0])}-{_port_label(link[1])}"
 
 
 def link_pair(link: Link) -> tuple[str, str]:
@@ -109,7 +113,7 @@ class SwitchConfig:
             norm.add(link)
             for port in link:
                 if port in seen:
-                    raise DomainError(f"port {port} used by two links")
+                    raise DomainError(f"port {_port_label(port)} used by two links")
                 seen.add(port)
         object.__setattr__(self, "active_links", frozenset(norm))
 
@@ -195,8 +199,8 @@ class _EluState:
 
 
 class _LinkState:
-    __slots__ = ("link", "label", "pair", "elus", "reconfig_until", "removals",
-                 "window_start", "consumed", "countdown", "epoch",
+    __slots__ = ("link", "label", "pair", "elus", "active", "reconfig_until",
+                 "removals", "window_start", "consumed", "countdown", "epoch",
                  "attempts", "successes", "open_")
 
     def __init__(self, link: Link, elus: dict[str, _EluState]):
@@ -204,6 +208,9 @@ class _LinkState:
         self.label = link_label(link)
         self.pair = link_pair(link)
         self.elus = (elus[self.pair[0]], elus[self.pair[1]])
+        # In the switch's current matching. No link is before the first
+        # entry, when a collision's RELOAD_DONE may already try to open it.
+        self.active = False
         self.reconfig_until = 0.0
         # Times of the switch entries still to come that remove the link,
         # then math.inf: while the link is active, the head is when it closes.
@@ -237,7 +244,7 @@ def validate_switch_config(spec: ArchitectureSpec, cfg: SwitchConfig) -> None:
                 raise DomainError(f"unknown ELU {elu_id!r} in switch config")
             if pos not in comm[elu_id]:
                 raise DomainError(
-                    f"port {elu_id}.{pos} is not a communication ion")
+                    f"port {_port_label((elu_id, pos))} is not a communication ion")
     if len(cfg.ports) > spec.switch.port_count:
         raise DomainError(
             f"config uses {len(cfg.ports)} ports, switch has {spec.switch.port_count}")
@@ -280,6 +287,8 @@ class NetworkSim:
         p_override: float | None = None,
         store_log: bool = False,
     ):
+        if seed is None:
+            raise DomainError("the network simulation requires a seed")
         times = [t for t, _ in switch_schedule]
         if not all(math.isfinite(t) for t in times):
             raise DomainError("switch schedule times must be finite")
@@ -310,18 +319,6 @@ class NetworkSim:
                 if link not in self.links:
                     self.links[link] = _LinkState(link, elus)
         connectable = {st.pair for st in self.links.values()}
-        requests = []  # (time, sorted pair), queued after the switch schedule
-        for t, pair in demand:
-            if not math.isfinite(t):
-                raise DomainError(f"request times must be finite, got {t!r}")
-            if t < 0.0:
-                raise DomainError(f"request times must be >= 0, got {t!r}")
-            key = tuple(sorted(pair))
-            if key not in connectable:
-                raise DomainError(
-                    f"request for ELU pair {pair} that no scheduled link can serve")
-            requests.append((t, key))
-
         if connectable and spec.buffer_capacity < 1:
             raise DomainError(
                 f"buffer capacity must be >= 1, got {spec.buffer_capacity}")
@@ -358,9 +355,6 @@ class NetworkSim:
         self.latency_max = 0.0
         self.heap: list = []
         self.push_seq = 0
-        # The matching; empty until the first entry, before which a
-        # collision's RELOAD_DONE may already try to open windows.
-        self.current = SwitchConfig(frozenset())
         self.first_sched = True
         self.now = 0.0  # every event before this time has been processed
 
@@ -379,16 +373,28 @@ class NetworkSim:
                 removed = sorted(prev.active_links - cfg.active_links)
                 added = sorted(cfg.active_links - prev.active_links)
                 change = changes[prev, cfg] = (
-                    cfg, [self.links[link] for link in removed],
+                    [self.links[link] for link in removed],
                     [self.links[link] for link in added])
-            for st in change[1]:
+            for st in change[0]:
                 st.removals.append(t)
             self._push(t, "_SCHED", change)
             prev = cfg
         for st in self.links.values():
             st.removals.append(math.inf)
-        for t, pair in requests:
-            self._push(t, "PAIR_REQUEST", pair)
+        for t, pair in demand:
+            if not math.isfinite(t):
+                raise DomainError(f"request times must be finite, got {t!r}")
+            if t < 0.0:
+                raise DomainError(f"request times must be >= 0, got {t!r}")
+            self._push(t, "PAIR_REQUEST", self._pair(pair))
+
+    def _pair(self, pair: tuple[str, str]) -> tuple[str, str]:
+        """``pair`` sorted, if a scheduled link serves it."""
+        key = tuple(sorted(pair))
+        if key not in self.taken:
+            raise DomainError(
+                f"request for ELU pair {pair} that no scheduled link can serve")
+        return key
 
     def _push(self, t: float, kind: str, payload) -> None:
         heapq.heappush(self.heap, (t, _PRIO[kind], self.push_seq, kind, payload))
@@ -416,7 +422,7 @@ class NetworkSim:
             self._push(t, "SUCCESS", (st, st.epoch, slot))
 
     def _open_window(self, st: _LinkState, now: float) -> None:
-        if st.open_ or st.link not in self.current.active_links:
+        if st.open_ or not st.active:
             return
         if now < st.reconfig_until or now < st.elus[0].reload_until \
                 or now < st.elus[1].reload_until:
@@ -481,10 +487,7 @@ class NetworkSim:
         cap. Buffer capacity is not modelled. Only when an ELU of the pair
         can collide does the sim run to just past t. When pairs expire or
         collide, a t past the cap raises DomainError before any work."""
-        pair = tuple(sorted(pair))
-        if pair not in self.taken:
-            raise DomainError(
-                f"request for ELU pair {pair} that no scheduled link can serve")
+        pair = self._pair(pair)
         if not math.isfinite(t):
             raise DomainError(f"pair request time must be finite, got {t!r}")
         stream, lifetime = self.success_times[pair], self.lifetime
@@ -532,13 +535,15 @@ class NetworkSim:
             if kind == "_SCHED":
                 # The first entry is the switch's initial state and is free;
                 # later entries charge reconfiguration_time to changed links.
-                self.current, removed, added = payload
+                removed, added = payload
                 for st in removed:
+                    st.active = False
                     st.removals.popleft()
                     close_window(st, t)
                 resumes = t + self.spec.switch.reconfiguration_time
                 pending = []
                 for st in added:
+                    st.active = True
                     if self.first_sched:
                         open_window(st, t)
                     else:
@@ -551,9 +556,11 @@ class NetworkSim:
 
             elif kind == "RECONFIG_DONE":
                 for st, epoch in payload:
-                    if st.epoch != epoch or st.link not in self.current.active_links:
+                    if st.epoch != epoch:
                         continue
-                    open_window(st, t)  # refused while an ELU of the link reloads
+                    # Refused while an ELU of the link reloads, or once a
+                    # later entry has removed it.
+                    open_window(st, t)
                     if log is not None and st.open_:
                         emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
 
@@ -636,18 +643,17 @@ class NetworkSim:
         if horizon < self.now:
             raise DomainError(
                 f"horizon {horizon!r} is before the time already simulated, {self.now!r}")
+        per_link = {}
         for link in sorted(self.links):
-            self._close_window(self.links[link], horizon)
+            st = self.links[link]
+            self._close_window(st, horizon)
+            per_link[st.label] = LinkStats(st.attempts, st.successes,
+                                           st.successes / horizon)
         counters = self.counters
         residual = 0
         for pair in sorted(self.buffers):
             self._drop_expired(pair, horizon)
             residual += len(self.buffers[pair])
-
-        per_link = {
-            st.label: LinkStats(st.attempts, st.successes, st.successes / horizon)
-            for _, st in sorted(self.links.items())
-        }
         mean_rate = (sum(s.measured_rate for s in per_link.values()) / len(per_link)
                      if per_link else 0.0)
         served = counters["delivered"]
@@ -709,30 +715,27 @@ def default_link(spec: ArchitectureSpec) -> Link:
 
 
 def theoretical_rate_check(spec: ArchitectureSpec, link: Link | None = None,
-                           seed: int = 0, attempts: int = 1_000_000,
-                           p_override: float | None = None) -> RateCheck:
-    """Standardized fixed-attempt-count run compared against R*p.
+                           seed: int = 0) -> RateCheck:
+    """One link switched on at t = 0 for 1,000,000 attempts, compared
+    against R*p with the machine's p = (F*eta_D)^2/2.
 
     Returns the rate measured over the attempt span (R * successes/attempts),
     the analytic rate, and the binomial z-score of the observed success count.
+    Collisions suspend the link, so the attempts may be fewer.
     """
     if link is None:
         link = default_link(spec)
-    horizon = (attempts + 0.5) / spec.attempt_rate
-    sim = NetworkSim(spec, [(0.0, SwitchConfig(frozenset({link})))], [], seed,
-                     p_override)
+    horizon = (1_000_000 + 0.5) / spec.attempt_rate
+    sim = NetworkSim(spec, [(0.0, SwitchConfig(frozenset({link})))], [], seed)
     stats = sim.finish(horizon).per_link[link_label(link)]
-    p = sim.p
-    analytic = spec.attempt_rate * p
-    n = stats.attempts
-    if 0.0 < p < 1.0 and n:
-        z = (stats.successes - n * p) / math.sqrt(n * p * (1.0 - p))
-    else:
-        z = 0.0
+    p, n = sim.p, stats.attempts
+    # p underflows to 0 for F*eta_D below about 1e-162; n is 0 when a
+    # collision comes before the first attempt and its reload outlasts the run.
+    z = (stats.successes - n * p) / math.sqrt(n * p * (1.0 - p)) if n and p else 0.0
     return RateCheck(
         attempts=n,
         successes=stats.successes,
         measured_rate=spec.attempt_rate * stats.successes / n if n else 0.0,
-        analytic_rate=analytic,
+        analytic_rate=spec.attempt_rate * p,
         z_score=z,
     )

@@ -70,10 +70,10 @@ def gate_rate(omega_rabi: float, recoil: float, trap_freq: float) -> float:
     return omega_rabi * math.sqrt(recoil / trap_freq)
 
 
-def slow_gate_time(gate_rate_rad_s: float, cycles: float = 1.0) -> float:
-    """Two-qubit gate duration convention: ``cycles`` periods of the gate rate."""
-    _require_positive(gate_rate_rad_s=gate_rate_rad_s, cycles=cycles)
-    return cycles * TWO_PI / gate_rate_rad_s
+def slow_gate_time(gate_rate_rad_s: float) -> float:
+    """Two-qubit gate duration convention: one period of the gate rate."""
+    _require_positive(gate_rate_rad_s=gate_rate_rad_s)
+    return TWO_PI / gate_rate_rad_s
 
 
 def link_success_probability(f: float, eta_d: float) -> float:
@@ -116,10 +116,9 @@ def rate_report(spec: ArchitectureSpec, elu_id: str) -> RateReport:
             f"ELU {elu_id!r}; plane-wave force model may not apply",
             stacklevel=2,
         )
-    rg = gate_rate(spec.drive.rabi_frequency, recoil, elu.trap_frequency)
     return RateReport(
         recoil_frequency=recoil,
-        gate_rate=rg / TWO_PI,
+        gate_rate=elu_gate_rate(spec, elu_id) / TWO_PI,
         state_dependent_force=state_dependent_force(k, spec.drive.rabi_frequency),
         link_success_probability=link_success_probability(
             spec.collection_fraction, spec.detector_efficiency),

@@ -688,6 +688,15 @@ BAD_INPUTS = {
     "schedule_of_numbers": (
         [*SIMULATE, "--schedule", "{f}"], "[1, 2]",
         "{f}: $[0]: expected object, got int"),
+    "schedule_port_on_two_links": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": 0.0, "links": [["A", 0, "B", 0], ["A", 0, "B", 1]]}]',
+        "{f}: $[0].links: port A.0 used by two links"),
+    "schedule_link_within_one_elu": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": 0.0, "links": [["A", 0, "A", 19]]}]',
+        "{f}: $[0].links[0]: link endpoints must be in distinct ELUs, "
+        "got A.0 and A.19"),
     "demand_with_one_elu": (
         [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
         '[{"time_s": 0.1, "elus": ["A"]}]',

@@ -186,10 +186,6 @@ class TestPowerLawCouplings:
         with pytest.raises(DomainError, match="alpha"):
             power_law_couplings(4, 3.5, 1.0)
 
-    def test_override_flag(self):
-        inst = power_law_couplings(4, 6.0, 1.0, allow_any_alpha=True)
-        assert inst.couplings[(0, 2)] == 1.0 / 64.0
-
     def test_monotone_in_alpha(self):
         alphas = [0.0, 0.5, 1.0, 2.0, 3.0]
         instances = [power_law_couplings(6, a, 1.0) for a in alphas]

@@ -406,6 +406,11 @@ class TestAnneal:
         b = anneal_classical(inst, self.SLOW, seed=7)
         assert a == b
 
+    def test_missing_seed_rejected(self):
+        # no hidden entropy: a None seed would seed from the OS
+        with pytest.raises(DomainError, match="requires a seed"):
+            anneal_classical(random_instance(4, seed=0), self.SLOW, None)
+
     @pytest.mark.parametrize("bounds", [
         {"t_start": math.inf}, {"t_start": math.nan},
         {"t_start": 1.0, "t_min": math.inf}, {"t_start": 0.0, "t_min": math.nan},

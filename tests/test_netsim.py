@@ -336,6 +336,22 @@ class TestRunSim:
         assert a.events_csv() == b.events_csv()
         assert a.events_csv().splitlines()[0] == "time_s,kind,link,elu_a,elu_b,seq"
 
+    def test_missing_seed_rejected(self, example_spec):
+        # no hidden entropy: a None seed would seed from the OS
+        with pytest.raises(DomainError, match="requires a seed"):
+            run_sim(example_spec, one_link_schedule(example_spec), [], 1e-3,
+                    seed=None)
+
+    def test_equal_time_requests_queue_in_demand_order(self, example_spec):
+        # every attempt succeeds: at 2 us and 4 us on the example's 500 kHz clock
+        r = run_sim(example_spec, one_link_schedule(example_spec),
+                    [(2e-6, ("A", "B")), (2e-6, ("B", "A"))], horizon=5e-6,
+                    seed=0, p_override=1.0, store_log=True)
+        assert [(e.kind, e.time) for e in r.events] == [
+            ("SUCCESS", 2e-6), ("PAIR_REQUEST", 2e-6), ("PAIR_DELIVERED", 2e-6),
+            ("PAIR_REQUEST", 2e-6), ("SUCCESS", 4e-6), ("PAIR_DELIVERED", 4e-6)]
+        assert (r.latency_mean, r.latency_max) == (1e-6, 2e-6)
+
     def test_seed_changes_stream(self, example_spec):
         a = run_sim(example_spec, one_link_schedule(example_spec), [], 1.0, seed=1)
         b = run_sim(example_spec, one_link_schedule(example_spec), [], 1.0, seed=2)
@@ -660,17 +676,18 @@ class TestNetworkSim:
 
 
 class TestTheoreticalRateCheck:
-    def test_p_zero_measures_zero(self, example_spec):
-        rc = theoretical_rate_check(example_spec, seed=0, attempts=10_000,
-                                    p_override=0.0)
-        assert rc.measured_rate == 0.0
-        assert rc.successes == 0
+    def test_underflowing_p_measures_zero(self, example_spec):
+        spec = dataclasses.replace(example_spec, collection_fraction=1e-170)
+        rc = theoretical_rate_check(spec)
+        assert (rc.attempts, rc.successes, rc.measured_rate, rc.z_score) == \
+            (1_000_000, 0, 0.0, 0.0)
 
-    def test_p_one_measures_attempt_rate(self, example_spec):
-        rc = theoretical_rate_check(example_spec, seed=0, attempts=10_000,
-                                    p_override=1.0)
-        assert rc.measured_rate == example_spec.attempt_rate
-        assert rc.successes == rc.attempts == 10_000
+    def test_collision_before_the_first_attempt_measures_zero(self, example_spec):
+        # seed 15 collides within the first 2 us; the 10 s reload outlasts the run
+        spec = with_elu_field(example_spec, collision_rate_per_ion=2e3,
+                              reload_time=10.0)
+        rc = theoretical_rate_check(spec, seed=15)
+        assert (rc.attempts, rc.measured_rate, rc.z_score) == (0, 0.0, 0.0)
 
     def test_z_scores_under_three_for_default_spec(self, example_spec):
         inside = sum(

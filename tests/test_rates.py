@@ -112,7 +112,6 @@ class TestGateRate:
 
     def test_slow_gate_time_is_one_period(self):
         assert slow_gate_time(TWO_PI) == 1.0
-        assert slow_gate_time(TWO_PI, cycles=2.0) == 2.0
 
 
 class TestLinkSuccessProbability:
