@@ -282,8 +282,15 @@ def _cmd_simulate(args, read) -> tuple[int, Files]:
                            args.schedule)
     demand = (read(_json(lambda doc: each(doc, "$", _request)), args.demand)
               if args.demand else [])
-    result = run_sim(spec, switch_schedule, demand, args.horizon, args.seed,
-                     p_override=args.p, store_log=args.log is not None)
+    try:
+        result = run_sim(spec, switch_schedule, demand, args.horizon, args.seed,
+                         p_override=args.p, store_log=args.log is not None)
+    except DomainError as exc:
+        if exc.where is None:
+            raise
+        arg, path = exc.where  # the entry or request at fault, by its file
+        file = args.schedule if arg == "switch_schedule" else args.demand
+        raise IonfabError(f"{file}: {path}: {exc}") from exc
     if args.summary:
         print(f"{result.ledger.successes} pairs generated, "
               f"{result.ledger.delivered} delivered, "

@@ -6,7 +6,14 @@ class IonfabError(Exception):
 
 
 class DomainError(IonfabError):
-    """An argument is outside the physical or mathematical domain of an operation."""
+    """An argument is outside the physical or mathematical domain of an operation.
+
+    ``where``, when set, locates the bad item in a list argument as
+    ``(argument name, path)``, such as ``("demand", "$[3].time_s")``, so
+    that a reader of that argument's file can name the file and the item.
+    """
+
+    where: tuple[str, str] | None = None
 
 
 class UnknownSpecies(IonfabError):

@@ -22,31 +22,41 @@ stable across platforms and Python versions, consumed in this exact order:
 
 1. one uniform per ELU (in spec order) with a nonzero collision rate, for
    its first collision gap: dt = -log(1-u)/rate;
-2. one uniform per link activation or success, for the geometric count of
-   failed attempts before the next success: k = floor(log(1-u)/log1p(-p));
-   a k that overflows to infinity (subnormal p) means "never succeeds";
+2. one uniform when a link first opens, and one per success, for the
+   geometric count of failed attempts before its next success:
+   k = floor(log(1-u)/log1p(-p)); a k that overflows to infinity
+   (subnormal p) means "never succeeds";
 3. one uniform per collision, for the next gap of that ELU.
 
 Attempt outcomes are therefore sampled one draw per *success*, not per
 attempt, which is distributionally identical to per-attempt Bernoulli draws
 and keeps multi-second horizons at megahertz attempt rates cheap. Attempt
-counts are exact (closed-form slot counting per active window). Queued
-events at equal times process in the fixed priority order RECONFIG_DONE <
-RELOAD_DONE < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST, then in
-the order they were queued; a PAIR_DELIVERED is not queued but logged by
-the SUCCESS or PAIR_REQUEST that causes it. A request never finds an
-expired pair: a non-empty buffer always has a live PAIR_EXPIRED queued at
-its head's expiry time. An attempt landing exactly on a suspension
-boundary does not fire.
+counts are exact (closed-form slot counting per window). Events at equal
+times process in the fixed priority order switch entry < RECONFIG_DONE <
+RELOAD_DONE < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST; entries
+and requests of one time in input order, and other events of one kind in
+the order they were queued, except SUCCESS. Equal-time successes process
+in the order a queue would give them if each success were queued by the
+event that reaches it: the link's previous success, when both fall in one
+window, else the event that opens its window (the first entry, an entry's
+reconfiguration end or a reload end), links queued by one event in sorted
+order. A PAIR_DELIVERED is not queued but logged by the SUCCESS or
+PAIR_REQUEST that causes it. A request never finds an expired pair: a
+non-empty buffer always has a live PAIR_EXPIRED queued at its head's expiry
+time. An attempt landing exactly on a suspension boundary does not fire.
 
-The queue holds no event that the switch schedule already rules out. A
-switch entry processes before every other event at its time, so a SUCCESS
-at or after the next entry that removes its link would be cancelled by it:
-such a SUCCESS is never queued (a collision may still cancel a queued one).
-Each switch entry that adds links queues one RECONFIG_DONE for all of
-them; at their resume time it takes them in sorted link order and logs one
-RECONFIG_DONE row per link that resumes. The ``seq`` of a logged event is
-its index in the log, and a run without a log builds no events.
+The switch schedule and the demand are read as two sorted streams beside
+the queue, which holds only the events a run creates. Each link's attempt
+windows are laid out from the schedule when the sim is built: a window
+opens at the first entry or at the reconfiguration end of the entry that
+adds the link, and closes at the next entry that removes it. A collision
+cuts the windows of its ELU's links and opens none again before the
+reload ends. A drawn count is walked across the windows, and its SUCCESS
+is queued at its slot, however many windows ahead; a collision cancels it
+and walks the count again. A RECONFIG_DONE is queued only while the run
+keeps a log or some link has yet to draw its first count; it logs one row
+per link that resumes, in sorted link order. The ``seq`` of a logged event
+is its index in the log, and a run without a log builds no events.
 
 Neither the event order nor the draw order depends on the horizon, which
 only stops the loop. A :class:`NetworkSim` advanced in steps and then
@@ -63,6 +73,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .arch import ArchitectureSpec, EluSpec
 from .errors import CapacityError, DomainError
@@ -75,8 +87,9 @@ Link = tuple[Port, Port]        # normalized: ports in sorted order
 SIM_MAX_EVENTS = 10_000_000
 
 # Priorities of the queued events for equal-time ties; a documented contract.
-_PRIO = {"_SCHED": 0, "RECONFIG_DONE": 1, "RELOAD_DONE": 2, "COLLISION": 3,
-         "SUCCESS": 4, "PAIR_EXPIRED": 5, "PAIR_REQUEST": 6}
+# Switch entries (0) and requests (6) are read from sorted streams instead.
+_PRIO = {"RECONFIG_DONE": 1, "RELOAD_DONE": 2, "COLLISION": 3, "SUCCESS": 4,
+         "PAIR_EXPIRED": 5}
 
 
 def _port_label(port: Port) -> str:
@@ -122,17 +135,13 @@ class SwitchConfig:
         return {p for link in self.active_links for p in link}
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: float
     kind: str
     link: str      # link label or "" when not link-scoped
     elu_a: str
     elu_b: str     # "" for single-ELU events
     seq: int       # index of the event in the run's log
-
-    def csv_row(self) -> str:
-        return f"{self.time!r},{self.kind},{self.link},{self.elu_a},{self.elu_b},{self.seq}"
 
 
 @dataclass(frozen=True)
@@ -174,9 +183,9 @@ class SimResult:
     def events_csv(self) -> str:
         if self.events is None:
             raise DomainError("run was executed without store_log=True")
-        lines = ["time_s,kind,link,elu_a,elu_b,seq"]
-        lines.extend(ev.csv_row() for ev in self.events)
-        return "\n".join(lines) + "\n"
+        rows = ["time_s,kind,link,elu_a,elu_b,seq\n"]
+        rows.extend("%r,%s,%s,%s,%s,%d\n" % ev for ev in self.events)
+        return "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -192,36 +201,38 @@ class _EluState:
         self.collision_rate = elu.collision_rate_per_ion * elu.n_ions
         self.reload_time = elu.reload_time
         self.reload_until = 0.0
-        self.epoch = 0
+        self.epoch = -1  # the run's ordinal of its latest collision
         self.links: list[_LinkState] = []  # the ELU's links, sorted
         self.buffers: list[tuple[tuple[str, str], deque]] = []  # by pair, sorted
         self.collisions: list[float] = []
 
 
 class _LinkState:
-    __slots__ = ("link", "label", "pair", "elus", "active", "reconfig_until",
-                 "removals", "window_start", "consumed", "countdown", "epoch",
-                 "attempts", "successes", "open_")
+    # No reference back to its ELUs' states, which list it: without a cycle,
+    # a finished sim is freed at once.
+    __slots__ = ("label", "pair", "rank", "windows", "pos", "used",
+                 "left", "epoch", "attempts", "successes")
 
-    def __init__(self, link: Link, elus: dict[str, _EluState]):
-        self.link = link
+    def __init__(self, link: Link, rank: int):
         self.label = link_label(link)
-        self.pair = link_pair(link)
-        self.elus = (elus[self.pair[0]], elus[self.pair[1]])
-        # In the switch's current matching. No link is before the first
-        # entry, when a collision's RELOAD_DONE may already try to open it.
-        self.active = False
-        self.reconfig_until = 0.0
-        # Times of the switch entries still to come that remove the link,
-        # then math.inf: while the link is active, the head is when it closes.
-        self.removals: deque[float] = deque()
-        self.window_start = 0.0
-        self.consumed = 0       # attempt slots consumed in the open window
-        self.countdown = -1     # failures left before next success; -1 = unsampled
-        self.epoch = 0
-        self.attempts = 0
+        self.pair = link_pair(link)  # its ELUs' ids
+        self.rank = rank  # place in sorted link order
+        # The attempt windows (start, end, opener) in time order, where
+        # opener is the (time, priority, order) of the event that opens the
+        # window. Collisions of the link's ELUs cut and delay them. The last
+        # ends at math.inf: the link is never removed, or it is _NEVER.
+        self.windows: list[tuple[float, float, tuple | None]] = []
+        self.pos = 0  # window of the last success, else of the first open
+        self.used = 0  # slot of the last success in that window, else 0
+        # Failures before the next success, counted from there; -1 until
+        # the link first opens, -2 when it never succeeds.
+        self.left = -1
+        self.epoch = 0  # bumped by a collision; cancels the queued success
+        self.attempts = 0  # slots of the windows before pos
         self.successes = 0
-        self.open_ = False
+
+
+_NEVER = (math.inf, math.inf, None)  # the window after a link's last removal
 
 
 def _slots_before(window_start: float, rate: float, t: float) -> int:
@@ -268,14 +279,16 @@ def static_links(spec: ArchitectureSpec,
 class NetworkSim:
     """The event simulation as a resumable object.
 
-    The constructor validates the inputs and queues the first collision
-    gaps, the switch schedule and the demand. ``advance(t)`` processes every
-    event with time < t; ``finish(horizon)`` advances to the horizon and
-    closes the run out into a :class:`SimResult`, after which the sim is
-    spent. The success times of each ELU pair accumulate in
-    ``success_times`` as the sim advances; :meth:`request` reads them as a
-    pair supply. An advance past ``SIM_MAX_EVENTS`` expected events,
-    counted from time 0, raises DomainError at once.
+    The constructor validates the inputs, lays out each link's attempt
+    windows from the switch schedule, sorts the demand and queues the first
+    collision gaps. ``advance(t)`` processes every event with time < t;
+    ``finish(horizon)`` advances to the horizon and closes the run out into
+    a :class:`SimResult`, after which the sim is spent. The success times
+    of each ELU pair accumulate in ``success_times`` as the sim advances;
+    :meth:`request` reads them as a pair supply. An advance past
+    ``SIM_MAX_EVENTS`` expected events, counted from time 0, raises
+    DomainError at once. A DomainError about one switch entry or request
+    carries ``where = (argument, "$[index].field")``.
     """
 
     def __init__(
@@ -289,16 +302,23 @@ class NetworkSim:
     ):
         if seed is None:
             raise DomainError("the network simulation requires a seed")
-        times = [t for t, _ in switch_schedule]
-        if not all(math.isfinite(t) for t in times):
-            raise DomainError("switch schedule times must be finite")
-        if times and min(times) < 0.0:
-            raise DomainError(f"switch schedule times must be >= 0, got {min(times)!r}")
-        if times != sorted(times):
-            raise DomainError("switch schedule times must be sorted")
-        configs = list(dict.fromkeys(cfg for _, cfg in switch_schedule))
-        for cfg in configs:
-            validate_switch_config(spec, cfg)
+        valid: set[SwitchConfig] = set()
+        for k, (t, cfg) in enumerate(switch_schedule):
+            field = "time_s"
+            try:
+                if not math.isfinite(t):
+                    raise DomainError("switch schedule times must be finite")
+                if t < 0.0:
+                    raise DomainError(f"switch schedule times must be >= 0, got {t!r}")
+                if k and t < switch_schedule[k - 1][0]:
+                    raise DomainError("switch schedule times must be sorted")
+                field = "links"
+                if cfg not in valid:
+                    validate_switch_config(spec, cfg)
+                    valid.add(cfg)
+            except DomainError as exc:
+                exc.where = ("switch_schedule", f"$[{k}].{field}")
+                raise
         if p_override is not None and not 0.0 <= p_override <= 1.0:
             raise DomainError(f"p_override out of [0,1]: {p_override!r}")
 
@@ -311,13 +331,11 @@ class NetworkSim:
         self.rng = random.Random(seed)
         self.log1m_p = math.log1p(-self.p) if 0.0 < self.p < 1.0 else None
 
-        # Every link that ever appears; demanded pairs must be connectable.
+        # Every link that ever appears, in sorted order; demanded pairs must
+        # be connectable.
         elus = {e.id: _EluState(e) for e in spec.elus}
-        self.links: dict[Link, _LinkState] = {}
-        for cfg in configs:
-            for link in cfg.active_links:
-                if link not in self.links:
-                    self.links[link] = _LinkState(link, elus)
+        links = sorted({link for cfg in valid for link in cfg.active_links})
+        self.links = {link: _LinkState(link, rank) for rank, link in enumerate(links)}
         connectable = {st.pair for st in self.links.values()}
         if connectable and spec.buffer_capacity < 1:
             raise DomainError(
@@ -335,9 +353,9 @@ class NetworkSim:
         self.taken = dict.fromkeys(connectable, 0)
         self.elus = elus
         # What a collision or a reload of each ELU visits, in sorted order.
-        for _, st in sorted(self.links.items()):
-            for elu in st.elus:
-                elu.links.append(st)
+        for st in self.links.values():
+            for elu_id in st.pair:
+                elus[elu_id].links.append(st)
         for pair, buf in sorted(self.buffers.items()):
             for elu_id in pair:
                 elus[elu_id].buffers.append((pair, buf))
@@ -347,6 +365,73 @@ class NetworkSim:
                            + sum(e.collision_rate for e in elus.values()))
         self.max_time = SIM_MAX_EVENTS / self.event_rate if self.event_rate else math.inf
 
+        # Each link's windows from the schedule: a window opens at the first
+        # entry, or at the reconfiguration end of the entry that adds the
+        # link, and closes at the next entry that removes it (math.inf until
+        # then). The switch stream holds (time, reconfiguration end, links):
+        # the first entry's links, then the links whose window each later
+        # entry's reconfiguration end opens.
+        reconf = spec.switch.reconfiguration_time
+        changes: dict[tuple[SwitchConfig, SwitchConfig], tuple] = {}
+        entries = self.entries = []
+        prev = SwitchConfig(frozenset())
+        for k, (t, cfg) in enumerate(switch_schedule):
+            change = changes.get((prev, cfg))
+            if change is None:
+                change = changes[prev, cfg] = (
+                    [self.links[link] for link in prev.active_links - cfg.active_links],
+                    [self.links[link] for link in sorted(cfg.active_links
+                                                         - prev.active_links)])
+            removed, added = change
+            for st in removed:
+                start, _, opener = st.windows[-1]
+                if start < t:
+                    st.windows[-1] = (start, t, opener)
+                else:  # removed before it opens
+                    st.windows.pop()
+                    if opener[1]:  # the first entry's links draw all the same
+                        at, resume, opened = entries[opener[2]]
+                        entries[opener[2]] = (at, resume,
+                                              [x for x in opened if x is not st])
+            resume = t + reconf
+            window = ((resume, math.inf, (resume, 1, k)) if k
+                      else (t, math.inf, (t, 0, 0)))
+            for st in added:
+                st.windows.append(window)
+            entries.append((t, resume, added))
+            prev = cfg
+        for st in self.links.values():
+            if not st.windows or st.windows[-1][1] < math.inf:
+                st.windows.append(_NEVER)
+        self.next_entry = 0
+        # Links that some event will open and that have not yet drawn their
+        # first count; while there are any, reconfiguration ends are queued.
+        first = entries[0][2] if entries else []
+        self.unopened = len({*first, *(st for st in self.links.values()
+                                       if st.windows[0] is not _NEVER)})
+
+        # The demand, stable-sorted by time.
+        self.requests = []
+        keys: dict[tuple[str, str], tuple[str, str]] = {}  # pair as given -> sorted
+        for j, (t, pair) in enumerate(demand):
+            pair = tuple(pair)
+            field = "time_s"
+            try:
+                if not math.isfinite(t):
+                    raise DomainError(f"request times must be finite, got {t!r}")
+                if t < 0.0:
+                    raise DomainError(f"request times must be >= 0, got {t!r}")
+                field = "elus"
+                key = keys.get(pair)
+                if key is None:
+                    key = keys[pair] = self._pair(pair)
+                self.requests.append((t, key))
+            except DomainError as exc:
+                exc.where = ("demand", f"$[{j}].{field}")
+                raise
+        self.requests.sort(key=itemgetter(0))
+        self.next_request = 0
+
         self.log: list[SimEvent] | None = [] if store_log else None
         self.counters = {"successes": 0, "delivered": 0, "expired": 0,
                          "invalidated": 0, "overflow": 0, "collisions": 0,
@@ -355,7 +440,6 @@ class NetworkSim:
         self.latency_max = 0.0
         self.heap: list = []
         self.push_seq = 0
-        self.first_sched = True
         self.now = 0.0  # every event before this time has been processed
 
         # Initial collision gaps, ELUs in spec order (documented draw order).
@@ -363,30 +447,6 @@ class NetworkSim:
             if elu.collision_rate > 0:
                 u = self.rng.random()
                 self._push(-math.log(1.0 - u) / elu.collision_rate, "COLLISION", elu)
-        # Each distinct (previous, new) config pair's removed and added link
-        # states in sorted order, and each link's removal times, then inf.
-        changes: dict[tuple[SwitchConfig, SwitchConfig], tuple] = {}
-        prev = SwitchConfig(frozenset())
-        for t, cfg in switch_schedule:
-            change = changes.get((prev, cfg))
-            if change is None:
-                removed = sorted(prev.active_links - cfg.active_links)
-                added = sorted(cfg.active_links - prev.active_links)
-                change = changes[prev, cfg] = (
-                    [self.links[link] for link in removed],
-                    [self.links[link] for link in added])
-            for st in change[0]:
-                st.removals.append(t)
-            self._push(t, "_SCHED", change)
-            prev = cfg
-        for st in self.links.values():
-            st.removals.append(math.inf)
-        for t, pair in demand:
-            if not math.isfinite(t):
-                raise DomainError(f"request times must be finite, got {t!r}")
-            if t < 0.0:
-                raise DomainError(f"request times must be >= 0, got {t!r}")
-            self._push(t, "PAIR_REQUEST", self._pair(pair))
 
     def _pair(self, pair: tuple[str, str]) -> tuple[str, str]:
         """``pair`` sorted, if a scheduled link serves it."""
@@ -397,7 +457,10 @@ class NetworkSim:
         return key
 
     def _push(self, t: float, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (t, _PRIO[kind], self.push_seq, kind, payload))
+        # Equal-time events go in priority order, then a SUCCESS by the tie
+        # its payload ends with, then in the order they were queued.
+        tie = payload[-1] if kind == "SUCCESS" else 0
+        heapq.heappush(self.heap, (t, _PRIO[kind], tie, self.push_seq, kind, payload))
         self.push_seq += 1
 
     def _emit(self, t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
@@ -413,39 +476,67 @@ class NetworkSim:
         k = math.log(u) / self.log1m_p
         return int(k) if k < math.inf else -2
 
-    def _schedule_success(self, st: _LinkState) -> None:
-        if not st.open_ or st.countdown == -2:
-            return
-        slot = st.consumed + st.countdown + 1
-        t = st.window_start + slot / self.rate
-        if t < st.removals[0]:  # else that removal processes first and cancels it
-            self._push(t, "SUCCESS", (st, st.epoch, slot))
+    def _walk(self, st: _LinkState, i: int, used: int, need: int, tie) -> None:
+        """Queue the link's success ``need`` slots past slot ``used`` of its
+        window i. It ties as ``tie``, the (time, priority, order, link rank)
+        of the event that drew the count, if it lands in window i, else as
+        the event that opens the window it lands in."""
+        rate, windows = self.rate, st.windows
+        passed = 0  # slots of the windows walked past
+        while True:
+            start, end, opener = windows[i]
+            slot = used + need
+            t = start + slot / rate
+            if t < end:
+                self._push(t, "SUCCESS", (st, st.epoch, i, slot, passed,
+                                          tie or (*opener, st.rank)))
+                return
+            if end == math.inf:
+                return
+            n = _slots_before(start, rate, end)
+            passed += n
+            need = slot - n
+            used = 0
+            tie = None
+            i += 1
 
-    def _open_window(self, st: _LinkState, now: float) -> None:
-        if st.open_ or not st.active:
-            return
-        if now < st.reconfig_until or now < st.elus[0].reload_until \
-                or now < st.elus[1].reload_until:
-            return
-        st.open_ = True
-        st.window_start = now
-        st.consumed = 0
-        if st.countdown == -1:
-            st.countdown = self._sample_countdown()
+    def _open(self, st: _LinkState) -> None:
+        """Draw the count of a link at the event that first opens it."""
+        st.left = self._sample_countdown()
+        self.unopened -= 1
+        if st.left >= 0:
+            self._walk(st, st.pos, 0, st.left + 1, None)
+
+    def _suspend(self, st: _LinkState, c: float, resume: float, opener: tuple) -> None:
+        """A collision at ``c`` of one of the link's ELUs: count the attempts
+        fired before c, cut the window open at c, open no window again
+        before ``resume`` (the RELOAD_DONE ``opener`` opens a window that
+        this delays), and queue the success the count now reaches."""
         st.epoch += 1
-        self._schedule_success(st)
-
-    def _close_window(self, st: _LinkState, now: float) -> None:
-        if not st.open_:
-            return
-        fired = _slots_before(st.window_start, self.rate, now)
-        failed = fired - st.consumed
-        st.attempts += failed
-        if st.countdown >= 0:
-            st.countdown -= failed
-        st.consumed = fired
-        st.open_ = False
-        st.epoch += 1  # cancels the pending success event
+        rate, windows = self.rate, st.windows
+        i, fired = st.pos, 0
+        while windows[i][1] <= c:
+            fired += _slots_before(windows[i][0], rate, windows[i][1])
+            i += 1
+        if windows[i][0] <= c:  # open at c
+            start, end, cut = windows[i]
+            fired += _slots_before(start, rate, c)
+            windows[i] = (start, c, cut)
+            i += 1
+            if resume < end:
+                windows.insert(i, (resume, end, opener))
+        while windows[i][0] < resume:
+            if windows[i][1] <= resume:
+                del windows[i]
+            else:
+                windows[i] = (resume, windows[i][1], opener)
+                break
+        st.attempts += fired
+        failed = fired - st.used  # since the last success
+        st.pos, st.used = i, 0
+        if st.left >= 0:
+            st.left -= failed
+            self._walk(st, i, 0, st.left + 1, None)
 
     def _deliver(self, pair: tuple[str, str], req_time: float, now: float) -> None:
         self.counters["delivered"] += 1
@@ -520,87 +611,70 @@ class NetworkSim:
             raise DomainError(f"horizon must be finite and > 0, got {until!r}")
         self._check_events(until)
         # Hot state in locals; the scalars stay on self.
-        heap, heappop = self.heap, heapq.heappop
-        counters, buffers, waiting = self.counters, self.buffers, self.waiting
+        heap, heappop, push, inf = self.heap, heapq.heappop, self._push, math.inf
+        elus, counters = self.elus, self.counters
+        buffers, waiting = self.buffers, self.waiting
         success_times, lifetime = self.success_times, self.lifetime
         log, emit, deliver = self.log, self._emit, self._deliver
         reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
-        open_window, close_window = self._open_window, self._close_window
         capacity = self.spec.buffer_capacity
-        sample_countdown = self._sample_countdown
-        schedule_success = self._schedule_success
-        while heap and heap[0][0] < until:
-            t, _prio, _ps, kind, payload = heappop(heap)
-
-            if kind == "_SCHED":
-                # The first entry is the switch's initial state and is free;
-                # later entries charge reconfiguration_time to changed links.
-                removed, added = payload
-                for st in removed:
-                    st.active = False
-                    st.removals.popleft()
-                    close_window(st, t)
-                resumes = t + self.spec.switch.reconfiguration_time
-                pending = []
-                for st in added:
-                    st.active = True
-                    if self.first_sched:
-                        open_window(st, t)
-                    else:
-                        st.reconfig_until = resumes
-                        st.epoch += 1
-                        pending.append((st, st.epoch))
-                if pending:
-                    self._push(resumes, "RECONFIG_DONE", pending)
-                self.first_sched = False
-
-            elif kind == "RECONFIG_DONE":
-                for st, epoch in payload:
-                    if st.epoch != epoch:
-                        continue
-                    # Refused while an ELU of the link reloads, or once a
-                    # later entry has removed it.
-                    open_window(st, t)
-                    if log is not None and st.open_:
-                        emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
-
-            elif kind == "COLLISION":
-                elu = payload
-                counters["collisions"] += 1
-                elu.collisions.append(t)
+        sample_countdown, walk, open_ = self._sample_countdown, self._walk, self._open
+        # The switch entries and the requests are two sorted streams beside
+        # the queue: an entry goes before, a request after, every queued
+        # event at its time.
+        entries, requests = self.entries, self.requests
+        e, r = self.next_entry, self.next_request
+        entry_t = entries[e][0] if e < len(entries) else inf
+        request_t = requests[r][0] if r < len(requests) else inf
+        while True:
+            t = heap[0][0] if heap else inf
+            if entry_t <= t and entry_t <= request_t:
+                if entry_t >= until:
+                    break
+                t, resumes, links = entries[e]
+                if e == 0:
+                    # The first entry is the switch's initial state and is
+                    # free: its links open now unless an ELU reloads.
+                    for st in links:
+                        a, b = st.pair
+                        if t >= elus[a].reload_until and t >= elus[b].reload_until:
+                            open_(st)
+                elif links and (log is not None or self.unopened):
+                    push(resumes, "RECONFIG_DONE", links)
+                e += 1
+                if log is None and not self.unopened:
+                    e = len(entries)  # the entries left would queue nothing
+                entry_t = entries[e][0] if e < len(entries) else inf
+                continue
+            if request_t < t:
+                if request_t >= until:
+                    break
+                t, pair = requests[r]
+                r += 1
+                request_t = requests[r][0] if r < len(requests) else inf
+                counters["requests"] += 1
                 if log is not None:
-                    emit(t, "COLLISION", "", elu.id, "")
-                for pair, buf in elu.buffers:
-                    if buf:
-                        counters["invalidated"] += len(buf)
-                        buf.clear()
-                        reschedule_expiry(pair)
-                elu.reload_until = t + elu.reload_time
-                elu.epoch += 1
-                self._push(elu.reload_until, "RELOAD_DONE", (elu, elu.epoch))
-                for st in elu.links:
-                    close_window(st, t)
-                u = self.rng.random()
-                self._push(t - math.log(1.0 - u) / elu.collision_rate,
-                           "COLLISION", elu)
+                    emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
+                if buffers[pair]:
+                    buffers[pair].popleft()
+                    reschedule_expiry(pair)
+                    deliver(pair, t, t)
+                else:
+                    waiting[pair].append(t)
+                continue
+            if t >= until:
+                break
+            t, _prio, _tie, _seq, kind, payload = heappop(heap)
 
-            elif kind == "RELOAD_DONE":
-                elu, epoch = payload
-                if elu.epoch != epoch:
-                    continue
-                if log is not None:
-                    emit(t, "RELOAD_DONE", "", elu.id, "")
-                for st in elu.links:
-                    open_window(st, t)
-
-            elif kind == "SUCCESS":
-                st, epoch, slot = payload
+            if kind == "SUCCESS":
+                st, epoch, i, slot, passed, _ = payload
                 if st.epoch != epoch:
                     continue
-                st.attempts += slot - st.consumed
-                st.consumed = slot
+                st.attempts += passed
+                st.pos, st.used = i, slot
                 st.successes += 1
-                counters["successes"] += 1
+                order = counters["successes"]
+                counters["successes"] = order + 1
                 if log is not None:
                     emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
                 pair = st.pair
@@ -614,8 +688,9 @@ class NetworkSim:
                         reschedule_expiry(pair)
                 else:
                     counters["overflow"] += 1
-                st.countdown = sample_countdown()
-                schedule_success(st)
+                st.left = sample_countdown()
+                if st.left >= 0:
+                    walk(st, i, slot, st.left + 1, (t, 4, order, st.rank))
 
             elif kind == "PAIR_EXPIRED":
                 pair, epoch = payload
@@ -624,17 +699,51 @@ class NetworkSim:
                 drop_expired(pair, t)
                 reschedule_expiry(pair)
 
-            elif kind == "PAIR_REQUEST":
-                pair = payload
-                counters["requests"] += 1
+            elif kind == "RECONFIG_DONE":
+                # Refused while an ELU of the link reloads.
+                for st in payload:
+                    a, b = st.pair
+                    if t < elus[a].reload_until or t < elus[b].reload_until:
+                        continue
+                    if log is not None:
+                        emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
+                    if st.left == -1:
+                        open_(st)
+
+            elif kind == "COLLISION":
+                elu = payload
+                order = counters["collisions"]
+                counters["collisions"] = order + 1
+                elu.collisions.append(t)
                 if log is not None:
-                    emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
-                if buffers[pair]:
-                    buffers[pair].popleft()
-                    reschedule_expiry(pair)
-                    deliver(pair, t, t)
-                else:
-                    waiting[pair].append(t)
+                    emit(t, "COLLISION", "", elu.id, "")
+                for pair, buf in elu.buffers:
+                    if buf:
+                        counters["invalidated"] += len(buf)
+                        buf.clear()
+                        reschedule_expiry(pair)
+                elu.reload_until = t + elu.reload_time
+                elu.epoch = order
+                push(elu.reload_until, "RELOAD_DONE", (elu, order))
+                for st in elu.links:
+                    self._suspend(st, t, elu.reload_until,
+                                  (elu.reload_until, 2, order))
+                u = self.rng.random()
+                push(t - math.log(1.0 - u) / elu.collision_rate, "COLLISION", elu)
+
+            else:  # RELOAD_DONE
+                elu, order = payload
+                if elu.epoch != order:
+                    continue
+                if log is not None:
+                    emit(t, "RELOAD_DONE", "", elu.id, "")
+                # A link not yet opened whose first window starts now opens
+                # here: an entry or reconfiguration end now came first and
+                # would have opened it.
+                for st in elu.links:
+                    if st.left == -1 and st.windows[0][0] == t:
+                        open_(st)
+        self.next_entry, self.next_request = e, r
         self.now = max(self.now, until)
 
     def finish(self, horizon: float) -> SimResult:
@@ -644,10 +753,13 @@ class NetworkSim:
             raise DomainError(
                 f"horizon {horizon!r} is before the time already simulated, {self.now!r}")
         per_link = {}
-        for link in sorted(self.links):
-            st = self.links[link]
-            self._close_window(st, horizon)
-            per_link[st.label] = LinkStats(st.attempts, st.successes,
+        for st in self.links.values():
+            attempts = st.attempts
+            for start, end, _ in st.windows[st.pos:]:
+                if start >= horizon:
+                    break
+                attempts += _slots_before(start, self.rate, min(end, horizon))
+            per_link[st.label] = LinkStats(attempts, st.successes,
                                            st.successes / horizon)
         counters = self.counters
         residual = 0

@@ -451,7 +451,8 @@ class TestBadSimulateInputs:
         code, err = self.simulate(
             tmp_path, capsys, '[{"time_s": NaN, "links": [["A", 0, "B", 0]]}]')
         assert code == 1
-        assert "ionfab: error: switch schedule times must be finite" in err
+        assert (f"ionfab: error: {tmp_path / 'sched.json'}: $[0].time_s: "
+                "switch schedule times must be finite") in err
 
     def test_negative_schedule_time(self, tmp_path, capsys):
         code, err = self.simulate(
@@ -459,7 +460,8 @@ class TestBadSimulateInputs:
             horizon="0.01")
         assert code == 1
         assert [line for line in err.splitlines() if line.startswith("ionfab: error:")] == [
-            "ionfab: error: switch schedule times must be >= 0, got -1.0"]
+            f"ionfab: error: {tmp_path / 'sched.json'}: $[0].time_s: "
+            "switch schedule times must be >= 0, got -1.0"]
 
     def test_malformed_schedule_json(self, tmp_path, capsys):
         code, err = self.simulate(tmp_path, capsys, ONE_LINK[:-1])
@@ -705,6 +707,24 @@ BAD_INPUTS = {
         [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
         '[{"time_s": "x", "elus": ["A", "B"]}]',
         "{f}: $[0].time_s: expected number, got 'x'"),
+    # the sim's own checks of one entry or request, named by file and index
+    "schedule_port_not_comm_ion": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": 0.0, "links": [["A", 5, "B", 0]]}]',
+        "{f}: $[0].links: port A.5 is not a communication ion"),
+    "schedule_unsorted": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": 0.2, "links": []}, {"time_s": 0.1, "links": []}]',
+        "{f}: $[1].time_s: switch schedule times must be sorted"),
+    "demand_unconnectable_pair": (
+        [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
+        '[{"time_s": 0.1, "elus": ["A", "C"]}]',
+        "{f}: $[0].elus: request for ELU pair ('A', 'C') that no scheduled "
+        "link can serve"),
+    "demand_negative_time": (
+        [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
+        '[{"time_s": -0.1, "elus": ["A", "B"]}]',
+        "{f}: $[0].time_s: request times must be >= 0, got -0.1"),
     "map_malformed_json": (
         [*SCHEDULE, "--map", "file:{f}"], '{"0": ["A", 2]',
         "{f}: $: invalid JSON at line 1: Expecting ',' delimiter"),

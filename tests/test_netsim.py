@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_JSON
+from conftest import EXAMPLE_JSON, GOLDEN_DIR
 from ionfab.arch import load_architecture
 from ionfab.errors import CapacityError, DomainError
 from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, default_link,
@@ -352,6 +354,31 @@ class TestRunSim:
             ("PAIR_REQUEST", 2e-6), ("SUCCESS", 4e-6), ("PAIR_DELIVERED", 4e-6)]
         assert (r.latency_mean, r.latency_max) == (1e-6, 2e-6)
 
+    def test_equal_time_successes_in_queue_order(self, example_spec):
+        # Power-of-two times, so every sum below is exact. X = A.0-B.0 is on
+        # from t = 0; the second entry adds Y = A.1-B.1 and Z = A.18-B.18,
+        # which open together at s, when X is mid-window. At p = 1 all three
+        # succeed on every slot after s. Y and Z are queued by the one
+        # RECONFIG_DONE at s, in link order; X's success at each slot is
+        # queued by its SUCCESS one slot earlier, which comes after that
+        # RECONFIG_DONE, and after Y's and Z's successes from then on.
+        rate, reconf, t1 = 2.0 ** 16, 2.0 ** -10, 2.0 ** -8
+        spec = dataclasses.replace(example_spec, attempt_rate=rate,
+                                   switch=dataclasses.replace(
+                                       example_spec.switch,
+                                       reconfiguration_time=reconf))
+        x, y, z = (make_link(("A", p), ("B", p)) for p in (0, 1, 18))
+        schedule = [(0.0, SwitchConfig(frozenset({x}))),
+                    (t1, SwitchConfig(frozenset({x, y, z})))]
+        s = t1 + reconf
+        r = run_sim(spec, schedule, [], s + 3.5 / rate, seed=0,
+                    p_override=1.0, store_log=True)
+        X, Y, Z = map(link_label, (x, y, z))
+        assert [(e.time, e.kind, e.link) for e in r.events if e.time >= s] == [
+            (s, "RECONFIG_DONE", Y), (s, "RECONFIG_DONE", Z), (s, "SUCCESS", X),
+            *[(s + j / rate, "SUCCESS", label)
+              for j in (1, 2, 3) for label in (Y, Z, X)]]
+
     def test_seed_changes_stream(self, example_spec):
         a = run_sim(example_spec, one_link_schedule(example_spec), [], 1.0, seed=1)
         b = run_sim(example_spec, one_link_schedule(example_spec), [], 1.0, seed=2)
@@ -694,3 +721,96 @@ class TestTheoreticalRateCheck:
             1 for seed in range(100)
             if abs(theoretical_rate_check(example_spec, seed=seed).z_score) < 3)
         assert inside >= 99
+
+
+def scenario(k):
+    """Seeded multiplexed run k: ``(spec, schedule, demand, horizon, p,
+    store_log, splits)``, drawn from ``random.Random(k)``.
+
+    2-8 ELUs at a 20 kHz attempt rate under round-robin or random
+    matchings; dwells of zero (equal entry times), shorter than the
+    reconfiguration time and longer; collision rates 0, 0.5 and 5 /s per
+    ion; lifetimes None, 2 ms and 10 ms; demand in input order with
+    equal-time requests; half the runs logged, and some advanced in steps.
+    """
+    rng = random.Random(k)
+    n = rng.randint(2, 8)
+    ids = [f"E{i}" for i in range(n)]
+    reconf = rng.choice([1e-4, 5e-4, 1e-3])
+    spec = machine(n, collision_rate=rng.choice([0.0, 0.5, 5.0]),
+                   lifetime=rng.choice([None, 2e-3, 1e-2]), attempt_rate=2e4)
+    spec = dataclasses.replace(spec, switch=dataclasses.replace(
+        spec.switch, reconfiguration_time=reconf))
+    if rng.random() < 0.5:
+        # circle method, with a bye for an odd count
+        slots = ids + [None] * (n % 2)
+        m = len(slots)
+        pool = []
+        for r in range(m - 1):
+            pairs = [(r, m - 1)] + [((r + j) % (m - 1), (r - j) % (m - 1))
+                                    for j in range(1, m // 2)]
+            pool.append(SwitchConfig(frozenset(
+                make_link((slots[a], p), (slots[b], p)) for a, b in pairs
+                if slots[a] and slots[b] for p in PORTS)))
+    else:
+        pool = []
+        for _ in range(rng.randint(1, 4)):
+            free = [(e, p) for e in ids for p in PORTS]
+            rng.shuffle(free)
+            links = set()
+            while free:
+                a = free.pop()
+                b = next((q for q in free if q[0] != a[0]), None)
+                if b is not None:
+                    free.remove(b)
+                    if rng.random() < 0.7:
+                        links.add(make_link(a, b))
+            pool.append(SwitchConfig(frozenset(links)))
+    t = rng.choice([0.0, 3e-4])
+    schedule = []
+    for j in range(rng.randint(1, 10)):
+        schedule.append((t, pool[j % len(pool)] if rng.random() < 0.7
+                         else rng.choice(pool)))
+        t += rng.choice([0.0, reconf / 2, 2 * reconf, 2.5e-3])
+    horizon = t + rng.choice([1e-3, 5e-3])
+    pairs = sorted({link_pair(link) for _, cfg in schedule
+                    for link in cfg.active_links})
+    demand = []
+    for _ in range(rng.randint(0, 30) if pairs else 0):
+        at = (rng.randint(0, 20) * horizon / 20 if rng.random() < 0.5
+              else rng.uniform(0.0, horizon))
+        demand.append((at, rng.choice(pairs)[::rng.choice([1, -1])]))
+    p = rng.choice([0.01, 0.2, 1.0])
+    store_log = rng.random() < 0.5
+    splits = sorted(rng.uniform(0.0, horizon) for _ in range(rng.choice([0, 0, 2])))
+    return spec, schedule, demand, horizon, p, store_log, splits
+
+
+def scenario_digest(k):
+    """sha256 of everything run k reports: ledger, per-link stats,
+    collisions, requests, latencies and the event log."""
+    spec, schedule, demand, horizon, p, store_log, splits = scenario(k)
+    sim = NetworkSim(spec, schedule, demand, seed=k, p_override=p,
+                     store_log=store_log)
+    for t in splits:
+        sim.advance(t)
+    r = sim.finish(horizon)
+    doc = [dataclasses.astuple(r.ledger),
+           [[label, s.attempts, s.successes, s.measured_rate]
+            for label, s in r.per_link.items()],
+           r.collisions, r.request_count, r.requests_served,
+           r.latency_mean, r.latency_max,
+           r.events_csv() if store_log else None]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+class TestScenarioDigests:
+    """Pinned outputs of seeded multiplexed runs: any change to the event
+    order, the draw order or the attempt count moves a digest."""
+
+    def test_digests_unchanged(self):
+        pinned = json.loads((GOLDEN_DIR / "netsim_scenarios.json").read_text())
+        assert len(pinned) >= 200
+        moved = [k for k, digest in pinned.items()
+                 if scenario_digest(int(k)) != digest]
+        assert moved == []
