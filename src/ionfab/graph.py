@@ -214,14 +214,18 @@ def greedy_cut(order: list[int], neighbours, capacity: dict[str, int]) -> list[s
     ELU with room that cuts the least weight to already-placed neighbours,
     ties going to the most spare room, then to the earlier ELU.
 
-    With weights >= 0 only two kinds of ELU can win: one that holds a
-    placed neighbour, or the roomiest (then earliest) ELU of all, which a
-    lazy heap keeps. The cost is O(edges + nodes · log ELUs).
+    With weights >= 0 an ELU with room and a positive weight of placed
+    neighbours beats every ELU without one. Only when no such ELU exists
+    does the roomiest (then earliest) ELU of all win, and only then is the
+    lazy heap that keeps it read. Its entries may claim more room than an
+    ELU has left: a read pops each stale top and pushes it back at the
+    room left, if any. A placement makes at most one entry stale, so the
+    cost is O(edges + nodes · log ELUs).
     """
     spare = _spare(len(order), capacity)
     rank = {eid: k for k, eid in enumerate(capacity)}
-    # Max-heap of (-spare, rank, eid), one fresh entry per drop in an ELU's
-    # spare room; an entry whose room no longer matches is stale.
+    # Max-heap of (-spare, rank, eid), one entry per ELU with room; an entry
+    # whose room no longer matches is stale.
     roomiest = [(-m, rank[eid], eid) for eid, m in spare.items() if m > 0]
     heapq.heapify(roomiest)
     placed: list[str | None] = [None] * len(order)
@@ -231,20 +235,23 @@ def greedy_cut(order: list[int], neighbours, capacity: dict[str, int]) -> list[s
             eid = placed[other]
             if eid is not None:
                 weight_on[eid] = weight_on.get(eid, 0) + w
-        while -roomiest[0][0] != spare[roomiest[0][2]]:
-            heapq.heappop(roomiest)
         # Least cut weight is most weight kept on the ELU; -rank makes the
-        # earlier ELU win a full tie. The roomiest ELU enters at weight 0,
-        # and again below at its own weight if it holds a neighbour.
-        _, r, best = roomiest[0]
-        best_key = (0, spare[best], -r)
+        # earlier ELU win a full tie.
+        best, best_key = None, None
         for eid, w in weight_on.items():
-            if spare[eid] > 0:
+            if w > 0 and spare[eid] > 0:
                 key = (w, spare[eid], -rank[eid])
-                if key > best_key:
+                if best is None or key > best_key:
                     best, best_key = eid, key
+        if best is None:
+            while True:
+                claim, r, best = roomiest[0]
+                if -claim == spare[best]:
+                    break
+                if spare[best]:
+                    heapq.heapreplace(roomiest, (-spare[best], r, best))
+                else:
+                    heapq.heappop(roomiest)
         placed[node] = best
         spare[best] -= 1
-        if spare[best]:
-            heapq.heappush(roomiest, (-spare[best], rank[best], best))
     return placed

@@ -438,14 +438,21 @@ def instance_to_doc(instance: IsingInstance) -> dict:
     }
 
 
+def _spin(row: list, k: int) -> int:
+    i = integer(row, k, "$")
+    if i < 0:
+        raise SchemaError(f"must be >= 0, got {i}", f"$[{k}]")
+    return i
+
+
 def _coupling_row(row: object) -> tuple[int, int, float]:
     fixed_array(row, 3, "[i, j, J]")
-    return integer(row, 0, "$"), integer(row, 1, "$"), number(row, 2, "$")
+    return _spin(row, 0), _spin(row, 1), number(row, 2, "$")
 
 
 def _field_row(row: object) -> tuple[int, float]:
     fixed_array(row, 2, "[i, B]")
-    return integer(row, 0, "$"), number(row, 1, "$")
+    return _spin(row, 0), number(row, 1, "$")
 
 
 def parse_instance(doc: object) -> IsingInstance:
@@ -455,6 +462,8 @@ def parse_instance(doc: object) -> IsingInstance:
         raise SchemaError(f"expected schema {ISING_SCHEMA_ID!r}, got {doc['schema']!r}",
                           "$.schema")
     n = integer(doc, "n", "$")
+    if n < 1:
+        raise SchemaError(f"must be >= 1, got {n}", "$.n")
     for key in ("alpha", "j0"):
         if doc.get(key) is not None:
             number(doc, key, "$")

@@ -41,9 +41,16 @@ event that reaches it: the link's previous success, when both fall in one
 window, else the event that opens its window (the first entry, an entry's
 reconfiguration end or a reload end), links queued by one event in sorted
 order. A PAIR_DELIVERED is not queued but logged by the SUCCESS or
-PAIR_REQUEST that causes it. A request never finds an expired pair: a
-non-empty buffer always has a live PAIR_EXPIRED queued at its head's expiry
-time. An attempt landing exactly on a suspension boundary does not fire.
+PAIR_REQUEST that causes it. An attempt landing exactly on a suspension
+boundary does not fire.
+
+A buffer drops its expired pairs when it is read, as if each expiry were
+an event of its own at its time: a SUCCESS drops the pairs that expire
+before it (one expiring at the same time comes after it), a request those
+that expire at or before it, a COLLISION those that expire before it and
+then invalidates the rest, and ``finish`` those that expire at or before
+the horizon. A PAIR_EXPIRED is queued at the expiry of a buffer's head only
+while the run keeps a log, to write the row of each pair dropped at it.
 
 The switch schedule and the demand are read as two sorted streams beside
 the queue, which holds only the events a run creates. Each link's attempt
@@ -547,20 +554,21 @@ class NetworkSim:
             self._emit(now, "PAIR_DELIVERED", "", pair[0], pair[1])
 
     def _reschedule_expiry(self, pair: tuple[str, str]) -> None:
-        if self.lifetime is math.inf:
-            return
+        """Queue the PAIR_EXPIRED of the buffer's head, cancelling the one
+        queued before; only a run with a log and a finite lifetime calls it."""
         self.buffer_epoch[pair] += 1
         buf = self.buffers[pair]
         if buf:
             self._push(buf[0], "PAIR_EXPIRED", (pair, self.buffer_epoch[pair]))
 
-    def _drop_expired(self, pair: tuple[str, str], now: float) -> None:
-        """Pop, count and log the buffered pairs that expire by ``now``."""
+    def _drop_expired(self, pair: tuple[str, str], t: float, at_t: bool = True) -> None:
+        """Pop, count and log the buffered pairs that expire before ``t``,
+        and those that expire at ``t`` unless ``at_t`` is false."""
         buf = self.buffers[pair]
-        while buf and buf[0] <= now:
+        while buf and (buf[0] < t or at_t and buf[0] == t):
             buf.popleft()
             if self.log is not None:
-                self._emit(now, "PAIR_EXPIRED", "", pair[0], pair[1])
+                self._emit(t, "PAIR_EXPIRED", "", pair[0], pair[1])
             self.counters["expired"] += 1
 
     def _check_events(self, until: float) -> None:
@@ -574,10 +582,12 @@ class NetworkSim:
         first success after the last one taken that the buffer would still
         hold at t if nothing else drew on it (unexpired, s + lifetime > t,
         and made after the last collision of either ELU at or before t),
-        else at the next success, sought in doubling steps that stop at the
-        cap. Buffer capacity is not modelled. Only when an ELU of the pair
-        can collide does the sim run to just past t. When pairs expire or
-        collide, a t past the cap raises DomainError before any work."""
+        else at the next success. That is sought by advancing the sim from
+        its clock in steps that start at 1/(R·p), one expected success of a
+        link, and double per miss, up to the cap. Buffer capacity is not
+        modelled. Only when an ELU of the pair can collide does the sim run
+        to just past t. When pairs expire or collide, a t past the cap
+        raises DomainError before any work."""
         pair = self._pair(pair)
         if not math.isfinite(t):
             raise DomainError(f"pair request time must be finite, got {t!r}")
@@ -593,10 +603,10 @@ class NetworkSim:
             if k := bisect.bisect_right(elu.collisions, t):
                 lo = bisect.bisect_right(stream, elu.collisions[k - 1], lo=lo)
         rate = self.rate * self.p
-        step = 10.0 / rate if rate else math.inf
+        step = 1.0 / rate if rate else math.inf
         while (i := bisect.bisect_right(stream, t, lo=lo,
                                         key=lambda s: s + lifetime)) == len(stream):
-            horizon = self.now + step if colliding else max(2.0 * self.now, step)
+            horizon = self.now + step
             if horizon == math.inf:
                 raise DomainError(f"link pair rate {rate!r}/s is too low to supply pairs")
             step *= 2.0
@@ -617,6 +627,9 @@ class NetworkSim:
         success_times, lifetime = self.success_times, self.lifetime
         log, emit, deliver = self.log, self._emit, self._deliver
         reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
+        # Expiries are queued only to write their log rows; without a log a
+        # buffer drops its expired pairs when it is read.
+        queue_expiry = log is not None and lifetime < inf
         capacity = self.spec.buffer_capacity
         sample_countdown, walk, open_ = self._sample_countdown, self._walk, self._open
         # The switch entries and the requests are two sorted streams beside
@@ -655,9 +668,13 @@ class NetworkSim:
                 counters["requests"] += 1
                 if log is not None:
                     emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
-                if buffers[pair]:
-                    buffers[pair].popleft()
-                    reschedule_expiry(pair)
+                buf = buffers[pair]
+                if buf and buf[0] <= t:
+                    drop_expired(pair, t)
+                if buf:
+                    buf.popleft()
+                    if queue_expiry:
+                        reschedule_expiry(pair)
                     deliver(pair, t, t)
                 else:
                     waiting[pair].append(t)
@@ -682,12 +699,15 @@ class NetworkSim:
                 buf = buffers[pair]
                 if waiting[pair]:
                     deliver(pair, waiting[pair].popleft(), t)
-                elif len(buf) < capacity:
-                    buf.append(t + lifetime)
-                    if len(buf) == 1:
-                        reschedule_expiry(pair)
                 else:
-                    counters["overflow"] += 1
+                    if buf and buf[0] < t:  # one expiring at t is still held
+                        drop_expired(pair, t, at_t=False)
+                    if len(buf) < capacity:
+                        buf.append(t + lifetime)
+                        if len(buf) == 1 and queue_expiry:
+                            reschedule_expiry(pair)
+                    else:
+                        counters["overflow"] += 1
                 st.left = sample_countdown()
                 if st.left >= 0:
                     walk(st, i, slot, st.left + 1, (t, 4, order, st.rank))
@@ -719,9 +739,12 @@ class NetworkSim:
                     emit(t, "COLLISION", "", elu.id, "")
                 for pair, buf in elu.buffers:
                     if buf:
+                        if buf[0] < t:  # one expiring at t is invalidated
+                            drop_expired(pair, t, at_t=False)
                         counters["invalidated"] += len(buf)
                         buf.clear()
-                        reschedule_expiry(pair)
+                        if queue_expiry:
+                            reschedule_expiry(pair)
                 elu.reload_until = t + elu.reload_time
                 elu.epoch = order
                 push(elu.reload_until, "RELOAD_DONE", (elu, order))

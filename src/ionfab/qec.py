@@ -499,7 +499,10 @@ def _check(doc: object) -> Check:
     if not (isinstance(data, list) and data
             and all(type(d) is int and d >= 0 for d in data)):
         raise SchemaError("expected a non-empty array of integers >= 0", "$.data")
-    return Check(string(doc, "kind", "$"), frozenset(data))
+    kind = string(doc, "kind", "$")
+    if kind not in ("X", "Z"):
+        raise SchemaError(f"must be X or Z, got {kind!r}", "$.kind")
+    return Check(kind, frozenset(data))
 
 
 def _coord(row: object) -> tuple[int, int]:

@@ -666,18 +666,33 @@ BAD_INPUTS = {
     "qec_coords_without_checks": (
         QEC_EMBED, SURFACE3 + ', "coords": {"data": [[0, 0]]}}',
         "{f}: $.coords: missing required key(s): checks"),
+    "qec_check_kind_y": (
+        QEC_EMBED, SURFACE3.replace('"kind": "Z"', '"kind": "Y"') + "}",
+        "{f}: $.checks[0].kind: must be X or Z, got 'Y'"),
     "qec_without_family": (
         QEC_EMBED, SURFACE3.replace('"family": "surface", ', "") + "}",
         "{f}: $: missing required key(s): family"),
     "ising_string_coupling_index": (
         ISING_SOLVE, ISING % ('[["a", 1, 2]]', "[]"),
         "{f}: $.couplings[0][0]: expected integer, got 'a'"),
+    "ising_negative_coupling_index": (
+        ISING_SOLVE, ISING % ("[[0, 1, 1.0], [-1, 2, 1.0]]", "[]"),
+        "{f}: $.couplings[1][0]: must be >= 0, got -1"),
+    "ising_negative_second_coupling_index": (
+        ISING_SOLVE, ISING % ("[[2, -1, 1.0]]", "[]"),
+        "{f}: $.couplings[0][1]: must be >= 0, got -1"),
     "ising_string_coupling": (
         ISING_SOLVE, ISING % ('[[0, 1, "x"]]', "[]"),
         "{f}: $.couplings[0][2]: expected number, got 'x'"),
     "ising_string_field_index": (
         ISING_SOLVE, ISING % ("[]", '[["q", 1]]'),
         "{f}: $.fields[0][0]: expected integer, got 'q'"),
+    "ising_negative_field_index": (
+        ISING_SOLVE, ISING % ("[]", "[[0, 1], [-2, 1]]"),
+        "{f}: $.fields[1][0]: must be >= 0, got -2"),
+    "ising_zero_spins": (
+        ISING_SOLVE, '{"schema": "ionfab-ising/1", "n": 0, "couplings": [], "fields": []}',
+        "{f}: $.n: must be >= 1, got 0"),
     "ising_duplicate_field": (
         ISING_SOLVE, ISING % ("[]", "[[0, 1], [2, 1], [0, -1]]"),
         "{f}: $.fields[2]: duplicate field 0"),

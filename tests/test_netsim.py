@@ -239,6 +239,8 @@ class TestPairBuffers:
 
     One link at p = 1 yields exactly one success per attempt, at k/R, and is
     switched off after ``n_pairs`` attempts, so every time in the log is exact.
+    The same run without a log, which drops expired pairs only when it reads
+    a buffer, must report the same.
     """
 
     def run(self, spec, n_pairs, demand, **fields):
@@ -246,8 +248,13 @@ class TestPairBuffers:
         on = SwitchConfig(frozenset({default_link(spec)}))
         off = SwitchConfig(frozenset())
         schedule = [(0.0, on), ((n_pairs + 0.5) / spec.attempt_rate, off)]
-        return run_sim(spec, schedule, [(t, ("A", "B")) for t in demand],
-                       horizon=1.0, seed=0, p_override=1.0, store_log=True)
+        def sim(store_log):
+            return run_sim(spec, schedule, [(t, ("A", "B")) for t in demand],
+                           horizon=1.0, seed=0, p_override=1.0, store_log=store_log)
+
+        logged = sim(True)
+        assert sim(False) == dataclasses.replace(logged, events=None)
+        return logged
 
     @staticmethod
     def rows(result):
@@ -273,6 +280,14 @@ class TestPairBuffers:
         assert (r.ledger.expired, r.ledger.delivered, r.ledger.residual) == (1, 1, 0)
         assert r.latency_max == 0.0
 
+    def test_request_at_the_only_pair_expiry_waits(self, example_spec):
+        rate = example_spec.attempt_rate
+        expiry = 1 / rate + 2 / rate
+        r = self.run(example_spec, 1, [expiry], pair_lifetime=2 / rate)
+        assert self.rows(r) == [
+            ("SUCCESS", 1 / rate), ("PAIR_EXPIRED", expiry), ("PAIR_REQUEST", expiry)]
+        assert (r.ledger.expired, r.ledger.delivered, r.requests_served) == (1, 0, 0)
+
     def test_full_buffer_drops_the_newest_pair(self, example_spec):
         rate, lifetime = example_spec.attempt_rate, 1e-4
         r = self.run(example_spec, 2, [], buffer_capacity=1,
@@ -280,6 +295,14 @@ class TestPairBuffers:
         assert self.rows(r) == [
             ("SUCCESS", 1 / rate), ("SUCCESS", 2 / rate),
             ("PAIR_EXPIRED", 1 / rate + lifetime)]
+        assert (r.ledger.overflow_dropped, r.ledger.expired) == (1, 1)
+
+    def test_success_at_the_head_expiry_finds_the_buffer_full(self, example_spec):
+        rate = example_spec.attempt_rate
+        r = self.run(example_spec, 2, [], buffer_capacity=1, pair_lifetime=1 / rate)
+        assert self.rows(r) == [
+            ("SUCCESS", 1 / rate), ("SUCCESS", 2 / rate),
+            ("PAIR_EXPIRED", 2 / rate)]
         assert (r.ledger.overflow_dropped, r.ledger.expired) == (1, 1)
 
     def test_request_blocks_while_buffer_empty(self, example_spec):
@@ -607,8 +630,9 @@ class TestNetworkSim:
 
     def test_queues_only_events_that_can_happen(self, monkeypatch):
         # collision-free, so every queued success fires, is cut off by the
-        # horizon (one per link at most) or was never queued
-        spec = machine(6)
+        # horizon (one per link at most) or was never queued; without a log,
+        # buffers drop their expired pairs when read and queue no expiry
+        spec = machine(6, lifetime=1e-3)
         schedule = round_robin(spec.elu_ids(), 0.005, 1.0)
         queued = Counter()
         push = NetworkSim._push
@@ -620,8 +644,10 @@ class TestNetworkSim:
         monkeypatch.setattr(NetworkSim, "_push", counting_push)
         r = run_sim(spec, schedule, [], 1.0, seed=7)
         assert r.ledger.successes > 500
+        assert r.ledger.expired > 0
         assert queued["SUCCESS"] <= r.ledger.successes + len(r.per_link)
         assert queued["RECONFIG_DONE"] <= len(schedule)
+        assert queued["PAIR_EXPIRED"] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
@@ -786,21 +812,28 @@ def scenario(k):
     return spec, schedule, demand, horizon, p, store_log, splits
 
 
-def scenario_digest(k):
-    """sha256 of everything run k reports: ledger, per-link stats,
-    collisions, requests, latencies and the event log."""
-    spec, schedule, demand, horizon, p, store_log, splits = scenario(k)
+def scenario_report(k, store_log):
+    """What run k reports but its event log: ledger, per-link stats,
+    collisions, requests and latencies; and the run's result."""
+    spec, schedule, demand, horizon, p, _, splits = scenario(k)
     sim = NetworkSim(spec, schedule, demand, seed=k, p_override=p,
                      store_log=store_log)
     for t in splits:
         sim.advance(t)
     r = sim.finish(horizon)
-    doc = [dataclasses.astuple(r.ledger),
-           [[label, s.attempts, s.successes, s.measured_rate]
-            for label, s in r.per_link.items()],
-           r.collisions, r.request_count, r.requests_served,
-           r.latency_mean, r.latency_max,
-           r.events_csv() if store_log else None]
+    return [dataclasses.astuple(r.ledger),
+            [[label, s.attempts, s.successes, s.measured_rate]
+             for label, s in r.per_link.items()],
+            r.collisions, r.request_count, r.requests_served,
+            r.latency_mean, r.latency_max], r
+
+
+def scenario_digest(k):
+    """sha256 of everything run k reports, its event log included when the
+    scenario keeps one."""
+    store_log = scenario(k)[5]
+    doc, r = scenario_report(k, store_log)
+    doc.append(r.events_csv() if store_log else None)
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
@@ -814,3 +847,11 @@ class TestScenarioDigests:
         moved = [k for k, digest in pinned.items()
                  if scenario_digest(int(k)) != digest]
         assert moved == []
+
+    def test_a_log_changes_no_report(self):
+        # A logged run queues each expiry to write its row; a run without a
+        # log drops expired pairs when it reads a buffer.
+        pinned = json.loads((GOLDEN_DIR / "netsim_scenarios.json").read_text())
+        differ = [k for k in pinned
+                  if scenario_report(int(k), False)[0] != scenario_report(int(k), True)[0]]
+        assert differ == []

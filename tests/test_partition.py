@@ -94,10 +94,12 @@ def test_partitions_match_golden(section):
 
 
 def draw_neighbours(draw, n, max_edges, max_weight):
-    """Symmetric ``(other, weight)`` lists of a random multigraph on n nodes."""
+    """Symmetric ``(other, weight)`` lists of a random multigraph on n nodes,
+    weights 0 to ``max_weight``: a weight of 0 keeps a neighbour that pulls
+    no ELU ahead."""
     neighbours = [[] for _ in range(n)]
     for a, b, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                           st.integers(1, max_weight)),
+                                           st.integers(0, max_weight)),
                                  max_size=max_edges)):
         if a != b:
             neighbours[a].append((b, w))
