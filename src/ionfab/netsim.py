@@ -56,14 +56,21 @@ The switch schedule and the demand are read as two sorted streams beside
 the queue, which holds only the events a run creates. Each link's attempt
 windows are laid out from the schedule when the sim is built: a window
 opens at the first entry or at the reconfiguration end of the entry that
-adds the link, and closes at the next entry that removes it. A collision
-cuts the windows of its ELU's links and opens none again before the
-reload ends. A drawn count is walked across the windows, and its SUCCESS
-is queued at its slot, however many windows ahead; a collision cancels it
-and walks the count again. A RECONFIG_DONE is queued only while the run
-keeps a log or some link has yet to draw its first count; it logs one row
-per link that resumes, in sorted link order. The ``seq`` of a logged event
-is its index in the log, and a run without a log builds no events.
+adds the link, and closes at the next entry that removes it. Each window's
+attempt slots are counted once, when its end is known, and each link
+keeps a running total of them. A drawn count gives the link's slot of its
+next success, counted over all its windows; one bisection of the running
+total finds the window that holds it, and its SUCCESS is queued at that
+slot, however many windows ahead. Slot j of a window fires at start + j/R
+while that is before the window's end, a test monotone in j, so the
+bisection places each count where a window-by-window walk would. A
+collision cuts the windows of its ELU's links, opens none again before the
+reload ends, and recounts the windows it cuts or moves and the running
+total from the cut; it cancels the queued SUCCESS and queues the same slot
+again. A RECONFIG_DONE is queued only while the run keeps a log or some
+link has yet to draw its first count; it logs one row per link that
+resumes, in sorted link order. The ``seq`` of a logged event is its index
+in the log, and a run without a log builds no events.
 
 Neither the event order nor the draw order depends on the horizon, which
 only stops the loop. A :class:`NetworkSim` advanced in steps and then
@@ -80,6 +87,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -217,41 +225,58 @@ class _EluState:
 class _LinkState:
     # No reference back to its ELUs' states, which list it: without a cycle,
     # a finished sim is freed at once.
-    __slots__ = ("label", "pair", "rank", "windows", "pos", "used",
-                 "left", "epoch", "attempts", "successes")
+    __slots__ = ("label", "pair", "rank", "windows", "slots", "pos",
+                 "target", "epoch", "successes")
 
     def __init__(self, link: Link, rank: int):
         self.label = link_label(link)
         self.pair = link_pair(link)  # its ELUs' ids
         self.rank = rank  # place in sorted link order
-        # The attempt windows (start, end, opener) in time order, where
-        # opener is the (time, priority, order) of the event that opens the
-        # window. Collisions of the link's ELUs cut and delay them. The last
-        # ends at math.inf: the link is never removed, or it is _NEVER.
-        self.windows: list[tuple[float, float, tuple | None]] = []
+        # The attempt windows (start, end, opener, slots) in time order,
+        # where opener is the (time, priority, order) of the event that opens
+        # the window and slots its attempt count, taken when its end is
+        # known. Collisions of the link's ELUs cut and delay them. The last
+        # ends at math.inf, with math.inf slots: the link is never removed,
+        # or it is _NEVER.
+        self.windows: list[tuple[float, float, tuple | None, float]] = []
+        # The running total of their slots: [i] is the slots of the windows
+        # before window i, and the last is math.inf.
+        self.slots: list[float] = []
         self.pos = 0  # window of the last success, else of the first open
-        self.used = 0  # slot of the last success in that window, else 0
-        # Failures before the next success, counted from there; -1 until
-        # the link first opens, -2 when it never succeeds.
-        self.left = -1
+        # The link's slot of its next success, counted over all its windows;
+        # -1 until the link first opens, math.inf when it never succeeds.
+        self.target = -1
         self.epoch = 0  # bumped by a collision; cancels the queued success
-        self.attempts = 0  # slots of the windows before pos
         self.successes = 0
 
 
-_NEVER = (math.inf, math.inf, None)  # the window after a link's last removal
+_NEVER = (math.inf, math.inf, None, math.inf)  # the window after a link's last removal
+_END, _SLOTS = itemgetter(1), itemgetter(3)
 
 
-def _slots_before(window_start: float, rate: float, t: float) -> int:
-    """Largest j >= 0 with window_start + j/rate < t (strict)."""
+def _slots_before(window_start: float, rate: float, t: float) -> int | float:
+    """Largest j >= 0 with window_start + j/rate < t (strict), or math.inf
+    if the span holds more slots than a float (t = math.inf: an endless
+    window). The test is monotone in j, so the search from the estimate
+    doubles its steps and then bisects: near 1e300 s, one slot no longer
+    moves a slot time."""
     if t <= window_start:
         return 0
-    j = int((t - window_start) * rate)
-    while window_start + (j + 1) / rate < t:
-        j += 1
-    while j > 0 and not window_start + j / rate < t:
-        j -= 1
-    return j
+    n = (t - window_start) * rate
+    if n == math.inf:
+        return n
+    lo, hi, step = int(n), int(n) + 1, 1
+    while window_start + hi / rate < t:
+        lo, hi, step = hi, hi + step, step * 2
+    while lo and not window_start + lo / rate < t:
+        lo, hi, step = max(lo - step, 0), lo, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if window_start + mid / rate < t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def validate_switch_config(spec: ArchitectureSpec, cfg: SwitchConfig) -> None:
@@ -377,7 +402,9 @@ class NetworkSim:
         # link, and closes at the next entry that removes it (math.inf until
         # then). The switch stream holds (time, reconfiguration end, links):
         # the first entry's links, then the links whose window each later
-        # entry's reconfiguration end opens.
+        # entry's reconfiguration end opens. A window's slots are counted
+        # when an entry closes it; the links it closes one after another
+        # from the same start share one count.
         reconf = spec.switch.reconfiguration_time
         changes: dict[tuple[SwitchConfig, SwitchConfig], tuple] = {}
         entries = self.entries = []
@@ -390,10 +417,13 @@ class NetworkSim:
                     [self.links[link] for link in sorted(cfg.active_links
                                                          - prev.active_links)])
             removed, added = change
+            last = None
             for st in removed:
-                start, _, opener = st.windows[-1]
+                start, _, opener, _ = st.windows[-1]
                 if start < t:
-                    st.windows[-1] = (start, t, opener)
+                    if start != last:
+                        last, n = start, _slots_before(start, self.rate, t)
+                    st.windows[-1] = (start, t, opener, n)
                 else:  # removed before it opens
                     st.windows.pop()
                     if opener[1]:  # the first entry's links draw all the same
@@ -401,15 +431,20 @@ class NetworkSim:
                         entries[opener[2]] = (at, resume,
                                               [x for x in opened if x is not st])
             resume = t + reconf
-            window = ((resume, math.inf, (resume, 1, k)) if k
-                      else (t, math.inf, (t, 0, 0)))
+            window = ((resume, math.inf, (resume, 1, k), math.inf) if k
+                      else (t, math.inf, (t, 0, 0), math.inf))
             for st in added:
                 st.windows.append(window)
             entries.append((t, resume, added))
             prev = cfg
+        # No pair succeeds after the end of its links' last windows.
+        self.pair_end = dict.fromkeys(connectable, 0.0)
         for st in self.links.values():
-            if not st.windows or st.windows[-1][1] < math.inf:
+            end = st.windows[-1][1] if st.windows else 0.0
+            if end < math.inf:
                 st.windows.append(_NEVER)
+            self.pair_end[st.pair] = max(self.pair_end[st.pair], end)
+            st.slots = list(accumulate(map(_SLOTS, st.windows), initial=0))
         self.next_entry = 0
         # Links that some event will open and that have not yet drawn their
         # first count; while there are any, reconfiguration ends are queued.
@@ -463,10 +498,9 @@ class NetworkSim:
                 f"request for ELU pair {pair} that no scheduled link can serve")
         return key
 
-    def _push(self, t: float, kind: str, payload) -> None:
-        # Equal-time events go in priority order, then a SUCCESS by the tie
-        # its payload ends with, then in the order they were queued.
-        tie = payload[-1] if kind == "SUCCESS" else 0
+    def _push(self, t: float, kind: str, payload, tie=0) -> None:
+        # Equal-time events go in priority order, then in the order they
+        # were queued; a SUCCESS (_walk) by its tie before that.
         heapq.heappush(self.heap, (t, _PRIO[kind], tie, self.push_seq, kind, payload))
         self.push_seq += 1
 
@@ -474,76 +508,72 @@ class NetworkSim:
         """Log one event; called only when the run keeps a log."""
         self.log.append(SimEvent(t, kind, link, elu_a, elu_b, len(self.log)))
 
-    def _sample_countdown(self) -> int:
-        if self.p <= 0.0:
-            return -2  # never succeeds
-        if self.p >= 1.0:
-            return 0
+    def _sample_countdown(self) -> int | float:
+        """Failed attempts before the next success; math.inf if none follows."""
+        if self.log1m_p is None:  # p is 0 (never succeeds) or 1
+            return 0 if self.p else math.inf
         u = 1.0 - self.rng.random()  # in (0, 1]
         k = math.log(u) / self.log1m_p
-        return int(k) if k < math.inf else -2
+        return int(k) if k < math.inf else k
 
-    def _walk(self, st: _LinkState, i: int, used: int, need: int, tie) -> None:
-        """Queue the link's success ``need`` slots past slot ``used`` of its
-        window i. It ties as ``tie``, the (time, priority, order, link rank)
-        of the event that drew the count, if it lands in window i, else as
-        the event that opens the window it lands in."""
-        rate, windows = self.rate, st.windows
-        passed = 0  # slots of the windows walked past
-        while True:
-            start, end, opener = windows[i]
-            slot = used + need
-            t = start + slot / rate
-            if t < end:
-                self._push(t, "SUCCESS", (st, st.epoch, i, slot, passed,
-                                          tie or (*opener, st.rank)))
-                return
-            if end == math.inf:
-                return
-            n = _slots_before(start, rate, end)
-            passed += n
-            need = slot - n
-            used = 0
-            tie = None
-            i += 1
+    def _walk(self, st: _LinkState, i: int, tie) -> None:
+        """Queue the link's success at its slot ``st.target``, in or after
+        its window i; a target of math.inf queues none. It ties as ``tie``,
+        the (time, priority, order, link rank) of the event that drew the
+        count, if it lands in window i, else as the event that opens the
+        window it lands in."""
+        slots = st.slots
+        j = bisect.bisect_left(slots, st.target, i + 1) - 1
+        start, end, opener, _ = st.windows[j]
+        t = start + (st.target - slots[j]) / self.rate
+        if t < end:
+            if j != i or tie is None:
+                tie = (*opener, st.rank)
+            self._push(t, "SUCCESS", (st, st.epoch, j), tie)
 
     def _open(self, st: _LinkState) -> None:
         """Draw the count of a link at the event that first opens it."""
-        st.left = self._sample_countdown()
+        st.target = st.slots[st.pos] + self._sample_countdown() + 1
         self.unopened -= 1
-        if st.left >= 0:
-            self._walk(st, st.pos, 0, st.left + 1, None)
+        self._walk(st, st.pos, None)
 
     def _suspend(self, st: _LinkState, c: float, resume: float, opener: tuple) -> None:
-        """A collision at ``c`` of one of the link's ELUs: count the attempts
-        fired before c, cut the window open at c, open no window again
-        before ``resume`` (the RELOAD_DONE ``opener`` opens a window that
-        this delays), and queue the success the count now reaches."""
+        """A collision at ``c`` of one of the link's ELUs: cut the window open
+        at c, open no window again before ``resume`` (the RELOAD_DONE
+        ``opener`` opens a window that this delays), recount the windows cut
+        or moved and the running totals from the cut, and queue the success
+        at the link's slot, which the cut does not move."""
         st.epoch += 1
         rate, windows = self.rate, st.windows
-        i, fired = st.pos, 0
+        i = st.pos
         while windows[i][1] <= c:
-            fired += _slots_before(windows[i][0], rate, windows[i][1])
             i += 1
+        cut = i
+        # A window moved to resume is recounted; an endless one keeps its
+        # math.inf slots.
         if windows[i][0] <= c:  # open at c
-            start, end, cut = windows[i]
-            fired += _slots_before(start, rate, c)
-            windows[i] = (start, c, cut)
+            start, end, was, _ = windows[i]
+            windows[i] = (start, c, was, _slots_before(start, rate, c))
             i += 1
             if resume < end:
-                windows.insert(i, (resume, end, opener))
+                windows.insert(i, (resume, end, opener, end if end == math.inf
+                                   else _slots_before(resume, rate, end)))
         while windows[i][0] < resume:
-            if windows[i][1] <= resume:
+            end = windows[i][1]
+            if end <= resume:
                 del windows[i]
             else:
-                windows[i] = (resume, windows[i][1], opener)
+                windows[i] = (resume, end, opener, end if end == math.inf
+                              else _slots_before(resume, rate, end))
                 break
-        st.attempts += fired
-        failed = fired - st.used  # since the last success
-        st.pos, st.used = i, 0
-        if st.left >= 0:
-            st.left -= failed
-            self._walk(st, i, 0, st.left + 1, None)
+        slots = st.slots
+        del slots[cut + 1:]
+        for window in windows[cut:-1]:
+            slots.append(slots[-1] + window[3])
+        slots.append(math.inf)  # the last window's
+        st.pos = i
+        if st.target >= 0:
+            self._walk(st, i, None)
 
     def _deliver(self, pair: tuple[str, str], req_time: float, now: float) -> None:
         self.counters["delivered"] += 1
@@ -587,7 +617,8 @@ class NetworkSim:
         link, and double per miss, up to the cap. Buffer capacity is not
         modelled. Only when an ELU of the pair can collide does the sim run
         to just past t. When pairs expire or collide, a t past the cap
-        raises DomainError before any work."""
+        raises DomainError before any work; so does the search, once the
+        sim has passed the end of the pair's last window."""
         pair = self._pair(pair)
         if not math.isfinite(t):
             raise DomainError(f"pair request time must be finite, got {t!r}")
@@ -606,6 +637,10 @@ class NetworkSim:
         step = 1.0 / rate if rate else math.inf
         while (i := bisect.bisect_right(stream, t, lo=lo,
                                         key=lambda s: s + lifetime)) == len(stream):
+            if self.now >= self.pair_end[pair]:
+                raise DomainError(f"request for ELU pair {pair} at {t!r} s gets none: "
+                                  "the switch schedule removes its last link at "
+                                  f"{self.pair_end[pair]!r} s")
             horizon = self.now + step
             if horizon == math.inf:
                 raise DomainError(f"link pair rate {rate!r}/s is too low to supply pairs")
@@ -684,11 +719,10 @@ class NetworkSim:
             t, _prio, _tie, _seq, kind, payload = heappop(heap)
 
             if kind == "SUCCESS":
-                st, epoch, i, slot, passed, _ = payload
+                st, epoch, i = payload
                 if st.epoch != epoch:
                     continue
-                st.attempts += passed
-                st.pos, st.used = i, slot
+                st.pos = i
                 st.successes += 1
                 order = counters["successes"]
                 counters["successes"] = order + 1
@@ -708,9 +742,8 @@ class NetworkSim:
                             reschedule_expiry(pair)
                     else:
                         counters["overflow"] += 1
-                st.left = sample_countdown()
-                if st.left >= 0:
-                    walk(st, i, slot, st.left + 1, (t, 4, order, st.rank))
+                st.target += sample_countdown() + 1
+                walk(st, i, (t, 4, order, st.rank))
 
             elif kind == "PAIR_EXPIRED":
                 pair, epoch = payload
@@ -727,7 +760,7 @@ class NetworkSim:
                         continue
                     if log is not None:
                         emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
-                    if st.left == -1:
+                    if st.target == -1:
                         open_(st)
 
             elif kind == "COLLISION":
@@ -764,7 +797,7 @@ class NetworkSim:
                 # here: an entry or reconfiguration end now came first and
                 # would have opened it.
                 for st in elu.links:
-                    if st.left == -1 and st.windows[0][0] == t:
+                    if st.target == -1 and st.windows[0][0] == t:
                         open_(st)
         self.next_entry, self.next_request = e, r
         self.now = max(self.now, until)
@@ -777,11 +810,12 @@ class NetworkSim:
                 f"horizon {horizon!r} is before the time already simulated, {self.now!r}")
         per_link = {}
         for st in self.links.values():
-            attempts = st.attempts
-            for start, end, _ in st.windows[st.pos:]:
-                if start >= horizon:
-                    break
-                attempts += _slots_before(start, self.rate, min(end, horizon))
+            # The slots of the windows that end by the horizon, and of the
+            # one it clips.
+            j = bisect.bisect_right(st.windows, horizon, st.pos, key=_END)
+            start = st.windows[j][0]
+            attempts = st.slots[j] + (_slots_before(start, self.rate, horizon)
+                                      if start < horizon else 0)
             per_link[st.label] = LinkStats(attempts, st.successes,
                                            st.successes / horizon)
         counters = self.counters

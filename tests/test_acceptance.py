@@ -17,6 +17,12 @@ Tolerances are pinned here and nowhere else:
   C8  brute force == dual enumerator on 50 seeded n=10 instances;
       adiabatic overlap > 0.99 at the pinned fixture, monotone over
       doublings within 1e-3; annealing never beats brute force; < 120 s.
+  C9  one static link (R*p = 100 Hz), its own seeds per case; the mean over
+      seeds within 3 standard errors (se over the seeds) of the closed form,
+      and 3 se <= 1.5 % of it: Erlang B, overflow_dropped/successes ==
+      B(C, R*p*L) for no demand at (C, R*p*L) = (1, 1) and (4, 4);
+      availability, measured rate == R*p*exp(-(lambda_a + lambda_b)*tau)
+      at 2 collisions/s per ion and a 10 ms reload. Each case < 10 s.
 """
 
 import dataclasses
@@ -266,3 +272,64 @@ def test_c8_ising_oracle():
     note(8, monotone and elapsed < 120.0,
          f"50/50 dual-enumerator matches; overlap {pinned.ground_overlap:.5f} "
          f"> 0.99, monotone {[f'{o:.4f}' for o in overlaps]}; {elapsed:.1f}s")
+
+
+def erlang_b(capacity, load):
+    """Blocking probability of an M/G/C/C loss system, by the recurrence
+    B(0) = 1, B(k) = a*B(k-1) / (k + a*B(k-1))."""
+    b = 1.0
+    for k in range(1, capacity + 1):
+        b = load * b / (k + load * b)
+    return b
+
+
+def note_closed_form(what, predicted, values, horizon, started):
+    """The C9 row: the mean over seeds within 3 standard errors of the
+    prediction, and 3 se within 1.5 % of it."""
+    mean = sum(values) / len(values)
+    se = math.sqrt(sum((v - mean) ** 2 for v in values)
+                   / (len(values) - 1) / len(values))
+    elapsed = time.monotonic() - started
+    note(9, abs(mean - predicted) <= 3.0 * se and 3.0 * se <= 0.015 * predicted
+         and elapsed < 10.0,
+         f"{what} {predicted:.4f}; sim {mean:.4f} +/- {se:.4f} over "
+         f"{len(values)} seeds of {horizon:g} s ({(mean - predicted) / se:+.2f} se) "
+         f"in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("capacity, load, seeds", [
+    (1, 1.0, range(9100, 9120)),
+    (4, 4.0, range(9200, 9240)),
+], ids=["C1-a1", "C4-a4"])
+def test_c9_erlang_b_overflow(spec, capacity, load, seeds):
+    # With no demand, pairs arrive at about Poisson rate R*p and each stays
+    # its lifetime L, an M/G/C/C loss system: the dropped share is
+    # B(C, R*p*L) whatever the holding-time law. Arrivals on the attempt
+    # lattice are Bernoulli, an O(p) difference.
+    started = time.monotonic()
+    s = dataclasses.replace(spec, buffer_capacity=capacity, pair_lifetime=load / 100.0)
+    schedule_ = [(0.0, SwitchConfig(frozenset({default_link(s)})))]
+    ledgers = [run_sim(s, schedule_, [], 50.0, seed=seed).ledger for seed in seeds]
+    note_closed_form(f"Erlang B({capacity}, {load:g}) overflow share",
+                     erlang_b(capacity, load),
+                     [g.overflow_dropped / g.successes for g in ledgers], 50.0, started)
+
+
+def test_c9_availability_under_collisions(spec):
+    # Each collision restarts its ELU's reload, so an ELU is up at t exactly
+    # when it had no collision in (t - tau, t]: the link delivers
+    # R*p*exp(-(lambda_a + lambda_b)*tau). The attempt clock's reset at each
+    # reload end is O(1/(R*tau)).
+    started = time.monotonic()
+    per_ion, tau = 2.0, 0.01
+    s = dataclasses.replace(spec, elus=tuple(
+        dataclasses.replace(e, collision_rate_per_ion=per_ion, reload_time=tau)
+        for e in spec.elus))
+    schedule_ = [(0.0, SwitchConfig(frozenset({default_link(s)})))]
+    label = link_label(default_link(s))
+    rates = [run_sim(s, schedule_, [], 100.0, seed=seed).per_link[label].measured_rate
+             for seed in range(9300, 9320)]
+    note_closed_form(f"availability at {per_ion:g}/s per ion, reload {tau:g} s: "
+                     "R*p*exp(-(la+lb)*tau) =",
+                     100.0 * math.exp(-sum(e.n_ions * per_ion for e in s.elus) * tau),
+                     rates, 100.0, started)

@@ -3,13 +3,14 @@ import hashlib
 import json
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_JSON, GOLDEN_DIR
+from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
 from ionfab.arch import load_architecture
 from ionfab.errors import CapacityError, DomainError
 from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, default_link,
@@ -637,9 +638,9 @@ class TestNetworkSim:
         queued = Counter()
         push = NetworkSim._push
 
-        def counting_push(sim, t, kind, payload):
+        def counting_push(sim, t, kind, payload, *tie):
             queued[kind] += 1
-            push(sim, t, kind, payload)
+            push(sim, t, kind, payload, *tie)
 
         monkeypatch.setattr(NetworkSim, "_push", counting_push)
         r = run_sim(spec, schedule, [], 1.0, seed=7)
@@ -680,6 +681,20 @@ class TestNetworkSim:
             cursor += 1
         assert delivered == expected
 
+    def test_supply_refuses_a_pair_the_schedule_removes_for_good(self):
+        # A.0-B.0 from t = 0 until the switch replaces it with A.0-C.0; the
+        # event cap would be reached after 80,000 s of A-C successes
+        spec = load_architecture(FIXTURES_DIR / "multiplex_arch.json")
+        schedule = [(0.0, SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))}))),
+                    (0.01, SwitchConfig(frozenset({make_link(("A", 0), ("C", 0))})))]
+        sim = NetworkSim(spec, schedule, [], 1)
+        started = time.process_time()
+        with pytest.raises(DomainError, match=r"^request for ELU pair \('A', 'B'\) "
+                           r"at 1\.0 s gets none: the switch schedule removes its "
+                           r"last link at 0\.01 s$"):
+            sim.request(("A", "B"), 1.0)
+        assert time.process_time() - started < 1.0
+
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_supply_rejects_non_finite_time(self, example_spec, t):
         sim = NetworkSim(example_spec, one_link_schedule(example_spec), [], 0)
@@ -704,6 +719,22 @@ class TestNetworkSim:
         with pytest.raises(DomainError, match="over the cap of 10000000"):
             sim.advance(1.01 * SIM_MAX_EVENTS / 5e5)
         assert sim.now == 0.0 and sim.counters["successes"] == 0
+
+    @pytest.mark.parametrize("p", [None, 0.0])
+    def test_a_window_ending_near_1e300_s_is_counted(self, example_spec, p):
+        # slot times near 1e300 s are floats that one slot no longer moves;
+        # at p = 0 no event cap bounds the run
+        schedule = one_link_schedule(example_spec) + [(1e300, SwitchConfig(frozenset()))]
+        started = time.process_time()
+        assert run_sim(example_spec, schedule, [], 1.0, 0, p_override=p) == run_sim(
+            example_spec, one_link_schedule(example_spec), [], 1.0, 0, p_override=p)
+        assert time.process_time() - started < 1.0
+
+    def test_a_horizon_of_1e300_s_counts_its_attempts(self, example_spec):
+        r = run_sim(example_spec, one_link_schedule(example_spec), [], 1e300, 0,
+                    p_override=0.0)
+        (attempts,) = [s.attempts for s in r.per_link.values()]
+        assert attempts / 5e5 < 1e300 <= (attempts + 1) / 5e5
 
     def test_huge_collision_rate_hits_the_cap(self, example_spec):
         spec = with_elu_field(example_spec, collision_rate_per_ion=1e300)
@@ -812,11 +843,43 @@ def scenario(k):
     return spec, schedule, demand, horizon, p, store_log, splits
 
 
-def scenario_report(k, store_log):
-    """What run k reports but its event log: ledger, per-link stats,
+def long_window_scenario(k):
+    """Seeded run k in the time-multiplexed regime, drawn from
+    ``random.Random(k)`` in the shape :func:`scenario` returns.
+
+    4, 6 or 8 ELUs of the example machine (R = 500 kHz, p = 2e-4) under
+    round-robin matchings held 5 ms each with a 1 ms reconfiguration, so
+    each link spans tens of windows of up to 2,000 slots; in half the runs
+    every entry time is jittered by up to 0.2 ms, which puts window starts
+    off the 1/R lattice, and in the rest window ends fall on it. Collision
+    rates 0, 0.5 and 5 /s per ion, lifetimes None, 1 ms and 20 ms, Poisson
+    demand at 0, 100 or 1,000 /s; even runs logged, and some advanced in
+    steps.
+    """
+    rng = random.Random(k)
+    spec = machine(rng.choice([4, 6, 8]),
+                   collision_rate=rng.choice([0.0, 0.5, 5.0]),
+                   lifetime=rng.choice([None, 1e-3, 2e-2]))
+    horizon = rng.uniform(0.3, 1.0)
+    jitter = rng.choice([0.0, 2e-4])
+    schedule = [(t + rng.uniform(0.0, jitter), cfg)
+                for t, cfg in round_robin(spec.elu_ids(), 0.005, horizon)]
+    pairs = sorted({link_pair(link) for _, cfg in schedule
+                    for link in cfg.active_links})
+    demand, rate = [], rng.choice([0.0, 100.0, 1000.0])
+    t = rng.expovariate(rate) if rate else horizon
+    while t < horizon:
+        demand.append((t, rng.choice(pairs)[::rng.choice([1, -1])]))
+        t += rng.expovariate(rate)
+    splits = sorted(rng.uniform(0.0, horizon) for _ in range(rng.choice([0, 2])))
+    return spec, schedule, demand, horizon, None, k % 2 == 0, splits
+
+
+def scenario_report(run, seed, store_log):
+    """What ``run`` reports but its event log: ledger, per-link stats,
     collisions, requests and latencies; and the run's result."""
-    spec, schedule, demand, horizon, p, _, splits = scenario(k)
-    sim = NetworkSim(spec, schedule, demand, seed=k, p_override=p,
+    spec, schedule, demand, horizon, p, _, splits = run
+    sim = NetworkSim(spec, schedule, demand, seed=seed, p_override=p,
                      store_log=store_log)
     for t in splits:
         sim.advance(t)
@@ -828,11 +891,11 @@ def scenario_report(k, store_log):
             r.latency_mean, r.latency_max], r
 
 
-def scenario_digest(k):
-    """sha256 of everything run k reports, its event log included when the
-    scenario keeps one."""
-    store_log = scenario(k)[5]
-    doc, r = scenario_report(k, store_log)
+def scenario_digest(run, seed):
+    """sha256 of everything ``run`` reports, its event log included when
+    the run keeps one."""
+    store_log = run[5]
+    doc, r = scenario_report(run, seed, store_log)
     doc.append(r.events_csv() if store_log else None)
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
@@ -845,7 +908,7 @@ class TestScenarioDigests:
         pinned = json.loads((GOLDEN_DIR / "netsim_scenarios.json").read_text())
         assert len(pinned) >= 200
         moved = [k for k, digest in pinned.items()
-                 if scenario_digest(int(k)) != digest]
+                 if scenario_digest(scenario(int(k)), int(k)) != digest]
         assert moved == []
 
     def test_a_log_changes_no_report(self):
@@ -853,5 +916,18 @@ class TestScenarioDigests:
         # log drops expired pairs when it reads a buffer.
         pinned = json.loads((GOLDEN_DIR / "netsim_scenarios.json").read_text())
         differ = [k for k in pinned
-                  if scenario_report(int(k), False)[0] != scenario_report(int(k), True)[0]]
+                  if scenario_report(scenario(int(k)), int(k), False)[0]
+                  != scenario_report(scenario(int(k)), int(k), True)[0]]
         assert differ == []
+
+
+class TestLongWindowDigests:
+    """Pinned outputs of seeded runs whose links span many attempt windows
+    of thousands of slots, the regime of a time-multiplexed crossconnect."""
+
+    def test_digests_unchanged(self):
+        pinned = json.loads((GOLDEN_DIR / "netsim_long_windows.json").read_text())
+        assert len(pinned) >= 20
+        moved = [k for k, digest in pinned.items()
+                 if scenario_digest(long_window_scenario(int(k)), int(k)) != digest]
+        assert moved == []
