@@ -417,6 +417,17 @@ class TestGoldenOutputs:
         assert timeline.read_bytes() == (
             GOLDEN_DIR / "schedule_mixed8_timeline.csv").read_bytes()
 
+    # The DOT golden is not named *.dot, which .gitignore excludes.
+    @pytest.mark.parametrize("args, golden", [
+        (["--tier", "fast"], "graph_example_fast.json"),
+        (["--tier", "collective"], "graph_example_collective.json"),
+        (["--format", "dot"], "graph_example.gv"),
+    ])
+    def test_graph_export(self, tmp_path, args, golden):
+        out = tmp_path / golden
+        assert main(["graph", str(EXAMPLE_JSON), *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
     # powerlaw12: alpha 1.3, zero fields, so float energies tie in Z2 pairs;
     # degenerate11: integer couplings and fields with six ground states
     @pytest.mark.parametrize("name", ["powerlaw12", "degenerate11"])

@@ -129,6 +129,26 @@ class TestSwitchConfig:
         assert (run_sim(example_spec, [(0.0, cfg), (1e-4, cfg)], **kwargs)
                 == run_sim(example_spec, [(0.0, cfg)], **kwargs))
 
+    def test_a_repeated_configuration_changes_nothing(self):
+        # the repeat is an equal SwitchConfig built anew, with each link
+        # given in reversed orientation, at an equal time and later
+        spec = machine(4, collision_rate=0.5, lifetime=2e-3, attempt_rate=2e4)
+        ends = [(("E0", 0), ("E1", 0)), (("E2", 1), ("E3", 0))]
+        cfg = SwitchConfig(frozenset(make_link(a, b) for a, b in ends))
+        again = SwitchConfig(frozenset((b, a) for a, b in ends))
+        assert again == cfg and again is not cfg
+        other = SwitchConfig(frozenset({make_link(("E0", 0), ("E2", 0))}))
+        schedule = [(0.0, cfg), (2e-3, other), (5e-3, cfg)]
+        demand = [(1e-3 * k, ("E1", "E0") if k % 2 else ("E2", "E3"))
+                  for k in range(12)]
+
+        def report(schedule):
+            r = run_sim(spec, schedule, demand, 0.02, seed=3, p_override=0.2,
+                        store_log=True)
+            return r.ledger, r.per_link, r.events_csv()
+
+        assert report(schedule + [(5e-3, again), (8e-3, again)]) == report(schedule)
+
     def test_partner_swap_suspends_two_links(self, example_spec):
         old = make_link(("A", 0), ("B", 0))
         new = make_link(("A", 0), ("B", 1))
@@ -780,8 +800,169 @@ class TestTheoreticalRateCheck:
         assert inside >= 99
 
 
+def slots_before(start, rate, t):
+    """The largest j >= 0 with start + j/rate < t, stepped to from its
+    estimate one slot at a time."""
+    j = max(int((t - start) * rate), 0)
+    while j and not start + j / rate < t:
+        j -= 1
+    while start + (j + 1) / rate < t:
+        j += 1
+    return j
+
+
+def reference_layout(spec, schedule):
+    """Each link's attempt windows, walked entry by entry and link by link.
+
+    Returns ``(windows, slots, pair_end, entries, dropped)``: each link's
+    windows (start, end, opener, slots) and running slot totals by label,
+    the end of each ELU pair's last window, each entry as (time,
+    reconfiguration end, labels of the links it opens), and a Counter of
+    the windows a removal drops before they open, by the entry that opens
+    them. A window opens at the first entry, or at the reconfiguration end
+    of the entry that adds the link, and closes at the next entry that
+    removes it; one removed before it opens is dropped, and the entry that
+    would open it no longer lists the link unless it is the first entry.
+    """
+    rate, reconf = spec.attempt_rate, spec.switch.reconfiguration_time
+    links = sorted({link for _, cfg in schedule for link in cfg.active_links})
+    windows = {link: [] for link in links}
+    entries, dropped = [], Counter()
+    prev = frozenset()
+    for k, (t, cfg) in enumerate(schedule):
+        for link in links:
+            if link in prev and link not in cfg.active_links:
+                start, _, opener, _ = windows[link][-1]
+                if start < t:
+                    windows[link][-1] = (start, t, opener, slots_before(start, rate, t))
+                else:
+                    windows[link].pop()
+                    dropped["first entry" if opener[2] == 0 else "later entry"] += 1
+                    if opener[2]:
+                        entries[opener[2]][2].remove(link)
+        resume = t + reconf
+        added = [link for link in links if link in cfg.active_links - prev]
+        for link in added:
+            windows[link].append((resume, math.inf, (resume, 1, k), math.inf) if k
+                                 else (t, math.inf, (t, 0, 0), math.inf))
+        entries.append((t, resume, added))
+        prev = cfg.active_links
+    slots, pair_end = {}, {}
+    for link, ws in windows.items():
+        end = ws[-1][1] if ws else 0.0
+        if end < math.inf:
+            ws.append((math.inf, math.inf, None, math.inf))
+        pair_end[link_pair(link)] = max(pair_end.get(link_pair(link), 0.0), end)
+        slots[link] = [0]
+        for w in ws:
+            slots[link].append(slots[link][-1] + w[3])
+    return ({link_label(link): ws for link, ws in windows.items()},
+            {link_label(link): s for link, s in slots.items()},
+            pair_end,
+            [(t, resume, [link_label(link) for link in added])
+             for t, resume, added in entries],
+            dropped)
+
+
+def sim_layout(sim):
+    """The layout of a NetworkSim in the shape of :func:`reference_layout`."""
+    return ({st.label: st.windows for st in sim.links.values()},
+            {st.label: st.slots for st in sim.links.values()},
+            sim.pair_end,
+            [(t, resume, [st.label for st in opened])
+             for t, resume, opened in sim.entries])
+
+
+def layout_schedule(k):
+    """Seeded switch schedule k for the layout oracle: ``(spec, schedule)``.
+
+    2-6 ELUs of the example machine (R = 500 kHz) under 2-5 configurations,
+    each a random subset of one of two random matchings, so configurations
+    share some links but not others, and links switch together in groups
+    of one link up to a whole matching. Dwells of zero (equal entry times),
+    half the reconfiguration time (a link removed before it opens), twice
+    it, and uniform, off the 1/R lattice.
+    """
+    rng = random.Random(k)
+    n = rng.randint(2, 6)
+    ids = [f"E{i}" for i in range(n)]
+    reconf = rng.choice([1e-4, 5e-4, 1e-3])
+    spec = machine(n)
+    spec = dataclasses.replace(spec, switch=dataclasses.replace(
+        spec.switch, reconfiguration_time=reconf))
+    bases = []
+    for _ in range(2):
+        free = [(e, p) for e in ids for p in PORTS]
+        rng.shuffle(free)
+        links = []
+        while free:
+            a = free.pop()
+            b = next((q for q in free if q[0] != a[0]), None)
+            if b is not None:
+                free.remove(b)
+                links.append(make_link(a, b))
+        bases.append(links)
+    pool = [SwitchConfig(frozenset(link for link in rng.choice(bases)
+                                   if rng.random() < 0.6))
+            for _ in range(rng.randint(2, 5))]
+    t = rng.choice([0.0, 3e-4])
+    schedule = []
+    for _ in range(rng.randint(1, 12)):
+        schedule.append((t, rng.choice(pool)))
+        t += rng.choice([0.0, reconf / 2, 2 * reconf, rng.uniform(0.0, 3 * reconf)])
+    return spec, schedule
+
+
+class TestWindowLayout:
+    """The windows a NetworkSim lays out, against :func:`reference_layout`."""
+
+    def test_layout_matches_the_entry_walk(self):
+        moved, dropped, group_sizes, shared = [], Counter(), Counter(), 0
+        for k in range(300):
+            spec, schedule = layout_schedule(k)
+            *layout, drops = reference_layout(spec, schedule)
+            if sim_layout(NetworkSim(spec, schedule, [], 0)) != tuple(layout):
+                moved.append(k)
+            dropped += drops
+            # links with equal windows switch together
+            group_sizes.update(Counter(map(tuple, layout[0].values())).values())
+            configs = {cfg.active_links for _, cfg in schedule}
+            shared += any(a & b and a != b for a in configs for b in configs)
+        assert moved == []
+        # the schedules reach every case the layout handles
+        assert dropped["first entry"] and dropped["later entry"]
+        assert group_sizes[1] and max(group_sizes) >= 6
+        assert shared > 100
+
+    def test_links_own_their_layout_after_collisions(self):
+        # round_robin's first matching switches the E0-E3 and E1-E2 links
+        # together; only E0 collides, which cuts its links' windows, while
+        # the E1-E2 links keep the layout of the group
+        spec = machine(4)
+        spec = dataclasses.replace(spec, elus=(dataclasses.replace(
+            spec.elus[0], collision_rate_per_ion=5.0), *spec.elus[1:]))
+        schedule = round_robin(spec.elu_ids(), 0.005, 0.1)
+        windows, *_ = reference_layout(spec, schedule)
+        sim = NetworkSim(spec, schedule, [], 1)
+
+        def owned():
+            states = sim.links.values()
+            return (len({id(st.windows) for st in states})
+                    == len({id(st.slots) for st in states}) == len(states))
+
+        assert owned()
+        r = sim.finish(0.1)
+        assert owned() and r.collisions > 5
+        for st in sim.links.values():
+            if st.pair == ("E0", "E3"):
+                assert st.windows != windows[st.label]
+            elif st.pair == ("E1", "E2"):
+                assert st.windows == windows[st.label]
+                assert windows[st.label] == windows["E0.0-E3.0"]
+
+
 def scenario(k):
-    """Seeded multiplexed run k: ``(spec, schedule, demand, horizon, p,
+    """Seeded multiplexed run k:``(spec, schedule, demand, horizon, p,
     store_log, splits)``, drawn from ``random.Random(k)``.
 
     2-8 ELUs at a 20 kHz attempt rate under round-robin or random
