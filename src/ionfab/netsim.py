@@ -53,15 +53,17 @@ the horizon. A PAIR_EXPIRED is queued at the expiry of a buffer's head only
 while the run keeps a log, to write the row of each pair dropped at it.
 
 The switch schedule and the demand are read as two sorted streams beside
-the queue, which holds only the events a run creates. Each link's attempt
-windows are laid out from the schedule when the sim is built: a window
-opens at the first entry or at the reconfiguration end of the entry that
-adds the link, and closes at the next entry that removes it. Each window's
-attempt slots are counted once, when its end is known, and each link
-keeps a running total of them. A drawn count gives the link's slot of its
-next success, counted over all its windows; one bisection of the running
-total finds the window that holds it, and its SUCCESS is queued at that
-slot, however many windows ahead. Slot j of a window fires at start + j/R
+the queue, which holds only the events a run creates. The attempt windows
+are laid out from the schedule when the sim is built, once per group of
+links that the same distinct configurations hold, since such links switch
+together: a window opens at the first entry or at the reconfiguration end
+of the entry that adds the group, and closes at the next entry that
+removes it. Each window's attempt slots are counted once, when its end is
+known, and the group's running total of them once; each link keeps its
+own copies of both. A drawn count gives the link's slot of its next
+success, counted over all its windows; one bisection of the running total
+finds the window that holds it, and its SUCCESS is queued at that slot,
+however many windows ahead. Slot j of a window fires at start + j/R
 while that is before the window's end, a test monotone in j, so the
 bisection places each count where a window-by-window walk would. A
 collision cuts the windows of its ELU's links, opens none again before the
@@ -88,7 +90,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .arch import ArchitectureSpec, EluSpec
@@ -225,19 +227,23 @@ class _EluState:
 class _LinkState:
     # No reference back to its ELUs' states, which list it: without a cycle,
     # a finished sim is freed at once.
-    __slots__ = ("label", "pair", "rank", "windows", "slots", "pos",
-                 "target", "epoch", "successes")
+    __slots__ = ("label", "pair", "rank", "buffer", "waiting", "times",
+                 "windows", "slots", "pos", "target", "epoch", "successes")
 
-    def __init__(self, link: Link, rank: int):
+    def __init__(self, link: Link, rank: int, buffers: dict, waiting: dict,
+                 times: dict):
         self.label = link_label(link)
-        self.pair = link_pair(link)  # its ELUs' ids
+        self.pair = pair = link_pair(link)  # its ELUs' ids
         self.rank = rank  # place in sorted link order
+        # Its ELU pair's buffer, waiting requests and success times, which
+        # the pair's other links and its queued requests share.
+        self.buffer, self.waiting, self.times = buffers[pair], waiting[pair], times[pair]
         # The attempt windows (start, end, opener, slots) in time order,
         # where opener is the (time, priority, order) of the event that opens
         # the window and slots its attempt count, taken when its end is
-        # known. Collisions of the link's ELUs cut and delay them. The last
-        # ends at math.inf, with math.inf slots: the link is never removed,
-        # or it is _NEVER.
+        # known. They start as a copy of its group's layout; collisions of
+        # the link's ELUs cut and delay them. The last ends at math.inf,
+        # with math.inf slots: the link is never removed, or it is _NEVER.
         self.windows: list[tuple[float, float, tuple | None, float]] = []
         # The running total of their slots: [i] is the slots of the windows
         # before window i, and the last is math.inf.
@@ -251,7 +257,7 @@ class _LinkState:
 
 
 _NEVER = (math.inf, math.inf, None, math.inf)  # the window after a link's last removal
-_END, _SLOTS = itemgetter(1), itemgetter(3)
+_END, _SLOTS, _RANK = itemgetter(1), itemgetter(3), attrgetter("rank")
 
 
 def _slots_before(window_start: float, rate: float, t: float) -> int | float:
@@ -311,11 +317,12 @@ def static_links(spec: ArchitectureSpec,
 class NetworkSim:
     """The event simulation as a resumable object.
 
-    The constructor validates the inputs, lays out each link's attempt
-    windows from the switch schedule, sorts the demand and queues the first
-    collision gaps. ``advance(t)`` processes every event with time < t;
-    ``finish(horizon)`` advances to the horizon and closes the run out into
-    a :class:`SimResult`, after which the sim is spent. The success times
+    The constructor validates the inputs, lays out the attempt windows of
+    each group of links that switch together in one pass over the switch
+    schedule, sorts the demand and queues the first collision gaps.
+    ``advance(t)`` processes every event with time < t; ``finish(horizon)``
+    advances to the horizon and closes the run out into a
+    :class:`SimResult`, after which the sim is spent. The success times
     of each ELU pair accumulate in ``success_times`` as the sim advances;
     :meth:`request` reads them as a pair supply. An advance past
     ``SIM_MAX_EVENTS`` expected events, counted from time 0, raises
@@ -334,7 +341,11 @@ class NetworkSim:
     ):
         if seed is None:
             raise DomainError("the network simulation requires a seed")
-        valid: set[SwitchConfig] = set()
+        # One pass over the schedule: each entry is checked and mapped to
+        # its distinct configuration, keyed by its link set; each distinct
+        # configuration is validated once.
+        configs: dict[frozenset[Link], int] = {}
+        steps: list[tuple[float, int]] = []  # each entry's time and config
         for k, (t, cfg) in enumerate(switch_schedule):
             field = "time_s"
             try:
@@ -345,9 +356,11 @@ class NetworkSim:
                 if k and t < switch_schedule[k - 1][0]:
                     raise DomainError("switch schedule times must be sorted")
                 field = "links"
-                if cfg not in valid:
+                i = configs.get(cfg.active_links)
+                if i is None:
                     validate_switch_config(spec, cfg)
-                    valid.add(cfg)
+                    i = configs[cfg.active_links] = len(configs)
+                steps.append((t, i))
             except DomainError as exc:
                 exc.where = ("switch_schedule", f"$[{k}].{field}")
                 raise
@@ -363,27 +376,42 @@ class NetworkSim:
         self.rng = random.Random(seed)
         self.log1m_p = math.log1p(-self.p) if 0.0 < self.p < 1.0 else None
 
-        # Every link that ever appears, in sorted order; demanded pairs must
-        # be connectable.
-        elus = {e.id: _EluState(e) for e in spec.elus}
-        links = sorted({link for cfg in valid for link in cfg.active_links})
-        self.links = {link: _LinkState(link, rank) for rank, link in enumerate(links)}
-        connectable = {st.pair for st in self.links.values()}
+        # The configurations that hold each link that ever appears.
+        holders: dict[Link, list[int]] = {}
+        for i, active in enumerate(configs):
+            for link in active:
+                holders.setdefault(link, []).append(i)
+        # Demanded pairs must be connectable.
+        connectable = {link_pair(link) for link in holders}
         if connectable and spec.buffer_capacity < 1:
             raise DomainError(
                 f"buffer capacity must be >= 1, got {spec.buffer_capacity}")
         # Expiry times of the stored pairs, oldest first (math.inf: never).
         self.buffers: dict[tuple[str, str], deque[float]] = {
             pair: deque() for pair in connectable}
-        self.waiting: dict[tuple[str, str], deque] = {
-            pair: deque() for pair in connectable}
+        waiting = {pair: deque() for pair in connectable}  # request times
         self.buffer_epoch: dict[tuple[str, str], int] = {
             pair: 0 for pair in connectable}
         self.success_times: dict[tuple[str, str], list[float]] = {
             pair: [] for pair in connectable}
         # Index in success_times of the first success no request has passed.
         self.taken = dict.fromkeys(connectable, 0)
-        self.elus = elus
+        # Every link, in sorted order, grouped by the configurations that
+        # hold it: a group's links switch on and off at the same entries.
+        self.links = {link: _LinkState(link, rank, self.buffers, waiting,
+                                       self.success_times)
+                      for rank, link in enumerate(sorted(holders))}
+        by_holders: dict[tuple[int, ...], list[_LinkState]] = {}
+        for link, st in self.links.items():
+            by_holders.setdefault(tuple(holders[link]), []).append(st)
+        groups = list(by_holders.values())
+        # The groups each configuration holds; the last, none, is the
+        # switch's state before the first entry.
+        held: list[list[int]] = [[] for _ in range(len(configs) + 1)]
+        for g, key in enumerate(by_holders):
+            for i in key:
+                held[i].append(g)
+        self.elus = elus = {e.id: _EluState(e) for e in spec.elus}
         # What a collision or a reload of each ELU visits, in sorted order.
         for st in self.links.values():
             for elu_id in st.pair:
@@ -397,64 +425,69 @@ class NetworkSim:
                            + sum(e.collision_rate for e in elus.values()))
         self.max_time = SIM_MAX_EVENTS / self.event_rate if self.event_rate else math.inf
 
-        # Each link's windows from the schedule: a window opens at the first
+        # Each group's windows from the schedule: a window opens at the first
         # entry, or at the reconfiguration end of the entry that adds the
-        # link, and closes at the next entry that removes it (math.inf until
-        # then). The switch stream holds (time, reconfiguration end, links):
-        # the first entry's links, then the links whose window each later
-        # entry's reconfiguration end opens. A window's slots are counted
-        # when an entry closes it; the links it closes one after another
-        # from the same start share one count.
+        # group, and closes at the next entry that removes it (math.inf until
+        # then); its slots are counted when it closes. The switch stream
+        # holds (time, reconfiguration end, links): the first entry's links,
+        # then the links whose window each later entry's reconfiguration end
+        # opens, in sorted order.
         reconf = spec.switch.reconfiguration_time
-        changes: dict[tuple[SwitchConfig, SwitchConfig], tuple] = {}
+        layouts: list[list[tuple]] = [[] for _ in groups]
+        changes: dict[tuple[int, int], tuple] = {}  # by (previous, current) config
         entries = self.entries = []
-        prev = SwitchConfig(frozenset())
-        for k, (t, cfg) in enumerate(switch_schedule):
-            change = changes.get((prev, cfg))
+        prev = -1
+        for k, (t, i) in enumerate(steps):
+            change = changes.get((prev, i))
             if change is None:
-                change = changes[prev, cfg] = (
-                    [self.links[link] for link in prev.active_links - cfg.active_links],
-                    [self.links[link] for link in sorted(cfg.active_links
-                                                         - prev.active_links)])
-            removed, added = change
-            last = None
-            for st in removed:
-                start, _, opener, _ = st.windows[-1]
+                was, now = held[prev], held[i]
+                added = [g for g in now if g not in was]
+                change = changes[prev, i] = (
+                    [g for g in was if g not in now], added,
+                    sorted((st for g in added for st in groups[g]), key=_RANK))
+            removed, added, opened = change
+            for g in removed:
+                windows = layouts[g]
+                start, _, opener, _ = windows[-1]
                 if start < t:
-                    if start != last:
-                        last, n = start, _slots_before(start, self.rate, t)
-                    st.windows[-1] = (start, t, opener, n)
+                    windows[-1] = (start, t, opener, _slots_before(start, self.rate, t))
                 else:  # removed before it opens
-                    st.windows.pop()
+                    windows.pop()
                     if opener[1]:  # the first entry's links draw all the same
-                        at, resume, opened = entries[opener[2]]
-                        entries[opener[2]] = (at, resume,
-                                              [x for x in opened if x is not st])
+                        at, resume, links = entries[opener[2]]
+                        entries[opener[2]] = (at, resume, [st for st in links
+                                                           if st not in groups[g]])
             resume = t + reconf
             window = ((resume, math.inf, (resume, 1, k), math.inf) if k
                       else (t, math.inf, (t, 0, 0), math.inf))
-            for st in added:
-                st.windows.append(window)
-            entries.append((t, resume, added))
-            prev = cfg
-        # No pair succeeds after the end of its links' last windows.
+            for g in added:
+                layouts[g].append(window)
+            entries.append((t, resume, opened))
+            prev = i
+        # No pair succeeds after the end of its links' last windows. Each
+        # link gets its own copies, which collisions of its ELUs cut.
         self.pair_end = dict.fromkeys(connectable, 0.0)
-        for st in self.links.values():
-            end = st.windows[-1][1] if st.windows else 0.0
+        reached = []  # the links of groups with a window
+        for windows, group in zip(layouts, groups):
+            end = windows[-1][1] if windows else 0.0
             if end < math.inf:
-                st.windows.append(_NEVER)
-            self.pair_end[st.pair] = max(self.pair_end[st.pair], end)
-            st.slots = list(accumulate(map(_SLOTS, st.windows), initial=0))
+                windows.append(_NEVER)
+            if windows[0] is not _NEVER:
+                reached += group
+            slots = list(accumulate(map(_SLOTS, windows), initial=0))
+            for st in group:
+                st.windows, st.slots = list(windows), list(slots)
+                self.pair_end[st.pair] = max(self.pair_end[st.pair], end)
         self.next_entry = 0
         # Links that some event will open and that have not yet drawn their
         # first count; while there are any, reconfiguration ends are queued.
-        first = entries[0][2] if entries else []
-        self.unopened = len({*first, *(st for st in self.links.values()
-                                       if st.windows[0] is not _NEVER)})
+        self.unopened = len({*(entries[0][2] if entries else ()), *reached})
 
-        # The demand, stable-sorted by time.
+        # The demand, stable-sorted by time: (time, pair, its buffer, its
+        # waiting requests).
         self.requests = []
-        keys: dict[tuple[str, str], tuple[str, str]] = {}  # pair as given -> sorted
+        # pair as given -> (sorted pair, its buffer, its waiting requests)
+        states: dict[tuple[str, str], tuple] = {}
         for j, (t, pair) in enumerate(demand):
             pair = tuple(pair)
             field = "time_s"
@@ -464,10 +497,11 @@ class NetworkSim:
                 if t < 0.0:
                     raise DomainError(f"request times must be >= 0, got {t!r}")
                 field = "elus"
-                key = keys.get(pair)
-                if key is None:
-                    key = keys[pair] = self._pair(pair)
-                self.requests.append((t, key))
+                state = states.get(pair)
+                if state is None:
+                    key = self._pair(pair)
+                    state = states[pair] = (key, self.buffers[key], waiting[key])
+                self.requests.append((t, *state))
             except DomainError as exc:
                 exc.where = ("demand", f"$[{j}].{field}")
                 raise
@@ -658,8 +692,7 @@ class NetworkSim:
         # Hot state in locals; the scalars stay on self.
         heap, heappop, push, inf = self.heap, heapq.heappop, self._push, math.inf
         elus, counters = self.elus, self.counters
-        buffers, waiting = self.buffers, self.waiting
-        success_times, lifetime = self.success_times, self.lifetime
+        lifetime = self.lifetime
         log, emit, deliver = self.log, self._emit, self._deliver
         reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
         # Expiries are queued only to write their log rows; without a log a
@@ -697,13 +730,12 @@ class NetworkSim:
             if request_t < t:
                 if request_t >= until:
                     break
-                t, pair = requests[r]
+                t, pair, buf, waiting = requests[r]
                 r += 1
                 request_t = requests[r][0] if r < len(requests) else inf
                 counters["requests"] += 1
                 if log is not None:
                     emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
-                buf = buffers[pair]
                 if buf and buf[0] <= t:
                     drop_expired(pair, t)
                 if buf:
@@ -712,7 +744,7 @@ class NetworkSim:
                         reschedule_expiry(pair)
                     deliver(pair, t, t)
                 else:
-                    waiting[pair].append(t)
+                    waiting.append(t)
                 continue
             if t >= until:
                 break
@@ -728,11 +760,10 @@ class NetworkSim:
                 counters["successes"] = order + 1
                 if log is not None:
                     emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
-                pair = st.pair
-                success_times[pair].append(t)
-                buf = buffers[pair]
-                if waiting[pair]:
-                    deliver(pair, waiting[pair].popleft(), t)
+                pair, buf, waiting = st.pair, st.buffer, st.waiting
+                st.times.append(t)
+                if waiting:
+                    deliver(pair, waiting.popleft(), t)
                 else:
                     if buf and buf[0] < t:  # one expiring at t is still held
                         drop_expired(pair, t, at_t=False)
