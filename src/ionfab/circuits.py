@@ -10,15 +10,24 @@ Gates: X, H, MEASURE (one operand, no angle); RZ (one operand, angle);
 CNOT (two distinct operands, no angle); MS (two distinct operands, angle);
 GLOBAL_MS (two to MAX_IONS_PER_ELU distinct operands, angle). Angles are
 radians. Blank lines are ignored. A circuit has at most MAX_QUBITS qubits
-and MAX_OPS operations. Errors carry 1-based line and column numbers.
+and MAX_OPS operations. A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``,
+the rule of ``Path.read_text``; other characters that ``str.splitlines``
+breaks at (form feed, U+2028, ...) are whitespace inside a line. Errors
+carry 1-based line and column numbers.
+
+The parser checks each operation once, on its tokens, and builds the
+:class:`GateOp` records and the :class:`Circuit` without a second check;
+``GateOp(...)`` and ``Circuit(...)`` check the ones built by hand.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import MAX_IONS_PER_ELU
 from .errors import ParseError
@@ -55,25 +64,46 @@ TWO_QUBIT_KINDS = (GateKind.MS, GateKind.CNOT)
 ENTANGLING_KINDS = (GateKind.MS, GateKind.CNOT, GateKind.GLOBAL_MS)
 
 
-@dataclass(frozen=True)
-class GateOp:
+def _arity_message(kind: GateKind, n: int) -> str:
+    """Why ``n`` operands, outside ``kind.arity``'s range, do not fit ``kind``."""
+    lo, hi, _ = kind.arity
+    want = str(lo) if hi == lo else (f"{lo}+" if n < lo else f"at most {hi}")
+    return f"{kind.value} takes {want} operand(s), got {n}"
+
+
+class _GateRecord(NamedTuple):
+    """The fields of :class:`GateOp`, which adds the checks."""
+
     kind: GateKind
     operands: tuple[int, ...]
     angle: float | None = None
 
-    def __post_init__(self):
-        lo, hi, takes_angle = self.kind.arity
-        n = len(self.operands)
-        if not lo <= n <= hi:
-            want = str(lo) if hi == lo else (f"{lo}+" if n < lo else f"at most {hi}")
-            raise ValueError(f"{self.kind.value} takes {want} operand(s), got {n}")
-        if len(set(self.operands)) != len(self.operands):
-            raise ValueError(f"{self.kind.value} operands must be distinct")
+
+class GateOp(_GateRecord):
+    """One operation: an immutable ``(kind, operands, angle)`` record.
+
+    ``GateOp(...)`` checks a hand-built op: the arity, distinct operands
+    and an angle exactly where the kind takes one, raising ``ValueError``.
+    :func:`parse_circuit` has checked each of these on the text already,
+    with its column, and builds the record without a second check. As a
+    tuple, an op equals any op or tuple with the same three fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, operands: tuple[int, ...],
+                angle: float | None = None):
+        lo, hi, takes_angle = kind.arity
+        if not lo <= len(operands) <= hi:
+            raise ValueError(_arity_message(kind, len(operands)))
+        if len(set(operands)) != len(operands):
+            raise ValueError(f"{kind.value} operands must be distinct")
         if takes_angle:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind.value} requires a finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind.value} takes no angle")
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"{kind.value} requires a finite angle")
+        elif angle is not None:
+            raise ValueError(f"{kind.value} takes no angle")
+        return tuple.__new__(cls, (kind, operands, angle))
 
     @property
     def is_multi_qubit(self) -> bool:
@@ -98,11 +128,8 @@ class Circuit:
         weights: dict[tuple[int, int], int] = {}
         for op in self.ops:
             if op.kind in ENTANGLING_KINDS:
-                qs = sorted(op.operands)
-                for i in range(len(qs)):
-                    for j in range(i + 1, len(qs)):
-                        key = (qs[i], qs[j])
-                        weights[key] = weights.get(key, 0) + 1
+                for key in itertools.combinations(sorted(op.operands), 2):
+                    weights[key] = weights.get(key, 0) + 1
         return weights
 
 
@@ -110,6 +137,7 @@ def parse_circuit(text: str) -> Circuit:
     """Parse .iqc circuit text; raises ParseError with line/column diagnostics."""
     n_qubits: int | None = None
     ops: list[GateOp] = []
+    new_op = tuple.__new__  # GateOp's checks are made on the tokens, below
 
     def error(message: str, token: int) -> ParseError:
         """ParseError at token ``token`` of the current line; the columns
@@ -117,7 +145,8 @@ def parse_circuit(text: str) -> Circuit:
         return ParseError(message, line_no,
                           [m.start() + 1 for m in re.finditer(r"\S+", line)][token])
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         tokens = line.split()
         if not tokens:
@@ -147,7 +176,7 @@ def parse_circuit(text: str) -> Circuit:
 
         args = tokens[1:]
         angle = None
-        _, hi, takes_angle = kind.arity
+        lo, hi, takes_angle = kind.arity
         if takes_angle:
             if not args:
                 raise error(f"{name} requires an angle", 0)
@@ -162,9 +191,10 @@ def parse_circuit(text: str) -> Circuit:
         operands = []
         seen = set()  # operands as a set, so a k-operand line checks in O(k)
         for k, tok in enumerate(args, start=1):
-            if not tok.startswith("q") or not tok[1:].isdecimal():
+            digits = tok[1:]
+            if tok[0] != "q" or not digits.isdecimal():
                 raise error(f"expected operand like 'q0', got {tok!r}", k)
-            q = int(tok[1:])
+            q = int(digits)
             if q >= n_qubits:
                 raise error(f"q{q} out of range, circuit has {n_qubits} qubits", k)
             if q in seen:
@@ -172,11 +202,16 @@ def parse_circuit(text: str) -> Circuit:
             seen.add(q)
             operands.append(q)
 
-        try:
-            ops.append(GateOp(kind, tuple(operands), angle))
-        except ValueError as exc:  # the arity rule: at the first extra operand
-            raise error(str(exc), hi + 1 if len(operands) > hi else 0) from None
+        if not lo <= len(operands) <= hi:  # at the first extra operand, or the gate
+            raise error(_arity_message(kind, len(operands)),
+                        hi + 1 if len(operands) > hi else 0)
+        ops.append(new_op(GateOp, (kind, tuple(operands), angle)))
 
     if n_qubits is None:
         raise ParseError("missing 'qubits <n>' header", 1)
-    return Circuit(n_qubits, tuple(ops))
+    # The count and every operand are checked above: Circuit's own check of
+    # each operand would be a second one.
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "n_qubits", n_qubits)
+    object.__setattr__(circuit, "ops", tuple(ops))
+    return circuit

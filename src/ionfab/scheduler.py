@@ -14,7 +14,8 @@ duration to the busy time of the qubits it acts on. The same rule keeps the
 result's totals in one pass, in timeline order: ``makespan`` (the latest
 end), ``swaps_inserted`` and ``pairs_consumed`` (the swap entries and the
 pair-using entries) and the fidelity's gate factor. A
-:class:`TimelineEntry` is an immutable ``typing.NamedTuple``.
+:class:`TimelineEntry` is an immutable ``typing.NamedTuple``; the rule
+builds it, and the tuple of ions it holds, once per entry, with no copy.
 
 Operations inside one ELU differ only in duration:
 
@@ -47,6 +48,7 @@ result's ``fidelity`` breakdown (total, gate factor, idle factor);
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,11 +94,17 @@ class QubitMap:
 
 def crossing_count(circuit: Circuit, qmap: QubitMap) -> int:
     """Multi-qubit operations whose operands span more than one ELU."""
-    return sum(
-        1 for op in circuit.ops
-        if op.is_multi_qubit
-        and len({qmap.elu_of(q) for q in op.operands}) > 1
-    )
+    elu_of = {q: eid for q, (eid, _) in qmap.mapping.items()}
+    count = 0
+    for op in circuit.ops:
+        operands = op.operands
+        if len(operands) >= 2:
+            eid = elu_of[operands[0]]
+            for q in operands:
+                if elu_of[q] != eid:
+                    count += 1
+                    break
+    return count
 
 
 def _fill_positions(elu_for: list[str], spec: ArchitectureSpec) -> QubitMap:
@@ -226,6 +234,14 @@ class ScheduleResult:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=64)
+def _nearest_comm(n_ions: int, comm: tuple[int, ...]) -> tuple[int, ...]:
+    """The nearest communication ion of every position of a chain of
+    ``n_ions`` (ties: the lower index); the same for every ELU of one shape,
+    so it is worked out once per shape, not per ELU and call."""
+    return tuple(min(comm, key=lambda c: (abs(c - pos), c)) for pos in range(n_ions))
+
+
 def schedule(
     circuit: Circuit,
     qmap: QubitMap,
@@ -249,12 +265,8 @@ def schedule(
     elu_spec = {e.id: e for e in spec.elus}
     tau_slow = {e.id: slow_gate_time(elu_gate_rate(spec, e.id)) for e in spec.elus}
     tau_fast = {eid: tau / FAST_GATE_SPEEDUP for eid, tau in tau_slow.items()}
-    # The nearest communication ion of every position (ties: the lower
-    # index), for each ELU that has one.
-    nearest_comm = {
-        e.id: [min(e.comm_ion_indices, key=lambda c: (abs(c - pos), c))
-               for pos in range(e.n_ions)]
-        for e in spec.elus if e.comm_ion_indices}
+    nearest_comm = {e.id: _nearest_comm(e.n_ions, e.comm_ion_indices)
+                    for e in spec.elus if e.comm_ion_indices}
     position_of = dict(qmap.mapping)  # mutates under strict-proximity swaps
     qubit_at: dict[tuple[str, int], int] = {
         ion: q for q, ion in position_of.items()}
@@ -277,26 +289,32 @@ def schedule(
 
     ion_free = {(e.id, pos): 0.0 for e in spec.elus for pos in range(e.n_ions)}
     timeline: list[TimelineEntry] = []
-    busy: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
-    last_end: dict[int, float] = {q: 0.0 for q in range(circuit.n_qubits)}
+    busy = [0.0] * circuit.n_qubits  # indexed by qubit
+    last_end = [0.0] * circuit.n_qubits
     # The result's totals, kept in timeline order as entries are placed.
     makespan, pairs_consumed, swaps_inserted, gate_factor = 0.0, 0, 0, 1.0
     gate_fidelity = spec.two_qubit_gate_fidelity
     swap_fidelity = gate_fidelity ** SWAP_GATE_COUNT
 
+    # TimelineEntry's own __new__ is generated Python code; the entry's
+    # fields are built here in order, so the tuple is made directly.
+    new_entry = tuple.__new__
+
     def place(start: float, duration: float, op: GateOp | None,
-              ions: list[tuple[str, int]], elus: tuple[str, ...],
+              ions: tuple[tuple[str, int], ...], elus: tuple[str, ...],
               qubits: tuple[int, ...], used_pair: bool = False) -> None:
         """Append one entry: hold ``ions`` and charge ``qubits`` until its end.
 
-        ``elus`` is the sorted ELU ids of ``ions``, known to every caller."""
+        ``ions`` is the entry's own tuple, and ``elus`` the sorted ELU ids
+        of ``ions``, both known to every caller."""
         nonlocal makespan, pairs_consumed, swaps_inserted, gate_factor
         end = start + duration
         if not math.isfinite(end):
             raise DomainError(f"schedule time overflows: an operation ends at {end!r} s")
         for ion in ions:
             ion_free[ion] = end
-        timeline.append(TimelineEntry(start, duration, op, tuple(ions), elus, used_pair))
+        timeline.append(new_entry(TimelineEntry,
+                                  (start, duration, op, ions, elus, used_pair)))
         for q in qubits:
             busy[q] += duration
             last_end[q] = end
@@ -320,9 +338,10 @@ def schedule(
 
     # Hoisted: a member lookup on an Enum class is slow Python-level work.
     measure, global_ms = GateKind.MEASURE, GateKind.GLOBAL_MS
+    ion_of = position_of.__getitem__
     for op in circuit.ops:
         kind = op.kind
-        touched = [position_of[q] for q in op.operands]
+        touched = tuple(map(ion_of, op.operands))
         eid = touched[0][0]
         local = True
         start = 0.0
@@ -358,7 +377,7 @@ def schedule(
                         other = qubit_at.get(nxt)
                         swap_start = max(start, ion_free[cur], ion_free[nxt])
                         swap_time = SWAP_GATE_COUNT * tau_fast[eid]
-                        place(swap_start, swap_time, None, [cur, nxt], (eid,),
+                        place(swap_start, swap_time, None, (cur, nxt), (eid,),
                               (q0,) if other is None else (other, q0))
                         start = swap_start + swap_time
                         position_of[q0], qubit_at[nxt] = nxt, q0
@@ -366,7 +385,7 @@ def schedule(
                             del qubit_at[cur]
                         else:
                             position_of[other], qubit_at[cur] = cur, other
-                    touched = [position_of[q] for q in op.operands]
+                    touched = tuple(map(ion_of, op.operands))
                 duration = two_qubit_time(eid, touched[0][1], touched[1][1])
             else:
                 duration = elu.single_qubit_gate_time
@@ -396,10 +415,10 @@ def schedule(
                       + spec.species.detection_time)
             duration = (spec.teleport_overhead_time + max(side_a, side_b)
                         + spec.classical_latency)
-            place(start, duration, op, touched + [comm_a, comm_b], pair, op.operands,
-                  used_pair=True)
+            place(start, duration, op, touched + (comm_a, comm_b), pair,
+                  op.operands, used_pair=True)
 
-    idle = {q: max(0.0, last_end[q] - busy[q]) for q in busy}
+    idle = {q: max(0.0, last_end[q] - busy[q]) for q in range(circuit.n_qubits)}
     idle_factor = math.exp(-sum(idle.values()) / spec.species.qubit_coherence_time)
     return ScheduleResult(
         timeline=tuple(timeline),

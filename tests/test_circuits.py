@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import pytest
 
 from conftest import FIXTURES_DIR
@@ -115,6 +117,42 @@ class TestParseErrors:
         assert (err.value.line, err.value.column) == (2, 10)
 
 
+class TestLineBreaks:
+    """Lines end at \\n, \\r\\n or a lone \\r, as Path.read_text reads them."""
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_other_splitlines_breaks_are_whitespace(self, sep):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"qubits 2\nH q0{sep}H q5\n")
+        assert str(err.value) == "line 2, col 6: expected operand like 'q0', got 'H'"
+
+    def test_form_feed_joins_two_ops_into_one_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nH q0\x0cX q1")
+        assert str(err.value) == "line 2, col 6: expected operand like 'q0', got 'X'"
+
+    def test_crlf_and_lone_cr_end_lines(self):
+        c = parse_circuit("qubits 2\r\nH q0\rX q1\r\n\rCNOT q0 q1\r")
+        assert c.ops == (GateOp(GateKind.H, (0,)), GateOp(GateKind.X, (1,)),
+                         GateOp(GateKind.CNOT, (0, 1)))
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\r\nH q0\r\rX q5\n")
+        assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_file_read_as_text_reports_the_same_line(self, tmp_path):
+        # read_text translates newlines; a caller that decodes bytes does not.
+        text = "qubits 2\r\nH q0\r\u2028\nX q1\x0cH q0\rX q5\n"
+        path = tmp_path / "c.iqc"
+        path.write_bytes(text.encode())
+        errors = []
+        for source in (text, path.read_text(encoding="utf-8")):
+            with pytest.raises(ParseError) as err:
+                parse_circuit(source)
+            errors.append(str(err.value))
+        assert errors == ["line 4, col 6: expected operand like 'q0', got 'H'"] * 2
+
+
 class TestSizeCaps:
     def test_qubits_at_cap(self):
         assert parse_circuit(f"qubits {MAX_QUBITS}\n").n_qubits == MAX_QUBITS
@@ -180,6 +218,45 @@ class TestConstructorChecks:
         with pytest.raises(ValueError,
                            match=r"^operand q2 out of range for 2 qubits$"):
             Circuit(2, (GateOp(GateKind.CNOT, (0, 2)),))
+
+
+def agreement_rows():
+    """Every kind, operand counts 0 to hi + 1 (GLOBAL_MS: the ends of its
+    range), with and without an angle."""
+    for kind in GateKind:
+        _, hi, _ = kind.arity
+        counts = range(hi + 2) if hi < 8 else [0, 1, 2, 3, hi - 1, hi, hi + 1]
+        for n in counts:
+            for with_angle in (False, True):
+                yield pytest.param(kind, n, with_angle,
+                                   id=f"{kind.value}-{n}-{'angle' if with_angle else 'bare'}")
+
+
+class TestParserAgreesWithConstructor:
+    """The parser's one check per op and GateOp(...)'s checks accept the
+    same ops and give the same arity messages."""
+
+    @pytest.mark.parametrize("kind, n, with_angle", agreement_rows())
+    def test_row(self, kind, n, with_angle):
+        operands = tuple(range(n))
+        angle = 0.5 if with_angle else None
+        tokens = [kind.value] + [f"q{q}" for q in operands] + (["0.5"] if with_angle else [])
+        line = " ".join(tokens)
+        try:
+            op = GateOp(kind, operands, angle)
+        except ValueError as exc:
+            op, message = None, str(exc)
+        with pytest.raises(ParseError) if op is None else nullcontext() as err:
+            parsed = parse_circuit(f"qubits 200\n{line}\n")
+        if op is not None:
+            assert parsed.ops == (op,) and type(parsed.ops[0]) is GateOp
+        elif with_angle == kind.arity[2]:
+            # The arity rule, at the first extra operand or at the gate.
+            token = kind.arity[1] + 1 if n > kind.arity[1] else 0
+            column = 1 + sum(len(t) + 1 for t in tokens[:token])
+            assert str(err.value) == f"line 2, col {column}: {message}"
+        # Otherwise both reject the row: an angle where the kind takes none,
+        # or none where it takes one, is a malformed token to the parser.
 
 
 class TestInteractionWeights:

@@ -776,6 +776,9 @@ BAD_INPUTS = {
     "hgp_ragged_h2": (
         ["qec", "hgp", "--h1", "{good_csv}", "--h2", "{f}"], "1,1\n1\n",
         "{f}: $: ragged rows in check matrix file"),
+    "circuit_line_separator": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 2\nH q0\u2028H q5\n",
+        "{f}: line 2, col 6: expected operand like 'q0', got 'H'"),
     "circuit_two_counts": (
         ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 2 3\n",
         "{f}: line 1, col 10: header takes exactly one count"),

@@ -136,6 +136,51 @@ class TestBruteForceOracle:
             brute_force_best_map(c, spec)
 
 
+@st.composite
+def circuits_on_elus(draw):
+    """A circuit of every gate kind, GLOBAL_MS up to 12 operands in any
+    order, with a map of its qubits over one to five ELUs."""
+    n = draw(st.integers(1, 16))
+    elus = [f"E{k}" for k in range(draw(st.integers(1, 5)))]
+    qmap = QubitMap({q: (draw(st.sampled_from(elus)), q) for q in range(n)})
+    kinds = [k for k in GateKind if k.arity[0] <= n]
+    ops = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        lo, hi, takes_angle = kind.arity
+        operands = draw(st.lists(st.integers(0, n - 1), min_size=lo,
+                                 max_size=min(hi, 12, n), unique=True))
+        ops.append(GateOp(kind, tuple(operands), 0.5 if takes_angle else None))
+    return Circuit(n, tuple(ops)), qmap
+
+
+class TestOpWalks:
+    """crossing_count and interaction_weights against their definitions."""
+
+    @settings(max_examples=100)
+    @given(mapped=circuits_on_elus())
+    def test_crossing_count(self, mapped):
+        circuit, qmap = mapped
+        assert crossing_count(circuit, qmap) == sum(
+            1 for op in circuit.ops
+            if len(op.operands) >= 2
+            and len({qmap.mapping[q][0] for q in op.operands}) > 1)
+
+    @settings(max_examples=100)
+    @given(mapped=circuits_on_elus())
+    def test_interaction_weights_and_their_order(self, mapped):
+        # greedy_cut's neighbour lists follow the weights' key order.
+        circuit, _ = mapped
+        expected = {}
+        for op in circuit.ops:
+            if op.kind in ENTANGLING_KINDS:
+                qs = sorted(op.operands)
+                for i in range(len(qs)):
+                    for j in range(i + 1, len(qs)):
+                        expected[(qs[i], qs[j])] = expected.get((qs[i], qs[j]), 0) + 1
+        assert list(circuit.interaction_weights().items()) == list(expected.items())
+
+
 class TestScheduleDurations:
     def test_adjacent_local_cnot(self, example_spec):
         c = parse_circuit("qubits 2\nCNOT q0 q1\n")
