@@ -133,6 +133,14 @@ class Circuit:
         return weights
 
 
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse .iqc circuit text; raises ParseError with line/column diagnostics."""
     n_qubits: int | None = None
@@ -174,26 +182,36 @@ def parse_circuit(text: str) -> Circuit:
         if kind is None:
             raise error(f"unknown gate {name!r}", 0)
 
+        # The last token is the angle if it is a number, or, for a kind that
+        # takes one, if it is not an operand; a line without one is the op
+        # GateOp(kind, operands) and is faulted as GateOp faults it.
         args = tokens[1:]
         angle = None
+        extra_angle = 0  # token number of an angle the kind does not take
         lo, hi, takes_angle = kind.arity
         if takes_angle:
             if not args:
                 raise error(f"{name} requires an angle", 0)
-            angle_tok = args.pop()
+            angle_tok = args[-1]
             try:
                 angle = float(angle_tok)
             except ValueError:
-                raise error(f"malformed angle {angle_tok!r}", -1) from None
-            if not math.isfinite(angle):
-                raise error(f"angle must be finite, got {angle_tok}", -1)
+                if angle_tok[0] != "q" or not angle_tok[1:].isdecimal():
+                    raise error(f"malformed angle {angle_tok!r}", -1) from None
+            else:
+                if not math.isfinite(angle):
+                    raise error(f"angle must be finite, got {angle_tok}", -1)
+                args.pop()
 
         operands = []
         seen = set()  # operands as a set, so a k-operand line checks in O(k)
         for k, tok in enumerate(args, start=1):
             digits = tok[1:]
             if tok[0] != "q" or not digits.isdecimal():
-                raise error(f"expected operand like 'q0', got {tok!r}", k)
+                if k < len(args) or takes_angle or not _is_number(tok):
+                    raise error(f"expected operand like 'q0', got {tok!r}", k)
+                extra_angle = k
+                break
             q = int(digits)
             if q >= n_qubits:
                 raise error(f"q{q} out of range, circuit has {n_qubits} qubits", k)
@@ -202,9 +220,15 @@ def parse_circuit(text: str) -> Circuit:
             seen.add(q)
             operands.append(q)
 
-        if not lo <= len(operands) <= hi:  # at the first extra operand, or the gate
+        # GateOp's order: the arity (at the first extra operand, or the
+        # gate), then the angle (at the angle, or the gate)
+        if not lo <= len(operands) <= hi:
             raise error(_arity_message(kind, len(operands)),
                         hi + 1 if len(operands) > hi else 0)
+        if extra_angle:
+            raise error(f"{name} takes no angle", extra_angle)
+        if takes_angle and angle is None:
+            raise error(f"{name} requires a finite angle", 0)
         ops.append(new_op(GateOp, (kind, tuple(operands), angle)))
 
     if n_qubits is None:

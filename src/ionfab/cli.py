@@ -14,6 +14,11 @@ printing its ``--summary`` line.
 :func:`main` owns the rest of the run: the ``--seed`` rule, the input
 hashes, writing the files in order, one ``ionfab: warning:`` line per
 library warning, the one ``ionfab: error:`` line and the manifest.
+
+A run pays only for its own work. The parser lists every command, but
+adds options only for the command being run (:func:`build_parser`), and
+``simulate`` checks each distinct switch configuration of its schedule
+once, however many entries repeat it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import marshal
 import sys
 import time
 import warnings
@@ -212,14 +218,32 @@ def _cmd_qec(args, read) -> tuple[int, Files]:
     return 0, [(args.out, render_json(qec_to_doc(code)))]
 
 
-def _switch_entry(entry: object) -> tuple[float, SwitchConfig]:
-    require_keys(entry, "$", {"time_s", "links"})
-    links = each(entry["links"], "$.links", _link)
-    t = number(entry, "time_s", "$")
-    try:
-        return t, SwitchConfig(frozenset(links))
-    except DomainError as exc:
-        raise SchemaError(str(exc), "$.links") from None
+def _switch_schedule(doc: object) -> list[tuple[float, SwitchConfig]]:
+    """The (time, config) entries of a switch schedule document.
+
+    A schedule repeats a few configurations many times, so each distinct
+    ``links`` array is checked once and its entries share one SwitchConfig.
+    Arrays are told apart by their marshal bytes, which, unlike ``==``,
+    tell ``true``, ``1`` and ``1.0`` apart (each has its own type code),
+    and which cost a quarter of a repr.
+    """
+    configs: dict[bytes, SwitchConfig] = {}  # marshal of a valid links array
+
+    def entry(item: object) -> tuple[float, SwitchConfig]:
+        require_keys(item, "$", {"time_s", "links"})
+        key = marshal.dumps(item["links"])
+        cfg = configs.get(key)
+        if cfg is not None:
+            return number(item, "time_s", "$"), cfg
+        links = each(item["links"], "$.links", _link)
+        t = number(item, "time_s", "$")
+        try:
+            cfg = configs[key] = SwitchConfig(frozenset(links))
+        except DomainError as exc:
+            raise SchemaError(str(exc), "$.links") from None
+        return t, cfg
+
+    return each(doc, "$", entry)
 
 
 def _link(row: object) -> Link:
@@ -278,8 +302,7 @@ def sim_result_doc(result) -> dict:
 
 def _cmd_simulate(args, read) -> tuple[int, Files]:
     spec = read(_json(parse_architecture), args.arch)
-    switch_schedule = read(_json(lambda doc: each(doc, "$", _switch_entry)),
-                           args.schedule)
+    switch_schedule = read(_json(_switch_schedule), args.schedule)
     demand = (read(_json(lambda doc: each(doc, "$", _request)), args.demand)
               if args.demand else [])
     try:
@@ -336,91 +359,83 @@ def _cmd_schedule(args, read) -> tuple[int, Files]:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ionfab",
-        description="Resource estimation and simulation for modular "
-                    "trapped-ion machines.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
+def _common(p) -> None:
     # SUPPRESS keeps a nested subparser from clobbering a value the parent
     # parser already set (e.g. `ionfab ising --out f.json solve x`).
-    def common(p):
-        p.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
-                       help="write the report here instead of stdout")
-        p.add_argument("--summary", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="also print a human-readable summary")
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="RNG seed (required for stochastic runs)")
+    p.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
+                   help="write the report here instead of stdout")
+    p.add_argument("--summary", action="store_true", default=argparse.SUPPRESS,
+                   help="also print a human-readable summary")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="RNG seed (required for stochastic runs)")
 
-    p = sub.add_parser("validate", help="check an architecture file")
+
+def _validate_options(p) -> None:
     p.add_argument("arch", help="ionfab-arch/1 JSON file")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    _common(p)
 
-    p = sub.add_parser("rates", help="physical rate report for one ELU")
+
+def _rates_options(p) -> None:
     p.add_argument("arch")
     p.add_argument("--elu", help="ELU id (default: first)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
-    p.set_defaults(func=_cmd_rates)
+    _common(p)
 
-    p = sub.add_parser("graph", help="interaction graph export")
+
+def _graph_options(p) -> None:
     p.add_argument("arch")
     p.add_argument("--tier", choices=("fast", "collective"), default=None)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    common(p)
-    p.set_defaults(func=_cmd_graph)
+    _common(p)
 
-    p = sub.add_parser("ising", help="Ising instances and solvers")
+
+def _ising_options(p) -> None:
     p.add_argument("--n", type=int, help="spin count (generation mode)")
     p.add_argument("--alpha", type=float, help="power-law exponent in [0,3]")
     p.add_argument("--j0", type=float, default=1.0, help="coupling scale")
-    common(p)
+    _common(p)
     isub = p.add_subparsers(dest="ising_cmd", metavar="ACTION")
     ps = isub.add_parser("solve", help="brute-force ground states")
     ps.add_argument("instance")
-    common(ps)
+    _common(ps)
     pa = isub.add_parser("adiabatic", help="statevector sweep")
     pa.add_argument("instance")
     pa.add_argument("--time", type=float, required=True,
                     help="total schedule time in units of 1/|j0|")
     pa.add_argument("--steps", type=int, required=True)
     pa.add_argument("--trace", metavar="CSV", help="write the energy trace here")
-    common(pa)
+    _common(pa)
     pn = isub.add_parser("anneal", help="Metropolis annealing")
     pn.add_argument("instance")
     pn.add_argument("--t-start", type=float, default=5.0)
     pn.add_argument("--t-factor", type=float, default=0.95)
     pn.add_argument("--t-min", type=float, default=1e-2)
     pn.add_argument("--sweeps", type=int, default=2)
-    common(pn)
-    p.set_defaults(func=_cmd_ising)
+    _common(pn)
 
-    p = sub.add_parser("qec", help="QEC graph families and embeddings")
+
+def _qec_options(p) -> None:
     qsub = p.add_subparsers(dest="qec_cmd", metavar="FAMILY", required=True)
     pq = qsub.add_parser("surface", help="rotated surface-code patch")
     pq.add_argument("--d", type=int, required=True, help="odd code distance")
-    common(pq)
+    _common(pq)
     pq = qsub.add_parser("steane", help="concatenated Steane code")
     pq.add_argument("--levels", type=int, required=True)
-    common(pq)
+    _common(pq)
     pq = qsub.add_parser("hgp", help="hypergraph product of two check matrices")
     pq.add_argument("--h1", required=True, help="dense 0/1 CSV")
     pq.add_argument("--h2", required=True, help="dense 0/1 CSV")
-    common(pq)
+    _common(pq)
     pq = qsub.add_parser("embed", help="cost a code on a host")
     pq.add_argument("--code", required=True, help="ionfab-qec/1 JSON")
     pq.add_argument("--host", required=True,
                     help="'grid' or an architecture JSON path")
     pq.add_argument("--placement", choices=("row_major", "random", "native"))
     pq.add_argument("--partition", choices=("greedy_cut", "round_robin"))
-    common(pq)
-    p.set_defaults(func=_cmd_qec)
+    _common(pq)
 
-    p = sub.add_parser("simulate", help="photonic network simulation")
+
+def _simulate_options(p) -> None:
     p.add_argument("arch")
     p.add_argument("--schedule", required=True, help="switch schedule JSON")
     p.add_argument("--demand", help="pair request JSON")
@@ -428,25 +443,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", metavar="CSV", help="write the event log here")
     p.add_argument("--p", type=float, default=None,
                    help="override the per-attempt success probability")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
+    _common(p)
 
-    p = sub.add_parser("schedule", help="map and schedule a circuit")
+
+def _schedule_options(p) -> None:
     p.add_argument("arch")
     p.add_argument("circuit", help=".iqc circuit file")
     p.add_argument("--map", default="greedy",
                    help="greedy | roundrobin | file:PATH")
     p.add_argument("--pairs", choices=("ideal", "buffered"), default="ideal")
     p.add_argument("--timeline", metavar="CSV", help="write the timeline here")
-    common(p)
-    p.set_defaults(func=_cmd_schedule)
+    _common(p)
 
+
+# name -> (help line, options, handler), in the order of ``ionfab --help``
+_COMMANDS = {
+    "validate": ("check an architecture file", _validate_options, _cmd_validate),
+    "rates": ("physical rate report for one ELU", _rates_options, _cmd_rates),
+    "graph": ("interaction graph export", _graph_options, _cmd_graph),
+    "ising": ("Ising instances and solvers", _ising_options, _cmd_ising),
+    "qec": ("QEC graph families and embeddings", _qec_options, _cmd_qec),
+    "simulate": ("photonic network simulation", _simulate_options, _cmd_simulate),
+    "schedule": ("map and schedule a circuit", _schedule_options, _cmd_schedule),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``ionfab`` parser. Every command is listed with its help line,
+    so the top-level help, usage and errors are always the same; the
+    options are added only for ``command``, or for every command when it
+    is None or names none."""
+    parser = argparse.ArgumentParser(
+        prog="ionfab",
+        description="Resource estimation and simulation for modular "
+                    "trapped-ion machines.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    every = command not in _COMMANDS
+    for name, (help_line, options, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if every or name == command:
+            options(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The command is the first token that is not an option: the top-level
+    # parser takes no option with a value.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     for name, default in (("out", None), ("summary", False), ("seed", None)):
         if not hasattr(args, name):

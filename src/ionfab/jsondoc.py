@@ -45,6 +45,8 @@ def _at(path: str, key: str | int) -> str:
 
 def require_keys(obj: dict, path: str, required: set[str],
                  optional: set[str] = frozenset()) -> None:
+    if isinstance(obj, dict) and obj.keys() == required:
+        return  # the common case, in one set comparison
     if not isinstance(obj, dict):
         raise SchemaError(f"expected object, got {type(obj).__name__}", path)
     unknown = set(obj) - required - optional

@@ -257,6 +257,7 @@ class _LinkState:
 
 
 _NEVER = (math.inf, math.inf, None, math.inf)  # the window after a link's last removal
+_new_tuple = tuple.__new__
 _END, _SLOTS, _RANK = itemgetter(1), itemgetter(3), attrgetter("rank")
 
 
@@ -265,13 +266,16 @@ def _slots_before(window_start: float, rate: float, t: float) -> int | float:
     if the span holds more slots than a float (t = math.inf: an endless
     window). The test is monotone in j, so the search from the estimate
     doubles its steps and then bisects: near 1e300 s, one slot no longer
-    moves a slot time."""
+    moves a slot time. The estimate is ceil(n) - 1 for n slot times in the
+    span, the answer without rounding, so an end on the 1/R lattice (n a
+    whole number) needs no step down."""
     if t <= window_start:
         return 0
     n = (t - window_start) * rate
     if n == math.inf:
         return n
-    lo, hi, step = int(n), int(n) + 1, 1
+    hi, step = math.ceil(n), 1
+    lo = hi - 1 if hi else 0
     while window_start + hi / rate < t:
         lo, hi, step = hi, hi + step, step * 2
     while lo and not window_start + lo / rate < t:
@@ -539,8 +543,10 @@ class NetworkSim:
         self.push_seq += 1
 
     def _emit(self, t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
-        """Log one event; called only when the run keeps a log."""
-        self.log.append(SimEvent(t, kind, link, elu_a, elu_b, len(self.log)))
+        """Log one event; called only when the run keeps a log. The record
+        is built by tuple.__new__: SimEvent's own __new__ is Python code."""
+        log = self.log
+        log.append(_new_tuple(SimEvent, (t, kind, link, elu_a, elu_b, len(log))))
 
     def _sample_countdown(self) -> int | float:
         """Failed attempts before the next success; math.inf if none follows."""

@@ -68,12 +68,30 @@ class TestParseErrors:
             parse_circuit("qubits 1\nRZ q0 fast\n")
 
     def test_missing_angle(self):
-        with pytest.raises(ParseError, match="angle"):
+        with pytest.raises(ParseError) as err:
             parse_circuit("qubits 2\nMS q0 q1\n")
+        assert str(err.value) == "line 2, col 1: MS requires a finite angle"
+
+    def test_missing_angle_after_one_operand(self):
+        # the operand is not read as a malformed angle
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nRZ q0\n")
+        assert str(err.value) == "line 2, col 1: RZ requires a finite angle"
+
+    def test_too_few_operands_without_angle(self):
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nMS q0\n")
+        assert str(err.value) == "line 2, col 1: MS takes 2 operand(s), got 1"
 
     def test_angle_on_angle_free_gate(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_circuit("qubits 2\nCNOT q0 q1 0.5\n")
+        assert str(err.value) == "line 2, col 12: CNOT takes no angle"
+
+    def test_non_number_after_angle_free_gate_is_an_operand(self):
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nX q0 fast\n")
+        assert str(err.value) == "line 2, col 6: expected operand like 'q0', got 'fast'"
 
     def test_arity_mismatch(self):
         with pytest.raises(ParseError, match="takes 2 operand"):
@@ -234,7 +252,8 @@ def agreement_rows():
 
 class TestParserAgreesWithConstructor:
     """The parser's one check per op and GateOp(...)'s checks accept the
-    same ops and give the same arity messages."""
+    same ops and give the same messages: the arity, a missing angle and an
+    angle the kind does not take."""
 
     @pytest.mark.parametrize("kind, n, with_angle", agreement_rows())
     def test_row(self, kind, n, with_angle):
@@ -250,13 +269,20 @@ class TestParserAgreesWithConstructor:
             parsed = parse_circuit(f"qubits 200\n{line}\n")
         if op is not None:
             assert parsed.ops == (op,) and type(parsed.ops[0]) is GateOp
-        elif with_angle == kind.arity[2]:
-            # The arity rule, at the first extra operand or at the gate.
-            token = kind.arity[1] + 1 if n > kind.arity[1] else 0
-            column = 1 + sum(len(t) + 1 for t in tokens[:token])
-            assert str(err.value) == f"line 2, col {column}: {message}"
-        # Otherwise both reject the row: an angle where the kind takes none,
-        # or none where it takes one, is a malformed token to the parser.
+            return
+        if n == 0 and kind.arity[2] and not with_angle:
+            # a gate alone lacks its angle before its operands
+            message = f"{kind.value} requires an angle"
+        # GateOp's message, at the first extra operand, at an angle the
+        # kind does not take, or else at the gate
+        if n > kind.arity[1]:
+            token = kind.arity[1] + 1
+        elif message.endswith("takes no angle"):
+            token = len(tokens) - 1
+        else:
+            token = 0
+        column = 1 + sum(len(t) + 1 for t in tokens[:token])
+        assert str(err.value) == f"line 2, col {column}: {message}"
 
 
 class TestInteractionWeights:

@@ -1,13 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, cli_env, run_cli
-from ionfab.cli import main
+from ionfab.cli import _link, _switch_schedule, build_parser, main
+from ionfab.errors import DomainError, SchemaError
+from ionfab.jsondoc import each, number, require_keys
+from ionfab.netsim import SwitchConfig
 from ionfab.qec import (hypergraph_product_graph, qec_to_doc,
                         repetition_check_matrix, surface_code_graph)
 from ionfab.scheduler import QubitMap
@@ -480,6 +487,157 @@ class TestBadSimulateInputs:
         assert f"ionfab: error: {tmp_path / 'sched.json'}: $: invalid JSON at line 1" in err
 
 
+def per_entry_schedule(doc):
+    """The switch schedule read entry by entry, each links array checked
+    and made a SwitchConfig of its own."""
+    def entry(item):
+        require_keys(item, "$", {"time_s", "links"})
+        links = each(item["links"], "$.links", _link)
+        t = number(item, "time_s", "$")
+        try:
+            return t, SwitchConfig(frozenset(links))
+        except DomainError as exc:
+            raise SchemaError(str(exc), "$.links") from None
+    return each(doc, "$", entry)
+
+
+def read_schedule(read, doc):
+    """``read(doc)`` as a comparable value: each entry's time repr and
+    links, or the SchemaError's ``path: message``."""
+    try:
+        return [(repr(t), cfg.active_links) for t, cfg in read(doc)]
+    except SchemaError as exc:
+        return str(exc)
+
+
+# links arrays that are valid, and ones that are equal under == to a valid
+# one but not JSON integers, reuse a port, hold a bad row, or are not arrays
+VALID_LINKS = [[["A", 0, "B", 0]], [["A", 1, "B", 0]],
+               [["A", 0, "B", 0], ["A", 1, "C", 1]], [], [["B", 0, "A", 1]]]
+BAD_LINKS = [
+    [["A", True, "B", 0]], [["A", 1.0, "B", 0]], [["A", 0, "B", 0.0]],
+    [["A", 0, "B", 0], ["A", 0, "C", 1]], [["A", 0, "A", 1]],
+    [["A", 0, "B"]], [[1, 0, "B", 0]], [["A", 0, "B", 0], "row"],
+    "links", 5, None, {"A": 0},
+]
+# times the reader takes (it does not check their order or range), then not
+GOOD_TIMES, BAD_TIMES = [0.0, 0.25, 1, -1.0, float("nan")], [True, "0.5", None]
+
+
+@st.composite
+def schedule_docs(draw):
+    """A switch schedule document of entries whose links and times are
+    drawn mostly from the good lists, and in half the documents one entry
+    of the wrong keys or no object; decoded from its JSON text, so no two
+    entries share a links array."""
+    entry = st.builds(lambda t, links: {"time_s": t, "links": links},
+                      st.sampled_from(GOOD_TIMES * 4 + BAD_TIMES),
+                      st.sampled_from(VALID_LINKS * 4 + BAD_LINKS))
+    entries = draw(st.lists(entry, max_size=10))
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from(
+            [3, [], {"links": []}, {"time_s": 0.0, "links": [], "x": 1}])))
+    return json.loads(json.dumps(entries))
+
+
+class TestScheduleReader:
+    """simulate's schedule reader checks each distinct links array once."""
+
+    @settings(max_examples=400)
+    @given(schedule_docs())
+    def test_reads_as_the_per_entry_reader(self, doc):
+        assert read_schedule(_switch_schedule, doc) == read_schedule(per_entry_schedule, doc)
+
+    def test_entries_that_repeat_links_share_one_config(self):
+        doc = json.loads('[{"time_s": 0.0, "links": [["A", 0, "B", 0]]},'
+                         ' {"time_s": 0.1, "links": [["A", 1, "B", 1]]},'
+                         ' {"time_s": 0.2, "links": [["A", 0, "B", 0]]}]')
+        (_, a), (_, b), (_, c) = _switch_schedule(doc)
+        assert a is c and a is not b
+
+    @pytest.mark.parametrize("port", ["true", "1.0"])
+    def test_port_equal_to_a_seen_integer_is_rejected(self, port):
+        doc = json.loads('[{"time_s": 0.0, "links": [["A", 1, "B", 0]]},'
+                         f' {{"time_s": 0.1, "links": [["A", {port}, "B", 0]]}}]')
+        with pytest.raises(SchemaError) as err:
+            _switch_schedule(doc)
+        shown = "True" if port == "true" else port
+        assert str(err.value) == f"$[1].links[0][1]: expected integer, got {shown}"
+
+    def test_bad_links_reported_before_bad_time(self):
+        doc = [{"time_s": 0.0, "links": [["A", 0, "B", 0]]},
+               {"time_s": "x", "links": [["A", 0, "B"]]}]
+        with pytest.raises(SchemaError) as err:
+            _switch_schedule(doc)
+        assert str(err.value) == "$[1].links[0]: expected [elu_a, port_a, elu_b, port_b]"
+
+    def test_bad_time_of_an_entry_with_seen_links(self):
+        doc = [{"time_s": 0.0, "links": [["A", 0, "B", 0]]},
+               {"time_s": "x", "links": [["A", 0, "B", 0]]}]
+        with pytest.raises(SchemaError) as err:
+            _switch_schedule(doc)
+        assert str(err.value) == "$[1].time_s: expected number, got 'x'"
+
+
+def command_of(argv):
+    """The command ``main`` builds options for: the first token that is
+    not an option."""
+    return next((a for a in argv if not a.startswith("-")), None)
+
+
+def parse_outcome(parser, argv):
+    """What ``parser.parse_args(argv)`` gives: the Namespace's fields (None
+    if it exits), the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            fields, code = None, exc.code
+    return fields, code, out.getvalue(), err.getvalue()
+
+
+EX = str(EXAMPLE_JSON)
+PARSER_ARGVS = [
+    [], ["--version"], ["-h"], ["--", "simulate", EX, "--schedule", "s.json",
+                                "--horizon", "1"],
+    ["bogus"], ["bogus", "--out", "x"], ["-", "simulate"], ["--seed", "1", "rates", EX],
+    ["validate", EX], ["validate"], ["validate", EX, "--summary", "--out", "v.json"],
+    ["rates", EX, "--elu", "B", "--format", "csv"], ["rates", EX, "--format", "xml"],
+    ["graph", EX, "--tier", "fast", "--format", "dot"], ["graph", "--help"],
+    ["ising", "--n", "5", "--alpha", "1.5"], ["ising", "--out", "f.json", "solve", "i.json"],
+    ["ising", "adiabatic", "i.json", "--time", "2", "--steps", "9", "--trace", "t.csv"],
+    ["ising", "adiabatic", "i.json", "--time", "2"],
+    ["ising", "anneal", "i.json", "--t-min", "0.1", "--sweeps", "3", "--seed", "4"],
+    ["ising", "anneal", "--help"], ["ising", "bogus"],
+    ["qec"], ["qec", "surface", "--d", "5", "--summary"], ["qec", "steane", "--levels", "2"],
+    ["qec", "hgp", "--h1", "a.csv", "--h2", "b.csv"],
+    ["qec", "embed", "--code", "c.json", "--host", "grid", "--placement", "random",
+     "--seed", "1"], ["qec", "embed", "--help"],
+    ["simulate", EX, "--schedule", "s.json", "--demand", "d.json", "--horizon", "0.5",
+     "--log", "e.csv", "--p", "0.25", "--seed", "7"],
+    ["simulate", EX, "--schedule", "s.json"], ["simulate", EX, "--bogus"],
+    ["simulate", "--help"],
+    ["schedule", EX, "c.iqc", "--map", "roundrobin", "--pairs", "buffered",
+     "--timeline", "t.csv", "--seed", "2"], ["schedule", EX],
+]
+
+
+class TestParserBuildsOnlyTheCommand:
+    """A parser built for one command parses like the full parser."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = parse_outcome(build_parser(), argv)
+        assert parse_outcome(build_parser(command_of(argv)), argv) == full
+        assert full[1] in (None, 0, 2)
+
+    def test_other_commands_have_no_options(self):
+        _, code, _, err = parse_outcome(build_parser("simulate"), ["rates", EX])
+        assert code == 2 and "unrecognized arguments" in err
+
+
 class TestSubnormalLinkProbability:
     """A valid machine whose link probability is subnormal (F = 1e-160 gives
     p ~ 2e-322) never yields a pair: simulate reports zero successes, and the
@@ -725,6 +883,21 @@ BAD_INPUTS = {
         '[{"time_s": 0.0, "links": [["A", 0, "A", 19]]}]',
         "{f}: $[0].links[0]: link endpoints must be in distinct ELUs, "
         "got A.0 and A.19"),
+    # a links array read before does not pass a later one equal to it under ==
+    "schedule_true_port_after_int_port": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": 0.0, "links": [["A", 1, "B", 0]]},'
+        ' {"time_s": 0.1, "links": [["A", true, "B", 0]]}]',
+        "{f}: $[1].links[0][1]: expected integer, got True"),
+    "schedule_float_port_after_int_port": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": 0.0, "links": [["A", 1, "B", 0]]},'
+        ' {"time_s": 0.1, "links": [["A", 1.0, "B", 0]]}]',
+        "{f}: $[1].links[0][1]: expected integer, got 1.0"),
+    "schedule_bad_time_and_links": (
+        [*SIMULATE, "--schedule", "{f}"],
+        '[{"time_s": "x", "links": [["A", 0, "B"]]}]',
+        "{f}: $[0].links[0]: expected [elu_a, port_a, elu_b, port_b]"),
     "demand_with_one_elu": (
         [*SIMULATE, "--schedule", "{one_link}", "--demand", "{f}"],
         '[{"time_s": 0.1, "elus": ["A"]}]',
@@ -788,6 +961,15 @@ BAD_INPUTS = {
     "circuit_rz_without_angle": (
         ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 1\nRZ\n",
         "{f}: line 2, col 1: RZ requires an angle"),
+    "circuit_rz_operand_without_angle": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 1\nRZ q0\n",
+        "{f}: line 2, col 1: RZ requires a finite angle"),
+    "circuit_ms_without_angle": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 2\nMS q0 q1\n",
+        "{f}: line 2, col 1: MS requires a finite angle"),
+    "circuit_angle_on_x": (
+        ["schedule", str(EXAMPLE_JSON), "{f}"], "qubits 1\nX q0 0.5\n",
+        "{f}: line 2, col 6: X takes no angle"),
     "simulate_p_above_one": (
         [*SIMULATE, "--schedule", "{one_link}", "--p", "2"], None,
         "p_override out of [0,1]: 2.0"),

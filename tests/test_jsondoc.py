@@ -1,7 +1,8 @@
 import pytest
 
 from ionfab.errors import SchemaError
-from ionfab.jsondoc import decode, each, fixed_array, integer, number, parse_json, string
+from ionfab.jsondoc import (decode, each, fixed_array, integer, number, parse_json,
+                            require_keys, string)
 
 
 class TestLoadJson:
@@ -46,6 +47,23 @@ class TestHelpers:
         for bad in ([1], [1, 2, 3], "ab", {"a": 1}):
             with pytest.raises(SchemaError, match=r"^\$\.p: expected \[a, b\]$"):
                 fixed_array(bad, 2, "[a, b]", "$.p")
+
+
+class TestRequireKeys:
+    @pytest.mark.parametrize("obj", [{"a": 1, "b": 2}, {"a": 1, "b": 2, "c": 3}])
+    def test_required_and_optional_keys_pass(self, obj):
+        require_keys(obj, "$", {"a", "b"}, {"c"})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"a": 1}, "$.p: missing required key(s): b"),
+        ({"a": 1, "b": 2, "d": 4}, "$.p: unknown key(s): d"),
+        ({"d": 4}, "$.p: unknown key(s): d"),  # unknown keys are named first
+        ([], "$.p: expected object, got list"),
+    ])
+    def test_faults(self, obj, message):
+        with pytest.raises(SchemaError) as err:
+            require_keys(obj, "$.p", {"a", "b"}, {"c"})
+        assert str(err.value) == message
 
 
 class TestEach:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
 from ionfab.arch import load_architecture
 from ionfab.errors import CapacityError, DomainError
-from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, default_link,
-                           link_label, link_pair, make_link, run_sim,
+from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, _slots_before,
+                           default_link, link_label, link_pair, make_link, run_sim,
                            theoretical_rate_check)
 
 EXAMPLE = load_architecture(EXAMPLE_JSON)
@@ -809,6 +809,46 @@ def slots_before(start, rate, t):
     while start + (j + 1) / rate < t:
         j += 1
     return j
+
+
+class TestSlotsBefore:
+    """The simulator's slot count against its definition: the largest
+    j >= 0 with start + j/rate < t."""
+
+    @staticmethod
+    def fires(start, rate, t, j):
+        return start + j / rate < t
+
+    @settings(max_examples=300)
+    @given(m=st.integers(0, 10**6), k=st.integers(1, 3000),
+           rate=st.sampled_from([2e4, 3e5, 5e5, 1e6]) | st.floats(1.0, 1e7),
+           ulps=st.sampled_from([-2, -1, 0, 0, 0, 1, 2]))
+    def test_lattice_ends_match_a_scan_from_zero(self, m, k, rate, ulps):
+        # a window from slot time m/rate to k slots later, nudged by ulps
+        start = m / rate
+        t = start + k / rate
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        j = 0
+        while self.fires(start, rate, t, j + 1):
+            j += 1
+        assert _slots_before(start, rate, t) == (j if t > start else 0)
+
+    @settings(max_examples=300)
+    @given(start=st.just(0.0) | st.floats(1e290, 1e300),
+           span=st.floats(1e-300, 1e300) | st.just(0.0),
+           rate=st.sampled_from([1.0, 2e4, 5e5, 1e9]) | st.floats(1e-3, 1e9))
+    def test_times_near_1e300(self, start, span, rate):
+        # span 0.0 stands for one ulp past the start
+        t = start + span if span else math.nextafter(start, math.inf)
+        j = _slots_before(start, rate, t)
+        if t <= start:
+            assert j == 0
+        elif j == math.inf:
+            assert (t - start) * rate == math.inf
+        else:
+            assert j >= 0 and self.fires(start, rate, t, j)
+            assert not self.fires(start, rate, t, j + 1)
 
 
 def reference_layout(spec, schedule):
