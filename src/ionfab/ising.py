@@ -23,18 +23,29 @@ where S_k is the (2^k, k) matrix of spins of each half-index. The Trotter
 step of the adiabatic sweep reshapes the statevector to that matrix M. The
 uniform X rotation exp(i theta sum X) factors as A_hi (x) A_lo, with
 
-    A_k[i, j] = cos(theta)^(k - d) * (i sin(theta))^d,   d = popcount(i ^ j),
+    A_k[i, j] = cos(theta)^(k - d) * (i sin(theta))^d,   d = popcount(i ^ j).
 
-and both factors are symmetric, so one step is M <- A_hi M A_lo, with one
-matrix built for both sides when hi == lo. Likewise <sum X> = Re <M, X_hi M
-+ M X_lo>, where X_k is the real mask d == 1, so it is taken as real products
-on the float64 view of M (and of M^T for the low half). The phase
-exp(-i dt s H_z) is computed once per distinct energy level and gathered to
-the 2^n entries: integer instances have few levels.
+Since i^d = i^|i| i^|j| (-1)^|i & j|, A_k = P_k R_k P_k with the fixed
+diagonal P_k = diag(i^|i|) and R_k real. So the sweep holds the state in the
+frame N = P_hi^-1 M P_lo^-1, where a step with phase Phi is
+
+    N <- Q_hi (Phi o N) Q_lo^T,   Q_k[i, j] = cos^(k-d) sin^d (-1)^(|i & j| + |j|),
+
+and Q_k = P_k^-1 A_k P_k is real: two real products on the float64 view of
+N, the second on N^T, which is copied between the halves (one Q serves both
+sides when hi == lo). Likewise P_k^-1 X_k P_k = i T_k, with X_k the mask
+d == 1 and T_k real and antisymmetric (the sign of |j| - |i| where d == 1),
+so <sum X> = -Im <N, T_hi N> - Im <N^T, T_lo N^T>. sum X_k commutes with
+the rotation, so the stacked [Q_k; T_k] gives both the rotated half and
+T_k's input in one product per half. |N| = |M| entrywise, so energies and
+the ground overlap read N as it is. The phase exp(-i dt s H_z) is computed
+once per distinct energy level and gathered to the 2^n entries: integer
+instances have few levels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Iterator
@@ -288,11 +299,32 @@ def brute_force_ground_state(
 # Adiabatic statevector evolution
 # ---------------------------------------------------------------------------
 
-def _x_rotation(d: np.ndarray, k: int, theta: float) -> np.ndarray:
-    """exp(+i*theta*X) on each of k qubits, as a 2^k x 2^k matrix built from
-    their popcount(i ^ j) table ``d``: entry cos(theta)^(k-d) (i sin(theta))^d."""
-    c, s = math.cos(theta), 1j * math.sin(theta)
-    return np.array([c ** (k - m) * s ** m for m in range(k + 1)])[d]
+@functools.lru_cache(maxsize=None)
+def _frame_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (2^k, 2^k) tables of the diagonal frame P = diag(i^|i|).
+
+    ``index`` picks each entry of the real Q = P^-1 exp(i theta sum X) P
+    from ``_signed_weights(k, theta)``: weight d = popcount(i ^ j), negated
+    where |i & j| + |j| is odd. ``t`` is T = -i P^-1 (sum X) P: +1 where i
+    and j differ in one bit and |j| > |i|, -1 where |j| < |i|. Both depend
+    on k alone, so each k is built once per process.
+    """
+    d = _popcount_xor(k)
+    ones = d[0]  # popcount(j)
+    both = (ones[:, None] + ones - d) // 2  # popcount(i & j)
+    index = d + (k + 1) * ((both + ones) & 1)
+    t = np.where(d == 1, np.sign(ones - ones[:, None]), 0).astype(float)
+    index.setflags(write=False)
+    t.setflags(write=False)
+    return index, t
+
+
+def _signed_weights(k: int, theta: float) -> list[float]:
+    """cos(theta)^(k-d) sin(theta)^d for d = 0..k, then the same negated:
+    the values that ``_frame_tables(k)[0]`` indexes."""
+    c, s = math.cos(theta), math.sin(theta)
+    w = [c ** (k - d) * s ** d for d in range(k + 1)]
+    return w + [-x for x in w]
 
 
 def adiabatic_evolve(instance: IsingInstance, total_time: float,
@@ -320,40 +352,66 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
         raise DomainError("total_time too large for these couplings and fields: "
                           "total_time * 2 * (sum |J| + sum |B|) overflows")
 
-    dim, lo = 1 << n, _split(n)
+    lo = _split(n)
     hi = n - lo
+    rows, cols = 1 << hi, 1 << lo
     diag = np.concatenate([e for _, e in _energy_blocks(instance)])
     levels, level_of = np.unique(diag, return_inverse=True)
-    d_hi, d_lo = _popcount_xor(hi), _popcount_xor(lo)
-    x_hi, x_lo = (d_hi == 1).astype(float), (d_lo == 1).astype(float)
-    psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    level_of = level_of.reshape(rows, cols)
+    diag2 = np.repeat(diag, 2).reshape(rows, 2 * cols)  # on the float view
+    index_hi, t_hi = _frame_tables(hi)
+    index_lo, t_lo = _frame_tables(lo)
+    # [Q_k; T_k]: one real product gives the rotated half and T_k's input
+    g_hi = np.empty((2 * rows, rows))
+    g_hi[rows:] = t_hi
+    g_lo = g_hi if hi == lo else np.empty((2 * cols, cols))
+    g_lo[cols:] = t_lo
+    # N[h, l] = i^-(|h| + |l|) / sqrt(2^n); the state, and its transpose
+    # between the two halves of a step, in preallocated buffers
+    ones = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    state = (np.array([1, -1j, -1, 1j])[ones % 4] / math.sqrt(1 << n)).reshape(rows, cols)
+    state_t = np.empty((cols, rows), dtype=complex)
+    out_hi, out_lo = np.empty((2 * rows, 2 * cols)), np.empty((2 * cols, 2 * rows))
+    v, v_t, sq = state.view(np.float64), state_t.view(np.float64), np.empty(diag2.shape)
+    q_hi, q_lo = g_hi[:rows], g_lo[:cols]
+    rot_hi, rot_lo = out_hi[:rows].view(complex).T, out_lo[:cols].view(complex).T
+    tx_hi, tx_lo = out_hi[rows:].view(complex), out_lo[cols:].view(complex)
+    phase, angle = np.empty(len(levels), dtype=complex), np.empty(len(levels))
     dt = total_time / steps
     trace = np.empty(steps)
 
     for k in range(steps):
         s = (k + 0.5) / steps
         # exp(-i*dt*s*H_z) then exp(-i*dt*(1-s)*(-sum X)) = exp(+i*dt*(1-s)*sum X)
-        psi *= np.exp(-1j * dt * s * levels)[level_of]
+        np.multiply(levels, -dt * s, out=angle)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        state *= phase[level_of]
         theta = dt * (1.0 - s)
-        a_hi = _x_rotation(d_hi, hi, theta)
-        a_lo = a_hi if hi == lo else _x_rotation(d_lo, lo, theta)
-        m = a_hi @ psi.reshape(1 << hi, 1 << lo) @ a_lo
-        psi = m.reshape(dim)
-        # X_k is real, so Re<M, X_k M> sums the real and imaginary parts apart
-        v, v_t = m.view(np.float64), np.ascontiguousarray(m.T).view(np.float64)
-        x_expect = float(np.vdot(v, x_hi @ v) + np.vdot(v_t, x_lo @ v_t))
-        trace[k] = s * float(diag @ (psi.real ** 2 + psi.imag ** 2)) \
-            - (1.0 - s) * x_expect
+        # every index is in range; mode "raise" would buffer ``out``
+        np.take(_signed_weights(hi, theta), index_hi, out=q_hi, mode="clip")
+        if lo != hi:
+            np.take(_signed_weights(lo, theta), index_lo, out=q_lo, mode="clip")
+        # sum X_k commutes with the rotation, so each half's input gives
+        # its share -Im <N, T_k N> of <sum X> after the step
+        np.matmul(g_hi, v, out=out_hi)
+        x_expect = -np.vdot(state, tx_hi).imag
+        np.copyto(state_t, rot_hi)
+        np.matmul(g_lo, v_t, out=out_lo)
+        x_expect -= np.vdot(state_t, tx_lo).imag
+        np.copyto(state, rot_lo)
+        np.multiply(v, v, out=sq)
+        trace[k] = s * float(np.vdot(diag2, sq)) - (1.0 - s) * x_expect
 
-    ground_idx = np.flatnonzero(diag == diag.min())
-    overlap = float(np.sum(np.abs(psi[ground_idx]) ** 2))
+    # |N| = |M| entrywise: the frame leaves every probability as it is
+    prob = (state.real ** 2 + state.imag ** 2).ravel()
     return AdiabaticRun(
         total_time=total_time,
         steps=steps,
-        ground_overlap=overlap,
+        ground_overlap=float(prob[diag == diag.min()].sum()),
         energy_trace=tuple(trace.tolist()),
-        final_norm=float(np.linalg.norm(psi)),
-        final_ising_energy=float(np.real(np.vdot(psi, diag * psi))),
+        final_norm=float(np.linalg.norm(state)),
+        final_ising_energy=float(diag @ prob),
     )
 
 

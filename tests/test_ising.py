@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionfab.ising
+from conftest import FIXTURES_DIR, GOLDEN_DIR
 from ionfab.errors import DomainError
 from ionfab.ising import (AnnealSchedule, IsingInstance, SpinConfig,
                           adiabatic_evolve, anneal_classical,
@@ -346,11 +348,17 @@ class TestAdiabatic:
 
     # n = 11 splits into unequal halves, n = 12 is the cap, and random float
     # fields give 2^n distinct energies, so the phase gather saves nothing.
-    @pytest.mark.parametrize("n, family", [
-        *((n, "integer") for n in range(1, 13)),
-        *((n, "power_law") for n in range(2, 13)),
-        *((n, "float") for n in (5, 11, 12))])
-    def test_matches_per_qubit_reference(self, n, family):
+    # The 2000- and 5000-step sweeps show that rounding does not drift.
+    @pytest.mark.parametrize("n, family, steps", [
+        pytest.param(n, family, steps,
+                     id=f"{n}-{family}" + ("" if steps == 200 else f"-{steps}steps"))
+        for n, family, steps in [
+            *((n, "integer", 200) for n in range(1, 13)),
+            *((n, "power_law", 200) for n in range(2, 13)),
+            *((n, "float", 200) for n in (5, 11, 12)),
+            *((n, family, steps) for n, steps in ((6, 5000), (8, 2000))
+              for family in ("integer", "power_law"))]])
+    def test_matches_per_qubit_reference(self, n, family, steps):
         if family == "integer":
             inst = random_instance(n, seed=n)
         elif family == "power_law":
@@ -359,13 +367,75 @@ class TestAdiabatic:
             inst = float_instance(n, seed=n)
             energies = np.concatenate([e for _, e in ionfab.ising._energy_blocks(inst)])
             assert len(np.unique(energies)) == 1 << n
-        run = adiabatic_evolve(inst, 5.0, 200)
-        trace, overlap, final_energy, norm = reference_trotter(inst, 5.0, 200)
+        total_time = steps / 40  # dt = 0.025 at every length
+        run = adiabatic_evolve(inst, total_time, steps)
+        trace, overlap, final_energy, norm = reference_trotter(inst, total_time, steps)
         close = dict(rel=1e-12, abs=1e-12)
         assert list(run.energy_trace) == pytest.approx(trace, **close)
         assert run.ground_overlap == pytest.approx(overlap, **close)
         assert run.final_ising_energy == pytest.approx(final_energy, **close)
         assert run.final_norm == pytest.approx(norm, **close)
+
+    # The CLI goldens pin bytes; this ties them to the per-qubit loop.
+    @pytest.mark.parametrize("name", ["powerlaw12", "degenerate11"])
+    def test_goldens_match_per_qubit_reference(self, name):
+        inst = parse_instance(json.loads(
+            (FIXTURES_DIR / f"ising_{name}.json").read_text()))
+        doc = json.loads((GOLDEN_DIR / f"ising_adiabatic_{name}.json").read_text())
+        with open(GOLDEN_DIR / f"ising_adiabatic_{name}_trace.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert (doc["total_time"], doc["steps"]) == (4.0, 120)
+        trace, overlap, final_energy, norm = reference_trotter(inst, 4.0, 120)
+        close = dict(rel=1e-12, abs=1e-12)
+        assert [int(r["step"]) for r in rows] == list(range(120))
+        assert [float(r["energy"]) for r in rows] == pytest.approx(trace, **close)
+        assert doc["ground_overlap"] == pytest.approx(overlap, **close)
+        assert doc["final_ising_energy"] == pytest.approx(final_energy, **close)
+        assert doc["final_norm"] == pytest.approx(norm, **close)
+
+
+class TestRotationFrame:
+    """The identity the Trotter step rests on: in the frame P = diag(i^|i|),
+    the transverse-field rotation and sum X are real."""
+
+    @staticmethod
+    def dense(k, theta):
+        """exp(i theta sum X) on k qubits as a Kronecker product, and sum X."""
+        c, s = math.cos(theta), 1j * math.sin(theta)
+        rotation, sum_x = np.ones((1, 1)), np.zeros((1, 1))
+        for _ in range(k):
+            rotation = np.kron(rotation, [[c, s], [s, c]])
+            sum_x = np.kron(sum_x, np.eye(2)) + np.kron(np.eye(len(sum_x)), [[0, 1], [1, 0]])
+        return rotation, sum_x
+
+    @staticmethod
+    def frame(k):
+        """P = diag(i^|i|) with |i| the popcount of i."""
+        return np.diag([1j ** bin(i).count("1") for i in range(1 << k)])
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, 2.0])
+    def test_rotation_is_p_r_p(self, k, theta):
+        index, _ = ionfab.ising._frame_tables(k)
+        q = np.take(ionfab.ising._signed_weights(k, theta), index)
+        p = self.frame(k)
+        r = q @ np.linalg.inv(p @ p)  # Q = R P^2, and R is real and symmetric
+        assert np.array_equal(r, r.T)
+        assert np.abs(p @ r @ p - self.dense(k, theta)[0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_sum_x_is_i_t(self, k):
+        _, t = ionfab.ising._frame_tables(k)
+        p = self.frame(k)
+        assert np.array_equal(t, -t.T)
+        assert np.abs(np.linalg.inv(p) @ self.dense(k, 0.0)[1] @ p - 1j * t).max() <= 1e-14
+
+    def test_tables_are_read_only_and_built_once(self):
+        index, t = ionfab.ising._frame_tables(4)
+        assert ionfab.ising._frame_tables(4)[0] is index
+        for table in (index, t):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestAnneal:
