@@ -150,7 +150,6 @@ class EluSpec:
     collision_rate_per_ion: float = _field("collision_rate_per_ion_hz", default=0.0,
                                            ge=0)  # 1/s, 0 disables collisions
     reload_time: float = _field("reload_time_s", default=0.1, ge=0)  # s
-    shuttle_cost_time: float = _field("shuttle_cost_time_s", default=0.0, ge=0)  # s
 
     @property
     def memory_ion_count(self) -> int:
@@ -190,8 +189,9 @@ class ArchitectureSpec:
     # s, None = pairs never expire
     pair_lifetime: float | None = _field("pair_lifetime_s", _number_or_null, None,
                                          section="link", gt=0, note=" when set")
-    # metadata only, no behavioral difference
-    dual_species_comm: bool = _field("dual_species_comm", _boolean, False, section="link")
+    # communication ions of a second species; with False they are of the memory
+    # species, and a remote gate asks for its pair only once both ELUs are idle
+    dual_species_comm: bool = _field("dual_species_comm", _boolean, True, section="link")
 
     def elu(self, elu_id: str) -> EluSpec:
         for e in self.elus:
@@ -216,7 +216,7 @@ def _tables(cls: type, section: str | None) -> tuple:
     # a field annotated float must be finite; None is an optional field unset
     checks = tuple((name, "float" in type_, m["default"] is None,
                     m["gt"], m["ge"], m["le"], m["note"]) for name, type_, m in decls)
-    writes = tuple((name, m["keys"][-1]) for name, _, m in decls)
+    writes = tuple((name, m["keys"][-1], m["default"]) for name, _, m in decls)
     return (required, keys, reads), checks, writes
 
 
@@ -408,11 +408,11 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
 
 def _write(obj, section: str | None = None) -> dict:
     """The JSON object of the declared fields of ``obj`` (of ``section``); an
-    unset optional field (None, or False for a flag) is left out."""
+    unset optional field (None) or a flag at its default is left out."""
     doc = {}
-    for name, key in _WRITERS[type(obj), section]:
+    for name, key, default in _WRITERS[type(obj), section]:
         val = getattr(obj, name)
-        if val is not None and val is not False:
+        if val is not None and not (isinstance(val, bool) and val == default):
             doc[key] = list(val) if isinstance(val, tuple) else val
     return doc
 

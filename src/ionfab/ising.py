@@ -58,6 +58,7 @@ from .jsondoc import each, fixed_array, integer, number, require_keys
 
 ISING_SCHEMA_ID = "ionfab-ising/1"
 
+POWER_LAW_MAX_SPINS = 1000  # n(n-1)/2 couplings; the size of circuits.MAX_QUBITS
 BRUTE_FORCE_MAX_SPINS = 24
 ADIABATIC_MAX_SPINS = 12
 ANNEAL_MAX_SPINS = 10_000
@@ -189,6 +190,8 @@ def power_law_couplings(n: int, alpha: float, j0: float) -> IsingInstance:
     """
     if n < 2:
         raise DomainError(f"need at least 2 spins, got {n}")
+    if n > POWER_LAW_MAX_SPINS:
+        raise DomainError(f"n = {n} exceeds power-law cap {POWER_LAW_MAX_SPINS}")
     if not 0 <= alpha <= 3:  # also catches NaN
         raise DomainError(f"alpha = {alpha!r} outside [0, 3]")
     couplings = {(i, j): j0 / float(j - i) ** alpha

@@ -8,26 +8,22 @@ map it is given, once. Scheduling processes operations in program order and
 starts each as soon as every ion it touches is free, which preserves
 program-order dependencies between operations sharing a qubit.
 
-Every timeline entry (gate, measurement, remote gate or inserted swap) is
-placed by one rule: it holds its ions from start to end and adds its
-duration to the busy time of the qubits it acts on. The same rule keeps the
-result's totals in one pass, in timeline order: ``makespan`` (the latest
-end), ``swaps_inserted`` and ``pairs_consumed`` (the swap entries and the
-pair-using entries) and the fidelity's gate factor. A
-:class:`TimelineEntry` is an immutable ``typing.NamedTuple``; the rule
-builds it, and the tuple of ions it holds, once per entry, with no copy.
+Every timeline entry (gate, measurement or remote gate) is placed by one
+rule: it holds its ions from start to end and adds its duration to the busy
+time of the qubits it acts on. The same rule keeps the result's totals in
+one pass, in timeline order: ``makespan`` (the latest end),
+``pairs_consumed`` (the pair-using entries) and the fidelity's gate factor.
+Qubits never move, so no swaps are inserted. A :class:`TimelineEntry` is an
+immutable ``typing.NamedTuple``; the rule builds it, and the tuple of ions
+it holds, once per entry, with no copy.
 
 Operations inside one ELU differ only in duration:
 
 * single-qubit gates: the host ELU's ``single_qubit_gate_time``;
 * two-qubit gates: tau_fast = tau_slow/kappa on a fast edge (positions
-  within the fast-gate distance), else tau_slow = 2*pi/R_gate(N). With
-  ``strict_proximity`` a distant pair is first brought within the fast-gate
-  distance by chain swaps of 3*tau_fast each, which moves operand 0 and
-  raises ``CapacityError`` rather than park it on a communication ion;
+  within the fast-gate distance), else tau_slow = 2*pi/R_gate(N);
 * GLOBAL_MS: tau_slow, operands confined to one ELU;
-* MEASURE: the species detection time (plus the shuttle cost when
-  ``measure_isolation`` is on and another ion of the ELU is busy).
+* MEASURE: the species detection time.
 
 A two-qubit gate across ELUs consumes one entangled pair (waited for in
 BUFFERED mode) and takes teleport_overhead_time + the slower side's local
@@ -38,12 +34,20 @@ from :meth:`NetworkSim.request` on one seeded, demand-free sim with a
 static link per needed ELU pair: expiry and collisions are honoured,
 buffer capacity is not.
 
+Whether link attempts may run during gates is a fact of the machine,
+``dual_species_comm``. Communication ions of a second species (the default)
+scatter light far from the memory ions' resonance, so a remote gate asks for
+its pair as soon as its own ions are free. Communication ions of the memory
+species scatter light that the memory ions of their chain absorb, so on such
+a machine a remote gate asks for its pair only once both of its ELUs are
+idle, every ion free of the operations placed before it.
+
 The fidelity estimate is the product of ``two_qubit_gate_fidelity`` over
-entangling operations (swaps count as three) times exp(-idle/T2) per qubit,
-where idle time is measured from circuit start to the qubit's last
-operation, minus its busy time. :func:`schedule` computes it once, as the
-result's ``fidelity`` breakdown (total, gate factor, idle factor);
-``fidelity_estimate`` is its total.
+entangling operations times exp(-idle/T2) per qubit, where idle time is
+measured from circuit start to the qubit's last operation, minus its busy
+time. :func:`schedule` computes it once, as the result's ``fidelity``
+breakdown (total, gate factor, idle factor); ``fidelity_estimate`` is its
+total.
 """
 
 from __future__ import annotations
@@ -60,9 +64,6 @@ from .errors import CapacityError, DomainError
 from .netsim import NetworkSim, static_links
 from .rates import elu_gate_rate, slow_gate_time
 from .graph import FAST_GATE_SPEEDUP, deal_round_robin, greedy_cut
-
-# A swap decomposes into three proximity CNOTs.
-SWAP_GATE_COUNT = 3
 
 BRUTE_FORCE_MAX_QUBITS = 8
 BRUTE_FORCE_MAX_ELUS = 3
@@ -182,7 +183,7 @@ def brute_force_best_map(circuit: Circuit,
 class TimelineEntry(NamedTuple):
     start: float
     duration: float
-    op: GateOp | None  # None for inserted swaps
+    op: GateOp
     ions: tuple[tuple[str, int], ...]  # every physical ion held by the operation
     elus: tuple[str, ...]
     used_pair: bool = False
@@ -193,12 +194,10 @@ class TimelineEntry(NamedTuple):
 
     @property
     def label(self) -> str:
-        return self.op.kind.value if self.op is not None else "SWAP"
+        return self.op.kind.value
 
     @property
     def operand_text(self) -> str:
-        if self.op is None:
-            return ""
         return " ".join(f"q{q}" for q in self.op.operands)
 
 
@@ -214,12 +213,12 @@ class ScheduleResult:
     timeline: tuple[TimelineEntry, ...]
     makespan: float
     pairs_consumed: int
-    swaps_inserted: int
     fidelity: FidelityBreakdown
     per_qubit_idle: dict[int, float]
-    qmap: QubitMap
     mode: str
     seed: int | None = None
+    # Qubits never move; the schedule report keeps the key.
+    swaps_inserted = 0
 
     @property
     def fidelity_estimate(self) -> float:
@@ -248,18 +247,13 @@ def schedule(
     spec: ArchitectureSpec,
     pair_supply_mode: str = "ideal",
     seed: int | None = None,
-    strict_proximity: bool = False,
-    measure_isolation: bool = False,
-    comm_attempts_during_gates: bool = True,
 ) -> ScheduleResult:
     """ASAP list schedule of a mapped circuit.
 
     ``pair_supply_mode`` is ``ideal`` (pairs always available) or
     ``buffered`` (pair waits from the seeded network simulation; ``seed``
-    required). ``strict_proximity`` forbids collective-tier gates and
-    inserts chain swaps instead. ``comm_attempts_during_gates=False`` makes
-    remote operations wait until both ELUs are fully idle before requesting
-    a pair (communication exclusivity).
+    required). On a machine without ``dual_species_comm`` a remote gate
+    requests its pair only once both of its ELUs are idle.
     """
     qmap.validate(circuit, spec)
     elu_spec = {e.id: e for e in spec.elus}
@@ -267,9 +261,6 @@ def schedule(
     tau_fast = {eid: tau / FAST_GATE_SPEEDUP for eid, tau in tau_slow.items()}
     nearest_comm = {e.id: _nearest_comm(e.n_ions, e.comm_ion_indices)
                     for e in spec.elus if e.comm_ion_indices}
-    position_of = dict(qmap.mapping)  # mutates under strict-proximity swaps
-    qubit_at: dict[tuple[str, int], int] = {
-        ion: q for q, ion in position_of.items()}
 
     sim = None  # ideal: a pair is there whenever it is asked for
     if pair_supply_mode == "buffered":
@@ -279,7 +270,7 @@ def schedule(
         for op in circuit.ops:
             if op.kind in TWO_QUBIT_KINDS:
                 q0, q1 = op.operands
-                eid_a, eid_b = position_of[q0][0], position_of[q1][0]
+                eid_a, eid_b = qmap.mapping[q0][0], qmap.mapping[q1][0]
                 if eid_a != eid_b:
                     needed.add((eid_a, eid_b) if eid_a < eid_b else (eid_b, eid_a))
         if needed:
@@ -292,22 +283,22 @@ def schedule(
     busy = [0.0] * circuit.n_qubits  # indexed by qubit
     last_end = [0.0] * circuit.n_qubits
     # The result's totals, kept in timeline order as entries are placed.
-    makespan, pairs_consumed, swaps_inserted, gate_factor = 0.0, 0, 0, 1.0
+    makespan, pairs_consumed, gate_factor = 0.0, 0, 1.0
     gate_fidelity = spec.two_qubit_gate_fidelity
-    swap_fidelity = gate_fidelity ** SWAP_GATE_COUNT
 
     # TimelineEntry's own __new__ is generated Python code; the entry's
     # fields are built here in order, so the tuple is made directly.
     new_entry = tuple.__new__
 
-    def place(start: float, duration: float, op: GateOp | None,
+    def place(start: float, duration: float, op: GateOp,
               ions: tuple[tuple[str, int], ...], elus: tuple[str, ...],
-              qubits: tuple[int, ...], used_pair: bool = False) -> None:
-        """Append one entry: hold ``ions`` and charge ``qubits`` until its end.
+              used_pair: bool = False) -> None:
+        """Append one entry: hold ``ions`` and charge the qubits of ``op``
+        until its end.
 
         ``ions`` is the entry's own tuple, and ``elus`` the sorted ELU ids
         of ``ions``, both known to every caller."""
-        nonlocal makespan, pairs_consumed, swaps_inserted, gate_factor
+        nonlocal makespan, pairs_consumed, gate_factor
         end = start + duration
         if not math.isfinite(end):
             raise DomainError(f"schedule time overflows: an operation ends at {end!r} s")
@@ -315,15 +306,12 @@ def schedule(
             ion_free[ion] = end
         timeline.append(new_entry(TimelineEntry,
                                   (start, duration, op, ions, elus, used_pair)))
-        for q in qubits:
+        for q in op.operands:
             busy[q] += duration
             last_end[q] = end
         if end > makespan:
             makespan = end
-        if op is None:  # inserted swap, three proximity gates
-            swaps_inserted += 1
-            gate_factor *= swap_fidelity
-        elif op.kind in ENTANGLING_KINDS:
+        if op.kind in ENTANGLING_KINDS:
             gate_factor *= gate_fidelity
         if used_pair:
             pairs_consumed += 1
@@ -338,7 +326,7 @@ def schedule(
 
     # Hoisted: a member lookup on an Enum class is slow Python-level work.
     measure, global_ms = GateKind.MEASURE, GateKind.GLOBAL_MS
-    ion_of = position_of.__getitem__
+    ion_of = qmap.mapping.__getitem__
     for op in circuit.ops:
         kind = op.kind
         touched = tuple(map(ion_of, op.operands))
@@ -353,43 +341,15 @@ def schedule(
                 local = False
 
         if local:
-            elu = elu_spec[eid]
             if kind is measure:
                 duration = spec.species.detection_time
-                if measure_isolation and any(
-                        ion_free[(eid, p)] > start
-                        for p in range(elu.n_ions) if p != touched[0][1]):
-                    duration += elu.shuttle_cost_time
             elif kind is global_ms:
                 duration = tau_slow[eid]
             elif kind in TWO_QUBIT_KINDS:
-                if strict_proximity:
-                    # Swap operand 0 along the chain with its neighbour ion
-                    # (occupied or not) until operand 1 is within reach.
-                    q0, q1 = op.operands
-                    step = 1 if position_of[q1][1] > position_of[q0][1] else -1
-                    while abs(position_of[q1][1] - position_of[q0][1]) > elu.fast_gate_distance:
-                        cur = position_of[q0]
-                        nxt = (eid, cur[1] + step)
-                        if nxt[1] in elu.comm_ion_indices:
-                            raise CapacityError(f"strict proximity would swap q{q0} "
-                                                f"onto communication ion {eid}.{nxt[1]}")
-                        other = qubit_at.get(nxt)
-                        swap_start = max(start, ion_free[cur], ion_free[nxt])
-                        swap_time = SWAP_GATE_COUNT * tau_fast[eid]
-                        place(swap_start, swap_time, None, (cur, nxt), (eid,),
-                              (q0,) if other is None else (other, q0))
-                        start = swap_start + swap_time
-                        position_of[q0], qubit_at[nxt] = nxt, q0
-                        if other is None:
-                            del qubit_at[cur]
-                        else:
-                            position_of[other], qubit_at[cur] = cur, other
-                    touched = tuple(map(ion_of, op.operands))
                 duration = two_qubit_time(eid, touched[0][1], touched[1][1])
             else:
-                duration = elu.single_qubit_gate_time
-            place(start, duration, op, touched, (eid,), op.operands)
+                duration = elu_spec[eid].single_qubit_gate_time
+            place(start, duration, op, touched, (eid,))
 
         elif kind is global_ms:
             raise DomainError(f"GLOBAL_MS spans ELUs "
@@ -398,7 +358,7 @@ def schedule(
             # Remote two-qubit gate: consume one pair, teleport.
             (eid_a, pos_a), (eid_b, pos_b) = touched
             pair = (eid_a, eid_b) if eid_a < eid_b else (eid_b, eid_a)
-            if not comm_attempts_during_gates:
+            if not spec.dual_species_comm:
                 start = max(start, elu_busy_until(eid_a), elu_busy_until(eid_b))
             if sim is not None:
                 start = sim.request(pair, start)
@@ -416,7 +376,7 @@ def schedule(
             duration = (spec.teleport_overhead_time + max(side_a, side_b)
                         + spec.classical_latency)
             place(start, duration, op, touched + (comm_a, comm_b), pair,
-                  op.operands, used_pair=True)
+                  used_pair=True)
 
     idle = {q: max(0.0, last_end[q] - busy[q]) for q in range(circuit.n_qubits)}
     idle_factor = math.exp(-sum(idle.values()) / spec.species.qubit_coherence_time)
@@ -424,10 +384,8 @@ def schedule(
         timeline=tuple(timeline),
         makespan=makespan,
         pairs_consumed=pairs_consumed,
-        swaps_inserted=swaps_inserted,
         fidelity=FidelityBreakdown(gate_factor * idle_factor, gate_factor, idle_factor),
         per_qubit_idle=idle,
-        qmap=QubitMap(dict(position_of)),
         mode=pair_supply_mode,
         seed=seed,
     )

@@ -154,7 +154,7 @@ class TestLoadSave:
                            rabi_frequency=1e-29 * 1e4 / HBAR,
                            dipole_coupling=1e-29, field_amplitude=1e4)
         spec = dataclasses.replace(built_spec, drive=drive, pair_lifetime=0.5,
-                                   dual_species_comm=True)
+                                   dual_species_comm=False)
         path = tmp_path / "arch.json"
         path.write_text(json.dumps(architecture_to_doc(spec), indent=2,
                                    sort_keys=True))

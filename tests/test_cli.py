@@ -321,6 +321,18 @@ class TestScheduleFlow:
         doc = json.loads(r.stdout)
         assert doc["pairs_consumed"] > 0
 
+    def test_same_species_comm_waits_for_idle_elus(self, tmp_path, capsys):
+        doc = json.loads(EXAMPLE_JSON.read_text())
+        doc["link"]["dual_species_comm"] = False
+        same_species = tmp_path / "arch.json"
+        same_species.write_text(json.dumps(doc))
+        makespans = []
+        for arch in (EXAMPLE_JSON, same_species):
+            assert main(["schedule", str(arch), str(FIXTURES_DIR / "clusters6.iqc"),
+                         "--map", "roundrobin"]) == 0
+            makespans.append(json.loads(capsys.readouterr().out)["makespan_s"])
+        assert makespans[1] > makespans[0]
+
     def test_overflowing_time_exits_1(self, tmp_path, capsys):
         doc = json.loads(EXAMPLE_JSON.read_text())
         for elu in doc["elus"]:
@@ -987,6 +999,9 @@ BAD_INPUTS = {
     "ising_solve_over_cap": (
         ISING_SOLVE, '{"schema": "ionfab-ising/1", "n": 25, "couplings": [], "fields": []}',
         "n = 25 exceeds brute-force cap 24"),
+    "ising_power_law_over_cap": (
+        ["ising", "--n", "1001", "--alpha", "1"], None,
+        "n = 1001 exceeds power-law cap 1000"),
     "ising_adiabatic_over_cap": (
         ["ising", "adiabatic", "{f}", "--time", "1", "--steps", "10"],
         '{"schema": "ionfab-ising/1", "n": 13, "couplings": [], "fields": []}',
@@ -1020,6 +1035,11 @@ BAD_INPUTS = {
         ["rates", "{f}"],
         example_with(lambda d: d["link"].update(dual_species_comm="yes")),
         "{f}: $.link.dual_species_comm: expected boolean"),
+    # the measurement-isolation mode and its shuttle cost are gone
+    "arch_shuttle_cost_time": (
+        ["validate", "{f}"],
+        example_with(lambda d: d["elus"][0].update(shuttle_cost_time_s=0.0001)),
+        "{f}: $.elus[0]: unknown key(s): shuttle_cost_time_s"),
     # the size caps; each is also the schema's maximum
     "arch_too_many_elus": (
         ["graph", "{f}"], example_with(one_comm_elus(129)),

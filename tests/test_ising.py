@@ -182,6 +182,19 @@ class TestEnergy:
                 reference_energy(inst, spins), rel=1e-12)
 
 
+class TestPowerLawCap:
+    """The chain generator refuses a size over its cap before building."""
+
+    @pytest.mark.parametrize("n", [ionfab.ising.POWER_LAW_MAX_SPINS + 1, 10**9])
+    def test_over_the_cap_fails_at_once(self, n):
+        cap = ionfab.ising.POWER_LAW_MAX_SPINS
+        with pytest.raises(DomainError, match=f"^n = {n} exceeds power-law cap {cap}$"):
+            power_law_couplings(n, 1.0, 1.0)
+
+    def test_mid_size_builds(self):
+        assert len(power_law_couplings(200, 1.0, 1.0).couplings) == 200 * 199 // 2
+
+
 class TestBruteForce:
     def test_ferromagnet_two_ground_states(self):
         configs, best = brute_force_ground_state(ferromagnet(8))

@@ -243,15 +243,6 @@ class TestScheduleDurations:
         with pytest.raises(DomainError, match="GLOBAL_MS spans"):
             schedule(c, spanning, example_spec)
 
-    def test_measure_isolation_charges_shuttle(self, example_spec):
-        c = parse_circuit("qubits 3\nMS q1 q2 0.5\nMEASURE q0\n")
-        qmap = QubitMap({0: ("A", 2), 1: ("A", 3), 2: ("A", 4)})
-        plain = schedule(c, qmap, example_spec)
-        isolated = schedule(c, qmap, example_spec, measure_isolation=True)
-        shuttle = example_spec.elus[0].shuttle_cost_time
-        assert isolated.makespan == pytest.approx(plain.makespan + shuttle,
-                                                  rel=1e-12)
-
 
 class TestScheduleInvariants:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -326,7 +317,7 @@ class TestScheduleInvariants:
         c = parse_circuit(text)
         qmap = QubitMap({0: ("A", 1), 2: ("A", 2), 1: ("A", 3), 3: ("B", 1)})
         free = schedule(c, qmap, spec)
-        strict = schedule(c, qmap, spec, comm_attempts_during_gates=False)
+        strict = schedule(c, qmap, dataclasses.replace(spec, dual_species_comm=False))
         assert strict.makespan >= free.makespan
 
     def test_hundred_remote_cnots_match_waiting_time_oracle(self, built_spec):
@@ -408,37 +399,6 @@ class TestPairSupplyCap:
 
     def test_no_lifetime_no_cap(self, example_spec):
         assert self.sim(example_spec, lifetime=None).request(("A", "B"), 1e300) == 1e300
-
-
-class TestStrictProximity:
-    def test_swaps_inserted_for_distant_gate(self, built_spec):
-        spec = dataclasses.replace(
-            built_spec,
-            elus=(dataclasses.replace(built_spec.elus[0], n_ions=20,
-                                      comm_ion_indices=(0, 19),
-                                      fast_gate_distance=4),),
-            switch=dataclasses.replace(built_spec.switch, port_count=2))
-        c = parse_circuit("qubits 2\nCNOT q0 q1\n")
-        qmap = QubitMap({0: ("A", 2), 1: ("A", 11)})
-        r = schedule(c, qmap, spec, strict_proximity=True)
-        assert r.swaps_inserted == 9 - 4
-        assert r.qmap.mapping[0] == ("A", 7)
-        swap_entries = [e for e in r.timeline if e.op is None]
-        assert len(swap_entries) == 5
-
-    def test_walk_never_parks_a_qubit_on_a_communication_ion(self, built_spec):
-        spec = two_elu_spec(built_spec, n_ions=10, comm=(5,), d=1)
-        c = parse_circuit("qubits 3\nCNOT q0 q1\nCNOT q0 q2\n")
-        qmap = QubitMap({0: ("A", 2), 1: ("A", 6), 2: ("B", 2)})
-        with pytest.raises(CapacityError,
-                           match="would swap q0 onto communication ion A.5"):
-            schedule(c, qmap, spec, strict_proximity=True)
-
-    def test_default_mode_inserts_no_swaps(self, example_spec):
-        c = parse_circuit((FIXTURES_DIR / "mixed8.iqc").read_text())
-        r = schedule(c, assign_qubits(c, example_spec, "greedy_interaction_cut"),
-                     example_spec)
-        assert r.swaps_inserted == 0
 
 
 class TestFidelity:
@@ -523,8 +483,8 @@ def mapped_circuits(draw):
     """A random circuit on the example machine with its round-robin map.
 
     Every gate kind appears; a GLOBAL_MS takes its operands from one ELU,
-    and up to 32 qubits put distant pairs in one chain, so strict
-    proximity inserts swaps.
+    and up to 32 qubits put distant pairs in one chain, so both the fast and
+    the slow two-qubit gate occur.
     """
     n = draw(st.integers(2, 32))
     qmap = assign_qubits(Circuit(n, ()), EXAMPLE, "round_robin")
@@ -555,26 +515,19 @@ class TestOnePassTotals:
     """The totals kept while placing equal a re-scan of the timeline."""
 
     @pytest.mark.parametrize("mode", ["ideal", "buffered"])
-    @pytest.mark.parametrize("strict", [False, True])
-    @pytest.mark.parametrize("isolate", [False, True])
-    @pytest.mark.parametrize("comm", [False, True])
+    @pytest.mark.parametrize("dual", [False, True])
     @settings(max_examples=20)
     @given(mapped=mapped_circuits(), seed=st.integers(0, 2**31 - 1))
-    def test_totals_match_a_rescan(self, mode, strict, isolate, comm, mapped, seed):
+    def test_totals_match_a_rescan(self, mode, dual, mapped, seed):
         circuit, qmap = mapped
-        r = schedule(circuit, qmap, EXAMPLE, mode,
-                     seed=seed if mode == "buffered" else None,
-                     strict_proximity=strict, measure_isolation=isolate,
-                     comm_attempts_during_gates=comm)
+        r = schedule(circuit, qmap, dataclasses.replace(EXAMPLE, dual_species_comm=dual),
+                     mode, seed=seed if mode == "buffered" else None)
         assert r.makespan == (max(e.end for e in r.timeline) if r.timeline else 0.0)
         assert r.pairs_consumed == sum(1 for e in r.timeline if e.used_pair)
-        assert r.swaps_inserted == sum(1 for e in r.timeline if e.op is None)
         f = EXAMPLE.two_qubit_gate_fidelity
         gate_factor = 1.0
         for e in r.timeline:
-            if e.op is None:
-                gate_factor *= f ** 3
-            elif e.op.kind in ENTANGLING_KINDS:
+            if e.op.kind in ENTANGLING_KINDS:
                 gate_factor *= f
         assert r.fidelity.gate_factor == gate_factor
         for e in r.timeline:
@@ -592,23 +545,21 @@ class TestOnePassTotals:
 
 class TestIdealBoundsBuffered:
     """IDEAL <= BUFFERED: every duration is the same in both modes and every
-    start time is a maximum of end times, so waiting for pairs only delays.
-    ``measure_isolation`` stays off: its shuttle charge depends on whether
-    neighbours are busy, so a later start can make a measurement shorter."""
+    start time is a maximum of end times, so waiting for pairs only delays."""
 
     @pytest.mark.parametrize("collision_rate", [0.0, 1.0])
     @pytest.mark.parametrize("lifetime", [None, 0.002])
     @settings(max_examples=20)
     @given(mapped=mapped_circuits(), seed=st.integers(0, 2**31 - 1),
-           strict=st.booleans(), comm=st.booleans())
+           dual=st.booleans())
     def test_ideal_makespan_bounds_buffered(self, collision_rate, lifetime,
-                                            mapped, seed, strict, comm):
-        spec = dataclasses.replace(EXAMPLE, pair_lifetime=lifetime, elus=tuple(
-            dataclasses.replace(e, collision_rate_per_ion=collision_rate)
-            for e in EXAMPLE.elus))
+                                            mapped, seed, dual):
+        spec = dataclasses.replace(
+            EXAMPLE, pair_lifetime=lifetime, dual_species_comm=dual, elus=tuple(
+                dataclasses.replace(e, collision_rate_per_ion=collision_rate)
+                for e in EXAMPLE.elus))
         circuit, qmap = mapped
-        options = {"strict_proximity": strict, "comm_attempts_during_gates": comm}
-        ideal = schedule(circuit, qmap, spec, "ideal", **options)
-        buffered = schedule(circuit, qmap, spec, "buffered", seed=seed, **options)
+        ideal = schedule(circuit, qmap, spec, "ideal")
+        buffered = schedule(circuit, qmap, spec, "buffered", seed=seed)
         assert ideal.makespan <= buffered.makespan
         assert ideal.pairs_consumed == buffered.pairs_consumed

@@ -88,6 +88,8 @@ class TestArchSchema:
                             assert f.metadata[bound] is None and word in prop
                         else:
                             assert prop.get(word) == f.metadata[bound], (key, word)
+                    if "default" in prop:
+                        assert prop["default"] == f.metadata["default"], key
         assert declared == {(section, key) for section in SECTIONS
                             for key in section_properties(props, section)}
 
