@@ -84,12 +84,12 @@ horizon past t.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from heapq import heappop, heappush
+from itertools import accumulate, count
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -198,10 +198,18 @@ class SimResult:
     events: tuple[SimEvent, ...] | None = None
 
     def events_csv(self) -> str:
+        """The log as CSV text: a header, then one row per event, its time
+        written as its ``%r``. Rows logged at one time often hold the same
+        float object, so each run of them takes one ``repr``; ``is``, not
+        ``==``, keeps a -0.0 after a 0.0 apart."""
         if self.events is None:
             raise DomainError("run was executed without store_log=True")
         rows = ["time_s,kind,link,elu_a,elu_b,seq\n"]
-        rows.extend("%r,%s,%s,%s,%s,%d\n" % ev for ev in self.events)
+        last = text = None
+        for t, kind, link, elu_a, elu_b, seq in self.events:
+            if t is not last:
+                last, text = t, repr(t)
+            rows.append(f"{text},{kind},{link},{elu_a},{elu_b},{seq}\n")
         return "".join(rows)
 
 
@@ -510,16 +518,15 @@ class NetworkSim:
                 exc.where = ("demand", f"$[{j}].{field}")
                 raise
         self.requests.sort(key=itemgetter(0))
-        self.next_request = 0
+        self.next_request = 0  # the requests read so far; the index of the next
 
         self.log: list[SimEvent] | None = [] if store_log else None
         self.counters = {"successes": 0, "delivered": 0, "expired": 0,
-                         "invalidated": 0, "overflow": 0, "collisions": 0,
-                         "requests": 0}
+                         "invalidated": 0, "overflow": 0, "collisions": 0}
         self.latency_total = 0.0
         self.latency_max = 0.0
         self.heap: list = []
-        self.push_seq = 0
+        self.push_seq = count()  # the order in which events were queued
         self.now = 0.0  # every event before this time has been processed
 
         # Initial collision gaps, ELUs in spec order (documented draw order).
@@ -538,9 +545,8 @@ class NetworkSim:
 
     def _push(self, t: float, kind: str, payload, tie=0) -> None:
         # Equal-time events go in priority order, then in the order they
-        # were queued; a SUCCESS (_walk) by its tie before that.
-        heapq.heappush(self.heap, (t, _PRIO[kind], tie, self.push_seq, kind, payload))
-        self.push_seq += 1
+        # were queued; a SUCCESS (_walk, advance) by its tie before that.
+        heappush(self.heap, (t, _PRIO[kind], tie, next(self.push_seq), kind, payload))
 
     def _emit(self, t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
         """Log one event; called only when the run keeps a log. The record
@@ -556,26 +562,24 @@ class NetworkSim:
         k = math.log(u) / self.log1m_p
         return int(k) if k < math.inf else k
 
-    def _walk(self, st: _LinkState, i: int, tie) -> None:
+    def _walk(self, st: _LinkState) -> None:
         """Queue the link's success at its slot ``st.target``, in or after
-        its window i; a target of math.inf queues none. It ties as ``tie``,
-        the (time, priority, order, link rank) of the event that drew the
-        count, if it lands in window i, else as the event that opens the
-        window it lands in."""
+        its window ``st.pos``, tied as the event that opens the window it
+        lands in; a target of math.inf queues none. Only a link's first
+        open and a collision's re-queue come here: ``advance`` places the
+        count each success draws itself, by the same bisection."""
         slots = st.slots
-        j = bisect.bisect_left(slots, st.target, i + 1) - 1
+        j = bisect.bisect_left(slots, st.target, st.pos + 1) - 1
         start, end, opener, _ = st.windows[j]
         t = start + (st.target - slots[j]) / self.rate
         if t < end:
-            if j != i or tie is None:
-                tie = (*opener, st.rank)
-            self._push(t, "SUCCESS", (st, st.epoch, j), tie)
+            self._push(t, "SUCCESS", (st, st.epoch, j), (*opener, st.rank))
 
     def _open(self, st: _LinkState) -> None:
         """Draw the count of a link at the event that first opens it."""
         st.target = st.slots[st.pos] + self._sample_countdown() + 1
         self.unopened -= 1
-        self._walk(st, st.pos, None)
+        self._walk(st)
 
     def _suspend(self, st: _LinkState, c: float, resume: float, opener: tuple) -> None:
         """A collision at ``c`` of one of the link's ELUs: cut the window open
@@ -613,15 +617,7 @@ class NetworkSim:
         slots.append(math.inf)  # the last window's
         st.pos = i
         if st.target >= 0:
-            self._walk(st, i, None)
-
-    def _deliver(self, pair: tuple[str, str], req_time: float, now: float) -> None:
-        self.counters["delivered"] += 1
-        lat = now - req_time
-        self.latency_total += lat
-        self.latency_max = max(self.latency_max, lat)
-        if self.log is not None:
-            self._emit(now, "PAIR_DELIVERED", "", pair[0], pair[1])
+            self._walk(st)
 
     def _reschedule_expiry(self, pair: tuple[str, str]) -> None:
         """Queue the PAIR_EXPIRED of the buffer's head, cancelling the one
@@ -691,21 +687,32 @@ class NetworkSim:
         return max(t, stream[i])
 
     def advance(self, until: float) -> None:
-        """Process every event with time < ``until``."""
+        """Process every event with time < ``until``.
+
+        A SUCCESS does all its work here: it hands its pair to the oldest
+        waiting request or stores it, draws the link's next count, finds
+        the window that holds that slot by one bisection of the link's
+        running slot total and pushes the next SUCCESS onto the heap. A
+        request takes a stored pair here too. Only a link's first count
+        (``_open``) and a collision's re-queue (``_suspend``) are placed
+        by ``_walk``."""
         if not 0.0 < until < math.inf:
             raise DomainError(f"horizon must be finite and > 0, got {until!r}")
         self._check_events(until)
-        # Hot state in locals; the scalars stay on self.
-        heap, heappop, push, inf = self.heap, heapq.heappop, self._push, math.inf
+        # Hot state in locals; the scalars stay on self, except the two
+        # latency sums, which are written back at the end.
+        heap, push, push_seq, inf = self.heap, self._push, self.push_seq, math.inf
         elus, counters = self.elus, self.counters
-        lifetime = self.lifetime
-        log, emit, deliver = self.log, self._emit, self._deliver
+        lifetime, rate, log1m_p = self.lifetime, self.rate, self.log1m_p
+        draw, ln, bisect_left = self.rng.random, math.log, bisect.bisect_left
+        latency_total, latency_max = self.latency_total, self.latency_max
+        log, emit = self.log, self._emit
         reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
         # Expiries are queued only to write their log rows; without a log a
         # buffer drops its expired pairs when it is read.
         queue_expiry = log is not None and lifetime < inf
         capacity = self.spec.buffer_capacity
-        sample_countdown, walk, open_ = self._sample_countdown, self._walk, self._open
+        open_ = self._open
         # The switch entries and the requests are two sorted streams beside
         # the queue: an entry goes before, a request after, every queued
         # event at its time.
@@ -739,16 +746,17 @@ class NetworkSim:
                 t, pair, buf, waiting = requests[r]
                 r += 1
                 request_t = requests[r][0] if r < len(requests) else inf
-                counters["requests"] += 1
                 if log is not None:
                     emit(t, "PAIR_REQUEST", "", pair[0], pair[1])
                 if buf and buf[0] <= t:
                     drop_expired(pair, t)
-                if buf:
+                if buf:  # delivered at once, with a zero latency
                     buf.popleft()
                     if queue_expiry:
                         reschedule_expiry(pair)
-                    deliver(pair, t, t)
+                    counters["delivered"] += 1
+                    if log is not None:
+                        emit(t, "PAIR_DELIVERED", "", pair[0], pair[1])
                 else:
                     waiting.append(t)
                 continue
@@ -769,7 +777,13 @@ class NetworkSim:
                 pair, buf, waiting = st.pair, st.buffer, st.waiting
                 st.times.append(t)
                 if waiting:
-                    deliver(pair, waiting.popleft(), t)
+                    lat = t - waiting.popleft()
+                    counters["delivered"] += 1
+                    latency_total += lat
+                    if lat > latency_max:
+                        latency_max = lat
+                    if log is not None:
+                        emit(t, "PAIR_DELIVERED", "", pair[0], pair[1])
                 else:
                     if buf and buf[0] < t:  # one expiring at t is still held
                         drop_expired(pair, t, at_t=False)
@@ -779,8 +793,24 @@ class NetworkSim:
                             reschedule_expiry(pair)
                     else:
                         counters["overflow"] += 1
-                st.target += sample_countdown() + 1
-                walk(st, i, (t, 4, order, st.rank))
+                # Draw the next count as _sample_countdown does (p > 0 here)
+                # and queue the success at its slot as _walk does, but tied
+                # as this success when it lands in window i.
+                if log1m_p is None:  # p is 1
+                    k = 0
+                else:
+                    k = ln(1.0 - draw()) / log1m_p
+                    if k < inf:
+                        k = int(k)
+                st.target = target = st.target + k + 1
+                slots = st.slots
+                j = bisect_left(slots, target, i + 1) - 1
+                start, end, opener, _ = st.windows[j]
+                at = start + (target - slots[j]) / rate
+                if at < end:
+                    heappush(heap, (at, 4, (t, 4, order, st.rank) if j == i
+                                    else (*opener, st.rank), next(push_seq),
+                                    "SUCCESS", (st, epoch, j)))
 
             elif kind == "PAIR_EXPIRED":
                 pair, epoch = payload
@@ -837,6 +867,7 @@ class NetworkSim:
                     if st.target == -1 and st.windows[0][0] == t:
                         open_(st)
         self.next_entry, self.next_request = e, r
+        self.latency_total, self.latency_max = latency_total, latency_max
         self.now = max(self.now, until)
 
     def finish(self, horizon: float) -> SimResult:
@@ -877,7 +908,7 @@ class NetworkSim:
                 residual=residual,
             ),
             collisions=counters["collisions"],
-            request_count=counters["requests"],
+            request_count=self.next_request,
             requests_served=served,
             latency_mean=self.latency_total / served if served else 0.0,
             latency_max=self.latency_max,

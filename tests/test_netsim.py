@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ionfab.netsim
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
 from ionfab.arch import load_architecture
 from ionfab.errors import CapacityError, DomainError
@@ -589,6 +590,60 @@ class TestRunSim:
             r.events_csv()
 
 
+def reference_events_csv(events):
+    """The log writer's reference: one ``%``-format of each whole row."""
+    rows = ["time_s,kind,link,elu_a,elu_b,seq\n"]
+    rows.extend("%r,%s,%s,%s,%s,%d\n" % ev for ev in events)
+    return "".join(rows)
+
+
+def fixture_run(name, horizon, seed):
+    """The logged run of the ``<name>_*.json`` fixtures."""
+    def read(part):
+        return json.loads((FIXTURES_DIR / f"{name}_{part}.json").read_text())
+
+    schedule = [(e["time_s"], SwitchConfig(frozenset(
+        make_link((a, pa), (b, pb)) for a, pa, b, pb in e["links"])))
+                for e in read("schedule")]
+    demand = [(e["time_s"], tuple(e["elus"])) for e in read("demand")]
+    return run_sim(load_architecture(FIXTURES_DIR / f"{name}_arch.json"),
+                   schedule, demand, horizon, seed, store_log=True)
+
+
+class TestEventsCsv:
+    """The log writer equals its reference byte for byte."""
+
+    @pytest.mark.parametrize("name, horizon, seed",
+                             [("netsim", 0.5, 11), ("multiplex", 0.2, 5)])
+    def test_fixture_logs_match_the_reference(self, name, horizon, seed):
+        r = fixture_run(name, horizon, seed)
+        assert {e.kind for e in r.events} == {
+            "SUCCESS", "PAIR_REQUEST", "PAIR_DELIVERED", "PAIR_EXPIRED",
+            "RECONFIG_DONE", "COLLISION", "RELOAD_DONE"}
+        text = r.events_csv()
+        assert text == reference_events_csv(r.events)
+        assert text.encode() == (
+            GOLDEN_DIR / f"simulate_{name}_events.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=multiplexed_runs(), seed=st.integers(0, 2**31 - 1))
+    def test_multiplexed_logs_match_the_reference(self, run, seed):
+        spec, schedule, demand, horizon, p = run
+        r = run_sim(spec, schedule, demand, horizon, seed, p, store_log=True)
+        assert r.events_csv() == reference_events_csv(r.events)
+
+    def test_negative_zero_keeps_its_sign(self, example_spec):
+        # 0.0 == -0.0, so a writer that compared times with == would
+        # print the second request's time as 0.0
+        r = run_sim(example_spec, one_link_schedule(example_spec),
+                    [(0.0, ("A", "B")), (-0.0, ("A", "B"))], 1e-3, seed=0,
+                    store_log=True)
+        text = r.events_csv()
+        assert text == reference_events_csv(r.events)
+        assert text.splitlines()[1:3] == ["0.0,PAIR_REQUEST,,A,B,0",
+                                          "-0.0,PAIR_REQUEST,,A,B,1"]
+
+
 class TestNetworkSim:
     """A sim advanced in steps equals one run to the same horizon."""
 
@@ -652,21 +707,24 @@ class TestNetworkSim:
     def test_queues_only_events_that_can_happen(self, monkeypatch):
         # collision-free, so every queued success fires, is cut off by the
         # horizon (one per link at most) or was never queued; without a log,
-        # buffers drop their expired pairs when read and queue no expiry
+        # buffers drop their expired pairs when read and queue no expiry.
+        # Counted at the heap, which every queued event enters, so each
+        # success that fired was counted.
         spec = machine(6, lifetime=1e-3)
         schedule = round_robin(spec.elu_ids(), 0.005, 1.0)
         queued = Counter()
-        push = NetworkSim._push
+        heappush = ionfab.netsim.heappush
 
-        def counting_push(sim, t, kind, payload, *tie):
-            queued[kind] += 1
-            push(sim, t, kind, payload, *tie)
+        def counting_heappush(heap, entry):
+            queued[entry[4]] += 1  # (time, priority, tie, order, kind, payload)
+            heappush(heap, entry)
 
-        monkeypatch.setattr(NetworkSim, "_push", counting_push)
+        monkeypatch.setattr(ionfab.netsim, "heappush", counting_heappush)
         r = run_sim(spec, schedule, [], 1.0, seed=7)
         assert r.ledger.successes > 500
         assert r.ledger.expired > 0
-        assert queued["SUCCESS"] <= r.ledger.successes + len(r.per_link)
+        assert (r.ledger.successes <= queued["SUCCESS"]
+                <= r.ledger.successes + len(r.per_link))
         assert queued["RECONFIG_DONE"] <= len(schedule)
         assert queued["PAIR_EXPIRED"] == 0
 
