@@ -20,13 +20,17 @@ A run is a pure function of (spec, schedule, demand, horizon, seed). The
 generator is the stdlib Mersenne Twister (random.Random), whose output is
 stable across platforms and Python versions, consumed in this exact order:
 
-1. one uniform per ELU (in spec order) with a nonzero collision rate, for
-   its first collision gap: dt = -log(1-u)/rate;
-2. one uniform when a link first opens, and one per success, for the
-   geometric count of failed attempts before its next success:
-   k = floor(log(1-u)/log1p(-p)); a k that overflows to infinity
-   (subnormal p) means "never succeeds";
+1. when the sim is built, one uniform per ELU (in spec order) with a
+   nonzero collision rate, for its first collision gap:
+   dt = -log(1-u)/rate; then one uniform per link that has an attempt
+   window (in sorted link order), for its first count;
+2. one uniform per success, for the link's next count;
 3. one uniform per collision, for the next gap of that ELU.
+
+A count is the geometric number of failed attempts before the link's next
+success: k = floor(log(1-u)/log1p(-p)); a k that overflows to infinity
+(subnormal p) means "never succeeds". Equal-time successes process in
+sorted link order.
 
 Attempt outcomes are therefore sampled one draw per *success*, not per
 attempt, which is distributionally identical to per-attempt Bernoulli draws
@@ -34,15 +38,10 @@ and keeps multi-second horizons at megahertz attempt rates cheap. Attempt
 counts are exact (closed-form slot counting per window). Events at equal
 times process in the fixed priority order switch entry < RECONFIG_DONE <
 RELOAD_DONE < COLLISION < SUCCESS < PAIR_EXPIRED < PAIR_REQUEST; entries
-and requests of one time in input order, and other events of one kind in
-the order they were queued, except SUCCESS. Equal-time successes process
-in the order a queue would give them if each success were queued by the
-event that reaches it: the link's previous success, when both fall in one
-window, else the event that opens its window (the first entry, an entry's
-reconfiguration end or a reload end), links queued by one event in sorted
-order. A PAIR_DELIVERED is not queued but logged by the SUCCESS or
-PAIR_REQUEST that causes it. An attempt landing exactly on a suspension
-boundary does not fire.
+and requests of one time in input order, and other events of one kind,
+SUCCESS aside, in the order they were queued. A PAIR_DELIVERED is not
+queued but logged by the SUCCESS or PAIR_REQUEST that causes it. An
+attempt landing exactly on a suspension boundary does not fire.
 
 A buffer drops its expired pairs when it is read, as if each expiry were
 an event of its own at its time: a SUCCESS drops the pairs that expire
@@ -52,25 +51,29 @@ then invalidates the rest, and ``finish`` those that expire at or before
 the horizon. A PAIR_EXPIRED is queued at the expiry of a buffer's head only
 while the run keeps a log, to write the row of each pair dropped at it.
 
-The switch schedule and the demand are read as two sorted streams beside
-the queue, which holds only the events a run creates. The attempt windows
-are laid out from the schedule when the sim is built, once per group of
-links that the same distinct configurations hold, since such links switch
-together: a window opens at the first entry or at the reconfiguration end
-of the entry that adds the group, and closes at the next entry that
-removes it. Each window's attempt slots are counted once, when its end is
-known, and the group's running total of them once; each link keeps its
-own copies of both. A drawn count gives the link's slot of its next
-success, counted over all its windows; one bisection of the running total
-finds the window that holds it, and its SUCCESS is queued at that slot,
-however many windows ahead. Slot j of a window fires at start + j/R
+The attempt windows are laid out from the switch schedule when the sim is
+built, once per group of links that the same distinct configurations
+hold, since such links switch together: a window opens at the first entry
+or at the reconfiguration end of the entry that adds the group, and
+closes at the next entry that removes it. Each window's attempt slots are
+counted once, when its end is known, and the group's running total of
+them once; each link keeps its own copies of both. So a switch entry does
+nothing when it is reached. A drawn count gives the link's slot of its
+next success, counted over all its windows; one bisection of the running
+total finds the window that holds it, and its SUCCESS is queued at that
+slot, however many windows ahead. Slot j of a window fires at start + j/R
 while that is before the window's end, a test monotone in j, so the
 bisection places each count where a window-by-window walk would. A
 collision cuts the windows of its ELU's links, opens none again before the
 reload ends, and recounts the windows it cuts or moves and the running
-total from the cut; it cancels the queued SUCCESS and queues the same slot
-again. A RECONFIG_DONE is queued only while the run keeps a log or some
-link has yet to draw its first count; it logs one row per link that
+total from the cut; it cancels the queued SUCCESS of each link whose
+windows it changes and queues the same slot again.
+
+The demand is read as a sorted stream beside the queue, which holds only
+the events a run creates. The reconfiguration ends and the RELOAD_DONE
+events exist only to write their log rows: the ends are a second sorted
+stream, read only while the run keeps a log, and a reload end is queued
+only then. A reconfiguration end logs one RECONFIG_DONE row per link that
 resumes, in sorted link order. The ``seq`` of a logged event is its index
 in the log, and a run without a log builds no events.
 
@@ -104,9 +107,9 @@ Link = tuple[Port, Port]        # normalized: ports in sorted order
 SIM_MAX_EVENTS = 10_000_000
 
 # Priorities of the queued events for equal-time ties; a documented contract.
-# Switch entries (0) and requests (6) are read from sorted streams instead.
-_PRIO = {"RECONFIG_DONE": 1, "RELOAD_DONE": 2, "COLLISION": 3, "SUCCESS": 4,
-         "PAIR_EXPIRED": 5}
+# Switch entries (0) do nothing when reached; reconfiguration ends (1) and
+# requests (6) are read from sorted streams instead.
+_PRIO = {"RELOAD_DONE": 2, "COLLISION": 3, "SUCCESS": 4, "PAIR_EXPIRED": 5}
 
 
 def _port_label(port: Port) -> str:
@@ -246,27 +249,26 @@ class _LinkState:
         # Its ELU pair's buffer, waiting requests and success times, which
         # the pair's other links and its queued requests share.
         self.buffer, self.waiting, self.times = buffers[pair], waiting[pair], times[pair]
-        # The attempt windows (start, end, opener, slots) in time order,
-        # where opener is the (time, priority, order) of the event that opens
-        # the window and slots its attempt count, taken when its end is
-        # known. They start as a copy of its group's layout; collisions of
-        # the link's ELUs cut and delay them. The last ends at math.inf,
-        # with math.inf slots: the link is never removed, or it is _NEVER.
-        self.windows: list[tuple[float, float, tuple | None, float]] = []
+        # The attempt windows (start, end, slots) in time order, where slots
+        # is the window's attempt count, taken when its end is known. They
+        # start as a copy of its group's layout; collisions of the link's
+        # ELUs cut and delay them. The last ends at math.inf, with math.inf
+        # slots: the link is never removed, or it is _NEVER.
+        self.windows: list[tuple[float, float, float]] = []
         # The running total of their slots: [i] is the slots of the windows
         # before window i, and the last is math.inf.
         self.slots: list[float] = []
-        self.pos = 0  # window of the last success, else of the first open
+        self.pos = 0  # window of the last success, else the first
         # The link's slot of its next success, counted over all its windows;
-        # -1 until the link first opens, math.inf when it never succeeds.
-        self.target = -1
+        # math.inf when it never succeeds or has no window.
+        self.target = math.inf
         self.epoch = 0  # bumped by a collision; cancels the queued success
         self.successes = 0
 
 
-_NEVER = (math.inf, math.inf, None, math.inf)  # the window after a link's last removal
+_NEVER = (math.inf, math.inf, math.inf)  # the window after a link's last removal
 _new_tuple = tuple.__new__
-_END, _SLOTS, _RANK = itemgetter(1), itemgetter(3), attrgetter("rank")
+_END, _SLOTS, _RANK = itemgetter(1), itemgetter(2), attrgetter("rank")
 
 
 def _slots_before(window_start: float, rate: float, t: float) -> int | float:
@@ -331,7 +333,8 @@ class NetworkSim:
 
     The constructor validates the inputs, lays out the attempt windows of
     each group of links that switch together in one pass over the switch
-    schedule, sorts the demand and queues the first collision gaps.
+    schedule, sorts the demand, draws the first collision gaps and each
+    link's first count, and queues the first collisions and successes.
     ``advance(t)`` processes every event with time < t; ``finish(horizon)``
     advances to the horizon and closes the run out into a
     :class:`SimResult`, after which the sim is spent. The success times
@@ -440,14 +443,14 @@ class NetworkSim:
         # Each group's windows from the schedule: a window opens at the first
         # entry, or at the reconfiguration end of the entry that adds the
         # group, and closes at the next entry that removes it (math.inf until
-        # then); its slots are counted when it closes. The switch stream
-        # holds (time, reconfiguration end, links): the first entry's links,
-        # then the links whose window each later entry's reconfiguration end
-        # opens, in sorted order.
+        # then); its slots are counted when it closes. The log's stream of
+        # reconfiguration ends holds (time, links): the links whose window
+        # each later entry's reconfiguration end opens, in sorted order.
         reconf = spec.switch.reconfiguration_time
         layouts: list[list[tuple]] = [[] for _ in groups]
         changes: dict[tuple[int, int], tuple] = {}  # by (previous, current) config
-        entries = self.entries = []
+        ends = self.ends = []
+        opened_at = {}  # group -> the end that opens its last window, if any
         prev = -1
         for k, (t, i) in enumerate(steps):
             change = changes.get((prev, i))
@@ -460,40 +463,33 @@ class NetworkSim:
             removed, added, opened = change
             for g in removed:
                 windows = layouts[g]
-                start, _, opener, _ = windows[-1]
+                start = windows[-1][0]
                 if start < t:
-                    windows[-1] = (start, t, opener, _slots_before(start, self.rate, t))
+                    windows[-1] = (start, t, _slots_before(start, self.rate, t))
                 else:  # removed before it opens
                     windows.pop()
-                    if opener[1]:  # the first entry's links draw all the same
-                        at, resume, links = entries[opener[2]]
-                        entries[opener[2]] = (at, resume, [st for st in links
-                                                           if st not in groups[g]])
-            resume = t + reconf
-            window = ((resume, math.inf, (resume, 1, k), math.inf) if k
-                      else (t, math.inf, (t, 0, 0), math.inf))
+                    if (j := opened_at.pop(g, None)) is not None:
+                        resume, links = ends[j]
+                        ends[j] = (resume, [st for st in links if st not in groups[g]])
+            window = (t + reconf if k else t, math.inf, math.inf)
             for g in added:
                 layouts[g].append(window)
-            entries.append((t, resume, opened))
+            if k and added:
+                opened_at.update(dict.fromkeys(added, len(ends)))
+                ends.append((window[0], opened))
             prev = i
         # No pair succeeds after the end of its links' last windows. Each
         # link gets its own copies, which collisions of its ELUs cut.
         self.pair_end = dict.fromkeys(connectable, 0.0)
-        reached = []  # the links of groups with a window
         for windows, group in zip(layouts, groups):
             end = windows[-1][1] if windows else 0.0
             if end < math.inf:
                 windows.append(_NEVER)
-            if windows[0] is not _NEVER:
-                reached += group
             slots = list(accumulate(map(_SLOTS, windows), initial=0))
             for st in group:
                 st.windows, st.slots = list(windows), list(slots)
                 self.pair_end[st.pair] = max(self.pair_end[st.pair], end)
-        self.next_entry = 0
-        # Links that some event will open and that have not yet drawn their
-        # first count; while there are any, reconfiguration ends are queued.
-        self.unopened = len({*(entries[0][2] if entries else ()), *reached})
+        self.next_end = 0
 
         # The demand, stable-sorted by time: (time, pair, its buffer, its
         # waiting requests).
@@ -529,11 +525,16 @@ class NetworkSim:
         self.push_seq = count()  # the order in which events were queued
         self.now = 0.0  # every event before this time has been processed
 
-        # Initial collision gaps, ELUs in spec order (documented draw order).
+        # Initial collision gaps, ELUs in spec order, then the first count of
+        # each link with a window, in sorted order (documented draw order).
         for elu in elus.values():
             if elu.collision_rate > 0:
                 u = self.rng.random()
                 self._push(-math.log(1.0 - u) / elu.collision_rate, "COLLISION", elu)
+        for st in self.links.values():
+            if st.windows[0] is not _NEVER:
+                st.target = self._sample_countdown() + 1
+                self._walk(st)
 
     def _pair(self, pair: tuple[str, str]) -> tuple[str, str]:
         """``pair`` sorted, if a scheduled link serves it."""
@@ -545,7 +546,8 @@ class NetworkSim:
 
     def _push(self, t: float, kind: str, payload, tie=0) -> None:
         # Equal-time events go in priority order, then in the order they
-        # were queued; a SUCCESS (_walk, advance) by its tie before that.
+        # were queued; a SUCCESS (_walk, advance) by its link's rank before
+        # that.
         heappush(self.heap, (t, _PRIO[kind], tie, next(self.push_seq), kind, payload))
 
     def _emit(self, t: float, kind: str, link: str, elu_a: str, elu_b: str) -> None:
@@ -564,60 +566,56 @@ class NetworkSim:
 
     def _walk(self, st: _LinkState) -> None:
         """Queue the link's success at its slot ``st.target``, in or after
-        its window ``st.pos``, tied as the event that opens the window it
-        lands in; a target of math.inf queues none. Only a link's first
-        open and a collision's re-queue come here: ``advance`` places the
-        count each success draws itself, by the same bisection."""
+        its window ``st.pos``; a target of math.inf queues none. Only a
+        link's first count, drawn when the sim is built, and a collision's
+        re-queue come here: ``advance`` places the count each success draws
+        itself, by the same bisection."""
         slots = st.slots
         j = bisect.bisect_left(slots, st.target, st.pos + 1) - 1
-        start, end, opener, _ = st.windows[j]
+        start, end, _ = st.windows[j]
         t = start + (st.target - slots[j]) / self.rate
         if t < end:
-            self._push(t, "SUCCESS", (st, st.epoch, j), (*opener, st.rank))
+            self._push(t, "SUCCESS", (st, st.epoch, j), st.rank)
 
-    def _open(self, st: _LinkState) -> None:
-        """Draw the count of a link at the event that first opens it."""
-        st.target = st.slots[st.pos] + self._sample_countdown() + 1
-        self.unopened -= 1
-        self._walk(st)
-
-    def _suspend(self, st: _LinkState, c: float, resume: float, opener: tuple) -> None:
+    def _suspend(self, st: _LinkState, c: float, resume: float) -> None:
         """A collision at ``c`` of one of the link's ELUs: cut the window open
-        at c, open no window again before ``resume`` (the RELOAD_DONE
-        ``opener`` opens a window that this delays), recount the windows cut
+        at c, open no window again before ``resume``, recount the windows cut
         or moved and the running totals from the cut, and queue the success
-        at the link's slot, which the cut does not move."""
-        st.epoch += 1
+        at the link's slot, which the cut does not move. A link with no
+        window open at c or starting before ``resume`` is left alone: its
+        queued success stays valid."""
         rate, windows = self.rate, st.windows
         i = st.pos
         while windows[i][1] <= c:
             i += 1
+        if c < windows[i][0] >= resume:
+            return
+        st.epoch += 1
         cut = i
         # A window moved to resume is recounted; an endless one keeps its
         # math.inf slots.
         if windows[i][0] <= c:  # open at c
-            start, end, was, _ = windows[i]
-            windows[i] = (start, c, was, _slots_before(start, rate, c))
+            start, end, _ = windows[i]
+            windows[i] = (start, c, _slots_before(start, rate, c))
             i += 1
             if resume < end:
-                windows.insert(i, (resume, end, opener, end if end == math.inf
+                windows.insert(i, (resume, end, end if end == math.inf
                                    else _slots_before(resume, rate, end)))
         while windows[i][0] < resume:
             end = windows[i][1]
             if end <= resume:
                 del windows[i]
             else:
-                windows[i] = (resume, end, opener, end if end == math.inf
+                windows[i] = (resume, end, end if end == math.inf
                               else _slots_before(resume, rate, end))
                 break
         slots = st.slots
         del slots[cut + 1:]
         for window in windows[cut:-1]:
-            slots.append(slots[-1] + window[3])
+            slots.append(slots[-1] + window[2])
         slots.append(math.inf)  # the last window's
         st.pos = i
-        if st.target >= 0:
-            self._walk(st)
+        self._walk(st)
 
     def _reschedule_expiry(self, pair: tuple[str, str]) -> None:
         """Queue the PAIR_EXPIRED of the buffer's head, cancelling the one
@@ -693,9 +691,8 @@ class NetworkSim:
         waiting request or stores it, draws the link's next count, finds
         the window that holds that slot by one bisection of the link's
         running slot total and pushes the next SUCCESS onto the heap. A
-        request takes a stored pair here too. Only a link's first count
-        (``_open``) and a collision's re-queue (``_suspend``) are placed
-        by ``_walk``."""
+        request takes a stored pair here too. A reconfiguration end and a
+        RELOAD_DONE only write their log rows."""
         if not 0.0 < until < math.inf:
             raise DomainError(f"horizon must be finite and > 0, got {until!r}")
         self._check_events(until)
@@ -712,33 +709,25 @@ class NetworkSim:
         # buffer drops its expired pairs when it is read.
         queue_expiry = log is not None and lifetime < inf
         capacity = self.spec.buffer_capacity
-        open_ = self._open
-        # The switch entries and the requests are two sorted streams beside
-        # the queue: an entry goes before, a request after, every queued
-        # event at its time.
-        entries, requests = self.entries, self.requests
-        e, r = self.next_entry, self.next_request
-        entry_t = entries[e][0] if e < len(entries) else inf
+        # The reconfiguration ends (read only with a log) and the requests
+        # are two sorted streams beside the queue: an end goes before, a
+        # request after, every queued event at its time.
+        ends, requests = self.ends, self.requests
+        e, r = self.next_end, self.next_request
+        end_t = ends[e][0] if log is not None and e < len(ends) else inf
         request_t = requests[r][0] if r < len(requests) else inf
         while True:
             t = heap[0][0] if heap else inf
-            if entry_t <= t and entry_t <= request_t:
-                if entry_t >= until:
+            if end_t <= t and end_t <= request_t:
+                if end_t >= until:
                     break
-                t, resumes, links = entries[e]
-                if e == 0:
-                    # The first entry is the switch's initial state and is
-                    # free: its links open now unless an ELU reloads.
-                    for st in links:
-                        a, b = st.pair
-                        if t >= elus[a].reload_until and t >= elus[b].reload_until:
-                            open_(st)
-                elif links and (log is not None or self.unopened):
-                    push(resumes, "RECONFIG_DONE", links)
+                t, links = ends[e]
                 e += 1
-                if log is None and not self.unopened:
-                    e = len(entries)  # the entries left would queue nothing
-                entry_t = entries[e][0] if e < len(entries) else inf
+                end_t = ends[e][0] if e < len(ends) else inf
+                for st in links:  # no row while an ELU of the link reloads
+                    a, b = st.pair
+                    if t >= elus[a].reload_until and t >= elus[b].reload_until:
+                        emit(t, "RECONFIG_DONE", st.label, a, b)
                 continue
             if request_t < t:
                 if request_t >= until:
@@ -770,8 +759,7 @@ class NetworkSim:
                     continue
                 st.pos = i
                 st.successes += 1
-                order = counters["successes"]
-                counters["successes"] = order + 1
+                counters["successes"] += 1
                 if log is not None:
                     emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
                 pair, buf, waiting = st.pair, st.buffer, st.waiting
@@ -794,8 +782,7 @@ class NetworkSim:
                     else:
                         counters["overflow"] += 1
                 # Draw the next count as _sample_countdown does (p > 0 here)
-                # and queue the success at its slot as _walk does, but tied
-                # as this success when it lands in window i.
+                # and queue the success at its slot as _walk does.
                 if log1m_p is None:  # p is 1
                     k = 0
                 else:
@@ -805,12 +792,11 @@ class NetworkSim:
                 st.target = target = st.target + k + 1
                 slots = st.slots
                 j = bisect_left(slots, target, i + 1) - 1
-                start, end, opener, _ = st.windows[j]
+                start, end, _ = st.windows[j]
                 at = start + (target - slots[j]) / rate
                 if at < end:
-                    heappush(heap, (at, 4, (t, 4, order, st.rank) if j == i
-                                    else (*opener, st.rank), next(push_seq),
-                                    "SUCCESS", (st, epoch, j)))
+                    heappush(heap, (at, 4, st.rank, next(push_seq), "SUCCESS",
+                                    (st, epoch, j)))
 
             elif kind == "PAIR_EXPIRED":
                 pair, epoch = payload
@@ -818,17 +804,6 @@ class NetworkSim:
                     continue
                 drop_expired(pair, t)
                 reschedule_expiry(pair)
-
-            elif kind == "RECONFIG_DONE":
-                # Refused while an ELU of the link reloads.
-                for st in payload:
-                    a, b = st.pair
-                    if t < elus[a].reload_until or t < elus[b].reload_until:
-                        continue
-                    if log is not None:
-                        emit(t, "RECONFIG_DONE", st.label, st.pair[0], st.pair[1])
-                    if st.target == -1:
-                        open_(st)
 
             elif kind == "COLLISION":
                 elu = payload
@@ -845,28 +820,19 @@ class NetworkSim:
                         buf.clear()
                         if queue_expiry:
                             reschedule_expiry(pair)
-                elu.reload_until = t + elu.reload_time
-                elu.epoch = order
-                push(elu.reload_until, "RELOAD_DONE", (elu, order))
+                elu.reload_until, elu.epoch = t + elu.reload_time, order
+                if log is not None:
+                    push(elu.reload_until, "RELOAD_DONE", (elu, order))
                 for st in elu.links:
-                    self._suspend(st, t, elu.reload_until,
-                                  (elu.reload_until, 2, order))
+                    self._suspend(st, t, elu.reload_until)
                 u = self.rng.random()
                 push(t - math.log(1.0 - u) / elu.collision_rate, "COLLISION", elu)
 
-            else:  # RELOAD_DONE
+            else:  # RELOAD_DONE, queued only with a log
                 elu, order = payload
-                if elu.epoch != order:
-                    continue
-                if log is not None:
+                if elu.epoch == order:
                     emit(t, "RELOAD_DONE", "", elu.id, "")
-                # A link not yet opened whose first window starts now opens
-                # here: an entry or reconfiguration end now came first and
-                # would have opened it.
-                for st in elu.links:
-                    if st.target == -1 and st.windows[0][0] == t:
-                        open_(st)
-        self.next_entry, self.next_request = e, r
+        self.next_end, self.next_request = e, r
         self.latency_total, self.latency_max = latency_total, latency_max
         self.now = max(self.now, until)
 

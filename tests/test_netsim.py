@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 import ionfab.netsim
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR
 from ionfab.arch import load_architecture
+from ionfab.cli import render_json, sim_result_doc
 from ionfab.errors import CapacityError, DomainError
-from ionfab.netsim import (SIM_MAX_EVENTS, NetworkSim, SwitchConfig, _slots_before,
-                           default_link, link_label, link_pair, make_link, run_sim,
-                           theoretical_rate_check)
+from ionfab.netsim import (SIM_MAX_EVENTS, LinkStats, NetworkSim, SwitchConfig,
+                           _slots_before, default_link, link_label, link_pair,
+                           make_link, run_sim, theoretical_rate_check)
+from netsim_reference import reference_sim, slots_before
 
 EXAMPLE = load_architecture(EXAMPLE_JSON)
 PORTS = EXAMPLE.elus[0].comm_ion_indices
@@ -197,36 +199,47 @@ class TestSwitchConfig:
         stats = r.per_link[link_label(default_link(spec))]
         assert 0 < stats.attempts <= (0.3 - first) * spec.attempt_rate
 
-    def test_one_reload_opens_never_activated_links_in_sorted_order(
-            self, example_spec):
-        # Only A collides. Seed 14 puts its one collision before both links
-        # are added, later-sorted link first; both wait for the same
-        # RELOAD_DONE, which draws their countdowns in sorted link order.
-        spec = dataclasses.replace(example_spec, elus=(
-            dataclasses.replace(example_spec.elus[0], collision_rate_per_ion=0.5,
-                                reload_time=0.05),
-            example_spec.elus[1]))
-        a0b0, a1b1 = make_link(("A", 0), ("B", 0)), make_link(("A", 1), ("B", 1))
-        schedule = [(0.02, SwitchConfig(frozenset({a1b1}))),
-                    (0.03, SwitchConfig(frozenset({a0b0, a1b1})))]
-        r = run_sim(spec, schedule, [], 0.08, seed=14, p_override=0.01,
+    def test_first_counts_are_drawn_when_the_sim_is_built(self):
+        # Only E0 collides, so its first gap is the first draw. At t1 the
+        # switch adds Y = E0.0-E1.0, X = E1.1-E2.1 and Z = E1.18-E2.18 and
+        # removes Z again before its reconfiguration ends: Z has no window
+        # and draws nothing. The next draws are the counts of Y and X, in
+        # link order, though X opens first, at the reconfiguration end, and
+        # Y, whose ELU still reloads, at the reload end. Seed 14 puts E0's
+        # one collision before t1; it draws the next gap, and X's first
+        # success draws the draw after that.
+        spec = machine(3)
+        spec = dataclasses.replace(spec, elus=(dataclasses.replace(
+            spec.elus[0], collision_rate_per_ion=1.0, reload_time=0.05),
+            *spec.elus[1:]))
+        y, x, z = (make_link(("E0", 0), ("E1", 0)), make_link(("E1", 1), ("E2", 1)),
+                   make_link(("E1", 18), ("E2", 18)))
+        Y, X, Z = map(link_label, (y, x, z))
+        t1, reconf, rate = 0.01, spec.switch.reconfiguration_time, spec.attempt_rate
+        schedule = [(0.0, SwitchConfig(frozenset())),
+                    (t1, SwitchConfig(frozenset({y, x, z}))),
+                    (t1 + reconf / 2, SwitchConfig(frozenset({y, x})))]
+        r = run_sim(spec, schedule, [], 0.065, seed=14, p_override=0.01,
                     store_log=True)
+        rng = random.Random(14)
+
+        def draw_count():
+            return int(math.log(1.0 - rng.random()) / math.log1p(-0.01))
+
         (collision,) = [e.time for e in r.events if e.kind == "COLLISION"]
         (reload_done,) = [e.time for e in r.events if e.kind == "RELOAD_DONE"]
-        assert collision < 0.02 and reload_done == collision + 0.05
-        # Both links finish reconfiguring (A.1-B.1 at 0.021 s, A.0-B.0 at
-        # 0.031 s) while A reloads, so neither logs a RECONFIG_DONE row.
-        assert not [e for e in r.events if e.kind == "RECONFIG_DONE"]
-        first = {}
-        for e in r.events:
-            if e.kind == "SUCCESS":
-                first.setdefault(e.link, e.time)
-        assert min(first.values()) > reload_done
-        rate = spec.attempt_rate
-        assert first[link_label(a0b0)] == pytest.approx(reload_done + 106 / rate,
-                                                        abs=1e-12)
-        assert first[link_label(a1b1)] == pytest.approx(reload_done + 281 / rate,
-                                                        abs=1e-12)
+        assert collision == -math.log(1.0 - rng.random()) / 20.0
+        assert collision < t1 and reload_done == collision + 0.05
+        k_y, k_x = draw_count(), draw_count()
+        rng.random()  # the collision's next gap
+        k_next = draw_count()
+        assert [e.link for e in r.events if e.kind == "RECONFIG_DONE"] == [X]
+        successes = [(e.link, e.time) for e in r.events if e.kind == "SUCCESS"]
+        assert successes[:2] == [(X, t1 + reconf + (k_x + 1) / rate),
+                                 (X, t1 + reconf + (k_x + 1 + k_next + 1) / rate)]
+        assert min(t for label, t in successes if label == Y) == (
+            reload_done + (k_y + 1) / rate)
+        assert r.per_link[Z] == LinkStats(0, 0, 0.0)
 
     def test_default_link_needs_comm_ions(self, example_spec):
         spec = with_elu_field(example_spec, comm_ion_indices=())
@@ -399,14 +412,11 @@ class TestRunSim:
             ("PAIR_REQUEST", 2e-6), ("SUCCESS", 4e-6), ("PAIR_DELIVERED", 4e-6)]
         assert (r.latency_mean, r.latency_max) == (1e-6, 2e-6)
 
-    def test_equal_time_successes_in_queue_order(self, example_spec):
+    def test_equal_time_successes_in_link_order(self, example_spec):
         # Power-of-two times, so every sum below is exact. X = A.0-B.0 is on
         # from t = 0; the second entry adds Y = A.1-B.1 and Z = A.18-B.18,
         # which open together at s, when X is mid-window. At p = 1 all three
-        # succeed on every slot after s. Y and Z are queued by the one
-        # RECONFIG_DONE at s, in link order; X's success at each slot is
-        # queued by its SUCCESS one slot earlier, which comes after that
-        # RECONFIG_DONE, and after Y's and Z's successes from then on.
+        # succeed on every slot after s, in sorted link order.
         rate, reconf, t1 = 2.0 ** 16, 2.0 ** -10, 2.0 ** -8
         spec = dataclasses.replace(example_spec, attempt_rate=rate,
                                    switch=dataclasses.replace(
@@ -422,7 +432,7 @@ class TestRunSim:
         assert [(e.time, e.kind, e.link) for e in r.events if e.time >= s] == [
             (s, "RECONFIG_DONE", Y), (s, "RECONFIG_DONE", Z), (s, "SUCCESS", X),
             *[(s + j / rate, "SUCCESS", label)
-              for j in (1, 2, 3) for label in (Y, Z, X)]]
+              for j in (1, 2, 3) for label in (X, Y, Z)]]
 
     def test_seed_changes_stream(self, example_spec):
         a = run_sim(example_spec, one_link_schedule(example_spec), [], 1.0, seed=1)
@@ -597,8 +607,12 @@ def reference_events_csv(events):
     return "".join(rows)
 
 
-def fixture_run(name, horizon, seed):
-    """The logged run of the ``<name>_*.json`` fixtures."""
+# The ``simulate`` goldens: fixture name, horizon and seed.
+FIXTURE_RUNS = [("netsim", 0.5, 11), ("multiplex", 0.2, 5)]
+
+
+def fixture_inputs(name):
+    """``(spec, schedule, demand)`` of the ``<name>_*.json`` fixtures."""
     def read(part):
         return json.loads((FIXTURES_DIR / f"{name}_{part}.json").read_text())
 
@@ -606,15 +620,18 @@ def fixture_run(name, horizon, seed):
         make_link((a, pa), (b, pb)) for a, pa, b, pb in e["links"])))
                 for e in read("schedule")]
     demand = [(e["time_s"], tuple(e["elus"])) for e in read("demand")]
-    return run_sim(load_architecture(FIXTURES_DIR / f"{name}_arch.json"),
-                   schedule, demand, horizon, seed, store_log=True)
+    return load_architecture(FIXTURES_DIR / f"{name}_arch.json"), schedule, demand
+
+
+def fixture_run(name, horizon, seed):
+    """The logged run of the ``<name>_*.json`` fixtures."""
+    return run_sim(*fixture_inputs(name), horizon, seed, store_log=True)
 
 
 class TestEventsCsv:
     """The log writer equals its reference byte for byte."""
 
-    @pytest.mark.parametrize("name, horizon, seed",
-                             [("netsim", 0.5, 11), ("multiplex", 0.2, 5)])
+    @pytest.mark.parametrize("name, horizon, seed", FIXTURE_RUNS)
     def test_fixture_logs_match_the_reference(self, name, horizon, seed):
         r = fixture_run(name, horizon, seed)
         assert {e.kind for e in r.events} == {
@@ -704,14 +721,10 @@ class TestNetworkSim:
         assert {label: s.attempts for label, s in r.per_link.items()} == {
             label: s.successes for label, s in r.per_link.items()}
 
-    def test_queues_only_events_that_can_happen(self, monkeypatch):
-        # collision-free, so every queued success fires, is cut off by the
-        # horizon (one per link at most) or was never queued; without a log,
-        # buffers drop their expired pairs when read and queue no expiry.
-        # Counted at the heap, which every queued event enters, so each
-        # success that fired was counted.
-        spec = machine(6, lifetime=1e-3)
-        schedule = round_robin(spec.elu_ids(), 0.005, 1.0)
+    @staticmethod
+    def count_queued(monkeypatch):
+        """A Counter of the events queued from now on, by kind, counted at
+        the heap, which every queued event enters."""
         queued = Counter()
         heappush = ionfab.netsim.heappush
 
@@ -720,13 +733,36 @@ class TestNetworkSim:
             heappush(heap, entry)
 
         monkeypatch.setattr(ionfab.netsim, "heappush", counting_heappush)
+        return queued
+
+    def test_queues_only_events_that_can_happen(self, monkeypatch):
+        # collision-free, so every queued success fires, is cut off by the
+        # horizon (one per link at most) or was never queued; without a log,
+        # buffers drop their expired pairs when read and queue no expiry,
+        # and no reconfiguration end is queued.
+        spec = machine(6, lifetime=1e-3)
+        schedule = round_robin(spec.elu_ids(), 0.005, 1.0)
+        queued = self.count_queued(monkeypatch)
         r = run_sim(spec, schedule, [], 1.0, seed=7)
         assert r.ledger.successes > 500
         assert r.ledger.expired > 0
         assert (r.ledger.successes <= queued["SUCCESS"]
                 <= r.ledger.successes + len(r.per_link))
-        assert queued["RECONFIG_DONE"] <= len(schedule)
-        assert queued["PAIR_EXPIRED"] == 0
+        assert queued["RECONFIG_DONE"] == queued["PAIR_EXPIRED"] == 0
+
+    def test_a_collision_leaves_a_switched_off_link_alone(self, monkeypatch):
+        # A.0-B.0 is added at 0.2 s and opens at 0.201 s, after the horizon;
+        # the collisions of A and B before then each end their 10 ms reload
+        # by 0.2 s, so none touches the link's windows or re-queues its one
+        # success, queued when the sim was built. Without a log no reload
+        # end is queued.
+        spec = with_elu_field(EXAMPLE, collision_rate_per_ion=1.0, reload_time=0.01)
+        schedule = [(0.0, SwitchConfig(frozenset())),
+                    (0.2, SwitchConfig(frozenset({make_link(("A", 0), ("B", 0))})))]
+        queued = self.count_queued(monkeypatch)
+        r = run_sim(spec, schedule, [], 0.19, seed=1)
+        assert r.collisions > 2
+        assert queued["SUCCESS"] == 1 and queued["RELOAD_DONE"] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
@@ -858,17 +894,6 @@ class TestTheoreticalRateCheck:
         assert inside >= 99
 
 
-def slots_before(start, rate, t):
-    """The largest j >= 0 with start + j/rate < t, stepped to from its
-    estimate one slot at a time."""
-    j = max(int((t - start) * rate), 0)
-    while j and not start + j / rate < t:
-        j -= 1
-    while start + (j + 1) / rate < t:
-        j += 1
-    return j
-
-
 class TestSlotsBefore:
     """The simulator's slot count against its definition: the largest
     j >= 0 with start + j/rate < t."""
@@ -912,53 +937,54 @@ class TestSlotsBefore:
 def reference_layout(spec, schedule):
     """Each link's attempt windows, walked entry by entry and link by link.
 
-    Returns ``(windows, slots, pair_end, entries, dropped)``: each link's
-    windows (start, end, opener, slots) and running slot totals by label,
-    the end of each ELU pair's last window, each entry as (time,
-    reconfiguration end, labels of the links it opens), and a Counter of
+    Returns ``(windows, slots, pair_end, ends, dropped)``: each link's
+    windows (start, end, slots) and running slot totals by label, the end
+    of each ELU pair's last window, each later entry that adds links as
+    (reconfiguration end, labels of the links it opens), and a Counter of
     the windows a removal drops before they open, by the entry that opens
     them. A window opens at the first entry, or at the reconfiguration end
     of the entry that adds the link, and closes at the next entry that
-    removes it; one removed before it opens is dropped, and the entry that
-    would open it no longer lists the link unless it is the first entry.
+    removes it; one removed before it opens is dropped, and a
+    reconfiguration end that would open it no longer lists the link.
     """
     rate, reconf = spec.attempt_rate, spec.switch.reconfiguration_time
     links = sorted({link for _, cfg in schedule for link in cfg.active_links})
     windows = {link: [] for link in links}
-    entries, dropped = [], Counter()
+    ends, opened_by, dropped = [], {}, Counter()
     prev = frozenset()
     for k, (t, cfg) in enumerate(schedule):
         for link in links:
             if link in prev and link not in cfg.active_links:
-                start, _, opener, _ = windows[link][-1]
+                start = windows[link][-1][0]
                 if start < t:
-                    windows[link][-1] = (start, t, opener, slots_before(start, rate, t))
+                    windows[link][-1] = (start, t, slots_before(start, rate, t))
                 else:
                     windows[link].pop()
-                    dropped["first entry" if opener[2] == 0 else "later entry"] += 1
-                    if opener[2]:
-                        entries[opener[2]][2].remove(link)
-        resume = t + reconf
+                    j = opened_by.pop(link, None)
+                    dropped["first entry" if j is None else "later entry"] += 1
+                    if j is not None:
+                        ends[j][1].remove(link)
         added = [link for link in links if link in cfg.active_links - prev]
         for link in added:
-            windows[link].append((resume, math.inf, (resume, 1, k), math.inf) if k
-                                 else (t, math.inf, (t, 0, 0), math.inf))
-        entries.append((t, resume, added))
+            windows[link].append((t + reconf if k else t, math.inf, math.inf))
+            if k:
+                opened_by[link] = len(ends)
+        if k and added:
+            ends.append((t + reconf, added))
         prev = cfg.active_links
     slots, pair_end = {}, {}
     for link, ws in windows.items():
         end = ws[-1][1] if ws else 0.0
         if end < math.inf:
-            ws.append((math.inf, math.inf, None, math.inf))
+            ws.append((math.inf, math.inf, math.inf))
         pair_end[link_pair(link)] = max(pair_end.get(link_pair(link), 0.0), end)
         slots[link] = [0]
         for w in ws:
-            slots[link].append(slots[link][-1] + w[3])
+            slots[link].append(slots[link][-1] + w[2])
     return ({link_label(link): ws for link, ws in windows.items()},
             {link_label(link): s for link, s in slots.items()},
             pair_end,
-            [(t, resume, [link_label(link) for link in added])
-             for t, resume, added in entries],
+            [(resume, [link_label(link) for link in added]) for resume, added in ends],
             dropped)
 
 
@@ -967,8 +993,7 @@ def sim_layout(sim):
     return ({st.label: st.windows for st in sim.links.values()},
             {st.label: st.slots for st in sim.links.values()},
             sim.pair_end,
-            [(t, resume, [st.label for st in opened])
-             for t, resume, opened in sim.entries])
+            [(resume, [st.label for st in opened]) for resume, opened in sim.ends])
 
 
 def layout_schedule(k):
@@ -1154,29 +1179,89 @@ def long_window_scenario(k):
     return spec, schedule, demand, horizon, None, k % 2 == 0, splits
 
 
+def report_doc(r):
+    """What a result reports but its event log: ledger, per-link stats,
+    collisions, requests and latencies."""
+    return [dataclasses.astuple(r.ledger),
+            [[label, s.attempts, s.successes, s.measured_rate]
+             for label, s in r.per_link.items()],
+            r.collisions, r.request_count, r.requests_served,
+            r.latency_mean, r.latency_max]
+
+
 def scenario_report(run, seed, store_log):
-    """What ``run`` reports but its event log: ledger, per-link stats,
-    collisions, requests and latencies; and the run's result."""
+    """What ``run`` reports but its event log, and the run's result."""
     spec, schedule, demand, horizon, p, _, splits = run
     sim = NetworkSim(spec, schedule, demand, seed=seed, p_override=p,
                      store_log=store_log)
     for t in splits:
         sim.advance(t)
     r = sim.finish(horizon)
-    return [dataclasses.astuple(r.ledger),
-            [[label, s.attempts, s.successes, s.measured_rate]
-             for label, s in r.per_link.items()],
-            r.collisions, r.request_count, r.requests_served,
-            r.latency_mean, r.latency_max], r
+    return report_doc(r), r
+
+
+def reference_result(run, seed):
+    """:func:`reference_sim` of ``run``, its log kept only if the run keeps
+    one."""
+    spec, schedule, demand, horizon, p, store_log, _ = run
+    r = reference_sim(spec, schedule, demand, horizon, seed, p)
+    return r if store_log else dataclasses.replace(r, events=None)
+
+
+def result_digest(r):
+    """sha256 of everything ``r`` reports, its event log included when
+    the run kept one."""
+    doc = report_doc(r)
+    doc.append(r.events_csv() if r.events is not None else None)
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 def scenario_digest(run, seed):
-    """sha256 of everything ``run`` reports, its event log included when
-    the run keeps one."""
-    store_log = run[5]
-    doc, r = scenario_report(run, seed, store_log)
-    doc.append(r.events_csv() if store_log else None)
-    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    return result_digest(scenario_report(run, seed, run[5])[1])
+
+
+# The pinned digest files: the scenarios of each, and how many.
+DIGEST_GOLDENS = {"netsim_scenarios.json": (scenario, 300),
+                  "netsim_long_windows.json": (long_window_scenario, 20)}
+
+
+def write_golden():
+    """Regenerate the pinned digests and the ``simulate`` goldens from
+    :func:`reference_sim`, only for a change meant to move them."""
+    for name, (make, n) in DIGEST_GOLDENS.items():
+        digests = [result_digest(reference_result(make(k), k)) for k in range(n)]
+        items = [f'"{k}": "{digest}"' for k, digest in enumerate(digests)]
+        (GOLDEN_DIR / name).write_text("{\n" + ",\n".join(items) + "\n}\n")
+    for name, horizon, seed in FIXTURE_RUNS:
+        r = reference_sim(*fixture_inputs(name), horizon, seed)
+        (GOLDEN_DIR / f"simulate_{name}_report.json").write_text(
+            render_json(sim_result_doc(r)))
+        (GOLDEN_DIR / f"simulate_{name}_events.csv").write_text(r.events_csv())
+
+
+class TestReferenceSim:
+    """The engine against :func:`reference_sim`, a plain simulation of the
+    same contract with one event per switch entry, reconfiguration end,
+    reload end, success, collision, expiry and request."""
+
+    @pytest.mark.parametrize("name", sorted(DIGEST_GOLDENS))
+    def test_scenarios_match_the_reference(self, name):
+        make, n = DIGEST_GOLDENS[name]
+        moved = [k for k in range(n) if scenario_report(make(k), k, make(k)[5])[1]
+                 != reference_result(make(k), k)]
+        assert moved == []
+
+    @pytest.mark.parametrize("name, horizon, seed", FIXTURE_RUNS)
+    def test_fixtures_match_the_reference(self, name, horizon, seed):
+        assert fixture_run(name, horizon, seed) == reference_sim(
+            *fixture_inputs(name), horizon, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=multiplexed_runs(), seed=st.integers(0, 2**31 - 1))
+    def test_multiplexed_runs_match_the_reference(self, run, seed):
+        spec, schedule, demand, horizon, p = run
+        assert run_sim(spec, schedule, demand, horizon, seed, p, store_log=True) == (
+            reference_sim(spec, schedule, demand, horizon, seed, p))
 
 
 class TestScenarioDigests:
