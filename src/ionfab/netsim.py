@@ -48,8 +48,11 @@ an event of its own at its time: a SUCCESS drops the pairs that expire
 before it (one expiring at the same time comes after it), a request those
 that expire at or before it, a COLLISION those that expire before it and
 then invalidates the rest, and ``finish`` those that expire at or before
-the horizon. A PAIR_EXPIRED is queued at the expiry of a buffer's head only
-while the run keeps a log, to write the row of each pair dropped at it.
+the horizon. Only while the run keeps a log does each stored pair queue a
+PAIR_EXPIRED at its expiry, which drops and logs every pair of its buffer
+that expires at or before its time; so equal-time expiries of different
+buffers log in the order their pairs were stored. The event of a pair
+delivered or invalidated before its expiry drops nothing of its own.
 
 The attempt windows are laid out from the switch schedule when the sim is
 built, once per group of links that the same distinct configurations
@@ -70,12 +73,14 @@ total from the cut; it cancels the queued SUCCESS of each link whose
 windows it changes and queues the same slot again.
 
 The demand is read as a sorted stream beside the queue, which holds only
-the events a run creates. The reconfiguration ends and the RELOAD_DONE
-events exist only to write their log rows: the ends are a second sorted
-stream, read only while the run keeps a log, and a reload end is queued
-only then. A reconfiguration end logs one RECONFIG_DONE row per link that
-resumes, in sorted link order. The ``seq`` of a logged event is its index
-in the log, and a run without a log builds no events.
+the events a run creates. The reconfiguration ends, the RELOAD_DONE events
+and the PAIR_EXPIRED events exist only to write their log rows: the ends
+are a second sorted stream, read only while the run keeps a log, and a
+reload end or an expiry is queued only then. A reconfiguration end logs
+one RECONFIG_DONE row per link that resumes, in sorted link order. A
+reload end carries its ELU's collision count and logs its row only if no
+later collision of the ELU has moved the end. The ``seq`` of a logged
+event is its index in the log, and a run without a log builds no events.
 
 Neither the event order nor the draw order depends on the horizon, which
 only stops the loop. A :class:`NetworkSim` advanced in steps and then
@@ -139,9 +144,11 @@ class SwitchConfig:
     active_links: frozenset[Link]
 
     def __post_init__(self):
+        # In sorted order, so that of two faults the same one is named
+        # under every hash seed.
         seen: set[Port] = set()
         norm = set()
-        for link in self.active_links:
+        for link in sorted(self.active_links):
             link = make_link(*link)
             norm.add(link)
             for port in link:
@@ -222,16 +229,16 @@ class SimResult:
 
 class _EluState:
     __slots__ = ("id", "collision_rate", "reload_time", "reload_until",
-                 "epoch", "links", "buffers", "collisions")
+                 "links", "buffers", "collisions")
 
     def __init__(self, elu: EluSpec):
         self.id = elu.id
         self.collision_rate = elu.collision_rate_per_ion * elu.n_ions
         self.reload_time = elu.reload_time
         self.reload_until = 0.0
-        self.epoch = -1  # the run's ordinal of its latest collision
         self.links: list[_LinkState] = []  # the ELU's links, sorted
         self.buffers: list[tuple[tuple[str, str], deque]] = []  # by pair, sorted
+        # Its collision times; a reload end carries their count when queued.
         self.collisions: list[float] = []
 
 
@@ -301,7 +308,7 @@ def _slots_before(window_start: float, rate: float, t: float) -> int | float:
 
 def validate_switch_config(spec: ArchitectureSpec, cfg: SwitchConfig) -> None:
     comm: dict[str, set[int]] = {e.id: set(e.comm_ion_indices) for e in spec.elus}
-    for link in cfg.active_links:
+    for link in sorted(cfg.active_links):  # one fault named under any hash seed
         for elu_id, pos in link:
             if elu_id not in comm:
                 raise DomainError(f"unknown ELU {elu_id!r} in switch config")
@@ -405,8 +412,6 @@ class NetworkSim:
         self.buffers: dict[tuple[str, str], deque[float]] = {
             pair: deque() for pair in connectable}
         waiting = {pair: deque() for pair in connectable}  # request times
-        self.buffer_epoch: dict[tuple[str, str], int] = {
-            pair: 0 for pair in connectable}
         self.success_times: dict[tuple[str, str], list[float]] = {
             pair: [] for pair in connectable}
         # Index in success_times of the first success no request has passed.
@@ -617,14 +622,6 @@ class NetworkSim:
         st.pos = i
         self._walk(st)
 
-    def _reschedule_expiry(self, pair: tuple[str, str]) -> None:
-        """Queue the PAIR_EXPIRED of the buffer's head, cancelling the one
-        queued before; only a run with a log and a finite lifetime calls it."""
-        self.buffer_epoch[pair] += 1
-        buf = self.buffers[pair]
-        if buf:
-            self._push(buf[0], "PAIR_EXPIRED", (pair, self.buffer_epoch[pair]))
-
     def _drop_expired(self, pair: tuple[str, str], t: float, at_t: bool = True) -> None:
         """Pop, count and log the buffered pairs that expire before ``t``,
         and those that expire at ``t`` unless ``at_t`` is false."""
@@ -691,8 +688,8 @@ class NetworkSim:
         waiting request or stores it, draws the link's next count, finds
         the window that holds that slot by one bisection of the link's
         running slot total and pushes the next SUCCESS onto the heap. A
-        request takes a stored pair here too. A reconfiguration end and a
-        RELOAD_DONE only write their log rows."""
+        request takes a stored pair here too. A reconfiguration end, a
+        RELOAD_DONE and a PAIR_EXPIRED only write their log rows."""
         if not 0.0 < until < math.inf:
             raise DomainError(f"horizon must be finite and > 0, got {until!r}")
         self._check_events(until)
@@ -704,7 +701,7 @@ class NetworkSim:
         draw, ln, bisect_left = self.rng.random, math.log, bisect.bisect_left
         latency_total, latency_max = self.latency_total, self.latency_max
         log, emit = self.log, self._emit
-        reschedule_expiry, drop_expired = self._reschedule_expiry, self._drop_expired
+        drop_expired = self._drop_expired
         # Expiries are queued only to write their log rows; without a log a
         # buffer drops its expired pairs when it is read.
         queue_expiry = log is not None and lifetime < inf
@@ -741,8 +738,6 @@ class NetworkSim:
                     drop_expired(pair, t)
                 if buf:  # delivered at once, with a zero latency
                     buf.popleft()
-                    if queue_expiry:
-                        reschedule_expiry(pair)
                     counters["delivered"] += 1
                     if log is not None:
                         emit(t, "PAIR_DELIVERED", "", pair[0], pair[1])
@@ -777,8 +772,8 @@ class NetworkSim:
                         drop_expired(pair, t, at_t=False)
                     if len(buf) < capacity:
                         buf.append(t + lifetime)
-                        if len(buf) == 1 and queue_expiry:
-                            reschedule_expiry(pair)
+                        if queue_expiry:
+                            push(t + lifetime, "PAIR_EXPIRED", pair)
                     else:
                         counters["overflow"] += 1
                 # Draw the next count as _sample_countdown does (p > 0 here)
@@ -799,16 +794,11 @@ class NetworkSim:
                                     (st, epoch, j)))
 
             elif kind == "PAIR_EXPIRED":
-                pair, epoch = payload
-                if self.buffer_epoch[pair] != epoch:
-                    continue
-                drop_expired(pair, t)
-                reschedule_expiry(pair)
+                drop_expired(payload, t)
 
             elif kind == "COLLISION":
                 elu = payload
-                order = counters["collisions"]
-                counters["collisions"] = order + 1
+                counters["collisions"] += 1
                 elu.collisions.append(t)
                 if log is not None:
                     emit(t, "COLLISION", "", elu.id, "")
@@ -818,19 +808,17 @@ class NetworkSim:
                             drop_expired(pair, t, at_t=False)
                         counters["invalidated"] += len(buf)
                         buf.clear()
-                        if queue_expiry:
-                            reschedule_expiry(pair)
-                elu.reload_until, elu.epoch = t + elu.reload_time, order
+                elu.reload_until = t + elu.reload_time
                 if log is not None:
-                    push(elu.reload_until, "RELOAD_DONE", (elu, order))
+                    push(elu.reload_until, "RELOAD_DONE", (elu, len(elu.collisions)))
                 for st in elu.links:
                     self._suspend(st, t, elu.reload_until)
                 u = self.rng.random()
                 push(t - math.log(1.0 - u) / elu.collision_rate, "COLLISION", elu)
 
             else:  # RELOAD_DONE, queued only with a log
-                elu, order = payload
-                if elu.epoch == order:
+                elu, n = payload
+                if len(elu.collisions) == n:  # no later collision moved the end
                     emit(t, "RELOAD_DONE", "", elu.id, "")
         self.next_end, self.next_request = e, r
         self.latency_total, self.latency_max = latency_total, latency_max

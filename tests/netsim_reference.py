@@ -16,7 +16,8 @@ holds it, its reconfiguration has ended, and neither of its ELUs reloads.
 The draws are the contract's: when the sim is built, one uniform per
 colliding ELU in spec order, then one per link that has a window in
 sorted link order; in the loop, one per success and one per collision.
-A buffer drops, at each expiry of its head, every pair that expires then.
+Each stored pair queues its own expiry, at which its buffer drops every
+pair that has expired by then.
 """
 
 import heapq
@@ -112,7 +113,6 @@ def reference_sim(spec, schedule, demand, horizon, seed, p_override=None):
             elus[elu_id].links.append(st)
     pairs = sorted({st.pair for st in links.values()})
     buffers = {pair: deque() for pair in pairs}
-    buffer_epoch = dict.fromkeys(pairs, 0)
     waiting = {pair: deque() for pair in pairs}
     totals = dict.fromkeys(["successes", "delivered", "expired", "invalidated",
                             "overflow", "collisions", "requests"], 0)
@@ -144,11 +144,6 @@ def reference_sim(spec, schedule, demand, horizon, seed, p_override=None):
             st.left -= fired
             st.start = None
             st.epoch += 1
-
-    def queue_head_expiry(pair):
-        buffer_epoch[pair] += 1
-        if buffers[pair] and buffers[pair][0] < math.inf:
-            push(buffers[pair][0], PAIR_EXPIRED, (pair, buffer_epoch[pair]))
 
     def drop_expired(pair, t):
         buf = buffers[pair]
@@ -202,7 +197,6 @@ def reference_sim(spec, schedule, demand, horizon, seed, p_override=None):
                 if elu.id in pair and buffers[pair]:
                     totals["invalidated"] += len(buffers[pair])
                     buffers[pair].clear()
-                    queue_head_expiry(pair)
             elu.reload_until = t + elu.reload_time
             push(elu.reload_until, RELOAD_DONE, (elu, elu.epoch))
             for st in elu.links:
@@ -223,18 +217,15 @@ def reference_sim(spec, schedule, demand, horizon, seed, p_override=None):
                 emit(t, "PAIR_DELIVERED", "", *st.pair)
             elif len(buffers[st.pair]) < spec.buffer_capacity:
                 buffers[st.pair].append(t + lifetime)
-                if len(buffers[st.pair]) == 1:
-                    queue_head_expiry(st.pair)
+                if t + lifetime < math.inf:
+                    push(t + lifetime, PAIR_EXPIRED, st.pair)
             else:
                 totals["overflow"] += 1
             st.left += 1 + countdown()
             if st.left < math.inf:
                 push(st.start + (st.left + 1) / rate, SUCCESS, (st, st.epoch), st.rank)
         elif kind == PAIR_EXPIRED:
-            pair, epoch = payload
-            if buffer_epoch[pair] == epoch:
-                drop_expired(pair, t)
-                queue_head_expiry(pair)
+            drop_expired(payload, t)
         else:  # PAIR_REQUEST
             pair = payload
             totals["requests"] += 1
@@ -243,7 +234,6 @@ def reference_sim(spec, schedule, demand, horizon, seed, p_override=None):
                 buffers[pair].popleft()
                 totals["delivered"] += 1
                 emit(t, "PAIR_DELIVERED", "", *pair)
-                queue_head_expiry(pair)
             else:
                 waiting[pair].append(t)
 

@@ -498,6 +498,33 @@ class TestBadSimulateInputs:
         assert code == 1
         assert f"ionfab: error: {tmp_path / 'sched.json'}: $: invalid JSON at line 1" in err
 
+    # Each links array has two faults, and a walk in the hash order of the
+    # set of links names different ones under these two seeds.
+    @pytest.mark.parametrize("links, hash_seeds, named", [
+        ('[["A", 5, "B", 0], ["A", 0, "B", 7], ["A", 1, "B", 1]]', ("0", "4"),
+         "port B.7 is not a communication ion"),
+        ('[["A", 0, "B", 0], ["A", 0, "B", 1], ["A", 1, "B", 0]]', ("0", "1"),
+         "port A.0 used by two links"),
+    ], ids=["comm-ions", "ports"])
+    def test_the_diagnostic_is_the_same_under_any_hash_seed(self, tmp_path, links,
+                                                            hash_seeds, named):
+        sched = tmp_path / "sched.json"
+        sched.write_text(f'[{{"time_s": 0.0, "links": {links}}}]')
+        stderrs = []
+        for hash_seed in hash_seeds:
+            r = subprocess.run([sys.executable, "-m", "ionfab", "simulate",
+                                str(EXAMPLE_JSON), "--schedule", str(sched),
+                                "--horizon", "0.01", "--seed", "1"],
+                               capture_output=True, text=True,
+                               env={**cli_env(), "PYTHONHASHSEED": hash_seed})
+            assert r.returncode == 1
+            *lines, manifest = r.stderr.splitlines()
+            manifest = json.loads(manifest)
+            del manifest["wall_time_s"]  # the one field a rerun may change
+            stderrs.append((lines, manifest))
+        assert stderrs[0] == stderrs[1]
+        assert stderrs[0][0] == [f"ionfab: error: {sched}: $[0].links: {named}"]
+
 
 def per_entry_schedule(doc):
     """The switch schedule read entry by entry, each links array checked

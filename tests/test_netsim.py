@@ -105,6 +105,14 @@ def multiplexed_runs(draw):
     return spec, schedule, demand, horizon, p
 
 
+class ReverseSortedLinks(frozenset):
+    """A frozenset that iterates in reverse sorted order, as some hash seed
+    may: a walk that names the first fault must not follow it."""
+
+    def __iter__(self):
+        return iter(sorted(frozenset.__iter__(self), reverse=True))
+
+
 class TestSwitchConfig:
     def test_port_reuse_rejected(self):
         with pytest.raises(DomainError, match="two links"):
@@ -112,6 +120,23 @@ class TestSwitchConfig:
                 make_link(("A", 0), ("B", 0)),
                 make_link(("A", 0), ("C", 0)),
             }))
+
+    def test_port_reuse_names_the_first_in_sorted_order(self):
+        # A.0 and B.2 are each on two links; reversed, B.2 is met first
+        links = ReverseSortedLinks(make_link(("A", a), ("B", b))
+                                   for a, b in [(0, 0), (0, 1), (1, 2), (2, 2)])
+        with pytest.raises(DomainError, match=r"^port A\.0 used by two links$"):
+            SwitchConfig(links)
+
+    def test_validation_names_the_first_fault_in_sorted_order(self, example_spec):
+        # neither A.5 nor B.7 is a communication ion; reversed, A.5-B.0 is
+        # met first
+        cfg = SwitchConfig(frozenset(make_link(("A", a), ("B", b))
+                                     for a, b in [(5, 0), (0, 7), (1, 1)]))
+        object.__setattr__(cfg, "active_links", ReverseSortedLinks(cfg.active_links))
+        with pytest.raises(DomainError,
+                           match=r"^port B\.7 is not a communication ion$"):
+            ionfab.netsim.validate_switch_config(example_spec, cfg)
 
     def test_more_ports_than_the_switch_has_rejected(self, example_spec):
         spec = dataclasses.replace(example_spec, switch=dataclasses.replace(
@@ -350,6 +375,24 @@ class TestPairBuffers:
             ("SUCCESS", 2 / rate), ("PAIR_DELIVERED", 2 / rate)]
         assert r.latency_max == 2 / rate - 0.5 / rate
         assert r.ledger.residual == r.ledger.expired == 0
+
+    def test_equal_time_expiries_log_in_the_order_their_pairs_were_stored(self):
+        # At p = 1 both links store a pair at 1/R and at 2/R, E0.0-E1.0
+        # first, by link rank. The requests take the pairs of 1/R, E0-E2's
+        # first, and each stored pair queues its own expiry, so the two
+        # pairs of 2/R expire at one time in the order they were stored.
+        spec = dataclasses.replace(machine(3, lifetime=1e-3), buffer_capacity=2)
+        rate = spec.attempt_rate
+        cfg = SwitchConfig(frozenset({make_link(("E0", 0), ("E1", 0)),
+                                      make_link(("E0", 1), ("E2", 1))}))
+        demand = [(2.5 / rate, ("E0", "E2")), (2.7 / rate, ("E0", "E1"))]
+        horizon = 1e-3 + 2.5 / rate
+        r = run_sim(spec, [(0.0, cfg)], demand, horizon, seed=0, p_override=1.0,
+                    store_log=True)
+        assert [(e.time, e.elu_a, e.elu_b) for e in r.events
+                if e.kind == "PAIR_EXPIRED"] == [(2 / rate + 1e-3, "E0", "E1"),
+                                                 (2 / rate + 1e-3, "E0", "E2")]
+        assert r == reference_sim(spec, [(0.0, cfg)], demand, horizon, 0, 1.0)
 
     def test_capacity_below_one_rejected(self, example_spec):
         spec = dataclasses.replace(example_spec, buffer_capacity=0)
@@ -763,6 +806,30 @@ class TestNetworkSim:
         r = run_sim(spec, schedule, [], 0.19, seed=1)
         assert r.collisions > 2
         assert queued["SUCCESS"] == 1 and queued["RELOAD_DONE"] == 0
+
+    def test_a_logged_run_queues_one_expiry_per_stored_pair(self, monkeypatch):
+        # With a log, each stored pair queues its own expiry, and each
+        # collision its reload end. A success stores its pair unless a
+        # waiting request takes it, logging PAIR_DELIVERED right after its
+        # SUCCESS row, or the buffer is full. Two pairs fit in a buffer, so
+        # queueing only each head's expiry would queue fewer.
+        spec = dataclasses.replace(machine(6, collision_rate=0.5, lifetime=1e-3),
+                                   buffer_capacity=2)
+        schedule = round_robin(spec.elu_ids(), 0.005, 0.5)
+        pairs = sorted({link_pair(link) for _, cfg in schedule
+                        for link in cfg.active_links})
+        rng = random.Random(3)
+        demand = [(rng.uniform(0.0, 0.5), rng.choice(pairs)) for _ in range(300)]
+        queued = self.count_queued(monkeypatch)
+        r = run_sim(spec, schedule, demand, 0.5, seed=7, store_log=True)
+        kinds = [e.kind for e in r.events]
+        at_success = sum(pair == ("SUCCESS", "PAIR_DELIVERED")
+                         for pair in zip(kinds, kinds[1:]))
+        stored = r.ledger.successes - r.ledger.overflow_dropped - at_success
+        assert min(at_success, r.ledger.overflow_dropped, r.ledger.expired,
+                   r.ledger.invalidated, r.collisions) > 0
+        assert queued["PAIR_EXPIRED"] == stored
+        assert queued["RELOAD_DONE"] == r.collisions
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
@@ -1276,8 +1343,8 @@ class TestScenarioDigests:
         assert moved == []
 
     def test_a_log_changes_no_report(self):
-        # A logged run queues each expiry to write its row; a run without a
-        # log drops expired pairs when it reads a buffer.
+        # A logged run queues an expiry for each stored pair to write its
+        # row; a run without a log drops expired pairs when it reads a buffer.
         pinned = json.loads((GOLDEN_DIR / "netsim_scenarios.json").read_text())
         differ = [k for k in pinned
                   if scenario_report(scenario(int(k)), int(k), False)[0]
