@@ -1,22 +1,21 @@
-"""Architecture description: parameter types, species defaults, validation, JSON I/O.
+"""Architecture description: parameter types, species defaults, validation, JSON reader.
 
 Internal units are SI throughout; angular frequencies are rad/s. The JSON
 file format ("ionfab-arch/1") accepts angular quantities as plain
 frequencies via ``*_hz`` keys (multiplied by 2*pi on load) or directly via
-``*_rad_s`` keys; :func:`architecture_to_doc` always emits ``*_rad_s`` so
-that a round trip through JSON is bit exact.
+``*_rad_s`` keys.
 
 Every scalar field is declared once, by :func:`_field` in its class body:
 its JSON key (for an angular quantity, the stem of its ``*_hz`` and
 ``*_rad_s`` keys), its reader, its bounds and its default. One reader
-(:func:`_read`), one bounds check (:func:`_check`) and one writer
-(:func:`_write`) walk these declarations. Only the rules that tie fields
-together are written out: ELU count and ids, communication ions, the
-fast-gate distance, switch ports, the emission-rate bound, the Rabi
-frequency against mu*E0/hbar, ``mass_u`` against ``mass_kg``, and the
-species-table defaults. A new machine field is therefore one declaration
-here and one property in ``schemas/ionfab-arch-1.schema.json``, and a test
-holds the bounds of the two equal.
+(:func:`_read`) and one bounds check (:func:`_check`) walk these
+declarations. Only the rules that tie fields together are written out: ELU
+count and ids, communication ions, the fast-gate distance, switch ports,
+the emission-rate bound, the Rabi frequency against mu*E0/hbar, ``mass_u``
+against ``mass_kg``, and the species-table defaults. A new machine field
+is therefore one declaration here and one property in
+``schemas/ionfab-arch-1.schema.json``, and a test holds the bounds of the
+two equal.
 
 All types are immutable after construction and safe to share between
 threads or processes.
@@ -205,7 +204,7 @@ class ArchitectureSpec:
 
 def _tables(cls: type, section: str | None) -> tuple:
     """The declarations of ``cls`` (of ``section``) as flat tuples for the
-    reader, the bounds check and the writer."""
+    reader and the bounds check."""
     decls = [(f.name, f.type, f.metadata) for f in fields(cls)
              if f.metadata and f.metadata["section"] == section]
     required = frozenset(m["key"] for _, _, m in decls
@@ -216,17 +215,15 @@ def _tables(cls: type, section: str | None) -> tuple:
     # a field annotated float must be finite; None is an optional field unset
     checks = tuple((name, "float" in type_, m["default"] is None,
                     m["gt"], m["ge"], m["le"], m["note"]) for name, type_, m in decls)
-    writes = tuple((name, m["keys"][-1], m["default"]) for name, _, m in decls)
-    return (required, keys, reads), checks, writes
+    return (required, keys, reads), checks
 
 
 # Built once, at import: one entry per (class, section).
 _READERS: dict = {}
 _CHECKS: dict = {}
-_WRITERS: dict = {}
 for _at in ((IonSpecies, None), (DriveField, None), (EluSpec, None), (SwitchSpec, None),
             (ArchitectureSpec, "link"), (ArchitectureSpec, "costs")):
-    _READERS[_at], _CHECKS[_at], _WRITERS[_at] = _tables(*_at)
+    _READERS[_at], _CHECKS[_at] = _tables(*_at)
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,7 @@ def validate_architecture(spec: ArchitectureSpec) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON I/O
+# JSON reader
 # ---------------------------------------------------------------------------
 
 def _read(cls: type, obj: object, path: str, section: str | None = None) -> dict:
@@ -404,30 +401,6 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
     if not report.ok:
         raise InvalidArchitecture(report)
     return spec
-
-
-def _write(obj, section: str | None = None) -> dict:
-    """The JSON object of the declared fields of ``obj`` (of ``section``); an
-    unset optional field (None) or a flag at its default is left out."""
-    doc = {}
-    for name, key, default in _WRITERS[type(obj), section]:
-        val = getattr(obj, name)
-        if val is not None and not (isinstance(val, bool) and val == default):
-            doc[key] = list(val) if isinstance(val, tuple) else val
-    return doc
-
-
-def architecture_to_doc(spec: ArchitectureSpec) -> dict:
-    """Spec as an ionfab-arch/1 document; inverse of :func:`parse_architecture`."""
-    return {
-        "schema": SCHEMA_ID,
-        "species": _write(spec.species),
-        "drive": _write(spec.drive),
-        "elus": [_write(e) for e in spec.elus],
-        "switch": _write(spec.switch),
-        "link": _write(spec, "link"),
-        "costs": _write(spec, "costs"),
-    }
 
 
 def load_architecture(path: str | Path) -> ArchitectureSpec:

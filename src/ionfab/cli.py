@@ -359,6 +359,14 @@ def _cmd_schedule(args, read) -> tuple[int, Files]:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0. ``random.Random`` seeds with the
+    seed's absolute value, so a negative seed would repeat another's run."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _common(p) -> None:
     # SUPPRESS keeps a nested subparser from clobbering a value the parent
     # parser already set (e.g. `ionfab ising --out f.json solve x`).
@@ -366,7 +374,7 @@ def _common(p) -> None:
                    help="write the report here instead of stdout")
     p.add_argument("--summary", action="store_true", default=argparse.SUPPRESS,
                    help="also print a human-readable summary")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                    help="RNG seed (required for stochastic runs)")
 
 

@@ -423,13 +423,12 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
 # ---------------------------------------------------------------------------
 
 def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
-                     seed: int,
-                     initial: SpinConfig | None = None) -> tuple[SpinConfig, float]:
+                     seed: int) -> tuple[SpinConfig, float]:
     """Single-spin-flip Metropolis annealing; deterministic for a given seed.
 
     Uses the stdlib Mersenne Twister (random.Random) so runs reproduce across
-    platforms. Starts from ``initial`` when given, else from a seeded random
-    configuration. Returns the best configuration seen, not the final one.
+    platforms. Starts from a seeded random configuration and returns the
+    best configuration seen, not the final one.
 
     Each spin's local field is cached and recomputed, with the same sum in
     the same neighbour order, only after a neighbour flips; so the fields,
@@ -450,12 +449,7 @@ def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
             neighbors[j].append((i, val))
     fields = [instance.local_fields.get(i, 0.0) for i in range(n)]
 
-    if initial is not None:
-        if initial.n != n:
-            raise DomainError("initial config size mismatch")
-        spins = list(initial.spins)
-    else:
-        spins = [rng.choice((-1, 1)) for _ in range(n)]
+    spins = [rng.choice((-1, 1)) for _ in range(n)]
     current = energy(instance, SpinConfig(tuple(spins)))
     best = current
     best_spins = list(spins)

@@ -905,17 +905,16 @@ def default_link(spec: ArchitectureSpec) -> Link:
     return link
 
 
-def theoretical_rate_check(spec: ArchitectureSpec, link: Link | None = None,
-                           seed: int = 0) -> RateCheck:
-    """One link switched on at t = 0 for 1,000,000 attempts, compared
-    against R*p with the machine's p = (F*eta_D)^2/2.
+def theoretical_rate_check(spec: ArchitectureSpec, seed: int = 0) -> RateCheck:
+    """The machine's default link (:func:`default_link`) switched on at
+    t = 0 for 1,000,000 attempts, compared against R*p with the machine's
+    p = (F*eta_D)^2/2.
 
     Returns the rate measured over the attempt span (R * successes/attempts),
     the analytic rate, and the binomial z-score of the observed success count.
     Collisions suspend the link, so the attempts may be fewer.
     """
-    if link is None:
-        link = default_link(spec)
+    link = default_link(spec)
     horizon = (1_000_000 + 0.5) / spec.attempt_rate
     sim = NetworkSim(spec, [(0.0, SwitchConfig(frozenset({link})))], [], seed)
     stats = sim.finish(horizon).per_link[link_label(link)]

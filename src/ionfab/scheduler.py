@@ -10,12 +10,13 @@ program-order dependencies between operations sharing a qubit.
 
 Every timeline entry (gate, measurement or remote gate) is placed by one
 rule: it holds its ions from start to end and adds its duration to the busy
-time of the qubits it acts on. The same rule keeps the result's totals in
-one pass, in timeline order: ``makespan`` (the latest end),
-``pairs_consumed`` (the pair-using entries) and the fidelity's gate factor.
-Qubits never move, so no swaps are inserted. A :class:`TimelineEntry` is an
-immutable ``typing.NamedTuple``; the rule builds it, and the tuple of ions
-it holds, once per entry, with no copy.
+time of the qubits it acts on. The same rule keeps two of the result's
+totals in one pass, in timeline order: ``makespan`` (the latest end) and
+the fidelity's gate factor. ``pairs_consumed`` counts the remote-gate
+entries where they are placed: an entry uses a pair exactly when it spans
+two ELUs. Qubits never move, so no swaps are inserted. A
+:class:`TimelineEntry` is an immutable ``typing.NamedTuple``; the rule
+builds it, and the tuple of ions it holds, once per entry, with no copy.
 
 Operations inside one ELU differ only in duration:
 
@@ -75,9 +76,6 @@ class QubitMap:
 
     mapping: dict[int, tuple[str, int]]
 
-    def elu_of(self, q: int) -> str:
-        return self.mapping[q][0]
-
     def validate(self, circuit: Circuit, spec: ArchitectureSpec) -> None:
         if set(self.mapping) != set(range(circuit.n_qubits)):
             raise DomainError("map must cover exactly the circuit's qubits")
@@ -95,14 +93,14 @@ class QubitMap:
 
 def crossing_count(circuit: Circuit, qmap: QubitMap) -> int:
     """Multi-qubit operations whose operands span more than one ELU."""
-    elu_of = {q: eid for q, (eid, _) in qmap.mapping.items()}
+    elu_for = {q: eid for q, (eid, _) in qmap.mapping.items()}
     count = 0
     for op in circuit.ops:
         operands = op.operands
         if len(operands) >= 2:
-            eid = elu_of[operands[0]]
+            eid = elu_for[operands[0]]
             for q in operands:
-                if elu_of[q] != eid:
+                if elu_for[q] != eid:
                     count += 1
                     break
     return count
@@ -186,7 +184,6 @@ class TimelineEntry(NamedTuple):
     op: GateOp
     ions: tuple[tuple[str, int], ...]  # every physical ion held by the operation
     elus: tuple[str, ...]
-    used_pair: bool = False
 
     @property
     def end(self) -> float:
@@ -216,7 +213,6 @@ class ScheduleResult:
     fidelity: FidelityBreakdown
     per_qubit_idle: dict[int, float]
     mode: str
-    seed: int | None = None
     # Qubits never move; the schedule report keeps the key.
     swaps_inserted = 0
 
@@ -291,21 +287,20 @@ def schedule(
     new_entry = tuple.__new__
 
     def place(start: float, duration: float, op: GateOp,
-              ions: tuple[tuple[str, int], ...], elus: tuple[str, ...],
-              used_pair: bool = False) -> None:
+              ions: tuple[tuple[str, int], ...], elus: tuple[str, ...]) -> None:
         """Append one entry: hold ``ions`` and charge the qubits of ``op``
         until its end.
 
         ``ions`` is the entry's own tuple, and ``elus`` the sorted ELU ids
         of ``ions``, both known to every caller."""
-        nonlocal makespan, pairs_consumed, gate_factor
+        nonlocal makespan, gate_factor
         end = start + duration
         if not math.isfinite(end):
             raise DomainError(f"schedule time overflows: an operation ends at {end!r} s")
         for ion in ions:
             ion_free[ion] = end
         timeline.append(new_entry(TimelineEntry,
-                                  (start, duration, op, ions, elus, used_pair)))
+                                  (start, duration, op, ions, elus)))
         for q in op.operands:
             busy[q] += duration
             last_end[q] = end
@@ -313,8 +308,6 @@ def schedule(
             makespan = end
         if op.kind in ENTANGLING_KINDS:
             gate_factor *= gate_fidelity
-        if used_pair:
-            pairs_consumed += 1
 
     def two_qubit_time(eid: str, pos_a: int, pos_b: int) -> float:
         if abs(pos_a - pos_b) <= elu_spec[eid].fast_gate_distance:
@@ -375,8 +368,8 @@ def schedule(
                       + spec.species.detection_time)
             duration = (spec.teleport_overhead_time + max(side_a, side_b)
                         + spec.classical_latency)
-            place(start, duration, op, touched + (comm_a, comm_b), pair,
-                  used_pair=True)
+            place(start, duration, op, touched + (comm_a, comm_b), pair)
+            pairs_consumed += 1
 
     idle = {q: max(0.0, last_end[q] - busy[q]) for q in range(circuit.n_qubits)}
     idle_factor = math.exp(-sum(idle.values()) / spec.species.qubit_coherence_time)
@@ -387,5 +380,4 @@ def schedule(
         fidelity=FidelityBreakdown(gate_factor * idle_factor, gate_factor, idle_factor),
         per_qubit_idle=idle,
         mode=pair_supply_mode,
-        seed=seed,
     )

@@ -211,7 +211,7 @@ def test_c7_scheduler_oracle_equivalence(spec):
     qmap = assign_qubits(circuit, small, "round_robin")
     remote = sum(1 for op in circuit.ops
                  if op.is_multi_qubit
-                 and len({qmap.elu_of(q) for q in op.operands}) > 1)
+                 and len({qmap.mapping[q][0] for q in op.operands}) > 1)
     ideal = schedule(circuit, qmap, small, "ideal")
     assert ideal.pairs_consumed == remote
     holds = 0

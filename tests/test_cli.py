@@ -98,6 +98,14 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "--seed" in r.stderr
 
+    @pytest.mark.parametrize("seed", ["-5", "five"])
+    def test_seed_must_be_an_integer_ge_0(self, seed):
+        # random.Random seeds with |seed|: --seed -5 would rerun --seed 5
+        r = run_cli(["ising", "anneal", str(FIXTURES_DIR / "ising_powerlaw12.json"),
+                     "--seed", seed])
+        assert r.returncode == 2
+        assert f"argument --seed: expected an integer >= 0, got '{seed}'" in r.stderr
+
     def test_random_embed_without_seed_fails(self, tmp_path):
         code = tmp_path / "code.json"
         run_cli(["qec", "surface", "--d", "3", "--out", str(code)])
@@ -652,7 +660,7 @@ PARSER_ARGVS = [
     ["qec"], ["qec", "surface", "--d", "5", "--summary"], ["qec", "steane", "--levels", "2"],
     ["qec", "hgp", "--h1", "a.csv", "--h2", "b.csv"],
     ["qec", "embed", "--code", "c.json", "--host", "grid", "--placement", "random",
-     "--seed", "1"], ["qec", "embed", "--help"],
+     "--seed", "1"], ["qec", "embed", "--help"], ["rates", EX, "--seed", "-1"],
     ["simulate", EX, "--schedule", "s.json", "--demand", "d.json", "--horizon", "0.5",
      "--log", "e.csv", "--p", "0.25", "--seed", "7"],
     ["simulate", EX, "--schedule", "s.json"], ["simulate", EX, "--bogus"],

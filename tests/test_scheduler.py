@@ -55,7 +55,7 @@ class TestAssignment:
     def test_round_robin_deals_across_elus(self, example_spec):
         c = parse_circuit((FIXTURES_DIR / "ring4.iqc").read_text())
         qmap = assign_qubits(c, example_spec, "round_robin")
-        assert {qmap.elu_of(q) for q in range(4)} == {"A", "B"}
+        assert {qmap.mapping[q][0] for q in range(4)} == {"A", "B"}
 
     def test_capacity_exceeded(self, built_spec):
         spec = two_elu_spec(built_spec, n_ions=3, comm=(0,), d=1)
@@ -283,9 +283,9 @@ class TestScheduleInvariants:
         remote = sum(
             1 for op in c.ops
             if op.is_multi_qubit
-            and len({qmap.elu_of(q) for q in op.operands}) > 1)
+            and len({qmap.mapping[q][0] for q in op.operands}) > 1)
         assert r.pairs_consumed == remote
-        assert sum(1 for e in r.timeline if e.used_pair) == remote
+        assert sum(1 for e in r.timeline if len(e.elus) == 2) == remote
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ideal_no_slower_than_buffered(self, built_spec, seed):
@@ -490,7 +490,7 @@ def mapped_circuits(draw):
     qmap = assign_qubits(Circuit(n, ()), EXAMPLE, "round_robin")
     by_elu = {}
     for q in range(n):
-        by_elu.setdefault(qmap.elu_of(q), []).append(q)
+        by_elu.setdefault(qmap.mapping[q][0], []).append(q)
     groups = [qs for qs in by_elu.values() if len(qs) >= 2]
     kinds = [k for k in GateKind if groups or k is not GateKind.GLOBAL_MS]
     angle = st.floats(-math.pi, math.pi)
@@ -523,7 +523,7 @@ class TestOnePassTotals:
         r = schedule(circuit, qmap, dataclasses.replace(EXAMPLE, dual_species_comm=dual),
                      mode, seed=seed if mode == "buffered" else None)
         assert r.makespan == (max(e.end for e in r.timeline) if r.timeline else 0.0)
-        assert r.pairs_consumed == sum(1 for e in r.timeline if e.used_pair)
+        assert r.pairs_consumed == sum(1 for e in r.timeline if len(e.elus) == 2)
         f = EXAMPLE.two_qubit_gate_fidelity
         gate_factor = 1.0
         for e in r.timeline:
@@ -538,7 +538,7 @@ class TestOnePassTotals:
         qmap = QubitMap({0: ("A", 2), 1: ("B", 2)})
         timeline = schedule(c, qmap, example_spec).timeline
         assert len(set(timeline)) == len(timeline) == 2
-        for field in ("start", "duration", "op", "ions", "elus", "used_pair"):
+        for field in ("start", "duration", "op", "ions", "elus"):
             with pytest.raises(AttributeError):
                 setattr(timeline[0], field, None)
 

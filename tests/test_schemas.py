@@ -7,8 +7,7 @@ import pytest
 from conftest import EXAMPLE_JSON, SCHEMAS_DIR
 from ionfab.arch import (MAX_BUFFER_CAPACITY, MAX_ELUS, MAX_IONS_PER_ELU,
                          MAX_SWITCH_PORTS, ArchitectureSpec, DriveField,
-                         EluSpec, IonSpecies, SwitchSpec, architecture_to_doc,
-                         load_architecture)
+                         EluSpec, IonSpecies, SwitchSpec)
 from ionfab.cli import sim_result_doc
 from ionfab.ising import instance_to_doc, power_law_couplings
 from ionfab.netsim import SwitchConfig, default_link, run_sim
@@ -46,10 +45,6 @@ def section_properties(props, section):
 class TestArchSchema:
     def test_example_file_validates(self):
         validate(json.loads(EXAMPLE_JSON.read_text()), "ionfab-arch-1.schema.json")
-
-    def test_generated_doc_validates(self):
-        validate(architecture_to_doc(load_architecture(EXAMPLE_JSON)),
-                 "ionfab-arch-1.schema.json")
 
     def test_unknown_key_fails_schema(self):
         doc = json.loads(EXAMPLE_JSON.read_text())
