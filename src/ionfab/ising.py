@@ -63,6 +63,10 @@ BRUTE_FORCE_MAX_SPINS = 24
 ADIABATIC_MAX_SPINS = 12
 ANNEAL_MAX_SPINS = 10_000
 ANNEAL_MAX_SWEEPS = 1_000_000  # temperatures x sweeps per temperature
+# Local-field terms an anneal may sum: sweeps x (spins + 2 x nonzero
+# couplings), the work of recomputing every field on every visit. The
+# default ladder (244 sweeps) on a dense 1,000-spin chain is 244,000,000.
+ANNEAL_MAX_TERMS = 250_000_000
 ADIABATIC_MAX_STEPS = 1_000_000
 _ENUM_CHUNK = 1 << 18
 
@@ -433,6 +437,8 @@ def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
     Each spin's local field is cached and recomputed, with the same sum in
     the same neighbour order, only after a neighbour flips; so the fields,
     the RNG draws and the result are those of summing on every visit.
+    A schedule that would sum more than ``ANNEAL_MAX_TERMS`` terms raises
+    DomainError before the first draw.
     """
     if seed is None:
         raise DomainError("annealing requires a seed")
@@ -447,6 +453,10 @@ def anneal_classical(instance: IsingInstance, schedule: AnnealSchedule,
         if val != 0.0:
             neighbors[i].append((j, val))
             neighbors[j].append((i, val))
+    terms = len(temps) * schedule.sweeps_per_temp * (n + sum(map(len, neighbors)))
+    if terms > ANNEAL_MAX_TERMS:
+        raise DomainError(f"anneal would sum up to {terms} local-field terms, "
+                          f"over the cap of {ANNEAL_MAX_TERMS}")
     fields = [instance.local_fields.get(i, 0.0) for i in range(n)]
 
     spins = [rng.choice((-1, 1)) for _ in range(n)]

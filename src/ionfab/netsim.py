@@ -157,10 +157,6 @@ class SwitchConfig:
                 seen.add(port)
         object.__setattr__(self, "active_links", frozenset(norm))
 
-    @property
-    def ports(self) -> set[Port]:
-        return {p for link in self.active_links for p in link}
-
 
 class SimEvent(NamedTuple):
     time: float
@@ -238,7 +234,8 @@ class _EluState:
         self.reload_until = 0.0
         self.links: list[_LinkState] = []  # the ELU's links, sorted
         self.buffers: list[tuple[tuple[str, str], deque]] = []  # by pair, sorted
-        # Its collision times; a reload end carries their count when queued.
+        # Its collision times. Their count is its share of the run's
+        # collisions, and a reload end carries it when queued.
         self.collisions: list[float] = []
 
 
@@ -315,9 +312,10 @@ def validate_switch_config(spec: ArchitectureSpec, cfg: SwitchConfig) -> None:
             if pos not in comm[elu_id]:
                 raise DomainError(
                     f"port {_port_label((elu_id, pos))} is not a communication ion")
-    if len(cfg.ports) > spec.switch.port_count:
-        raise DomainError(
-            f"config uses {len(cfg.ports)} ports, switch has {spec.switch.port_count}")
+    # Each link holds two ports, which no other link shares (SwitchConfig).
+    if 2 * len(cfg.active_links) > spec.switch.port_count:
+        raise DomainError(f"config uses {2 * len(cfg.active_links)} ports, "
+                          f"switch has {spec.switch.port_count}")
 
 
 def static_links(spec: ArchitectureSpec,
@@ -522,8 +520,10 @@ class NetworkSim:
         self.next_request = 0  # the requests read so far; the index of the next
 
         self.log: list[SimEvent] | None = [] if store_log else None
-        self.counters = {"successes": 0, "delivered": 0, "expired": 0,
-                         "invalidated": 0, "overflow": 0, "collisions": 0}
+        # The pair ledger's tallies, by Ledger field; a run's successes are
+        # its links' and its collisions its ELUs'.
+        self.counters = dict.fromkeys(
+            ("delivered", "expired", "invalidated", "overflow_dropped"), 0)
         self.latency_total = 0.0
         self.latency_max = 0.0
         self.heap: list = []
@@ -597,22 +597,18 @@ class NetworkSim:
             return
         st.epoch += 1
         cut = i
-        # A window moved to resume is recounted; an endless one keeps its
-        # math.inf slots.
         if windows[i][0] <= c:  # open at c
             start, end, _ = windows[i]
             windows[i] = (start, c, _slots_before(start, rate, c))
             i += 1
             if resume < end:
-                windows.insert(i, (resume, end, end if end == math.inf
-                                   else _slots_before(resume, rate, end)))
+                windows.insert(i, (resume, end, _slots_before(resume, rate, end)))
         while windows[i][0] < resume:
             end = windows[i][1]
             if end <= resume:
                 del windows[i]
             else:
-                windows[i] = (resume, end, end if end == math.inf
-                              else _slots_before(resume, rate, end))
+                windows[i] = (resume, end, _slots_before(resume, rate, end))
                 break
         slots = st.slots
         del slots[cut + 1:]
@@ -754,7 +750,6 @@ class NetworkSim:
                     continue
                 st.pos = i
                 st.successes += 1
-                counters["successes"] += 1
                 if log is not None:
                     emit(t, "SUCCESS", st.label, st.pair[0], st.pair[1])
                 pair, buf, waiting = st.pair, st.buffer, st.waiting
@@ -775,7 +770,7 @@ class NetworkSim:
                         if queue_expiry:
                             push(t + lifetime, "PAIR_EXPIRED", pair)
                     else:
-                        counters["overflow"] += 1
+                        counters["overflow_dropped"] += 1
                 # Draw the next count as _sample_countdown does (p > 0 here)
                 # and queue the success at its slot as _walk does.
                 if log1m_p is None:  # p is 1
@@ -798,7 +793,6 @@ class NetworkSim:
 
             elif kind == "COLLISION":
                 elu = payload
-                counters["collisions"] += 1
                 elu.collisions.append(t)
                 if log is not None:
                     emit(t, "COLLISION", "", elu.id, "")
@@ -835,33 +829,24 @@ class NetworkSim:
             # The slots of the windows that end by the horizon, and of the
             # one it clips.
             j = bisect.bisect_right(st.windows, horizon, st.pos, key=_END)
-            start = st.windows[j][0]
-            attempts = st.slots[j] + (_slots_before(start, self.rate, horizon)
-                                      if start < horizon else 0)
+            attempts = st.slots[j] + _slots_before(st.windows[j][0], self.rate, horizon)
             per_link[st.label] = LinkStats(attempts, st.successes,
                                            st.successes / horizon)
-        counters = self.counters
         residual = 0
         for pair in sorted(self.buffers):
             self._drop_expired(pair, horizon)
             residual += len(self.buffers[pair])
         mean_rate = (sum(s.measured_rate for s in per_link.values()) / len(per_link)
                      if per_link else 0.0)
-        served = counters["delivered"]
+        served = self.counters["delivered"]
         return SimResult(
             horizon=horizon,
             seed=self.seed,
             per_link=per_link,
             mean_connection_rate=mean_rate,
-            ledger=Ledger(
-                successes=counters["successes"],
-                delivered=counters["delivered"],
-                expired=counters["expired"],
-                invalidated=counters["invalidated"],
-                overflow_dropped=counters["overflow"],
-                residual=residual,
-            ),
-            collisions=counters["collisions"],
+            ledger=Ledger(successes=sum(st.successes for st in self.links.values()),
+                          residual=residual, **self.counters),
+            collisions=sum(len(elu.collisions) for elu in self.elus.values()),
             request_count=self.next_request,
             requests_served=served,
             latency_mean=self.latency_total / served if served else 0.0,

@@ -189,14 +189,6 @@ class TimelineEntry(NamedTuple):
     def end(self) -> float:
         return self.start + self.duration
 
-    @property
-    def label(self) -> str:
-        return self.op.kind.value
-
-    @property
-    def operand_text(self) -> str:
-        return " ".join(f"q{q}" for q in self.op.operands)
-
 
 @dataclass(frozen=True)
 class FidelityBreakdown:
@@ -223,9 +215,10 @@ class ScheduleResult:
     def timeline_csv(self) -> str:
         lines = ["start_s,dur_s,gate,operands,elus,resource"]
         for e in self.timeline:
+            operands = " ".join(f"q{q}" for q in e.op.operands)
             ions = " ".join(f"{eid}.{pos}" for eid, pos in e.ions)
-            lines.append(f"{e.start!r},{e.duration!r},{e.label},"
-                         f"{e.operand_text},{'+'.join(e.elus)},{ions}")
+            lines.append(f"{e.start!r},{e.duration!r},{e.op.kind.value},"
+                         f"{operands},{'+'.join(e.elus)},{ions}")
         return "\n".join(lines) + "\n"
 
 

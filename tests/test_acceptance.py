@@ -23,6 +23,10 @@ Tolerances are pinned here and nowhere else:
       B(C, R*p*L) for no demand at (C, R*p*L) = (1, 1) and (4, 4);
       availability, measured rate == R*p*exp(-(lambda_a + lambda_b)*tau)
       at 2 collisions/s per ion and a 10 ms reload. Each case < 10 s.
+  C10 the wait for a pair, as C9's row: one static link (lambda = R*p =
+      100 Hz), buffer capacity K = 1, no lifetime or collisions, Poisson
+      requests at mu = 50 Hz; latency_mean == rho^K/(lambda - mu) = 10 ms,
+      rho = mu/lambda, over 40 seeds of 1000 s; < 10 s.
 """
 
 import dataclasses
@@ -283,14 +287,14 @@ def erlang_b(capacity, load):
     return b
 
 
-def note_closed_form(what, predicted, values, horizon, started):
-    """The C9 row: the mean over seeds within 3 standard errors of the
+def note_closed_form(what, predicted, values, horizon, started, criterion=9):
+    """A C9 or C10 row: the mean over seeds within 3 standard errors of the
     prediction, and 3 se within 1.5 % of it."""
     mean = sum(values) / len(values)
     se = math.sqrt(sum((v - mean) ** 2 for v in values)
                    / (len(values) - 1) / len(values))
     elapsed = time.monotonic() - started
-    note(9, abs(mean - predicted) <= 3.0 * se and 3.0 * se <= 0.015 * predicted
+    note(criterion, abs(mean - predicted) <= 3.0 * se and 3.0 * se <= 0.015 * predicted
          and elapsed < 10.0,
          f"{what} {predicted:.4f}; sim {mean:.4f} +/- {se:.4f} over "
          f"{len(values)} seeds of {horizon:g} s ({(mean - predicted) / se:+.2f} se) "
@@ -333,3 +337,28 @@ def test_c9_availability_under_collisions(spec):
                      "R*p*exp(-(la+lb)*tau) =",
                      100.0 * math.exp(-sum(e.n_ions * per_ion for e in s.elus) * tau),
                      rates, 100.0, started)
+
+
+def test_c10_wait_for_a_pair(spec):
+    # q = K - stored pairs + waiting requests is an M/M/1 queue with
+    # arrivals mu and service lambda. A request waits exactly when it finds
+    # q >= K, and by Little's law the mean latency over all requests,
+    # counting an immediate delivery as zero, is rho^K/(lambda - mu).
+    # Successes on the attempt lattice are Bernoulli, an O(p) difference.
+    # One 1000 s seed spreads about 0.22 ms, so 40 seeds put 3 se near
+    # 1.05 % of the prediction; 30 would put it near 1.2 %, too close to 1.5 %.
+    started = time.monotonic()
+    capacity, lam, mu, horizon = 1, 100.0, 50.0, 1000.0
+    s = dataclasses.replace(spec, buffer_capacity=capacity, pair_lifetime=None)
+    schedule_ = [(0.0, SwitchConfig(frozenset({default_link(s)})))]
+    latencies = []
+    for seed in range(10000, 10040):
+        rng = random.Random(f"demand:{seed}")  # apart from the sim's stream
+        demand, t = [], rng.expovariate(mu)
+        while t < horizon:
+            demand.append((t, ("A", "B")))
+            t += rng.expovariate(mu)
+        latencies.append(1e3 * run_sim(s, schedule_, demand, horizon, seed=seed).latency_mean)
+    note_closed_form(f"mean wait at K = {capacity}, mu = {mu:g}/s: rho^K/(lambda - mu) =",
+                     1e3 * (mu / lam) ** capacity / (lam - mu), latencies, horizon, started,
+                     criterion=10)

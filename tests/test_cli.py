@@ -840,6 +840,22 @@ class TestBadAnnealInputs:
         assert len(errors) == 1
         assert "anneal schedule exceeds 1000000 sweeps" in errors[0]
 
+    def test_schedule_over_the_term_cap(self, tmp_path, capsys):
+        # 124,286 sweeps of a dense 200-spin chain: about 5e9 local-field
+        # terms, hours of work, though under the sweep cap
+        chain = tmp_path / "c.json"
+        assert main(["ising", "--n", "200", "--alpha", "1", "--out", str(chain)]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["ising", "anneal", str(chain), "--seed", "1",
+                     "--t-factor", "0.9999"])
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("ionfab: error:")]
+        assert len(errors) == 1
+        assert "local-field terms, over the cap of 250000000" in errors[0]
+
 
 SURFACE3 = ('{"schema": "ionfab-qec/1", "family": "surface", "n_data": 4, '
             '"checks": [{"kind": "Z", "data": [0, 1, 2, 3]}]')

@@ -502,6 +502,26 @@ class TestAnneal:
         with pytest.raises(DomainError):
             AnnealSchedule(t_start=1.0, t_min=0.0).temperatures()
 
+    def test_term_cap_counts_sweeps_times_spins_and_coupling_ends(self):
+        # 3 spins, 3 couplings, one zero: each sweep sums 3 + 2*2 terms
+        inst = IsingInstance(3, {(0, 1): 1.0, (0, 2): 0.0, (1, 2): -1.0})
+        terms = len(self.SLOW.temperatures()) * 3 * 7
+        with mock.patch.object(ionfab.ising, "ANNEAL_MAX_TERMS", terms):
+            anneal_classical(inst, self.SLOW, seed=1)
+        with mock.patch.object(ionfab.ising, "ANNEAL_MAX_TERMS", terms - 1), \
+                pytest.raises(DomainError, match=f"sum up to {terms} local-field "
+                                                 f"terms, over the cap of {terms - 1}"):
+            anneal_classical(inst, self.SLOW, seed=1)
+
+    def test_default_ladder_on_1000_spins_is_within_the_term_cap(self):
+        # `ising --n 1000 --alpha 1` writes every coupling nonzero; the CLI's
+        # default ladder is AnnealSchedule's, from t_start 5; counted, not run
+        inst = power_law_couplings(1000, 1.0, 1.0)
+        assert all(inst.couplings.values())
+        sweeps = len(AnnealSchedule(t_start=5.0).temperatures()) * 2
+        terms = sweeps * (1000 + 2 * len(inst.couplings))
+        assert terms == 244_000_000 <= ionfab.ising.ANNEAL_MAX_TERMS
+
 
 @st.composite
 def anneal_cases(draw):
