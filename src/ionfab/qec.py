@@ -12,6 +12,13 @@ code on a 2D swap grid or on the modular machine and report routing cost,
 swap counts, and entangled-pair consumption per syndrome-extraction round;
 the grid embedder costs every check-to-data arm in one numpy pass.
 
+A :class:`Check` is an immutable ``(kind, data)`` tuple record. A code is a
+:class:`QecGraph`, which checks its invariants when built by hand or by
+:func:`parse_qec`. The generators build codes that are valid by
+construction, so they build their checks and graphs without a second
+check; the one invariant a hypergraph product can break, an empty check,
+:func:`hypergraph_product_graph` refuses before it builds anything.
+
 Swap convention, used consistently everywhere: moving syndrome information
 across one check-to-data arm of Manhattan length d costs 2*(d - 1) swaps
 (there and back past d - 1 intermediate cells), zero when already adjacent.
@@ -25,6 +32,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +46,13 @@ QEC_SCHEMA_ID = "ionfab-qec/1"
 MAX_DOC_DATA = 100_000
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
+    """One check: an immutable ``(kind, data)`` record.
+
+    As a tuple, a check equals, and hashes like, any check or plain tuple
+    with the same kind and data. ``QecGraph(...)`` checks the fields.
+    """
+
     kind: str  # "X" or "Z"
     data: frozenset[int]
 
@@ -50,7 +63,11 @@ class Check:
 
 @dataclass(frozen=True)
 class QecGraph:
-    """Bipartite data/check graph; edges run only between checks and data."""
+    """Bipartite data/check graph; edges run only between checks and data.
+
+    ``QecGraph(...)`` checks every invariant below; the generators build
+    graphs that hold them by construction with :func:`_valid_graph`.
+    """
 
     n_data: int
     checks: tuple[Check, ...]
@@ -107,6 +124,18 @@ class QecGraph:
         return True
 
 
+def _valid_graph(**fields) -> QecGraph:
+    """A graph from all of QecGraph's fields, without ``__post_init__``.
+
+    For generators only, whose codes are valid by construction; the same
+    unchecked build as ``parse_circuit``'s ``Circuit``.
+    """
+    graph = object.__new__(QecGraph)
+    for name, value in fields.items():
+        object.__setattr__(graph, name, value)
+    return graph
+
+
 def swaps_for_distance(distance: int) -> int:
     """Swap cost of one check-to-data arm at the given Manhattan distance."""
     return 2 * max(0, distance - 1)
@@ -136,6 +165,7 @@ def surface_code_graph(distance: int) -> QecGraph:
     if d * d > MAX_DOC_DATA:
         raise DomainError(f"surface code of distance {d} has {d * d} data nodes, "
                           f"over the cap of {MAX_DOC_DATA}")
+    new = tuple.__new__
     checks: list[Check] = []
     check_coords: list[tuple[int, int]] = []
     for kind, parity, rows, cols in (("X", 1, range(d + 1), range(1, d)),
@@ -143,11 +173,11 @@ def surface_code_graph(distance: int) -> QecGraph:
         for r in rows:
             for c in cols:
                 if (r + c) % 2 == parity:
-                    checks.append(Check(kind, frozenset(
+                    checks.append(new(Check, (kind, frozenset(
                         i * d + j for i in (r - 1, r) if 0 <= i < d
-                        for j in (c - 1, c) if 0 <= j < d)))
+                        for j in (c - 1, c) if 0 <= j < d))))
                     check_coords.append((r + c, r - c + d))
-    return QecGraph(
+    return _valid_graph(
         n_data=d * d,
         checks=tuple(checks),
         family="surface",
@@ -185,16 +215,18 @@ def steane_concat_graph(levels: int) -> QecGraph:
     if 7 ** min(levels, MAX_DOC_DATA.bit_length()) > MAX_DOC_DATA:
         raise DomainError(f"Steane code of {levels} levels has 7^{levels} data "
                           f"nodes, over the cap of {MAX_DOC_DATA}")
+    new = tuple.__new__
     n, checks = 1, []
     for _ in range(levels):
-        checks = [Check(c.kind, frozenset(q + offset for q in c.data))
+        checks = [new(Check, (c.kind, frozenset(q + offset for q in c.data)))
                   for offset in range(0, 7 * n, n) for c in checks]
         blocks = [frozenset().union(*[range(b * n, (b + 1) * n) for b in s])
                   for s in STEANE_PARITY_SETS]
-        checks += [Check(kind, s) for kind in ("X", "Z") for s in blocks]
+        checks += [new(Check, (kind, s)) for kind in ("X", "Z") for s in blocks]
         n *= 7
-    return QecGraph(n_data=n, checks=tuple(checks), family="steane",
-                    params={"levels": levels}, rate=1.0 / n)
+    return _valid_graph(n_data=n, checks=tuple(checks), family="steane",
+                        params={"levels": levels}, rate=1.0 / n,
+                        data_coords=None, check_coords=None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +292,13 @@ def hypergraph_product_graph(h1, h2) -> QecGraph:
     (i, c), over n1 x m2, is {i*n2 + j : H2[c, j] = 1} |
     {n1*n2 + a*m2 + c : H1[a, i] = 1}. So the work and memory follow the
     number of ones, not n_data times the number of checks. X/Z commutation
-    holds by construction and is re-verified before return. A product of
+    holds by construction and is re-verified before return. Two inputs are
+    refused with ``DomainError`` before any check is built: a product of
     more than ``MAX_DOC_DATA`` data nodes, which a code document could not
-    hold, is refused with ``DomainError`` before any check is built.
+    hold, and one with an empty check. X check (a, b) is empty when row a
+    of H1 and column b of H2 are both zero, Z check (i, c) when column i of
+    H1 and row c of H2 are. Every other invariant of :class:`QecGraph`
+    holds by construction, so the graph is built without a second check.
 
     The number of logical qubits comes from the Tillich-Zemor dimension
     formula, k = (n1 - r1)(n2 - r2) + (m1 - r1)(m2 - r2) with r_i the GF(2)
@@ -285,21 +321,28 @@ def hypergraph_product_graph(h1, h2) -> QecGraph:
     h1_cols = _row_supports(h1.T, m2, sector_two)  # n1*n2 + a*m2, per i
     h2_rows = _row_supports(h2, 1, 0)             # j with H2[c, j] = 1, per c
     h2_cols = _row_supports(h2.T, 1, sector_two)  # n1*n2 + c, per b
-    checks = [Check("X", frozenset([i + b for i in h1_rows[a]]
-                                   + [c + a * m2 for c in h2_cols[b]]))
+    # X check (a, b) is empty when h1_rows[a] and h2_cols[b] both are, and
+    # Z check (i, c) when h1_cols[i] and h2_rows[c] both are.
+    if not ((all(h1_rows) or all(h2_cols)) and (all(h1_cols) or all(h2_rows))):
+        raise DomainError("every check must touch at least one data node")
+    new = tuple.__new__
+    checks = [new(Check, ("X", frozenset([i + b for i in h1_rows[a]]
+                                         + [c + a * m2 for c in h2_cols[b]])))
               for a in range(m1) for b in range(n2)]
-    checks += [Check("Z", frozenset([j + i * n2 for j in h2_rows[c]]
-                                    + [a + c for a in h1_cols[i]]))
+    checks += [new(Check, ("Z", frozenset([j + i * n2 for j in h2_rows[c]]
+                                          + [a + c for a in h1_cols[i]])))
                for i in range(n1) for c in range(m2)]
     r1, r2 = gf2_rank(h1), gf2_rank(h2)
     k = (n1 - r1) * (n2 - r2) + (m1 - r1) * (m2 - r2)
 
-    graph = QecGraph(
+    graph = _valid_graph(
         n_data=n_data,
         checks=tuple(checks),
         family="hypergraph_product",
         params={"m1": m1, "n1": n1, "m2": m2, "n2": n2, "k": k},
         rate=k / n_data,
+        data_coords=None,
+        check_coords=None,
     )
     if not graph.css_commutation_ok():
         raise DomainError("hypergraph product produced non-commuting checks")

@@ -455,6 +455,22 @@ class TestGoldenOutputs:
         assert main(["graph", str(EXAMPLE_JSON), *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
+    # the embedding reads the surface golden back, so the three reports pin
+    # the generators, the code document and the modular embedder together
+    def test_qec_reports(self, tmp_path):
+        rep3 = str(FIXTURES_DIR / "rep3.csv")
+        surface = str(GOLDEN_DIR / "qec_surface_d3.json")
+        runs = {
+            "qec_surface_d3.json": ["surface", "--d", "3"],
+            "qec_hgp_rep3.json": ["hgp", "--h1", rep3, "--h2", rep3],
+            "qec_embed_surface_d3_example.json": [
+                "embed", "--code", surface, "--host", str(EXAMPLE_JSON)],
+        }
+        for golden, args in runs.items():
+            out = tmp_path / golden
+            assert main(["qec", *args, "--out", str(out)]) == 0
+            assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
     # powerlaw12: alpha 1.3, zero fields, so float energies tie in Z2 pairs;
     # degenerate11: integer couplings and fields with six ground states
     @pytest.mark.parametrize("name", ["powerlaw12", "degenerate11"])

@@ -91,16 +91,18 @@ def css_graphs(draw):
 
 
 @st.composite
-def check_matrices_with_zero_lines(draw):
-    """Any 0/1 matrix up to 7 x 7: zero rows, zero columns, even all zeros."""
-    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+def check_matrices_with_zero_lines(draw, max_rows=7, max_cols=7):
+    """Any 0/1 matrix up to max_rows x max_cols: zero rows, zero columns,
+    even all zeros."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
     return np.array(bits, dtype=np.uint8)
 
 
-def reference_hypergraph_product(h1, h2):
-    """The dense construction: hx and hz as Kronecker blocks, one row per check."""
+def reference_hypergraph_product_fields(h1, h2):
+    """The dense construction's QecGraph fields: hx and hz as Kronecker
+    blocks, one row per check."""
     h1 = ionfab.qec._as_binary_matrix(h1, "h1")
     h2 = ionfab.qec._as_binary_matrix(h2, "h2")
     m1, n1 = h1.shape
@@ -114,10 +116,14 @@ def reference_hypergraph_product(h1, h2):
     n_data = n1 * n2 + m1 * m2
     r1, r2 = gf2_rank(h1), gf2_rank(h2)
     k = (n1 - r1) * (n2 - r2) + (m1 - r1) * (m2 - r2)
-    graph = QecGraph(n_data=n_data, checks=tuple(checks),
-                     family="hypergraph_product",
-                     params={"m1": m1, "n1": n1, "m2": m2, "n2": n2, "k": k},
-                     rate=k / n_data)
+    return dict(n_data=n_data, checks=tuple(checks), family="hypergraph_product",
+                params={"m1": m1, "n1": n1, "m2": m2, "n2": n2, "k": k},
+                rate=k / n_data, data_coords=None, check_coords=None)
+
+
+def reference_hypergraph_product(h1, h2):
+    """The dense construction, through QecGraph's checks and the CSS walk."""
+    graph = QecGraph(**reference_hypergraph_product_fields(h1, h2))
     if not graph.css_commutation_ok():
         raise DomainError("hypergraph product produced non-commuting checks")
     return graph
@@ -463,13 +469,29 @@ PINNED_CODE_DOCS = {
     ("steane", 1): "7a0e3624b34fef7ebd97a2d3f08596fad4a5306e19906d00a88389f6034ef503",
     ("steane", 2): "07dfad478a5986747c65aa6e7b222a9e81cd8bd12fc2cf4e7e60e16232c59e97",
     ("steane", 3): "28fb56e37f6da103547320fd5e605e633e44897997ebc73f98e21461a5623364",
+    # rep(r1) x rep(r2): the squares the qec-codes benchmark builds and one
+    # non-square product, whose sectors have unequal shapes
+    ("hgp", (3, 3)): "8186da2ff38e1c0b3773bb12f9f61058535f9e37da5e87cddd9be8f26627adb1",
+    ("hgp", (8, 8)): "b77b662e6e54046168f47a574426b1d9fa0a6aa61a573b562120fe1985bc3058",
+    ("hgp", (17, 17)): "521f6ecaa64c5ecbfb2e7a562ab927eadf1523ee75990ea47d5fcf264bc220ca",
+    ("hgp", (3, 5)): "651862726b766ab8c65efe7fcf07dde0b2f81be740fd44d40e7d31b3a4729f8a",
 }
 
 
+def rep_product(rs):
+    """The hypergraph product of the [r1, 1] and [r2, 1] repetition codes."""
+    return hypergraph_product_graph(*map(repetition_check_matrix, rs))
+
+
+def pinned_id(family, arg):
+    return f"{family}{arg}" if type(arg) is int else f"{family}{arg[0]}x{arg[1]}"
+
+
 @pytest.mark.parametrize("family, arg", sorted(PINNED_CODE_DOCS),
-                         ids=[f"{f}{a}" for f, a in sorted(PINNED_CODE_DOCS)])
+                         ids=[pinned_id(f, a) for f, a in sorted(PINNED_CODE_DOCS)])
 def test_generator_output_is_pinned(family, arg):
-    build = {"surface": surface_code_graph, "steane": steane_concat_graph}[family]
+    build = {"surface": surface_code_graph, "steane": steane_concat_graph,
+             "hgp": rep_product}[family]
     doc = json.dumps(qec_to_doc(build(arg)), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_CODE_DOCS[family, arg]
 
@@ -501,6 +523,47 @@ class TestGeneratorDataCap:
         with pytest.raises(DomainError) as exc:
             build(arg)
         assert str(exc.value) == f"{message}, over the cap of 100000"
+
+
+def revalidated(code):
+    """``code`` rebuilt from all of its fields through ``QecGraph(...)``'s checks."""
+    rebuilt = QecGraph(**vars(code))
+    assert vars(rebuilt).keys() == vars(code).keys()
+    return rebuilt
+
+
+class TestGeneratorsBuildOnlyValidCodes:
+    """The generators skip ``QecGraph``'s checks; each code must pass them."""
+
+    @pytest.mark.parametrize("build, arg", [
+        *[(surface_code_graph, d) for d in (3, 5, 9)],
+        *[(steane_concat_graph, n) for n in (1, 2, 3)],
+    ], ids=["surface3", "surface5", "surface9", "steane1", "steane2", "steane3"])
+    def test_named_families(self, build, arg):
+        code = build(arg)
+        assert revalidated(code) == code
+
+    @settings(max_examples=300)
+    @given(check_matrices_with_zero_lines(4, 5), check_matrices_with_zero_lines(4, 5))
+    @example(np.array([[1, 0], [0, 0]]), np.array([[1, 0]]))  # X check (1, 1) is empty
+    @example(np.array([[1, 0]]), np.array([[1, 0], [0, 0]]))  # Z check (1, 1) is empty
+    def test_hypergraph_products(self, h1, h2):
+        # the dense construction's fields pass QecGraph's checks exactly when
+        # the generator builds, and then give the generator's code
+        built = graph_or_error(hypergraph_product_graph, h1, h2)
+        checked = graph_or_error(
+            lambda: QecGraph(**reference_hypergraph_product_fields(h1, h2)))
+        assert built == checked
+        if isinstance(built, QecGraph):
+            assert revalidated(built) == built
+
+    @given(st.sampled_from("XZ"), st.frozensets(st.integers(0, 50)))
+    def test_check_is_its_kind_and_data(self, kind, data):
+        # the hash of the frozen dataclass it replaced, so sets and dicts
+        # keyed by checks are unchanged
+        check = Check(kind, data)
+        assert check == (kind, data) and check.weight == len(data)
+        assert hash(check) == hash((kind, data))
 
 
 class TestCssCommutationGuard:
