@@ -15,10 +15,15 @@ printing its ``--summary`` line.
 hashes, writing the files in order, one ``ionfab: warning:`` line per
 library warning, the one ``ionfab: error:`` line and the manifest.
 
-A run pays only for its own work. The parser lists every command, but
-adds options only for the command being run (:func:`build_parser`), and
-``simulate`` checks each distinct switch configuration of its schedule
-once, however many entries repeat it.
+A run pays only for its own work. The parser holds only the command that
+``argv[0]`` names and, for ``ising`` and ``qec``, the action that
+``argv[1]`` names; an option or an unknown name in either place gets
+every command or action there, so help, usage and errors read the same
+(:func:`build_parser`). :func:`render_json` writes a
+report's bytes as ``json.dumps(doc, sort_keys=True, indent=2,
+allow_nan=False)`` does, without the pure-Python encoder that ``indent``
+selects. ``simulate`` checks each distinct switch configuration of its
+schedule once, however many entries repeat it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_string
+from math import isfinite
 from pathlib import Path
 
 from . import __version__
@@ -57,11 +64,67 @@ Files = list[tuple[str | None, str]]  # (path, text); path None is stdout
 
 
 def render_json(doc) -> str:
-    try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise IonfabError("report holds a non-finite number, "
-                          "which JSON cannot represent") from None
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    byte for byte, written without the pure-Python encoder that json's
+    ``indent`` selects; a non-finite float is an IonfabError. Report keys
+    are str: any other key, like any value json cannot write, is a
+    TypeError."""
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_INT = frozenset((int,))  # the element type of a list written in one join
+
+
+def _write_json(o, out: list[str], nl: str) -> None:
+    """Append the JSON text of ``o`` to ``out``: leaves as json writes
+    them, tested in json's order, and containers one item a line, where
+    ``nl`` is the newline and indent of the line ``o`` ends on."""
+    if isinstance(o, str):
+        out.append(_json_string(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if not isfinite(o):
+            raise IonfabError("report holds a non-finite number, "
+                              "which JSON cannot represent")
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if _INT.issuperset(map(type, o)):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
+            return
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(f"{sep}{_json_string(key)}: ")  # a non-str key is a TypeError
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} "
+                        f"is not JSON serializable")
 
 
 def render_csv_row(doc: dict) -> str:
@@ -402,45 +465,58 @@ def _ising_options(p) -> None:
     p.add_argument("--alpha", type=float, help="power-law exponent in [0,3]")
     p.add_argument("--j0", type=float, default=1.0, help="coupling scale")
     _common(p)
-    isub = p.add_subparsers(dest="ising_cmd", metavar="ACTION")
-    ps = isub.add_parser("solve", help="brute-force ground states")
-    ps.add_argument("instance")
-    _common(ps)
-    pa = isub.add_parser("adiabatic", help="statevector sweep")
-    pa.add_argument("instance")
-    pa.add_argument("--time", type=float, required=True,
-                    help="total schedule time in units of 1/|j0|")
-    pa.add_argument("--steps", type=int, required=True)
-    pa.add_argument("--trace", metavar="CSV", help="write the energy trace here")
-    _common(pa)
-    pn = isub.add_parser("anneal", help="Metropolis annealing")
-    pn.add_argument("instance")
-    pn.add_argument("--t-start", type=float, default=5.0)
-    pn.add_argument("--t-factor", type=float, default=0.95)
-    pn.add_argument("--t-min", type=float, default=1e-2)
-    pn.add_argument("--sweeps", type=int, default=2)
-    _common(pn)
+
+
+def _solve_options(p) -> None:
+    p.add_argument("instance")
+    _common(p)
+
+
+def _adiabatic_options(p) -> None:
+    p.add_argument("instance")
+    p.add_argument("--time", type=float, required=True,
+                   help="total schedule time in units of 1/|j0|")
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--trace", metavar="CSV", help="write the energy trace here")
+    _common(p)
+
+
+def _anneal_options(p) -> None:
+    p.add_argument("instance")
+    p.add_argument("--t-start", type=float, default=5.0)
+    p.add_argument("--t-factor", type=float, default=0.95)
+    p.add_argument("--t-min", type=float, default=1e-2)
+    p.add_argument("--sweeps", type=int, default=2)
+    _common(p)
 
 
 def _qec_options(p) -> None:
-    qsub = p.add_subparsers(dest="qec_cmd", metavar="FAMILY", required=True)
-    pq = qsub.add_parser("surface", help="rotated surface-code patch")
-    pq.add_argument("--d", type=int, required=True, help="odd code distance")
-    _common(pq)
-    pq = qsub.add_parser("steane", help="concatenated Steane code")
-    pq.add_argument("--levels", type=int, required=True)
-    _common(pq)
-    pq = qsub.add_parser("hgp", help="hypergraph product of two check matrices")
-    pq.add_argument("--h1", required=True, help="dense 0/1 CSV")
-    pq.add_argument("--h2", required=True, help="dense 0/1 CSV")
-    _common(pq)
-    pq = qsub.add_parser("embed", help="cost a code on a host")
-    pq.add_argument("--code", required=True, help="ionfab-qec/1 JSON")
-    pq.add_argument("--host", required=True,
-                    help="'grid' or an architecture JSON path")
-    pq.add_argument("--placement", choices=("row_major", "random", "native"))
-    pq.add_argument("--partition", choices=("greedy_cut", "round_robin"))
-    _common(pq)
+    """``qec`` takes no option before its family."""
+
+
+def _surface_options(p) -> None:
+    p.add_argument("--d", type=int, required=True, help="odd code distance")
+    _common(p)
+
+
+def _steane_options(p) -> None:
+    p.add_argument("--levels", type=int, required=True)
+    _common(p)
+
+
+def _hgp_options(p) -> None:
+    p.add_argument("--h1", required=True, help="dense 0/1 CSV")
+    p.add_argument("--h2", required=True, help="dense 0/1 CSV")
+    _common(p)
+
+
+def _embed_options(p) -> None:
+    p.add_argument("--code", required=True, help="ionfab-qec/1 JSON")
+    p.add_argument("--host", required=True,
+                   help="'grid' or an architecture JSON path")
+    p.add_argument("--placement", choices=("row_major", "random", "native"))
+    p.add_argument("--partition", choices=("greedy_cut", "round_robin"))
+    _common(p)
 
 
 def _simulate_options(p) -> None:
@@ -475,24 +551,55 @@ _COMMANDS = {
     "schedule": ("map and schedule a circuit", _schedule_options, _cmd_schedule),
 }
 
+# command -> (dest, metavar, required, {action: (help line, options)}), for
+# the commands whose action is a second, nested subcommand
+_ACTIONS = {
+    "ising": ("ising_cmd", "ACTION", False, {
+        "solve": ("brute-force ground states", _solve_options),
+        "adiabatic": ("statevector sweep", _adiabatic_options),
+        "anneal": ("Metropolis annealing", _anneal_options),
+    }),
+    "qec": ("qec_cmd", "FAMILY", True, {
+        "surface": ("rotated surface-code patch", _surface_options),
+        "steane": ("concatenated Steane code", _steane_options),
+        "hgp": ("hypergraph product of two check matrices", _hgp_options),
+        "embed": ("cost a code on a host", _embed_options),
+    }),
+}
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``ionfab`` parser. Every command is listed with its help line,
-    so the top-level help, usage and errors are always the same; the
-    options are added only for ``command``, or for every command when it
-    is None or names none."""
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The ``ionfab`` parser for ``argv``, or the full parser when None.
+
+    When ``argv[0]`` names a command, the parser holds that command
+    alone, and when ``argv[1]`` names one of its actions (``ising`` and
+    ``qec`` have them), that action alone. argparse hands the rest of
+    argv to the parser of that command and action, so each help text,
+    usage line and ``invalid choice`` list it prints is the full
+    parser's. An option or an unknown name in place of the command gets
+    the full parser, and in place of the action every action.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    actions = _ACTIONS[command][3] if command in _ACTIONS else {}
+    action = argv[1] if len(argv or ()) > 1 and argv[1] in actions else None
     parser = argparse.ArgumentParser(
         prog="ionfab",
         description="Resource estimation and simulation for modular "
                     "trapped-ion machines.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    every = command not in _COMMANDS
     for name, (help_line, options, handler) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_line)
-        if every or name == command:
-            options(p)
-            p.set_defaults(func=handler)
+        options(p)
+        p.set_defaults(func=handler)
+        if name in _ACTIONS:
+            dest, metavar, required, actions = _ACTIONS[name]
+            psub = p.add_subparsers(dest=dest, metavar=metavar, required=required)
+            for a, (a_help, a_options) in actions.items():
+                if action in (None, a):
+                    a_options(psub.add_parser(a, help=a_help))
     return parser
 
 
@@ -500,9 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     if argv is None:
         argv = sys.argv[1:]
-    # The command is the first token that is not an option: the top-level
-    # parser takes no option with a value.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     for name, default in (("out", None), ("summary", False), ("seed", None)):
         if not hasattr(args, name):

@@ -6,13 +6,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_JSON, FIXTURES_DIR, GOLDEN_DIR, cli_env, run_cli
-from ionfab.cli import _link, _switch_schedule, build_parser, main
-from ionfab.errors import DomainError, SchemaError
+from ionfab.cli import _link, _switch_schedule, build_parser, main, render_json
+from ionfab.errors import DomainError, IonfabError, SchemaError
 from ionfab.jsondoc import each, number, require_keys
 from ionfab.netsim import SwitchConfig
 from ionfab.qec import (hypergraph_product_graph, qec_to_doc,
@@ -485,6 +486,70 @@ class TestGoldenOutputs:
         assert trace.read_bytes() == (
             GOLDEN_DIR / f"ising_adiabatic_{name}_trace.csv").read_bytes()
 
+    # coupling rows that mix ints and floats, and an empty fields list
+    def test_ising_generation(self, tmp_path):
+        out = tmp_path / "instance.json"
+        assert main(["ising", "--n", "6", "--alpha", "1.3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "ising_generate_n6.json").read_bytes()
+
+    # a duplicate ELU id with quotes, a backslash and non-ASCII characters,
+    # quoted again in its violation message
+    def test_validate_invalid_machine(self, tmp_path):
+        out = tmp_path / "violations.json"
+        code = main(["validate", str(FIXTURES_DIR / "invalid_arch.json"),
+                     "--out", str(out)])
+        assert code == 1
+        assert out.read_bytes() == (GOLDEN_DIR / "validate_invalid_arch.json").read_bytes()
+
+
+# strings json must escape: quotes, backslashes, control and non-ASCII
+# characters, a lone surrogate
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    '"\\\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')), max_size=6)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(allow_nan=False, allow_infinity=False), JSON_TEXT,
+    st.sampled_from([-0.0, 5e-324, 1e308, np.float64(0.1)]),
+    st.lists(st.integers(), max_size=5))
+JSON_DOCS = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(JSON_TEXT, inner, max_size=4)), max_leaves=30)
+
+
+def holding(bad):
+    """JSON documents that hold one of ``bad`` at some depth."""
+    return st.recursive(st.sampled_from(bad), lambda inner: st.one_of(
+        st.builds(lambda good, x, i: [*good[:i], x, *good[i:]],
+                  st.lists(JSON_DOCS, max_size=3), inner, st.integers(0, 3)),
+        st.builds(lambda good, key, x: {**good, key: x},
+                  st.dictionaries(JSON_TEXT, JSON_DOCS, max_size=3), JSON_TEXT,
+                  inner)), max_leaves=4)
+
+
+class TestRenderJson:
+    """render_json writes what json.dumps writes, byte for byte."""
+
+    @settings(max_examples=400)
+    @given(JSON_DOCS)
+    def test_equals_json_dumps(self, doc):
+        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert render_json(doc) == expected
+
+    @settings(max_examples=100)
+    @given(holding([float("nan"), float("inf"), float("-inf")]))
+    def test_non_finite_number_is_a_domain_error(self, doc):
+        with pytest.raises(IonfabError) as err:
+            render_json(doc)
+        assert str(err.value) == ("report holds a non-finite number, "
+                                  "which JSON cannot represent")
+
+    # reports have str keys, so the writer takes no other key
+    @settings(max_examples=100)
+    @given(holding([{1, 2}, np.int64(3), {1: "x"}, {None: 0.5}]))
+    def test_unsupported_object_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            render_json(doc)
+
 
 class TestBadSimulateInputs:
     """Bad simulate inputs end in exit 1 and one diagnostic, not a hang or traceback."""
@@ -642,12 +707,6 @@ class TestScheduleReader:
         assert str(err.value) == "$[1].time_s: expected number, got 'x'"
 
 
-def command_of(argv):
-    """The command ``main`` builds options for: the first token that is
-    not an option."""
-    return next((a for a in argv if not a.startswith("-")), None)
-
-
 def parse_outcome(parser, argv):
     """What ``parser.parse_args(argv)`` gives: the Namespace's fields (None
     if it exits), the exit code, stdout and stderr."""
@@ -683,22 +742,29 @@ PARSER_ARGVS = [
     ["simulate", "--help"],
     ["schedule", EX, "c.iqc", "--map", "roundrobin", "--pairs", "buffered",
      "--timeline", "t.csv", "--seed", "2"], ["schedule", EX],
+    ["-h", "qec"], ["--he", "simulate"], ["qec", "hgp", "--h1", "a.csv"],
+    ["qec", "hgp", "--help"], ["qec", "bogus"], ["ising", "solve"],
+    ["ising", "anneal", "i.json", "--sweeps", "x"],
 ]
 
 
 class TestParserBuildsOnlyTheCommand:
-    """A parser built for one command parses like the full parser."""
+    """The parser ``main`` builds for an argv parses it like the full parser."""
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, argv, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         full = parse_outcome(build_parser(), argv)
-        assert parse_outcome(build_parser(command_of(argv)), argv) == full
+        assert parse_outcome(build_parser(argv), argv) == full
         assert full[1] in (None, 0, 2)
 
-    def test_other_commands_have_no_options(self):
-        _, code, _, err = parse_outcome(build_parser("simulate"), ["rates", EX])
-        assert code == 2 and "unrecognized arguments" in err
+    def test_other_commands_are_not_built(self):
+        for built, argv in [
+                (["simulate"], ["rates", EX]),
+                (["qec", "surface"], ["qec", "steane", "--levels", "2"]),
+                (["ising", "solve"], ["ising", "anneal", "i.json", "--seed", "1"])]:
+            _, code, _, err = parse_outcome(build_parser(built), argv)
+            assert code == 2 and "invalid choice" in err, (built, argv)
 
 
 class TestSubnormalLinkProbability:

@@ -67,6 +67,7 @@ FIXTURE_RUNS = {
                                         MUX_SCHEDULE, "--demand", p, *HORIZON],
     "ising_powerlaw12.json": lambda p: ["ising", "solve", p],
     "ising_degenerate11.json": lambda p: ["ising", "solve", p],
+    "invalid_arch.json": lambda p: ["rates", p],
 }
 
 EXAMPLE_RUNS = (
