@@ -10,7 +10,8 @@ for exact conservation.
 import dataclasses
 from pathlib import Path
 
-from ionfab import load_architecture, run_sim, theoretical_rate_check
+from ionfab import (load_architecture, mean_connection_rate, run_sim,
+                    theoretical_rate_check)
 from ionfab.netsim import SwitchConfig, make_link
 
 spec = load_architecture(Path(__file__).parents[1] / "docs" / "example.json")
@@ -30,7 +31,9 @@ print("=== 10 s run, one active link, reconfigured at t = 5 s ===")
 for label, stats in result.per_link.items():
     print(f"link {label}: {stats.attempts} attempts, {stats.successes} pairs, "
           f"{stats.measured_rate:.1f} Hz measured")
-print(f"analytic rate: {spec.attempt_rate * 2e-4:.1f} Hz")
+analytic = mean_connection_rate(spec.attempt_rate, spec.collection_fraction,
+                                spec.detector_efficiency)
+print(f"analytic rate: {analytic:.1f} Hz")
 
 ledger = result.ledger
 print("\n=== pair ledger (conservation is exact) ===")

@@ -11,8 +11,9 @@ its JSON key (for an angular quantity, the stem of its ``*_hz`` and
 (:func:`_read`) and one bounds check (:func:`_check`) walk these
 declarations. Only the rules that tie fields together are written out: ELU
 count and ids, communication ions, the fast-gate distance, switch ports,
-the emission-rate bound, the Rabi frequency against mu*E0/hbar, ``mass_u``
-against ``mass_kg``, and the species-table defaults. A new machine field
+the emission-rate bound, the Rabi frequency against mu*E0/hbar, and
+``mass_u`` against ``mass_kg``. The species table is read by the same
+declarations as a document's species object. A new machine field
 is therefore one declaration here and one property in
 ``schemas/ionfab-arch-1.schema.json``, and a test holds the bounds of the
 two equal.
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 
 from .constants import ATOMIC_MASS_KG, HBAR, TWO_PI, species_entry
 from .errors import DomainError, InvalidArchitecture, SchemaError, UnknownSpecies
-from .jsondoc import decode, integer, number, parse_json, require_keys, string
+from .jsondoc import (decode, integer, number, parse_json, require_keys,
+                      require_schema, string)
 
 SCHEMA_ID = "ionfab-arch/1"
 
@@ -202,9 +205,10 @@ class ArchitectureSpec:
         return [e.id for e in self.elus]
 
 
+@cache
 def _tables(cls: type, section: str | None) -> tuple:
     """The declarations of ``cls`` (of ``section``) as flat tuples for the
-    reader and the bounds check."""
+    reader and the bounds check, built on first use."""
     decls = [(f.name, f.type, f.metadata) for f in fields(cls)
              if f.metadata and f.metadata["section"] == section]
     required = frozenset(m["key"] for _, _, m in decls
@@ -216,14 +220,6 @@ def _tables(cls: type, section: str | None) -> tuple:
     checks = tuple((name, "float" in type_, m["default"] is None,
                     m["gt"], m["ge"], m["le"], m["note"]) for name, type_, m in decls)
     return (required, keys, reads), checks
-
-
-# Built once, at import: one entry per (class, section).
-_READERS: dict = {}
-_CHECKS: dict = {}
-for _at in ((IonSpecies, None), (DriveField, None), (EluSpec, None), (SwitchSpec, None),
-            (ArchitectureSpec, "link"), (ArchitectureSpec, "costs")):
-    _READERS[_at], _CHECKS[_at] = _tables(*_at)
 
 
 @dataclass(frozen=True)
@@ -247,16 +243,10 @@ class ValidationReport:
 
 
 def default_species(name: str) -> IonSpecies:
-    """Species with table constants filled in; raises UnknownSpecies otherwise."""
-    rec = species_entry(name)
-    return IonSpecies(
-        name=name,
-        mass=rec["mass_u"] * ATOMIC_MASS_KG,
-        hyperfine_splitting=rec["hyperfine_splitting_hz"],
-        linewidth=TWO_PI * rec["linewidth_hz"],
-        detection_time=rec["detection_time_s"],
-        qubit_coherence_time=rec["qubit_coherence_time_s"],
-    )
+    """The species table's entry ``name``, read as a document's species
+    object; raises UnknownSpecies for a name the table lacks."""
+    return IonSpecies(**_read(IonSpecies, {"name": name, **species_entry(name)},
+                              "$.species"))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +260,7 @@ def _bad(value) -> bool:
 def _check(obj, prefix: str, v: list[Violation], section: str | None = None) -> None:
     """Append to ``v`` one violation per declared bound that a field of
     ``obj`` (of ``section``) breaks; a non-finite float breaks all at once."""
-    for name, finite, optional, gt, ge, le, note in _CHECKS[type(obj), section]:
+    for name, finite, optional, gt, ge, le, note in _tables(type(obj), section)[1]:
         val = getattr(obj, name)
         if val is None and optional:
             continue
@@ -352,7 +342,7 @@ def _read(cls: type, obj: object, path: str, section: str | None = None) -> dict
     """The declared fields of ``cls`` (of ``section``) that the JSON object
     ``obj`` at ``path`` gives or that have a default of their own; a
     ``_DERIVED`` field the object leaves out is left to the caller."""
-    required, keys, entries = _READERS[cls, section]
+    (required, keys, entries), _ = _tables(cls, section)
     require_keys(obj, path, required, keys)
     values = {}
     for name, key, first, last, read, default in entries:
@@ -370,9 +360,7 @@ def parse_architecture(doc: object) -> ArchitectureSpec:
         raise SchemaError(f"expected top-level object, got {type(doc).__name__}")
     require_keys(doc, "$", {"schema", "species", "drive", "elus", "switch",
                             "link", "costs"})
-    if doc["schema"] != SCHEMA_ID:
-        raise SchemaError(f"expected schema {SCHEMA_ID!r}, got {doc['schema']!r}",
-                          "$.schema")
+    require_schema(doc, SCHEMA_ID)
     species = _read(IonSpecies, doc["species"], "$.species")
     try:
         base = default_species(species["name"])

@@ -431,6 +431,8 @@ def _seed(text: str) -> int:
 
 
 def _common(p) -> None:
+    """The options of every command parser and every action parser, added
+    after the parser's own."""
     # SUPPRESS keeps a nested subparser from clobbering a value the parent
     # parser already set (e.g. `ionfab ising --out f.json solve x`).
     p.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
@@ -443,33 +445,28 @@ def _common(p) -> None:
 
 def _validate_options(p) -> None:
     p.add_argument("arch", help="ionfab-arch/1 JSON file")
-    _common(p)
 
 
 def _rates_options(p) -> None:
     p.add_argument("arch")
     p.add_argument("--elu", help="ELU id (default: first)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _common(p)
 
 
 def _graph_options(p) -> None:
     p.add_argument("arch")
     p.add_argument("--tier", choices=("fast", "collective"), default=None)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    _common(p)
 
 
 def _ising_options(p) -> None:
     p.add_argument("--n", type=int, help="spin count (generation mode)")
     p.add_argument("--alpha", type=float, help="power-law exponent in [0,3]")
     p.add_argument("--j0", type=float, default=1.0, help="coupling scale")
-    _common(p)
 
 
 def _solve_options(p) -> None:
     p.add_argument("instance")
-    _common(p)
 
 
 def _adiabatic_options(p) -> None:
@@ -478,7 +475,6 @@ def _adiabatic_options(p) -> None:
                    help="total schedule time in units of 1/|j0|")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--trace", metavar="CSV", help="write the energy trace here")
-    _common(p)
 
 
 def _anneal_options(p) -> None:
@@ -487,27 +483,19 @@ def _anneal_options(p) -> None:
     p.add_argument("--t-factor", type=float, default=0.95)
     p.add_argument("--t-min", type=float, default=1e-2)
     p.add_argument("--sweeps", type=int, default=2)
-    _common(p)
-
-
-def _qec_options(p) -> None:
-    """``qec`` takes no option before its family."""
 
 
 def _surface_options(p) -> None:
     p.add_argument("--d", type=int, required=True, help="odd code distance")
-    _common(p)
 
 
 def _steane_options(p) -> None:
     p.add_argument("--levels", type=int, required=True)
-    _common(p)
 
 
 def _hgp_options(p) -> None:
     p.add_argument("--h1", required=True, help="dense 0/1 CSV")
     p.add_argument("--h2", required=True, help="dense 0/1 CSV")
-    _common(p)
 
 
 def _embed_options(p) -> None:
@@ -516,7 +504,6 @@ def _embed_options(p) -> None:
                    help="'grid' or an architecture JSON path")
     p.add_argument("--placement", choices=("row_major", "random", "native"))
     p.add_argument("--partition", choices=("greedy_cut", "round_robin"))
-    _common(p)
 
 
 def _simulate_options(p) -> None:
@@ -527,7 +514,6 @@ def _simulate_options(p) -> None:
     p.add_argument("--log", metavar="CSV", help="write the event log here")
     p.add_argument("--p", type=float, default=None,
                    help="override the per-attempt success probability")
-    _common(p)
 
 
 def _schedule_options(p) -> None:
@@ -537,16 +523,17 @@ def _schedule_options(p) -> None:
                    help="greedy | roundrobin | file:PATH")
     p.add_argument("--pairs", choices=("ideal", "buffered"), default="ideal")
     p.add_argument("--timeline", metavar="CSV", help="write the timeline here")
-    _common(p)
 
 
-# name -> (help line, options, handler), in the order of ``ionfab --help``
+# name -> (help line, options, handler), in the order of ``ionfab --help``;
+# options None: the command takes no option before its action, not even
+# the common ones
 _COMMANDS = {
     "validate": ("check an architecture file", _validate_options, _cmd_validate),
     "rates": ("physical rate report for one ELU", _rates_options, _cmd_rates),
     "graph": ("interaction graph export", _graph_options, _cmd_graph),
     "ising": ("Ising instances and solvers", _ising_options, _cmd_ising),
-    "qec": ("QEC graph families and embeddings", _qec_options, _cmd_qec),
+    "qec": ("QEC graph families and embeddings", None, _cmd_qec),
     "simulate": ("photonic network simulation", _simulate_options, _cmd_simulate),
     "schedule": ("map and schedule a circuit", _schedule_options, _cmd_schedule),
 }
@@ -592,14 +579,18 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_line)
-        options(p)
+        if options is not None:
+            options(p)
+            _common(p)
         p.set_defaults(func=handler)
         if name in _ACTIONS:
             dest, metavar, required, actions = _ACTIONS[name]
             psub = p.add_subparsers(dest=dest, metavar=metavar, required=required)
             for a, (a_help, a_options) in actions.items():
                 if action in (None, a):
-                    a_options(psub.add_parser(a, help=a_help))
+                    ap = psub.add_parser(a, help=a_help)
+                    a_options(ap)
+                    _common(ap)
     return parser
 
 

@@ -1,9 +1,10 @@
 """Physical constants and the data-driven ion species table.
 
 All internal quantities are SI: angular frequencies in rad/s, times in
-seconds, rates (event frequencies) in Hz. The species file stores plain
-frequencies with ``_hz`` suffixes; conversion to rad/s happens exactly once,
-here.
+seconds, rates (event frequencies) in Hz. The species file stores masses
+in u and plain frequencies under ``_hz`` keys, as an architecture
+document's species object does; ``arch``'s field declarations convert them
+to SI on load, for the table and for a document alike.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .jsondoc import each, fixed_array, integer, number, require_keys
+from .jsondoc import each, fixed_array, integer, number, require_keys, require_schema
 
 ISING_SCHEMA_ID = "ionfab-ising/1"
 
@@ -523,9 +523,7 @@ def _field_row(row: object) -> tuple[int, float]:
 def parse_instance(doc: object) -> IsingInstance:
     """Parse an ionfab-ising/1 document; rejects all that the schema rejects."""
     require_keys(doc, "$", {"schema", "n", "couplings", "fields"}, {"alpha", "j0"})
-    if doc["schema"] != ISING_SCHEMA_ID:
-        raise SchemaError(f"expected schema {ISING_SCHEMA_ID!r}, got {doc['schema']!r}",
-                          "$.schema")
+    require_schema(doc, ISING_SCHEMA_ID)
     n = integer(doc, "n", "$")
     if n < 1:
         raise SchemaError(f"must be >= 1, got {n}", "$.n")

@@ -57,6 +57,13 @@ def require_keys(obj: dict, path: str, required: set[str],
         raise SchemaError(f"missing required key(s): {', '.join(sorted(missing))}", path)
 
 
+def require_schema(doc: dict, schema_id: str) -> None:
+    """Raise SchemaError at ``$.schema`` unless ``doc`` names ``schema_id``."""
+    if doc["schema"] != schema_id:
+        raise SchemaError(f"expected schema {schema_id!r}, got {doc['schema']!r}",
+                          "$.schema")
+
+
 def number(obj: dict | list, key: str | int, path: str) -> float:
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):

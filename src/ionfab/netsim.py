@@ -133,8 +133,9 @@ def link_label(link: Link) -> str:
 
 
 def link_pair(link: Link) -> tuple[str, str]:
-    elus = sorted((link[0][0], link[1][0]))
-    return (elus[0], elus[1])
+    """The ELU ids of a normalised link (:func:`make_link`), which sorts its
+    ports and so their ELU ids."""
+    return link[0][0], link[1][0]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ import numpy as np
 from .arch import ArchitectureSpec
 from .errors import CapacityError, DomainError, SchemaError
 from .graph import deal_round_robin, greedy_cut
-from .jsondoc import each, fixed_array, integer, number, require_keys, string
+from .jsondoc import (each, fixed_array, integer, number, require_keys,
+                      require_schema, string)
 
 QEC_SCHEMA_ID = "ionfab-qec/1"
 # Cap on a code document's data nodes: the embedders place every node.
@@ -557,9 +558,7 @@ def parse_qec(doc: object) -> QecGraph:
     """Parse an ionfab-qec/1 document; rejects all that the schema rejects."""
     require_keys(doc, "$", {"schema", "family", "n_data", "checks"},
                  {"params", "rate", "coords"})
-    if doc["schema"] != QEC_SCHEMA_ID:
-        raise SchemaError(f"expected schema {QEC_SCHEMA_ID!r}, got {doc['schema']!r}",
-                          "$.schema")
+    require_schema(doc, QEC_SCHEMA_ID)
     n_data = integer(doc, "n_data", "$")
     if n_data < 1:
         raise SchemaError(f"must be >= 1, got {n_data}", "$.n_data")

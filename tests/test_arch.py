@@ -8,7 +8,7 @@ from ionfab.arch import (MAX_BUFFER_CAPACITY, MAX_ELUS, MAX_IONS_PER_ELU,
                          MAX_SWITCH_PORTS, DriveField, SwitchSpec,
                          default_species, load_architecture,
                          parse_architecture, validate_architecture)
-from ionfab.constants import ATOMIC_MASS_KG, HBAR, TWO_PI
+from ionfab.constants import ATOMIC_MASS_KG, HBAR, TWO_PI, species_entry
 from ionfab.errors import InvalidArchitecture, SchemaError, UnknownSpecies
 from conftest import EXAMPLE_JSON
 
@@ -36,6 +36,18 @@ class TestDefaultSpecies:
     def test_unknown_species(self):
         with pytest.raises(UnknownSpecies):
             default_species("Unobtainium1")
+
+    def test_table_entry_in_si(self):
+        rec = species_entry("Yb171")
+        assert dataclasses.astuple(default_species("Yb171")) == (
+            "Yb171", rec["mass_u"] * ATOMIC_MASS_KG, rec["hyperfine_splitting_hz"],
+            TWO_PI * rec["linewidth_hz"], rec["detection_time_s"],
+            rec["qubit_coherence_time_s"])
+
+    def test_table_reads_like_a_species_document(self):
+        doc = json.loads(EXAMPLE_TEXT)
+        doc["species"] = {"name": "Yb171", **species_entry("Yb171")}
+        assert parse_architecture(doc).species == default_species("Yb171")
 
 
 class TestValidation:

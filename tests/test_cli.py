@@ -1159,6 +1159,12 @@ BAD_INPUTS = {
     "arch_wrong_schema_id": (
         ["rates", "{f}"], example_with(lambda d: d.update(schema="ionfab-arch/2")),
         "{f}: $.schema: expected schema 'ionfab-arch/1', got 'ionfab-arch/2'"),
+    "ising_wrong_schema_id": (
+        ISING_SOLVE, ISING.replace("ionfab-ising/1", "ionfab-ising/2") % ("[]", "[]"),
+        "{f}: $.schema: expected schema 'ionfab-ising/1', got 'ionfab-ising/2'"),
+    "qec_wrong_schema_id": (
+        QEC_EMBED, SURFACE3.replace("ionfab-qec/1", "ionfab-qec/2") + "}",
+        "{f}: $.schema: expected schema 'ionfab-qec/1', got 'ionfab-qec/2'"),
     "arch_mass_u_and_mass_kg": (
         ["rates", "{f}"], example_with(lambda d: d["species"].update(mass_u=171.0)),
         "{f}: $.species: give mass_u or mass_kg, not both"),
