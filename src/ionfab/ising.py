@@ -19,7 +19,12 @@ order. The enumerator yields blocks of rows of
 
     E[h, l] = E_hi[h] + E_lo[l] + (S_hi J_hl S_lo^T)[h, l],
 
-where S_k is the (2^k, k) matrix of spins of each half-index. The Trotter
+where S_k is the (2^k, k) matrix of spins of each half-index. A block is
+_ENUM_CHUNK = 2^14 configurations, 128 KB of float64: the largest size
+whose temporaries take no minor page faults (``ru_minflt``) for n = 13-17
+in a warm process; 2 MB blocks were mapped afresh on every call, and the
+faults cost more than the arithmetic. With it lo is n // 2 for every n up
+to BRUTE_FORCE_MAX_SPINS. The Trotter
 step of the adiabatic sweep reshapes the statevector to that matrix M. The
 uniform X rotation exp(i theta sum X) factors as A_hi (x) A_lo, with
 
@@ -40,7 +45,10 @@ the rotation, so the stacked [Q_k; T_k] gives both the rotated half and
 T_k's input in one product per half. |N| = |M| entrywise, so energies and
 the ground overlap read N as it is. The phase exp(-i dt s H_z) is computed
 once per distinct energy level and gathered to the 2^n entries: integer
-instances have few levels.
+instances have few levels. The level phases and the rotation weights are
+made for B = _TROTTER_BLOCK // levels steps at once (at least one), a
+(B, levels) table of the same products, cosines and sines that each step
+made alone.
 """
 
 from __future__ import annotations
@@ -68,7 +76,8 @@ ANNEAL_MAX_SWEEPS = 1_000_000  # temperatures x sweeps per temperature
 # default ladder (244 sweeps) on a dense 1,000-spin chain is 244,000,000.
 ANNEAL_MAX_TERMS = 250_000_000
 ADIABATIC_MAX_STEPS = 1_000_000
-_ENUM_CHUNK = 1 << 18
+_ENUM_CHUNK = 1 << 14
+_TROTTER_BLOCK = 4096  # entries (steps x levels) of one block of level phases
 
 
 @dataclass(frozen=True)
@@ -383,32 +392,37 @@ def adiabatic_evolve(instance: IsingInstance, total_time: float,
     q_hi, q_lo = g_hi[:rows], g_lo[:cols]
     rot_hi, rot_lo = out_hi[:rows].view(complex).T, out_lo[:cols].view(complex).T
     tx_hi, tx_lo = out_hi[rows:].view(complex), out_lo[cols:].view(complex)
-    phase, angle = np.empty(len(levels), dtype=complex), np.empty(len(levels))
     dt = total_time / steps
     trace = np.empty(steps)
+    block = max(1, _TROTTER_BLOCK // len(levels))
 
-    for k in range(steps):
-        s = (k + 0.5) / steps
-        # exp(-i*dt*s*H_z) then exp(-i*dt*(1-s)*(-sum X)) = exp(+i*dt*(1-s)*sum X)
-        np.multiply(levels, -dt * s, out=angle)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        state *= phase[level_of]
-        theta = dt * (1.0 - s)
-        # every index is in range; mode "raise" would buffer ``out``
-        np.take(_signed_weights(hi, theta), index_hi, out=q_hi, mode="clip")
-        if lo != hi:
-            np.take(_signed_weights(lo, theta), index_lo, out=q_lo, mode="clip")
-        # sum X_k commutes with the rotation, so each half's input gives
-        # its share -Im <N, T_k N> of <sum X> after the step
-        np.matmul(g_hi, v, out=out_hi)
-        x_expect = -np.vdot(state, tx_hi).imag
-        np.copyto(state_t, rot_hi)
-        np.matmul(g_lo, v_t, out=out_lo)
-        x_expect -= np.vdot(state_t, tx_lo).imag
-        np.copyto(state, rot_lo)
-        np.multiply(v, v, out=sq)
-        trace[k] = s * float(np.vdot(diag2, sq)) - (1.0 - s) * x_expect
+    for first in range(0, steps, block):
+        ss = [(k + 0.5) / steps for k in range(first, min(first + block, steps))]
+        # exp(-i*dt*s*H_z) then exp(-i*dt*(1-s)*(-sum X)) = exp(+i*dt*(1-s)*sum X):
+        # each step's level phases, one row a step, and its rotation weights
+        angle = np.multiply.outer([-dt * s for s in ss], levels)
+        phases = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
+        w_hi = np.array([_signed_weights(hi, dt * (1.0 - s)) for s in ss])
+        w_lo = w_hi if lo == hi else np.array(
+            [_signed_weights(lo, dt * (1.0 - s)) for s in ss])
+        for j, s in enumerate(ss):
+            state *= phases[j][level_of]
+            # every index is in range; mode "raise" would buffer ``out``
+            np.take(w_hi[j], index_hi, out=q_hi, mode="clip")
+            if lo != hi:
+                np.take(w_lo[j], index_lo, out=q_lo, mode="clip")
+            # sum X_k commutes with the rotation, so each half's input gives
+            # its share -Im <N, T_k N> of <sum X> after the step
+            np.matmul(g_hi, v, out=out_hi)
+            x_expect = -np.vdot(state, tx_hi).imag
+            np.copyto(state_t, rot_hi)
+            np.matmul(g_lo, v_t, out=out_lo)
+            x_expect -= np.vdot(state_t, tx_lo).imag
+            np.copyto(state, rot_lo)
+            np.multiply(v, v, out=sq)
+            trace[first + j] = s * float(np.vdot(diag2, sq)) - (1.0 - s) * x_expect
 
     # |N| = |M| entrywise: the frame leaves every probability as it is
     prob = (state.real ** 2 + state.imag ** 2).ravel()

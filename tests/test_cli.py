@@ -486,6 +486,14 @@ class TestGoldenOutputs:
         assert trace.read_bytes() == (
             GOLDEN_DIR / f"ising_adiabatic_{name}_trace.csv").read_bytes()
 
+    # a 20-spin chain spans 64 enumeration blocks; its two Neel ground
+    # states lie in blocks 21 and 42
+    def test_ising_solve_across_blocks(self, tmp_path):
+        solved = tmp_path / "solve.json"
+        assert main(["ising", "solve", str(FIXTURES_DIR / "ising_powerlaw20.json"),
+                     "--out", str(solved)]) == 0
+        assert solved.read_bytes() == (GOLDEN_DIR / "ising_solve_powerlaw20.json").read_bytes()
+
     # coupling rows that mix ints and floats, and an empty fields list
     def test_ising_generation(self, tmp_path):
         out = tmp_path / "instance.json"

@@ -267,7 +267,7 @@ def enumerator_cases(draw):
         value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
     couplings = {(i, j): draw(value) for i in range(n) for j in range(i + 1, n)}
     fields = {} if kind == "float_no_fields" else {i: draw(value) for i in range(n)}
-    chunk = draw(st.sampled_from([1, 2, 16, 1 << 18]))
+    chunk = draw(st.sampled_from([1, 2, 16, ionfab.ising._ENUM_CHUNK, 1 << 18]))
     return IsingInstance(n, couplings, fields), kind, chunk
 
 
@@ -304,7 +304,32 @@ class TestEnumeratorProperty:
         finally:
             tracemalloc.stop()
         assert len(configs) == 2
-        assert peak < 16 * 2**20
+        # 128 KB blocks peak near 0.76 MB; 2 MB blocks took 6.3 MB
+        assert peak < 2**20
+
+
+class TestDefaultBlocks:
+    """The default blocks against 2 MB ones: the same halves, and energies
+    and ground states equal bit for bit."""
+
+    @pytest.mark.parametrize("n", range(15, 21))
+    @pytest.mark.parametrize("family", ["power_law", "integer"])
+    def test_equal_to_large_blocks(self, n, family):
+        inst = (power_law_couplings(n, 1.3, 1.0) if family == "power_law"
+                else random_instance(n, seed=n))
+        runs = []
+        for chunk in (ionfab.ising._ENUM_CHUNK, 1 << 18):
+            with mock.patch.object(ionfab.ising, "_ENUM_CHUNK", chunk):
+                energies = np.concatenate(
+                    [e for _, e in ionfab.ising._energy_blocks(inst)])
+                runs.append((energies, brute_force_ground_state(inst)))
+        (default, ground), (large, large_ground) = runs
+        assert np.array_equal(default, large)
+        assert ground == large_ground
+
+    def test_split_is_half_up_to_the_cap(self):
+        for n in range(1, ionfab.ising.BRUTE_FORCE_MAX_SPINS + 1):
+            assert ionfab.ising._split(n) == n // 2
 
 
 class TestAdiabatic:
@@ -359,6 +384,9 @@ class TestAdiabatic:
     # n = 11 splits into unequal halves, n = 12 is the cap, and random float
     # fields give 2^n distinct energies, so the phase gather saves nothing.
     # The 2000- and 5000-step sweeps show that rounding does not drift.
+    # Steps come in blocks of _TROTTER_BLOCK // levels: the n = 10 chain's
+    # 400 levels make blocks of 10, which 97 steps end seven steps into, and
+    # n = 12 with float fields makes blocks of one step.
     @pytest.mark.parametrize("n, family, steps", [
         pytest.param(n, family, steps,
                      id=f"{n}-{family}" + ("" if steps == 200 else f"-{steps}steps"))
@@ -367,7 +395,8 @@ class TestAdiabatic:
             *((n, "power_law", 200) for n in range(2, 13)),
             *((n, "float", 200) for n in (5, 11, 12)),
             *((n, family, steps) for n, steps in ((6, 5000), (8, 2000))
-              for family in ("integer", "power_law"))]])
+              for family in ("integer", "power_law")),
+            (10, "power_law", 97), (12, "float", 97)]])
     def test_matches_per_qubit_reference(self, n, family, steps):
         if family == "integer":
             inst = random_instance(n, seed=n)
@@ -375,8 +404,12 @@ class TestAdiabatic:
             inst = power_law_couplings(n, 1.3, 1.0)
         else:
             inst = float_instance(n, seed=n)
-            energies = np.concatenate([e for _, e in ionfab.ising._energy_blocks(inst)])
-            assert len(np.unique(energies)) == 1 << n
+        energies = np.concatenate([e for _, e in ionfab.ising._energy_blocks(inst)])
+        levels = len(np.unique(energies))
+        if family == "float":
+            assert levels == 1 << n
+        if steps == 97:
+            assert ionfab.ising._TROTTER_BLOCK // levels == (10 if n == 10 else 1)
         total_time = steps / 40  # dt = 0.025 at every length
         run = adiabatic_evolve(inst, total_time, steps)
         trace, overlap, final_energy, norm = reference_trotter(inst, total_time, steps)

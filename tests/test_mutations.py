@@ -66,6 +66,7 @@ FIXTURE_RUNS = {
     "multiplex_demand.json": lambda p: ["simulate", MUX_ARCH, "--schedule",
                                         MUX_SCHEDULE, "--demand", p, *HORIZON],
     "ising_powerlaw12.json": lambda p: ["ising", "solve", p],
+    "ising_powerlaw20.json": lambda p: ["ising", "solve", p],
     "ising_degenerate11.json": lambda p: ["ising", "solve", p],
     "invalid_arch.json": lambda p: ["rates", p],
 }
